@@ -76,6 +76,8 @@ pub struct MtdDevice {
     /// Scripted fault plan, if any. Counters are `Cell`s because `read` takes
     /// `&self` (JFFS2 reads through a shared reference).
     plan: Option<FaultPlan>,
+    /// Every in-range read issued, faulted or not; never reset.
+    reads: Cell<u64>,
     reads_seen: Cell<u64>,
     programs_seen: Cell<u64>,
     erases_seen: Cell<u64>,
@@ -106,6 +108,7 @@ impl MtdDevice {
             erase_counts: vec![0; num_erase_blocks],
             strict_program_check: true,
             plan: None,
+            reads: Cell::new(0),
             reads_seen: Cell::new(0),
             programs_seen: Cell::new(0),
             erases_seen: Cell::new(0),
@@ -124,6 +127,12 @@ impl MtdDevice {
         self.programs_seen.set(0);
         self.erases_seen.set(0);
         self.injected.set(0);
+    }
+
+    /// Number of in-range reads issued since creation, including reads an
+    /// injected fault failed.
+    pub fn reads(&self) -> u64 {
+        self.reads.get()
     }
 
     /// Number of faults injected so far.
@@ -201,6 +210,7 @@ impl MtdDevice {
         if end > self.size_bytes() {
             return Err(MtdError::OutOfRange);
         }
+        self.reads.set(self.reads.get() + 1);
         if self
             .next_fault(FaultKind::Read, &self.reads_seen, offset)
             .is_some()

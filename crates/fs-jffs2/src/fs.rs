@@ -62,7 +62,7 @@ struct Loc {
     len: u32,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct InodeInfo {
     ftype: u8,
     mode: u16,
@@ -92,7 +92,7 @@ impl InodeInfo {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct DirentInfo {
     /// Target inode; 0 is a live deletion marker (must survive GC so older
     /// positive dirents can never resurrect the name on rescan).
@@ -101,14 +101,14 @@ struct DirentInfo {
     loc: Loc,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct XattrInfo {
     value: Vec<u8>,
     delete: bool,
     loc: Loc,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct OpenFile {
     ino: u32,
     offset: u64,
@@ -134,7 +134,62 @@ struct ScanOutcome {
     orphan_dirents: Vec<(u32, String, u32, u32)>,
 }
 
+/// What [`Node::decode`] made of one erase block: a pure function of the
+/// block's bytes, so [`Jffs2Fs::scan`] reuses it while those bytes are
+/// unchanged.
 #[derive(Debug, Clone)]
+struct BlockScan {
+    /// The exact bytes decoded (the memo key).
+    bytes: Vec<u8>,
+    /// The valid node stream, in flash order.
+    nodes: Vec<(Node, Loc)>,
+    /// Offset just past the valid node stream.
+    end: u32,
+    /// Bytes quarantined after an undecodable node, if the stream broke.
+    quarantined: Option<u32>,
+}
+
+impl BlockScan {
+    fn decode(blk: u32, bytes: Vec<u8>) -> Self {
+        let ebs = bytes.len();
+        let mut nodes = Vec::new();
+        let mut quarantined = None;
+        let mut off = 0usize;
+        while off < ebs {
+            match Node::decode(&bytes[off..]) {
+                Ok(Some((node, len))) => {
+                    nodes.push((
+                        node,
+                        Loc {
+                            block: blk,
+                            offset: off as u32,
+                            len: len as u32,
+                        },
+                    ));
+                    off += len;
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    // The node stream is broken: without a trustworthy
+                    // length field, every later offset in this block is
+                    // suspect. Seal the block (so appends never program
+                    // over the garbage) and quarantine the remainder;
+                    // the valid prefix stays live.
+                    quarantined = Some((ebs - off) as u32);
+                    off = ebs;
+                }
+            }
+        }
+        BlockScan {
+            bytes,
+            nodes,
+            end: off as u32,
+            quarantined,
+        }
+    }
+}
+
+#[derive(Debug, Clone, PartialEq)]
 struct Mounted {
     inodes: HashMap<u32, InodeInfo>,
     dirents: HashMap<(u32, String), DirentInfo>,
@@ -158,6 +213,10 @@ pub struct Jffs2Fs {
     dev: MtdBlock,
     config: Jffs2Config,
     m: Option<Mounted>,
+    /// One entry per erase block: the last decode [`Self::scan`] made of
+    /// it. Never a substitute for reading flash, only for re-decoding
+    /// bytes identical to the ones already decoded.
+    scan_memo: Vec<Option<BlockScan>>,
 }
 
 impl Jffs2Fs {
@@ -191,22 +250,19 @@ impl Jffs2Fs {
             data: None,
         };
         mtd.program(0, &root.encode()).map_err(|_| Errno::EIO)?;
+        Self::open_device(mtd, config)
+    }
+
+    /// Attaches to already formatted flash.
+    pub fn open_device(mtd: MtdDevice, config: Jffs2Config) -> VfsResult<Self> {
+        let num_eb = mtd.num_erase_blocks();
         // 512-byte logical blocks for the snapshot interface.
         let dev = MtdBlock::new(mtd, 512).map_err(|_| Errno::EINVAL)?;
         Ok(Jffs2Fs {
             dev,
             config,
             m: None,
-        })
-    }
-
-    /// Attaches to already formatted flash.
-    pub fn open_device(mtd: MtdDevice, config: Jffs2Config) -> VfsResult<Self> {
-        let dev = MtdBlock::new(mtd, 512).map_err(|_| Errno::EINVAL)?;
-        Ok(Jffs2Fs {
-            dev,
-            config,
-            m: None,
+            scan_memo: vec![None; num_eb],
         })
     }
 
@@ -554,23 +610,11 @@ impl Jffs2Fs {
         let m = self.m.as_ref().expect("mounted");
         let info = &m.inodes[&ino];
         if info.ftype == FT_DIR {
-            let subdirs = m
-                .dirents
-                .values()
-                .filter(|d| d.ino != 0)
-                .filter(|d| {
-                    m.inodes
-                        .get(&d.ino)
-                        .map(|i| i.ftype == FT_DIR)
-                        .unwrap_or(false)
-                })
-                .count();
             let my_children = self
                 .children(ino)
                 .iter()
                 .filter(|(_, c, _)| m.inodes.get(c).map(|i| i.ftype == FT_DIR).unwrap_or(false))
                 .count();
-            let _ = subdirs;
             2 + my_children as u32
         } else {
             m.dirents.values().filter(|d| d.ino == ino).count() as u32
@@ -763,45 +807,31 @@ impl Jffs2Fs {
     fn scan(&mut self) -> VfsResult<ScanOutcome> {
         let ebs = self.ebs();
         let num = self.num_eb();
-        // Full-device scan: collect every node with its location.
-        let mut nodes: Vec<(Node, Loc)> = Vec::new();
-        let mut used = vec![0u32; num as usize];
-        let mut quarantined: Vec<(u32, u32)> = Vec::new();
+        // Full-device scan: every block is read and charged, but a block
+        // whose bytes equal its memoized ones is not decoded again.
+        let mut block = vec![0u8; ebs as usize];
         for blk in 0..num {
-            let mut block = vec![0u8; ebs as usize];
             self.dev
                 .mtd()
                 .read(blk as u64 * ebs as u64, &mut block)
                 .map_err(|_| Errno::EIO)?;
             self.charge_read(ebs as u64);
-            let mut off = 0usize;
-            while off < ebs as usize {
-                match Node::decode(&block[off..]) {
-                    Ok(Some((node, len))) => {
-                        nodes.push((
-                            node,
-                            Loc {
-                                block: blk,
-                                offset: off as u32,
-                                len: len as u32,
-                            },
-                        ));
-                        off += len;
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        // The node stream is broken: without a trustworthy
-                        // length field, every later offset in this block is
-                        // suspect. Seal the block (so appends never program
-                        // over the garbage) and quarantine the remainder;
-                        // the valid prefix stays live.
-                        quarantined.push((blk, ebs - off as u32));
-                        off = ebs as usize;
-                    }
-                }
+            let memo = &mut self.scan_memo[blk as usize];
+            if !matches!(memo, Some(hit) if hit.bytes == block) {
+                *memo = Some(BlockScan::decode(blk, block.clone()));
             }
-            used[blk as usize] = off as u32;
         }
+        let blocks: Vec<&BlockScan> = self
+            .scan_memo
+            .iter()
+            .map(|b| b.as_ref().expect("every block was scanned above"))
+            .collect();
+        let used: Vec<u32> = blocks.iter().map(|b| b.end).collect();
+        let quarantined: Vec<(u32, u32)> = (0..num)
+            .zip(&blocks)
+            .filter_map(|(blk, b)| b.quarantined.map(|lost| (blk, lost)))
+            .collect();
+        let mut nodes: Vec<&(Node, Loc)> = blocks.iter().flat_map(|b| &b.nodes).collect();
         // Apply in version order so later nodes win.
         let nodes_seen = nodes.len();
         nodes.sort_by_key(|(n, _)| n.version());
@@ -814,9 +844,9 @@ impl Jffs2Fs {
         }
         let mut max_version = 0u64;
         let mut max_ino = 1u32;
-        for (node, loc) in nodes {
+        for &(ref node, loc) in nodes {
             max_version = max_version.max(node.version());
-            match node {
+            match *node {
                 Node::Inode {
                     ino,
                     ftype,
@@ -829,7 +859,7 @@ impl Jffs2Fs {
                     isize,
                     offset,
                     rewrite,
-                    data,
+                    ref data,
                     ..
                 } => {
                     max_ino = max_ino.max(ino);
@@ -868,7 +898,7 @@ impl Jffs2Fs {
                         None => {
                             let mut content = vec![0u8; isize as usize];
                             let has_data = data.is_some();
-                            if let Some(d) = &data {
+                            if let Some(d) = data {
                                 let end = (offset as usize + d.len()).min(content.len());
                                 let n = end.saturating_sub(offset as usize);
                                 content[offset as usize..end].copy_from_slice(&d[..n]);
@@ -895,12 +925,12 @@ impl Jffs2Fs {
                     parent,
                     ino,
                     ftype,
-                    name,
+                    ref name,
                     ..
                 } => {
                     max_ino = max_ino.max(ino);
                     if let Some(old) =
-                        dirents.insert((parent, name), DirentInfo { ino, ftype, loc })
+                        dirents.insert((parent, name.clone()), DirentInfo { ino, ftype, loc })
                     {
                         dead[old.loc.block as usize] += old.loc.len;
                     }
@@ -908,12 +938,16 @@ impl Jffs2Fs {
                 Node::Xattr {
                     ino,
                     delete,
-                    name,
-                    value,
+                    ref name,
+                    ref value,
                     ..
                 } => {
-                    if let Some(old) = xattrs.insert((ino, name), XattrInfo { value, delete, loc })
-                    {
+                    let x = XattrInfo {
+                        value: value.clone(),
+                        delete,
+                        loc,
+                    };
+                    if let Some(old) = xattrs.insert((ino, name.clone()), x) {
                         dead[old.loc.block as usize] += old.loc.len;
                     }
                 }
@@ -2170,6 +2204,213 @@ mod tests {
         let mtd = MtdDevice::new(16 * 1024, 16).unwrap();
         let mut fs = Jffs2Fs::open_device(mtd, Jffs2Config::default()).unwrap();
         assert_eq!(fs.fsck(), Err(Errno::EIO));
+    }
+
+    /// A formatted, unmounted volume charging its own virtual clock.
+    fn timed_jffs2(num_eb: usize) -> Jffs2Fs {
+        let config = Jffs2Config {
+            clock: Some(Clock::new()),
+            ..Jffs2Config::default()
+        };
+        Jffs2Fs::format(MtdDevice::new(16 * 1024, num_eb).unwrap(), config).unwrap()
+    }
+
+    /// A memo-cold instance on a copy of `fs`'s flash (fault plan included),
+    /// charging a clock of its own.
+    fn cold_twin(fs: &Jffs2Fs) -> Jffs2Fs {
+        let config = Jffs2Config {
+            clock: Some(Clock::new()),
+            ..fs.config.clone()
+        };
+        Jffs2Fs::open_device(fs.dev.mtd().clone(), config).unwrap()
+    }
+
+    /// Runs `f` on `fs`; returns its result, the virtual time it charged and
+    /// the flash reads it issued.
+    fn metered<T>(fs: &mut Jffs2Fs, f: impl FnOnce(&mut Jffs2Fs) -> T) -> (T, u64, u64) {
+        let clock = fs.config.clock.clone().expect("timed volume");
+        let (ns, reads) = (clock.now_ns(), fs.dev.mtd().reads());
+        let out = f(fs);
+        (out, clock.now_ns() - ns, fs.dev.mtd().reads() - reads)
+    }
+
+    /// Mounts the unmounted `warm` (its memo filled by earlier scans) and a
+    /// cold twin on the same flash: both must produce the same result, the
+    /// same index, the same virtual time and the same flash reads.
+    fn assert_warm_mount_matches_cold(warm: &mut Jffs2Fs) {
+        let mut cold = cold_twin(warm);
+        let (w, w_ns, w_reads) = metered(warm, |fs| fs.mount());
+        let (c, c_ns, c_reads) = metered(&mut cold, |fs| fs.mount());
+        assert_eq!(w, c);
+        assert_eq!(warm.m, cold.m);
+        assert_eq!((w_ns, w_reads), (c_ns, c_reads));
+    }
+
+    /// Sorted fixes, so reports whose orphan order follows hash-map
+    /// iteration compare equal.
+    fn canonical(report: VfsResult<RepairReport>) -> VfsResult<(u64, u64, Vec<String>)> {
+        report.map(|mut r| {
+            r.fixes.sort();
+            (r.items_scanned, r.repairs_made, r.fixes)
+        })
+    }
+
+    /// Minimal xorshift64 so the op sequences need no RNG dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    #[test]
+    fn warm_scan_matches_cold_scan_over_random_histories() {
+        use blockdev::{FaultKind, FaultPlan};
+        let names = ["/a", "/b", "/d/c", "/d/e"];
+        for seed in 1..=6u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut fs = timed_jffs2(16);
+            assert_warm_mount_matches_cold(&mut fs);
+            let _ = fs.mkdir("/d", FileMode::DIR_DEFAULT);
+            let mut snaps = Vec::new();
+            for _ in 0..160 {
+                let name = names[rng.below(names.len() as u64) as usize];
+                let other = names[rng.below(names.len() as u64) as usize];
+                match rng.below(14) {
+                    0..=2 => {
+                        let flags = OpenFlags::write_only().with_create().with_trunc();
+                        if let Ok(fd) = fs.open(name, flags, FileMode::REG_DEFAULT) {
+                            let len = rng.below(12_000) as usize;
+                            let _ = fs.write(fd, &vec![rng.below(256) as u8; len]);
+                            let _ = fs.close(fd);
+                        }
+                    }
+                    3 => {
+                        let _ = fs.unlink(name);
+                    }
+                    4 => {
+                        let _ = fs.rename(name, other);
+                    }
+                    5 => {
+                        let _ = fs.truncate(name, rng.below(9_000));
+                    }
+                    6 => {
+                        let value = vec![b'v'; rng.below(64) as usize];
+                        let _ = fs.setxattr(name, "user.k", &value, XattrFlags::Any);
+                    }
+                    7 => {
+                        let _ = fs.link(name, other);
+                    }
+                    8 => {
+                        let _ = fs.unmount();
+                        assert_warm_mount_matches_cold(&mut fs);
+                    }
+                    9 => snaps.push(fs.snapshot_device().unwrap()),
+                    10 if !snaps.is_empty() => {
+                        let snap = &snaps[rng.below(snaps.len() as u64) as usize];
+                        fs.restore_device(snap).unwrap();
+                        let _ = fs.unmount();
+                        assert_warm_mount_matches_cold(&mut fs);
+                    }
+                    11 => {
+                        // Tear one of the next programs, then rescan.
+                        let plan = FaultPlan::eio(FaultKind::Write, rng.below(3), 1)
+                            .with_torn_bytes(rng.below(40) as usize);
+                        fs.dev.mtd_mut().set_fault_plan(Some(plan));
+                        let flags = OpenFlags::write_only().with_create().with_append();
+                        if let Ok(fd) = fs.open(name, flags, FileMode::REG_DEFAULT) {
+                            let _ = fs.write(fd, &[7u8; 300]);
+                            let _ = fs.close(fd);
+                        }
+                        fs.dev.mtd_mut().set_fault_plan(None);
+                        let _ = fs.unmount();
+                        assert_warm_mount_matches_cold(&mut fs);
+                    }
+                    12 => {
+                        let (w, w_ns, w_reads) = metered(&mut fs, |fs| fs.crash_reboot());
+                        let mut cold = cold_twin(&fs);
+                        let (c, c_ns, c_reads) = metered(&mut cold, |fs| fs.mount());
+                        assert_eq!(w, c);
+                        assert_eq!(fs.m, cold.m);
+                        assert_eq!((w_ns, w_reads), (c_ns, c_reads));
+                    }
+                    _ => {
+                        let _ = fs.unmount();
+                        let mut cold = cold_twin(&fs);
+                        let (w, w_ns, w_reads) = metered(&mut fs, |fs| fs.fsck());
+                        let (c, c_ns, c_reads) = metered(&mut cold, |fs| fs.fsck());
+                        assert_eq!(canonical(w), canonical(c));
+                        assert_eq!((w_ns, w_reads), (c_ns, c_reads));
+                        // Repairs relocate nodes in hash-map order, so the
+                        // two flash images may now differ: compare on the
+                        // repaired one, with the memo fsck's rescans left.
+                        assert_warm_mount_matches_cold(&mut fs);
+                    }
+                }
+            }
+            assert!(fs.scan_memo.iter().all(Option::is_some));
+        }
+    }
+
+    #[test]
+    fn read_eio_fails_a_warm_mount_on_the_same_read_as_a_cold_one() {
+        use blockdev::{FaultKind, FaultPlan};
+        let mut fs = timed_jffs2(8);
+        fs.mount().unwrap();
+        write_file(&mut fs, "/f", &[3u8; 20_000]);
+        fs.unmount().unwrap();
+        fs.mount().unwrap();
+        fs.unmount().unwrap();
+        for skip in 0..8 {
+            let plan = FaultPlan::eio(FaultKind::Read, skip, 1);
+            fs.dev.mtd_mut().set_fault_plan(Some(plan));
+            let mut cold = cold_twin(&fs);
+            let (w, w_ns, w_reads) = metered(&mut fs, |fs| fs.mount());
+            let (c, c_ns, c_reads) = metered(&mut cold, |fs| fs.mount());
+            assert_eq!(w, Err(Errno::EIO));
+            assert_eq!(c, w);
+            assert_eq!(w_reads, skip + 1, "the mount stops at the failed read");
+            assert_eq!((w_ns, w_reads), (c_ns, c_reads));
+            assert_eq!(fs.dev.mtd().faults_injected(), 1);
+            assert!(fs.m.is_none());
+        }
+        fs.dev.mtd_mut().set_fault_plan(None);
+        assert_warm_mount_matches_cold(&mut fs);
+        assert_eq!(read_file(&mut fs, "/f"), vec![3u8; 20_000]);
+    }
+
+    #[test]
+    fn bit_flip_in_a_memoized_block_is_quarantined() {
+        let mut fs = timed_jffs2(16);
+        fs.mount().unwrap();
+        write_file(&mut fs, "/f", b"kept");
+        write_file(&mut fs, "/g", b"flipped");
+        fs.unmount().unwrap();
+        fs.mount().unwrap();
+        fs.unmount().unwrap();
+        // Clear one set bit (all flash programming can do) in the body of
+        // block 0's last node, a block whose decode is memoized.
+        let loc = fs.scan_memo[0].as_ref().unwrap().nodes.last().unwrap().1;
+        let body = loc.offset as usize + crate::log::HEADER_LEN;
+        let mut bytes = vec![0u8; loc.len as usize - crate::log::HEADER_LEN];
+        fs.dev.mtd().read(body as u64, &mut bytes).unwrap();
+        let at = bytes.iter().position(|&b| b != 0).unwrap();
+        let flipped = bytes[at] & (bytes[at] - 1);
+        fs.dev
+            .mtd_mut()
+            .program((body + at) as u64, &[flipped])
+            .unwrap();
+        let warm = fs.scan().unwrap();
+        let cold = cold_twin(&fs).scan().unwrap();
+        assert_eq!(warm.quarantined, vec![(0, fs.ebs() - loc.offset)]);
+        assert_eq!(warm.quarantined, cold.quarantined);
+        assert_eq!(warm.m, cold.m);
+        assert_warm_mount_matches_cold(&mut fs);
+        assert_eq!(read_file(&mut fs, "/f"), b"kept");
     }
 
     #[test]

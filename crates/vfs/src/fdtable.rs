@@ -23,7 +23,7 @@ pub const DEFAULT_MAX_FDS: usize = 256;
 /// table.remove(fd).unwrap();
 /// assert!(table.get(fd).is_err());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FdTable<T> {
     slots: Vec<Option<T>>,
     max_fds: usize,
