@@ -9,13 +9,6 @@
 //! so the runs must be violation-free while reporting a non-zero crash
 //! count.
 //!
-//! A second section compares the two partial-order-reduction relations —
-//! the signature-derived independence relation against the legacy
-//! path-prefix heuristic — by running the DFS to exhaustion at a small
-//! depth under both. The derived relation must explore no more states
-//! than the heuristic (it is a refinement: strictly more commuting pairs,
-//! minus the aliasing-unsound ones).
-//!
 //! Output: a human-readable table, then JSON (also written to
 //! `BENCH_crash.json`).
 //!
@@ -35,9 +28,7 @@
 
 use blockdev::LatencyModel;
 use mcfs::{FsOpCodec, McfsConfig, PoolConfig, RemountMode};
-use mcfs_bench::{
-    measure_dfs, measure_dfs_depth, pair_ext2_ext4_cfg, pair_verifs_cfg, print_table, Pairing,
-};
+use mcfs_bench::{measure_dfs, pair_ext2_ext4_cfg, pair_verifs_cfg, print_table, Pairing};
 use modelcheck::{
     load_snapshot, run_swarm_persistent, CrashStats, ExploreConfig, SwarmConfig, SwarmPersist,
     WorkerStrategy,
@@ -262,90 +253,7 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    // POR relation comparison: exhaust the depth-bounded state space under
-    // both relations so the state counts are directly comparable.
-    struct PorRow {
-        pairing: &'static str,
-        legacy: bool,
-        states_new: u64,
-        ops_executed: u64,
-    }
-    let mut por_rows: Vec<PorRow> = Vec::new();
-    for (label, build) in &builders {
-        // The remount-per-op pairing is an order of magnitude slower per
-        // transition, so it stays at depth 3.
-        let depth = if *label == "verifs1-vs-verifs2" && !quick {
-            4
-        } else {
-            3
-        };
-        for legacy in [false, true] {
-            let cfg = McfsConfig {
-                pool: PoolConfig::small(),
-                legacy_por_heuristic: legacy,
-                ..McfsConfig::default()
-            };
-            let mut pairing = build(cfg).expect("pairing");
-            let (_, report) = measure_dfs_depth(&mut pairing, 5_000_000, depth);
-            assert!(
-                report.violations.is_empty(),
-                "{label} [legacy {legacy}]: POR comparison run must be \
-                 violation-free, found: {}",
-                report.violations[0]
-            );
-            por_rows.push(PorRow {
-                pairing: label,
-                legacy,
-                states_new: report.stats.states_new,
-                ops_executed: report.stats.ops_executed,
-            });
-        }
-        let derived = &por_rows[por_rows.len() - 2];
-        let legacy = &por_rows[por_rows.len() - 1];
-        assert!(
-            derived.states_new <= legacy.states_new,
-            "{label}: derived POR explored {} states, legacy heuristic {} — \
-             the derived relation must not enlarge the reduced state space",
-            derived.states_new,
-            legacy.states_new
-        );
-    }
-    let por_table: Vec<(String, String)> = por_rows
-        .iter()
-        .map(|r| {
-            (
-                format!(
-                    "{} [{}]",
-                    r.pairing,
-                    if r.legacy { "legacy " } else { "derived" }
-                ),
-                format!(
-                    "{:>7} states  {:>8} transitions",
-                    r.states_new, r.ops_executed
-                ),
-            )
-        })
-        .collect();
-    print_table("POR relation comparison (exhaustive)", &por_table);
-
-    let por_runs: String = por_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"pairing\": \"{}\", \"relation\": \"{}\", \
-                 \"states_new\": {}, \"ops_executed\": {}}}",
-                r.pairing,
-                if r.legacy { "legacy" } else { "derived" },
-                r.states_new,
-                r.ops_executed,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"budget_ops\": {budget},\n  \"runs\": [\n{runs}\n  ],\n  \
-         \"por_comparison\": [\n{por_runs}\n  ]\n}}"
-    );
+    let json = format!("{{\n  \"budget_ops\": {budget},\n  \"runs\": [\n{runs}\n  ]\n}}");
     println!("\n{json}");
     std::fs::write("BENCH_crash.json", format!("{json}\n")).expect("write BENCH_crash.json");
 }

@@ -283,20 +283,8 @@ pub fn pair_verifs_cfg(cfg: McfsConfig) -> VfsResult<Pairing> {
 /// Runs a bounded DFS over a pairing and returns `(ops/s, report)` measured
 /// in virtual time.
 pub fn measure_dfs(pairing: &mut Pairing, max_ops: u64) -> (f64, ExploreReport<mcfs::FsOp>) {
-    measure_dfs_depth(pairing, max_ops, 6)
-}
-
-/// [`measure_dfs`] with an explicit depth bound — a small depth plus a
-/// generous op budget lets the DFS run to exhaustion, which is what the
-/// POR-relation comparison needs (state counts are only comparable across
-/// relations when both runs terminate by exhaustion, not by budget).
-pub fn measure_dfs_depth(
-    pairing: &mut Pairing,
-    max_ops: u64,
-    max_depth: usize,
-) -> (f64, ExploreReport<mcfs::FsOp>) {
     let cfg = ExploreConfig {
-        max_depth,
+        max_depth: 6,
         max_ops,
         mem: scaled_mem(),
         stop_on_violation: true,

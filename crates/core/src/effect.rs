@@ -770,9 +770,10 @@ pub fn independent_concurrent(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> bool 
     explain_concurrent(a, b, prof).is_independent()
 }
 
-/// The original hand-written heuristic (formerly inlined in the harness),
-/// kept verbatim for comparison, for the `legacy_por_heuristic` escape
-/// hatch, and as the baseline the `analyze` sanitizer tests against.
+/// The original hand-written path-prefix heuristic (formerly the harness's
+/// relation), kept verbatim as the reference the derived relation is
+/// checked against: MC001's `Relation::Heuristic` sanitizer baseline and
+/// `tests/effect_soundness.rs`. Unsound under hard-link aliasing.
 pub fn heuristic_independent(a: &FsOp, b: &FsOp) -> bool {
     // A crash commutes with nothing: it has an empty path footprint but
     // rolls unsynced state back, so reordering it against any mutation

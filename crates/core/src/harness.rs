@@ -89,12 +89,6 @@ pub struct McfsConfig {
     /// a *fresh* pair; without one the flag is inert. Off by default:
     /// minimization costs replays at violation time.
     pub minimize_violations: bool,
-    /// Drive partial-order reduction off the original hand-written
-    /// path-prefix heuristic instead of the signature-derived relation
-    /// ([`crate::effect`]). Kept for A/B comparison on the benches; the
-    /// derived relation is both sounder (hard-link aliasing) and finer
-    /// (range-disjoint writes commute). Off by default.
-    pub legacy_por_heuristic: bool,
 }
 
 impl Default for McfsConfig {
@@ -112,7 +106,6 @@ impl Default for McfsConfig {
             crash_exploration: false,
             fsck_exploration: false,
             minimize_violations: false,
-            legacy_por_heuristic: false,
         }
     }
 }
@@ -981,11 +974,6 @@ impl ModelSystem for Mcfs {
     }
 
     fn independent(&self, a: &FsOp, b: &FsOp) -> bool {
-        if self.cfg.legacy_por_heuristic {
-            // The original hand-written path-prefix heuristic, kept for
-            // A/B comparison (`crash_explore` reports both).
-            return crate::effect::heuristic_independent(a, b);
-        }
         self.effects.independent(a, b)
     }
 }

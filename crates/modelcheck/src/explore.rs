@@ -1,6 +1,15 @@
 //! Explorers: bounded DFS (SPIN's default search), BFS, and random walk.
+//!
+//! All three, and the swarm's frontier workers, drive the system through
+//! one transition kernel ([`Search`]); each search keeps only its frontier
+//! policy (a frame stack, a queue, random restarts) and how it positions
+//! the system at the next state to expand.
+
+use std::collections::VecDeque;
 
 use blockdev::Clock;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::memmodel::{MemConfig, MemoryModel, OutOfMemory};
 use crate::spill::{MemBudget, SpillStats};
@@ -221,19 +230,9 @@ pub struct ExploreReport<Op> {
     pub stop: StopReason,
 }
 
-/// Classifies a restore error: budget-driven eviction stops the run with
-/// [`StopReason::CheckpointEvicted`]; anything else is fatal.
-fn restore_failure(e: String) -> StopReason {
-    if is_evicted_error(&e) {
-        StopReason::CheckpointEvicted(e)
-    } else {
-        StopReason::Fatal(e)
-    }
-}
-
 /// The report for a run that could not start because the spill store failed
 /// to initialize (bad spill dir, exhausted fds, ...).
-fn spill_init_failure<Op>(e: String) -> ExploreReport<Op> {
+pub(crate) fn spill_init_failure<Op>(e: &str) -> ExploreReport<Op> {
     ExploreReport {
         stats: ExploreStats::default(),
         violations: Vec::new(),
@@ -241,53 +240,342 @@ fn spill_init_failure<Op>(e: String) -> ExploreReport<Op> {
     }
 }
 
-/// Builds the [`Violation`] record for a just-detected violation, asking the
-/// system to minimize the counterexample ([`ModelSystem::minimize`] — a
-/// no-op unless the system enables it).
-pub(crate) fn record_violation<S: ModelSystem>(
-    sys: &mut S,
-    trace: Vec<S::Op>,
-    message: String,
-    ops_executed: u64,
-) -> Violation<S::Op> {
-    let (minimized_trace, shrink) = match sys.minimize(&trace, &message) {
-        Some((t, s)) => (Some(t), Some(s)),
-        None => (None, None),
-    };
-    Violation {
-        trace,
-        message,
-        ops_executed,
-        minimized_trace,
-        shrink,
+/// How one transition ([`Search::step`]) ended, when it did not stop the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// No state to visit: the op was disabled, or it violated the property
+    /// and the violation was recorded without stopping.
+    Pruned,
+    /// The reached state was already visited at this depth or shallower.
+    Matched,
+    /// The reached state is new, or known but now reached shallower
+    /// (depth-bounded searches re-expand it).
+    Expand(Visit),
+}
+
+/// The transition kernel every search shares — DFS, BFS, the random walk
+/// and the swarm's frontier workers. It owns the run's memory model and
+/// virtual-clock bookkeeping and applies, classifies, fingerprints and
+/// counts each transition; the searches only pick which state to expand
+/// next and how to get the system there.
+pub(crate) struct Search<'a, S: ModelSystem> {
+    cfg: &'a ExploreConfig,
+    clock: Option<&'a Clock>,
+    start_ns: u64,
+    mem: MemoryModel,
+    pub(crate) stats: &'a mut ExploreStats,
+    violations: &'a mut Vec<Violation<S::Op>>,
+    next_id: u64,
+    /// The stored state the live system is in, if any: applying an op
+    /// leaves it until a checkpoint or restore anchors the system again.
+    at: Option<StateId>,
+}
+
+impl<'a, S: ModelSystem> Search<'a, S> {
+    /// A search counting into `stats` and `violations`. Without a clock
+    /// nothing is charged and `max_virtual_ns` never trips.
+    pub(crate) fn new(
+        cfg: &'a ExploreConfig,
+        clock: Option<&'a Clock>,
+        stats: &'a mut ExploreStats,
+        violations: &'a mut Vec<Violation<S::Op>>,
+    ) -> Self {
+        Search {
+            cfg,
+            clock,
+            start_ns: clock.map_or(0, Clock::now_ns),
+            mem: MemoryModel::new(cfg.mem),
+            stats,
+            violations,
+            next_id: 0,
+            at: None,
+        }
+    }
+
+    fn charge(&self, ns: u64) {
+        if let Some(c) = self.clock {
+            c.advance_ns(ns);
+        }
+    }
+
+    fn elapsed_ns(&self) -> u64 {
+        self.clock.map_or(0, |c| c.now_ns() - self.start_ns)
+    }
+
+    /// Fingerprints the initial state and stores it as the pinned root.
+    fn begin<V: VisitedHandle + ?Sized>(
+        &mut self,
+        sys: &mut S,
+        visited: &mut V,
+    ) -> Result<StateId, StopReason> {
+        if visited.insert(sys.abstract_state()).0 {
+            self.stats.states_new += 1;
+        }
+        self.drain(visited)?;
+        let root = self.store(sys)?;
+        sys.pin(root);
+        Ok(root)
+    }
+
+    /// Stops the run once the op, state or virtual-time budget is spent.
+    fn budget(&self) -> Result<(), StopReason> {
+        if self.stats.ops_executed >= self.cfg.max_ops {
+            return Err(StopReason::OpBudget);
+        }
+        if self.stats.states_new >= self.cfg.max_states {
+            return Err(StopReason::StateBudget);
+        }
+        match (self.cfg.max_virtual_ns, self.clock) {
+            (Some(limit), Some(_)) if self.elapsed_ns() >= limit => Err(StopReason::TimeBudget),
+            _ => Ok(()),
+        }
+    }
+
+    /// Checkpoints the live state under a fresh id and charges it to the
+    /// memory model.
+    fn store(&mut self, sys: &mut S) -> Result<StateId, StopReason> {
+        let id = StateId(self.next_id);
+        self.next_id += 1;
+        let bytes = sys.checkpoint(id).map_err(StopReason::Fatal)?;
+        let cost = self
+            .mem
+            .store(id, bytes as u64)
+            .map_err(StopReason::OutOfMemory)?;
+        self.charge(cost);
+        self.stats.checkpoints += 1;
+        self.at = Some(id);
+        Ok(id)
+    }
+
+    /// Restores stored state `id`, charging the memory model's access. A
+    /// checkpoint the budgeted store evicted stops the run with
+    /// [`StopReason::CheckpointEvicted`]; any other failure is fatal.
+    pub(crate) fn enter(&mut self, sys: &mut S, id: StateId) -> Result<(), StopReason> {
+        let cost = self.mem.access(id);
+        self.charge(cost);
+        sys.restore(id).map_err(|e| {
+            if is_evicted_error(&e) {
+                StopReason::CheckpointEvicted(e)
+            } else {
+                StopReason::Fatal(e)
+            }
+        })?;
+        self.stats.restores += 1;
+        self.at = Some(id);
+        Ok(())
+    }
+
+    /// [`Search::enter`]s `id` unless the system is already there: like
+    /// SPIN, a search advancing deeper restores only on backtrack.
+    fn position(&mut self, sys: &mut S, id: StateId) -> Result<(), StopReason> {
+        if self.at == Some(id) {
+            return Ok(());
+        }
+        self.enter(sys, id)
+    }
+
+    /// Drops stored state `id`, from the memory model too unless
+    /// `retain_states` keeps charging it.
+    fn release(&mut self, sys: &mut S, id: StateId) {
+        sys.release(id);
+        if !self.cfg.retain_states {
+            self.mem.release(id);
+        }
+    }
+
+    /// The ops to expand from the live state: the enabled ones, restricted
+    /// to the system's persistent set under `por_persistent` (masked-out ops
+    /// count as pruned).
+    pub(crate) fn expandable(&mut self, sys: &mut S) -> Vec<S::Op> {
+        let ops = sys.ops();
+        if !self.cfg.por_persistent {
+            return ops;
+        }
+        let Some(mask) = sys.persistent_set(&ops).filter(|m| m.len() == ops.len()) else {
+            return ops;
+        };
+        let enabled = ops.len();
+        let kept: Vec<S::Op> = ops
+            .into_iter()
+            .zip(mask)
+            .filter(|(_, keep)| *keep)
+            .map(|(op, _)| op)
+            .collect();
+        self.stats.pruned += (enabled - kept.len()) as u64;
+        kept
+    }
+
+    /// Whether `op` is in the expanded state's sleep set (counted as pruned).
+    pub(crate) fn asleep(&mut self, sleep: &[S::Op], op: &S::Op) -> bool {
+        let asleep = self.cfg.por && sleep.contains(op);
+        self.stats.pruned += u64::from(asleep);
+        asleep
+    }
+
+    /// The sleep set of the state `op` leads to: the ops asleep in its
+    /// parent (`sleep`) or already explored from it (`done`) that stay
+    /// independent of `op`. Empty without `por`.
+    pub(crate) fn sleep_after(
+        &self,
+        sys: &S,
+        sleep: &[S::Op],
+        done: &[S::Op],
+        op: &S::Op,
+    ) -> Vec<S::Op> {
+        if !self.cfg.por {
+            return Vec::new();
+        }
+        let mut s: Vec<S::Op> = sleep
+            .iter()
+            .filter(|x| sys.independent(x, op))
+            .cloned()
+            .collect();
+        for prev in done {
+            if sys.independent(prev, op) && !s.contains(prev) {
+                s.push(prev.clone());
+            }
+        }
+        s
+    }
+
+    /// Records a violation reproduced by `trace`, asking the system to
+    /// minimize it ([`ModelSystem::minimize`] — a no-op unless enabled).
+    pub(crate) fn record(&mut self, sys: &mut S, trace: Vec<S::Op>, message: String) {
+        let (minimized_trace, shrink) = sys.minimize(&trace, &message).unzip();
+        self.violations.push(Violation {
+            trace,
+            message,
+            ops_executed: self.stats.ops_executed,
+            minimized_trace,
+            shrink,
+        });
+    }
+
+    /// Charges the visited set's pending page traffic; stops the run if
+    /// its backing store failed.
+    fn drain<V: VisitedHandle + ?Sized>(&mut self, visited: &mut V) -> Result<(), StopReason> {
+        self.charge(visited.take_pending_ns());
+        match visited.error() {
+            Some(e) => Err(StopReason::Fatal(format!("visited spill failed: {e}"))),
+            None => Ok(()),
+        }
+    }
+
+    /// One transition: applies `op` to the live state and classifies the
+    /// result against `visited` at `depth`. `trace` yields the ops leading
+    /// to the live state; it is only called to record a violation.
+    pub(crate) fn step<V: VisitedHandle + ?Sized>(
+        &mut self,
+        sys: &mut S,
+        visited: &mut V,
+        op: &S::Op,
+        depth: u32,
+        trace: impl FnOnce() -> Vec<S::Op>,
+    ) -> Result<Step, StopReason> {
+        self.at = None;
+        let outcome = sys.apply(op);
+        self.stats.ops_executed += 1;
+        match outcome {
+            ApplyOutcome::Ok => {}
+            ApplyOutcome::Prune(_) => {
+                self.stats.pruned += 1;
+                return Ok(Step::Pruned);
+            }
+            ApplyOutcome::Violation(message) => {
+                let mut trace = trace();
+                trace.push(op.clone());
+                self.record(sys, trace, message);
+                if self.cfg.stop_on_violation {
+                    return Err(StopReason::Violation);
+                }
+                return Ok(Step::Pruned);
+            }
+        }
+        let (visit, resize) = visited.insert_at(sys.abstract_state(), depth);
+        if let Some(r) = resize {
+            // The old and new tables coexist while rehashing: charge the
+            // transient peak, then settle at the grown size.
+            self.stats.resize_events += 1;
+            self.charge(r.cost_ns);
+            let cost = self.mem.set_overhead(visited.bytes() + r.transient_bytes);
+            self.charge(cost);
+            let cost = self.mem.set_overhead(visited.bytes());
+            self.charge(cost);
+        }
+        self.drain(visited)?;
+        match visit {
+            Visit::Matched => {
+                self.stats.states_matched += 1;
+                Ok(Step::Matched)
+            }
+            Visit::New => {
+                self.stats.states_new += 1;
+                Ok(Step::Expand(visit))
+            }
+            Visit::Shallower => Ok(Step::Expand(visit)),
+        }
+    }
+
+    /// The running stats with the memory gauges and virtual time refreshed.
+    fn progress(&mut self) -> &ExploreStats {
+        self.stats.swapped_bytes = self.mem.swapped_bytes();
+        self.stats.hit_rate = self.mem.hit_rate();
+        self.stats.virtual_ns = self.elapsed_ns();
+        self.stats
+    }
+
+    /// Settles the run's last charges and fills in the end-of-run stats.
+    fn finish<V: VisitedHandle + ?Sized>(mut self, sys: &S, visited: &mut V) {
+        self.charge(visited.take_pending_ns());
+        self.progress();
+        self.stats.checkpoint_store = sys.checkpoint_store_stats();
+        self.stats.crash = sys.crash_stats();
+        self.stats.peak_memory_bytes = self.mem.peak_bytes();
+        self.stats.swap_traffic_bytes = self.mem.swap_traffic_bytes();
+        self.stats.visited_peak_bytes = visited.peak_bytes();
+        self.stats.spill = visited.spill_stats();
     }
 }
 
-/// Restricts an enabled-op list to the system's persistent set
-/// ([`ModelSystem::persistent_set`]), counting masked-out ops as pruned.
-/// No-op unless `cfg.por_persistent` is set and the mask is well-formed.
-pub(crate) fn persistent_filter<S: ModelSystem>(
+/// Runs `search` from the stored root and reports. A search returns
+/// `Ok(())` when its frontier is exhausted.
+fn explore<S: ModelSystem, V: VisitedHandle + ?Sized>(
     cfg: &ExploreConfig,
+    clock: Option<&Clock>,
     sys: &mut S,
-    ops: Vec<S::Op>,
-    pruned: &mut u64,
-) -> Vec<S::Op> {
-    if !cfg.por_persistent {
-        return ops;
+    visited: &mut V,
+    search: impl FnOnce(&mut Search<'_, S>, &mut S, &mut V, StateId) -> Result<(), StopReason>,
+) -> ExploreReport<S::Op> {
+    let mut stats = ExploreStats::default();
+    let mut violations = Vec::new();
+    let mut k = Search::new(cfg, clock, &mut stats, &mut violations);
+    let stop = match k
+        .begin(sys, visited)
+        .and_then(|root| search(&mut k, sys, visited, root))
+    {
+        Ok(()) => StopReason::Exhausted,
+        Err(stop) => stop,
+    };
+    k.finish(sys, visited);
+    ExploreReport {
+        stats,
+        violations,
+        stop,
     }
-    match sys.persistent_set(&ops) {
-        Some(mask) if mask.len() == ops.len() => {
-            let mut kept = Vec::with_capacity(ops.len());
-            for (op, keep) in ops.into_iter().zip(mask) {
-                if keep {
-                    kept.push(op);
-                } else {
-                    *pruned += 1;
-                }
-            }
-            kept
-        }
-        _ => ops,
+}
+
+/// Runs `run` over a fresh visited set: disk-spilling under
+/// [`ExploreConfig::mem_budget`], fully in RAM otherwise.
+fn with_fresh_visited<Op>(
+    cfg: &ExploreConfig,
+    run: impl FnOnce(&mut dyn VisitedHandle) -> ExploreReport<Op>,
+) -> ExploreReport<Op> {
+    match &cfg.mem_budget {
+        Some(budget) => match ShardedVisited::with_spill(cfg.visited_capacity, budget) {
+            Ok(mut visited) => run(&mut visited),
+            Err(e) => spill_init_failure(&e),
+        },
+        None => run(&mut VisitedSet::new(cfg.visited_capacity)),
     }
 }
 
@@ -297,6 +585,216 @@ struct Frame<Op> {
     next: usize,
     sleep: Vec<Op>,
     op_from_parent: Option<Op>,
+}
+
+/// Depth-first search over a frame stack. Every state on the stack — the
+/// backtrack spine — stays pinned against budget-driven eviction until its
+/// frame pops, since DFS re-enters each one.
+fn dfs<S: ModelSystem, V: VisitedHandle + ?Sized>(
+    k: &mut Search<'_, S>,
+    sys: &mut S,
+    visited: &mut V,
+    root: StateId,
+) -> Result<(), StopReason> {
+    let ops = k.expandable(sys);
+    let mut stack = vec![Frame {
+        state: root,
+        ops,
+        next: 0,
+        sleep: Vec::new(),
+        op_from_parent: None,
+    }];
+    loop {
+        k.budget()?;
+        let Some(frame) = stack.last_mut() else {
+            return Ok(());
+        };
+        if frame.next >= frame.ops.len() {
+            sys.unpin(frame.state);
+            k.release(sys, frame.state);
+            stack.pop();
+            continue;
+        }
+        let idx = frame.next;
+        frame.next += 1;
+        let op = frame.ops[idx].clone();
+        if k.asleep(&frame.sleep, &op) {
+            continue;
+        }
+        k.position(sys, frame.state)?;
+        let depth = stack.len();
+        let trace = || {
+            stack
+                .iter()
+                .filter_map(|f| f.op_from_parent.clone())
+                .collect()
+        };
+        // `Shallower` re-expands a known state reached closer to the root:
+        // without this, depth-bounded coverage would depend on exploration
+        // order (SPIN re-explores identically).
+        let Step::Expand(_) = k.step(sys, visited, &op, depth as u32, trace)? else {
+            continue;
+        };
+        k.stats.max_depth_seen = k.stats.max_depth_seen.max(depth);
+        if depth >= k.cfg.max_depth {
+            continue; // depth bound: record the state, don't expand
+        }
+        let child = k.store(sys)?;
+        sys.pin(child);
+        let parent = stack.last().expect("frame exists");
+        let sleep = k.sleep_after(sys, &parent.sleep, &parent.ops[..idx], &op);
+        let ops = k.expandable(sys);
+        stack.push(Frame {
+            state: child,
+            ops,
+            next: 0,
+            sleep,
+            op_from_parent: Some(op),
+        });
+    }
+}
+
+/// Breadth-first search over a FIFO queue of stored states, every one
+/// pinned until expanded, with a parent-pointer arena for traces.
+fn bfs<S: ModelSystem, V: VisitedHandle + ?Sized>(
+    k: &mut Search<'_, S>,
+    sys: &mut S,
+    visited: &mut V,
+    root: StateId,
+) -> Result<(), StopReason> {
+    let mut arena: Vec<(Option<usize>, Option<S::Op>)> = vec![(None, None)];
+    let mut queue = VecDeque::from([(root, 0usize, 0usize)]); // (state, depth, arena idx)
+    while let Some((state, depth, node)) = queue.pop_front() {
+        k.position(sys, state)?;
+        for op in sys.ops() {
+            k.budget()?;
+            k.position(sys, state)?;
+            let trace = || {
+                let path = std::iter::successors(Some(node), |&i| arena[i].0);
+                let mut trace: Vec<S::Op> = path.filter_map(|i| arena[i].1.clone()).collect();
+                trace.reverse();
+                trace
+            };
+            let step = k.step(sys, visited, &op, depth as u32 + 1, trace)?;
+            if step != Step::Expand(Visit::New) {
+                // BFS reaches every state at its minimal depth first, so
+                // `Shallower` only re-finds a state of a preloaded set: it
+                // counts as matched.
+                k.stats.states_matched += u64::from(step == Step::Expand(Visit::Shallower));
+                continue;
+            }
+            k.stats.max_depth_seen = k.stats.max_depth_seen.max(depth + 1);
+            if depth + 1 >= k.cfg.max_depth {
+                continue;
+            }
+            let child = k.store(sys)?;
+            sys.pin(child);
+            arena.push((Some(node), Some(op)));
+            queue.push_back((child, depth + 1, arena.len() - 1));
+        }
+        sys.unpin(state);
+        k.release(sys, state);
+    }
+    Ok(())
+}
+
+/// Random walk: random enabled ops from the live state, restarting at the
+/// depth bound, at a dead end, or (with `backtrack_on_match`) at a matched
+/// state. Only the root is pinned: spread-restart targets are nice to have,
+/// but the walk can always fall back to the root if the budgeted store
+/// evicted one.
+fn walk<S: ModelSystem, V: VisitedHandle + ?Sized>(
+    k: &mut Search<'_, S>,
+    sys: &mut S,
+    visited: &mut V,
+    root: StateId,
+    mut observe: impl FnMut(&ExploreStats),
+) -> Result<(), StopReason> {
+    let mut rng = StdRng::seed_from_u64(k.cfg.seed);
+    let mut trace: Vec<S::Op> = Vec::new();
+    let mut stored = vec![root];
+    let mut depth = 0usize;
+    loop {
+        k.budget()?;
+        let ops = sys.ops();
+        if ops.is_empty() && depth == 0 {
+            // No operation is enabled even in the initial state: nothing
+            // left to do (also how swarm workers drain once the shared stop
+            // flag rises).
+            return Ok(());
+        }
+        if depth >= k.cfg.max_depth || ops.is_empty() {
+            restart(k, sys, &mut rng, &mut stored, root)?;
+            depth = 0;
+            trace.clear();
+            continue;
+        }
+        let op = ops[rng.gen_range(0..ops.len())].clone();
+        let step = k.step(sys, visited, &op, 0, || trace.clone())?;
+        if step == Step::Pruned {
+            observe(k.stats);
+            continue;
+        }
+        trace.push(op);
+        depth += 1;
+        k.stats.max_depth_seen = k.stats.max_depth_seen.max(depth);
+        if step == Step::Expand(Visit::New) {
+            // The walker checkpoints newly discovered states, as MCFS does,
+            // so the state store (and its memory pressure) grows with
+            // exploration.
+            let id = k.store(sys)?;
+            if k.cfg.restart_spread > 0.0 {
+                // Keep the state restorable: restarts may jump here. Bound
+                // the system-side store (the memory *model* keeps charging
+                // retained states; the host doesn't have to hold them all).
+                stored.push(id);
+                if stored.len() > 4096 {
+                    let old = stored.remove(0);
+                    k.release(sys, old);
+                }
+            } else {
+                sys.release(id);
+            }
+        } else {
+            // The walk inserts at depth 0, so `Shallower` only re-finds a
+            // state a frontier worker stored deeper: it counts as matched.
+            k.stats.states_matched += u64::from(step != Step::Matched);
+            // SPIN semantics: a matched state ends the path. Otherwise the
+            // walk keeps going through visited territory: the frontier lies
+            // beyond it.
+            if k.cfg.backtrack_on_match {
+                restart(k, sys, &mut rng, &mut stored, root)?;
+                depth = 0;
+                trace.clear();
+            }
+        }
+        observe(k.progress());
+    }
+}
+
+/// Restarts a walk from the root or, with `restart_spread`, from a random
+/// recently stored state. A spread target the budgeted store aged out is
+/// forgotten, and the walk restarts from the pinned root instead.
+fn restart<S: ModelSystem>(
+    k: &mut Search<'_, S>,
+    sys: &mut S,
+    rng: &mut StdRng,
+    stored: &mut Vec<StateId>,
+    root: StateId,
+) -> Result<(), StopReason> {
+    let target = if k.cfg.restart_spread > 0.0 && stored.len() > 1 {
+        let window = ((stored.len() as f64 * k.cfg.restart_spread) as usize).clamp(1, stored.len());
+        stored[rng.gen_range(stored.len() - window..stored.len())]
+    } else {
+        root
+    };
+    match k.enter(sys, target) {
+        Err(StopReason::CheckpointEvicted(_)) if target != root => {
+            stored.retain(|s| *s != target);
+            k.enter(sys, root)
+        }
+        entered => entered,
+    }
 }
 
 /// Depth-first explorer with abstract-state matching — SPIN's search
@@ -320,229 +818,22 @@ impl DfsExplorer {
         self
     }
 
-    fn charge(&self, ns: u64) {
-        if let Some(c) = &self.clock {
-            c.advance_ns(ns);
-        }
-    }
-
     /// Runs the exploration to completion or budget. With
     /// [`ExploreConfig::mem_budget`] set, the visited set is disk-spilling.
     pub fn run<S: ModelSystem>(&self, sys: &mut S) -> ExploreReport<S::Op> {
-        match &self.cfg.mem_budget {
-            Some(budget) => match ShardedVisited::with_spill(self.cfg.visited_capacity, budget) {
-                Ok(mut visited) => self.run_with_visited(sys, &mut visited),
-                Err(e) => spill_init_failure(e),
-            },
-            None => {
-                let mut visited = VisitedSet::new(self.cfg.visited_capacity);
-                self.run_with_visited(sys, &mut visited)
-            }
-        }
+        with_fresh_visited(&self.cfg, |visited| self.run_with_visited(sys, visited))
     }
 
     /// Runs with a caller-owned visited set — the paper's §7 resumability:
     /// persist the visited set across an interruption (e.g. a kernel crash
     /// during checking) and resume without re-exploring known states. The
     /// set may also be a swarm-shared [`crate::ShardedVisited`].
-    pub fn run_with_visited<S: ModelSystem, V: VisitedHandle>(
+    pub fn run_with_visited<S: ModelSystem, V: VisitedHandle + ?Sized>(
         &self,
         sys: &mut S,
         visited: &mut V,
     ) -> ExploreReport<S::Op> {
-        let visited = &mut *visited;
-        let start_ns = self.clock.as_ref().map(Clock::now_ns).unwrap_or(0);
-        let mut stats = ExploreStats::default();
-        let mut violations = Vec::new();
-        let mut mem = MemoryModel::new(self.cfg.mem);
-        let mut next_id = 0u64;
-
-        let root_hash = sys.abstract_state();
-        if visited.insert(root_hash).0 {
-            stats.states_new += 1;
-        }
-
-        let root = StateId(next_id);
-        next_id += 1;
-        let stop = (|| -> StopReason {
-            self.charge(visited.take_pending_ns());
-            if let Some(e) = visited.error() {
-                return StopReason::Fatal(format!("visited spill failed: {e}"));
-            }
-            match sys.checkpoint(root) {
-                Ok(bytes) => match mem.store(root, bytes as u64) {
-                    Ok(cost) => self.charge(cost),
-                    Err(oom) => return StopReason::OutOfMemory(oom),
-                },
-                Err(e) => return StopReason::Fatal(e),
-            }
-            // DFS re-enters every state on its backtrack spine, so each one
-            // is pinned against budget-driven eviction until its frame pops.
-            sys.pin(root);
-            stats.checkpoints += 1;
-            let root_ops = sys.ops();
-            let root_ops = persistent_filter(&self.cfg, sys, root_ops, &mut stats.pruned);
-            let mut stack: Vec<Frame<S::Op>> = vec![Frame {
-                state: root,
-                ops: root_ops,
-                next: 0,
-                sleep: Vec::new(),
-                op_from_parent: None,
-            }];
-            // The concrete state the system is currently in, when it matches
-            // a stored checkpoint. SPIN only restores on backtrack: while
-            // the search advances deeper, the live state IS the frame state.
-            let mut current: Option<StateId> = Some(root);
-
-            loop {
-                if stats.ops_executed >= self.cfg.max_ops {
-                    return StopReason::OpBudget;
-                }
-                if stats.states_new >= self.cfg.max_states {
-                    return StopReason::StateBudget;
-                }
-                if let (Some(limit), Some(c)) = (self.cfg.max_virtual_ns, &self.clock) {
-                    if c.now_ns() - start_ns >= limit {
-                        return StopReason::TimeBudget;
-                    }
-                }
-                let Some(frame) = stack.last_mut() else {
-                    return StopReason::Exhausted;
-                };
-                if frame.next >= frame.ops.len() {
-                    sys.unpin(frame.state);
-                    sys.release(frame.state);
-                    if !self.cfg.retain_states {
-                        mem.release(frame.state);
-                    }
-                    stack.pop();
-                    continue;
-                }
-                let idx = frame.next;
-                frame.next += 1;
-                let op = frame.ops[idx].clone();
-                if self.cfg.por && frame.sleep.contains(&op) {
-                    stats.pruned += 1;
-                    continue;
-                }
-                let frame_state = frame.state;
-                if current != Some(frame_state) {
-                    self.charge(mem.access(frame_state));
-                    if let Err(e) = sys.restore(frame_state) {
-                        return restore_failure(e);
-                    }
-                    stats.restores += 1;
-                }
-                // Applying the op leaves the system off any stored state
-                // until a checkpoint re-anchors it.
-                current = None;
-                let outcome = sys.apply(&op);
-                stats.ops_executed += 1;
-                match outcome {
-                    ApplyOutcome::Ok => {}
-                    ApplyOutcome::Prune(_) => {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    ApplyOutcome::Violation(message) => {
-                        let mut trace: Vec<S::Op> = stack
-                            .iter()
-                            .filter_map(|f| f.op_from_parent.clone())
-                            .collect();
-                        trace.push(op);
-                        violations.push(record_violation(sys, trace, message, stats.ops_executed));
-                        if self.cfg.stop_on_violation {
-                            return StopReason::Violation;
-                        }
-                        continue;
-                    }
-                }
-                let h = sys.abstract_state();
-                let (visit, resize) = visited.insert_at(h, stack.len() as u32);
-                if let Some(r) = resize {
-                    stats.resize_events += 1;
-                    self.charge(r.cost_ns);
-                    self.charge(mem.set_overhead(visited.bytes() + r.transient_bytes));
-                    self.charge(mem.set_overhead(visited.bytes()));
-                }
-                self.charge(visited.take_pending_ns());
-                if let Some(e) = visited.error() {
-                    return StopReason::Fatal(format!("visited spill failed: {e}"));
-                }
-                if visit == Visit::Matched {
-                    stats.states_matched += 1;
-                    continue;
-                }
-                if visit == Visit::New {
-                    stats.states_new += 1;
-                }
-                // `Shallower` re-expands a known state reached closer to the
-                // root: without this, depth-bounded coverage would depend on
-                // exploration order (SPIN re-explores identically).
-                stats.max_depth_seen = stats.max_depth_seen.max(stack.len());
-                if stack.len() >= self.cfg.max_depth {
-                    continue; // depth bound: record the state, don't expand
-                }
-                let child = StateId(next_id);
-                next_id += 1;
-                match sys.checkpoint(child) {
-                    Ok(bytes) => match mem.store(child, bytes as u64) {
-                        Ok(cost) => self.charge(cost),
-                        Err(oom) => return StopReason::OutOfMemory(oom),
-                    },
-                    Err(e) => return StopReason::Fatal(e),
-                }
-                sys.pin(child);
-                stats.checkpoints += 1;
-                current = Some(child);
-                let sleep = if self.cfg.por {
-                    let parent = stack.last().expect("frame exists");
-                    let mut s: Vec<S::Op> = parent
-                        .sleep
-                        .iter()
-                        .filter(|x| sys.independent(x, &op))
-                        .cloned()
-                        .collect();
-                    for prev in &parent.ops[..idx] {
-                        if sys.independent(prev, &op) && !s.contains(prev) {
-                            s.push(prev.clone());
-                        }
-                    }
-                    s
-                } else {
-                    Vec::new()
-                };
-                let ops = sys.ops();
-                let ops = persistent_filter(&self.cfg, sys, ops, &mut stats.pruned);
-                stack.push(Frame {
-                    state: child,
-                    ops,
-                    next: 0,
-                    sleep,
-                    op_from_parent: Some(op),
-                });
-            }
-        })();
-
-        self.charge(visited.take_pending_ns());
-        stats.checkpoint_store = sys.checkpoint_store_stats();
-        stats.crash = sys.crash_stats();
-        stats.peak_memory_bytes = mem.peak_bytes();
-        stats.swap_traffic_bytes = mem.swap_traffic_bytes();
-        stats.swapped_bytes = mem.swapped_bytes();
-        stats.hit_rate = mem.hit_rate();
-        stats.visited_peak_bytes = visited.peak_bytes();
-        stats.spill = visited.spill_stats();
-        stats.virtual_ns = self
-            .clock
-            .as_ref()
-            .map(|c| c.now_ns() - start_ns)
-            .unwrap_or(0);
-        ExploreReport {
-            stats,
-            violations,
-            stop,
-        }
+        explore(&self.cfg, self.clock.as_ref(), sys, visited, dfs)
     }
 }
 
@@ -567,179 +858,19 @@ impl BfsExplorer {
         self
     }
 
-    fn charge(&self, ns: u64) {
-        if let Some(c) = &self.clock {
-            c.advance_ns(ns);
-        }
-    }
-
     /// Runs the exploration.
     pub fn run<S: ModelSystem>(&self, sys: &mut S) -> ExploreReport<S::Op> {
-        match &self.cfg.mem_budget {
-            Some(budget) => match ShardedVisited::with_spill(self.cfg.visited_capacity, budget) {
-                Ok(mut visited) => self.run_with_visited(sys, &mut visited),
-                Err(e) => spill_init_failure(e),
-            },
-            None => {
-                let mut visited = VisitedSet::new(self.cfg.visited_capacity);
-                self.run_with_visited(sys, &mut visited)
-            }
-        }
+        with_fresh_visited(&self.cfg, |visited| self.run_with_visited(sys, visited))
     }
 
     /// Runs with a caller-owned visited set (§7 resumability — see
     /// [`DfsExplorer::run_with_visited`]).
-    pub fn run_with_visited<S: ModelSystem, V: VisitedHandle>(
+    pub fn run_with_visited<S: ModelSystem, V: VisitedHandle + ?Sized>(
         &self,
         sys: &mut S,
         visited: &mut V,
     ) -> ExploreReport<S::Op> {
-        use std::collections::VecDeque;
-        let start_ns = self.clock.as_ref().map(Clock::now_ns).unwrap_or(0);
-        let mut stats = ExploreStats::default();
-        let mut violations = Vec::new();
-        let mut mem = MemoryModel::new(self.cfg.mem);
-        let mut next_id = 0u64;
-        // Parent-pointer arena for trace reconstruction.
-        let mut arena: Vec<(Option<usize>, Option<S::Op>)> = vec![(None, None)];
-
-        if visited.insert(sys.abstract_state()).0 {
-            stats.states_new += 1;
-        }
-        let root = StateId(next_id);
-        next_id += 1;
-        let stop = (|| -> StopReason {
-            self.charge(visited.take_pending_ns());
-            if let Some(e) = visited.error() {
-                return StopReason::Fatal(format!("visited spill failed: {e}"));
-            }
-            match sys.checkpoint(root) {
-                Ok(bytes) => match mem.store(root, bytes as u64) {
-                    Ok(cost) => self.charge(cost),
-                    Err(oom) => return StopReason::OutOfMemory(oom),
-                },
-                Err(e) => return StopReason::Fatal(e),
-            }
-            // BFS re-enters every frontier state once per op, so the whole
-            // frontier is pinned against eviction until it is expanded.
-            sys.pin(root);
-            stats.checkpoints += 1;
-            let mut queue: VecDeque<(StateId, usize, usize)> = VecDeque::new();
-            queue.push_back((root, 0, 0)); // (state, depth, arena idx)
-            while let Some((state, depth, node)) = queue.pop_front() {
-                self.charge(mem.access(state));
-                if let Err(e) = sys.restore(state) {
-                    return restore_failure(e);
-                }
-                stats.restores += 1;
-                let ops = sys.ops();
-                for op in ops {
-                    if stats.ops_executed >= self.cfg.max_ops {
-                        return StopReason::OpBudget;
-                    }
-                    if stats.states_new >= self.cfg.max_states {
-                        return StopReason::StateBudget;
-                    }
-                    self.charge(mem.access(state));
-                    if let Err(e) = sys.restore(state) {
-                        return restore_failure(e);
-                    }
-                    stats.restores += 1;
-                    let outcome = sys.apply(&op);
-                    stats.ops_executed += 1;
-                    match outcome {
-                        ApplyOutcome::Ok => {}
-                        ApplyOutcome::Prune(_) => {
-                            stats.pruned += 1;
-                            continue;
-                        }
-                        ApplyOutcome::Violation(message) => {
-                            let mut trace = Vec::new();
-                            let mut cur = Some(node);
-                            while let Some(i) = cur {
-                                if let Some(op) = &arena[i].1 {
-                                    trace.push(op.clone());
-                                }
-                                cur = arena[i].0;
-                            }
-                            trace.reverse();
-                            trace.push(op.clone());
-                            violations.push(record_violation(
-                                sys,
-                                trace,
-                                message,
-                                stats.ops_executed,
-                            ));
-                            if self.cfg.stop_on_violation {
-                                return StopReason::Violation;
-                            }
-                            continue;
-                        }
-                    }
-                    let h = sys.abstract_state();
-                    // BFS reaches every state at its minimal depth first, so
-                    // plain matching is already order-independent.
-                    let (visit, resize) = visited.insert_at(h, depth as u32 + 1);
-                    if let Some(r) = resize {
-                        stats.resize_events += 1;
-                        self.charge(r.cost_ns);
-                        self.charge(mem.set_overhead(visited.bytes()));
-                    }
-                    self.charge(visited.take_pending_ns());
-                    if let Some(e) = visited.error() {
-                        return StopReason::Fatal(format!("visited spill failed: {e}"));
-                    }
-                    if visit != Visit::New {
-                        stats.states_matched += 1;
-                        continue;
-                    }
-                    stats.states_new += 1;
-                    stats.max_depth_seen = stats.max_depth_seen.max(depth + 1);
-                    if depth + 1 >= self.cfg.max_depth {
-                        continue;
-                    }
-                    let child = StateId(next_id);
-                    next_id += 1;
-                    match sys.checkpoint(child) {
-                        Ok(bytes) => match mem.store(child, bytes as u64) {
-                            Ok(cost) => self.charge(cost),
-                            Err(oom) => return StopReason::OutOfMemory(oom),
-                        },
-                        Err(e) => return StopReason::Fatal(e),
-                    }
-                    sys.pin(child);
-                    stats.checkpoints += 1;
-                    arena.push((Some(node), Some(op.clone())));
-                    queue.push_back((child, depth + 1, arena.len() - 1));
-                }
-                sys.unpin(state);
-                sys.release(state);
-                if !self.cfg.retain_states {
-                    mem.release(state);
-                }
-            }
-            StopReason::Exhausted
-        })();
-
-        self.charge(visited.take_pending_ns());
-        stats.checkpoint_store = sys.checkpoint_store_stats();
-        stats.crash = sys.crash_stats();
-        stats.peak_memory_bytes = mem.peak_bytes();
-        stats.swap_traffic_bytes = mem.swap_traffic_bytes();
-        stats.swapped_bytes = mem.swapped_bytes();
-        stats.hit_rate = mem.hit_rate();
-        stats.visited_peak_bytes = visited.peak_bytes();
-        stats.spill = visited.spill_stats();
-        stats.virtual_ns = self
-            .clock
-            .as_ref()
-            .map(|c| c.now_ns() - start_ns)
-            .unwrap_or(0);
-        ExploreReport {
-            stats,
-            violations,
-            stop,
-        }
+        explore(&self.cfg, self.clock.as_ref(), sys, visited, bfs)
     }
 }
 
@@ -766,12 +897,6 @@ impl RandomWalk {
         self
     }
 
-    fn charge(&self, ns: u64) {
-        if let Some(c) = &self.clock {
-            c.advance_ns(ns);
-        }
-    }
-
     /// Runs the walk until a budget or violation stops it.
     ///
     /// `observe` is called after every operation with the running stats —
@@ -782,244 +907,28 @@ impl RandomWalk {
         sys: &mut S,
         observe: impl FnMut(&ExploreStats),
     ) -> ExploreReport<S::Op> {
-        match &self.cfg.mem_budget {
-            Some(budget) => match ShardedVisited::with_spill(self.cfg.visited_capacity, budget) {
-                Ok(mut visited) => self.run_resumable(sys, &mut visited, observe),
-                Err(e) => spill_init_failure(e),
-            },
-            None => {
-                let mut visited = VisitedSet::new(self.cfg.visited_capacity);
-                self.run_resumable(sys, &mut visited, observe)
-            }
-        }
+        with_fresh_visited(&self.cfg, |visited| {
+            self.run_resumable(sys, visited, observe)
+        })
     }
 
     /// Runs with a caller-owned visited set (§7 resumability — see
     /// [`DfsExplorer::run_with_visited`]) and a progress observer. The set
     /// may also be a swarm-shared [`crate::ShardedVisited`], in which case
     /// states another worker already expanded count as matched here.
-    pub fn run_resumable<S: ModelSystem, V: VisitedHandle>(
+    pub fn run_resumable<S: ModelSystem, V: VisitedHandle + ?Sized>(
         &self,
         sys: &mut S,
         visited: &mut V,
-        mut observe: impl FnMut(&ExploreStats),
+        observe: impl FnMut(&ExploreStats),
     ) -> ExploreReport<S::Op> {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let start_ns = self.clock.as_ref().map(Clock::now_ns).unwrap_or(0);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut stats = ExploreStats::default();
-        let mut violations = Vec::new();
-        let mut mem = MemoryModel::new(self.cfg.mem);
-
-        if visited.insert(sys.abstract_state()).0 {
-            stats.states_new += 1;
-        }
-        let root = StateId(0);
-        let mut trace: Vec<S::Op> = Vec::new();
-        let mut next_id = 1u64;
-        let mut stored: Vec<StateId> = vec![root];
-        let stop = (|| -> StopReason {
-            self.charge(visited.take_pending_ns());
-            if let Some(e) = visited.error() {
-                return StopReason::Fatal(format!("visited spill failed: {e}"));
-            }
-            match sys.checkpoint(root) {
-                Ok(bytes) => match mem.store(root, bytes as u64) {
-                    Ok(cost) => self.charge(cost),
-                    Err(oom) => return StopReason::OutOfMemory(oom),
-                },
-                Err(e) => return StopReason::Fatal(e),
-            }
-            // Only the root is pinned: spread-restart targets are nice to
-            // have, but the walk can always fall back to the root if the
-            // budgeted store evicted one.
-            sys.pin(root);
-            stats.checkpoints += 1;
-            let mut depth = 0usize;
-            loop {
-                if stats.ops_executed >= self.cfg.max_ops {
-                    return StopReason::OpBudget;
-                }
-                if stats.states_new >= self.cfg.max_states {
-                    return StopReason::StateBudget;
-                }
-                if let (Some(limit), Some(c)) = (self.cfg.max_virtual_ns, &self.clock) {
-                    if c.now_ns() - start_ns >= limit {
-                        return StopReason::TimeBudget;
-                    }
-                }
-                let ops = sys.ops();
-                if ops.is_empty() && depth == 0 {
-                    // No operation is enabled even in the initial state:
-                    // nothing left to do (also how swarm workers drain once
-                    // the shared stop flag rises).
-                    return StopReason::Exhausted;
-                }
-                if depth >= self.cfg.max_depth || ops.is_empty() {
-                    // Pick the restart target: the root, or (with
-                    // restart_spread) a random recently stored state.
-                    let target = if self.cfg.restart_spread > 0.0 && stored.len() > 1 {
-                        let window = ((stored.len() as f64 * self.cfg.restart_spread) as usize)
-                            .clamp(1, stored.len());
-                        let start = stored.len() - window;
-                        stored[rng.gen_range(start..stored.len())]
-                    } else {
-                        root
-                    };
-                    self.charge(mem.access(target));
-                    if let Err(e) = sys.restore(target) {
-                        if target != root && is_evicted_error(&e) {
-                            // The spread target aged out of the budgeted
-                            // store: forget it and restart from the pinned
-                            // root instead of dying.
-                            stored.retain(|s| *s != target);
-                            self.charge(mem.access(root));
-                            if let Err(e) = sys.restore(root) {
-                                return restore_failure(e);
-                            }
-                        } else {
-                            return restore_failure(e);
-                        }
-                    }
-                    stats.restores += 1;
-                    depth = 0;
-                    trace.clear();
-                    continue;
-                }
-                let op = ops[rng.gen_range(0..ops.len())].clone();
-                let outcome = sys.apply(&op);
-                stats.ops_executed += 1;
-                trace.push(op.clone());
-                match outcome {
-                    ApplyOutcome::Ok => {}
-                    ApplyOutcome::Prune(_) => {
-                        stats.pruned += 1;
-                        trace.pop();
-                        observe(&stats);
-                        continue;
-                    }
-                    ApplyOutcome::Violation(message) => {
-                        violations.push(record_violation(
-                            sys,
-                            trace.clone(),
-                            message,
-                            stats.ops_executed,
-                        ));
-                        if self.cfg.stop_on_violation {
-                            return StopReason::Violation;
-                        }
-                        trace.pop();
-                        observe(&stats);
-                        continue;
-                    }
-                }
-                depth += 1;
-                stats.max_depth_seen = stats.max_depth_seen.max(depth);
-                let h = sys.abstract_state();
-                let (is_new, resize) = visited.insert(h);
-                if let Some(r) = resize {
-                    stats.resize_events += 1;
-                    self.charge(r.cost_ns);
-                    self.charge(mem.set_overhead(visited.bytes() + r.transient_bytes));
-                    self.charge(mem.set_overhead(visited.bytes()));
-                }
-                self.charge(visited.take_pending_ns());
-                if let Some(e) = visited.error() {
-                    return StopReason::Fatal(format!("visited spill failed: {e}"));
-                }
-                if is_new {
-                    stats.states_new += 1;
-                    // The walker checkpoints newly discovered states, as
-                    // MCFS does, so the state store (and its memory
-                    // pressure) grows with exploration.
-                    let id = StateId(next_id);
-                    next_id += 1;
-                    match sys.checkpoint(id) {
-                        Ok(bytes) => match mem.store(id, bytes as u64) {
-                            Ok(cost) => self.charge(cost),
-                            Err(oom) => return StopReason::OutOfMemory(oom),
-                        },
-                        Err(e) => return StopReason::Fatal(e),
-                    }
-                    stats.checkpoints += 1;
-                    if self.cfg.restart_spread > 0.0 {
-                        // Keep the state restorable: restarts may jump here.
-                        stored.push(id);
-                        // Bound the system-side store (the memory *model*
-                        // keeps charging retained states; the host doesn't
-                        // have to hold them all).
-                        if stored.len() > 4096 {
-                            let old = stored.remove(0);
-                            sys.release(old);
-                            if !self.cfg.retain_states {
-                                mem.release(old);
-                            }
-                        }
-                    } else {
-                        sys.release(id);
-                    }
-                } else {
-                    stats.states_matched += 1;
-                    if self.cfg.backtrack_on_match {
-                        // SPIN semantics: a matched state ends the path.
-                        let target = if self.cfg.restart_spread > 0.0 && stored.len() > 1 {
-                            let window = ((stored.len() as f64 * self.cfg.restart_spread) as usize)
-                                .clamp(1, stored.len());
-                            let start = stored.len() - window;
-                            stored[rng.gen_range(start..stored.len())]
-                        } else {
-                            root
-                        };
-                        self.charge(mem.access(target));
-                        if let Err(e) = sys.restore(target) {
-                            if target != root && is_evicted_error(&e) {
-                                stored.retain(|s| *s != target);
-                                self.charge(mem.access(root));
-                                if let Err(e) = sys.restore(root) {
-                                    return restore_failure(e);
-                                }
-                            } else {
-                                return restore_failure(e);
-                            }
-                        }
-                        stats.restores += 1;
-                        depth = 0;
-                        trace.clear();
-                    }
-                    // Otherwise the walk keeps going through visited
-                    // territory: the frontier lies beyond it.
-                }
-                stats.swapped_bytes = mem.swapped_bytes();
-                stats.hit_rate = mem.hit_rate();
-                stats.virtual_ns = self
-                    .clock
-                    .as_ref()
-                    .map(|c| c.now_ns() - start_ns)
-                    .unwrap_or(0);
-                observe(&stats);
-            }
-        })();
-
-        self.charge(visited.take_pending_ns());
-        stats.checkpoint_store = sys.checkpoint_store_stats();
-        stats.crash = sys.crash_stats();
-        stats.peak_memory_bytes = mem.peak_bytes();
-        stats.swap_traffic_bytes = mem.swap_traffic_bytes();
-        stats.swapped_bytes = mem.swapped_bytes();
-        stats.hit_rate = mem.hit_rate();
-        stats.visited_peak_bytes = visited.peak_bytes();
-        stats.spill = visited.spill_stats();
-        stats.virtual_ns = self
-            .clock
-            .as_ref()
-            .map(|c| c.now_ns() - start_ns)
-            .unwrap_or(0);
-        ExploreReport {
-            stats,
-            violations,
-            stop,
-        }
+        explore(
+            &self.cfg,
+            self.clock.as_ref(),
+            sys,
+            visited,
+            |k, sys, visited, root| walk(k, sys, visited, root, observe),
+        )
     }
 
     /// Runs the walk without an observer.

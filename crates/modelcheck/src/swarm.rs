@@ -38,6 +38,7 @@
 //! worker's slot reports [`StopReason::WorkerPanic`], its queue remains
 //! stealable by survivors, and the rest of the fleet runs to completion.
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -47,12 +48,13 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::explore::{
-    record_violation, ExploreConfig, ExploreReport, ExploreStats, RandomWalk, StopReason,
+    spill_init_failure, ExploreConfig, ExploreReport, ExploreStats, RandomWalk, Search, Step,
+    StopReason,
 };
 use crate::pickle::SnapshotWriter;
 use crate::pickle::{self, deal_frontier, FrontierEntry, OpCodec, RngCursor, RunSnapshot};
 use crate::spill::{FrontierQueue, FrontierSpill, SpillCtx, SpillStats};
-use crate::system::{is_evicted_error, ApplyOutcome, ModelSystem, StateId, Violation};
+use crate::system::{ApplyOutcome, ModelSystem, StateId, Violation};
 use crate::visited::{ShardedVisited, Visit};
 
 /// How one swarm worker searches.
@@ -154,12 +156,12 @@ impl<Op> SwarmReport<Op> {
     /// generations before a resume; prefix replays are counted separately —
     /// see [`SwarmReport::total_replayed`]).
     pub fn total_ops(&self) -> u64 {
-        self.baseline.ops_executed
-            + self
-                .workers
-                .iter()
-                .map(|w| w.stats.ops_executed)
-                .sum::<u64>()
+        self.total(|s| s.ops_executed)
+    }
+
+    /// `count` summed over the resumed baseline and every worker.
+    fn total(&self, count: impl Fn(&ExploreStats) -> u64) -> u64 {
+        count(&self.baseline) + self.workers.iter().map(|w| count(&w.stats)).sum::<u64>()
     }
 
     /// Total distinct states found by the swarm.
@@ -171,36 +173,21 @@ impl<Op> SwarmReport<Op> {
     /// genuinely overlap and the per-worker sum is the only number there
     /// is.
     pub fn total_states(&self) -> u64 {
-        match self.distinct_states {
-            Some(n) => n,
-            None => {
-                self.baseline.states_new
-                    + self.workers.iter().map(|w| w.stats.states_new).sum::<u64>()
-            }
-        }
+        self.distinct_states
+            .unwrap_or_else(|| self.total(|s| s.states_new))
     }
 
     /// Total visited-set matches across workers — with a shared set this
     /// includes states first expanded by *another* worker.
     pub fn total_matched(&self) -> u64 {
-        self.baseline.states_matched
-            + self
-                .workers
-                .iter()
-                .map(|w| w.stats.states_matched)
-                .sum::<u64>()
+        self.total(|s| s.states_matched)
     }
 
     /// Total operations replayed to reconstruct frontier states from their
     /// op-prefixes — the overhead work-stealing and resume pay instead of
     /// shipping concrete state between workers or processes.
     pub fn total_replayed(&self) -> u64 {
-        self.baseline.ops_replayed
-            + self
-                .workers
-                .iter()
-                .map(|w| w.stats.ops_replayed)
-                .sum::<u64>()
+        self.total(|s| s.ops_replayed)
     }
 
     /// All violations found by any worker.
@@ -244,33 +231,43 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Classifies a restore error: budget-driven eviction is distinct from a
-/// genuine failure (mirrors the explorers' handling).
-fn restore_failure(e: String) -> StopReason {
-    if is_evicted_error(&e) {
-        StopReason::CheckpointEvicted(e)
-    } else {
-        StopReason::Fatal(e)
-    }
-}
-
 /// A fleet that could not start because the shared spill store failed to
 /// initialize: every worker slot reports the failure.
 fn spill_init_report<Op>(workers: usize, e: &str) -> SwarmReport<Op> {
     SwarmReport {
-        workers: (0..workers.max(1))
-            .map(|_| ExploreReport {
-                stats: ExploreStats::default(),
-                violations: Vec::new(),
-                stop: StopReason::Fatal(format!("spill store init failed: {e}")),
-            })
-            .collect(),
+        workers: (0..workers.max(1)).map(|_| spill_init_failure(e)).collect(),
         distinct_states: None,
         baseline: ExploreStats::default(),
         persist_error: None,
         spill: None,
         visited_peak_bytes: 0,
     }
+}
+
+/// The fleet-shared visited set. One shard per worker (rounded up to a
+/// power of two, min 8) keeps same-shard collisions between workers rare;
+/// with a memory budget the set spills cold entries to disk instead.
+fn fleet_visited(base: &ExploreConfig, workers: usize) -> Result<ShardedVisited, String> {
+    match &base.mem_budget {
+        Some(budget) => ShardedVisited::with_spill(base.visited_capacity, budget),
+        None => Ok(ShardedVisited::new(base.visited_capacity, workers.max(8))),
+    }
+}
+
+/// Runs a walk worker over the fleet-shared visited set. The set's spill
+/// counters are fleet-wide, so they surface once in [`SwarmReport::spill`]
+/// (and the snapshot stats), not per worker, where summing copies of the
+/// same global counters would overcount.
+fn walk_shared<S: ModelSystem>(
+    cfg: ExploreConfig,
+    sys: &mut S,
+    visited: &ShardedVisited,
+    observe: impl FnMut(&ExploreStats),
+) -> ExploreReport<S::Op> {
+    let mut report = RandomWalk::new(cfg).run_resumable(sys, &mut visited.clone(), observe);
+    report.stats.spill = None;
+    report.stats.visited_peak_bytes = 0;
+    report
 }
 
 /// Runs `cfg.workers` searches in parallel over systems produced by
@@ -322,21 +319,13 @@ where
     F: Fn(usize) -> S + Sync,
 {
     let stop = AtomicBool::new(false);
-    // One shard per worker (rounded up to a power of two, min 8) keeps
-    // same-shard collisions between workers rare. With a memory budget the
-    // shared set spills cold shards to disk instead.
-    let shared = match (cfg.shared_visited, &cfg.base.mem_budget) {
-        (false, _) => None,
-        (true, None) => Some(ShardedVisited::new(
-            cfg.base.visited_capacity,
-            cfg.workers.max(8),
-        )),
-        (true, Some(budget)) => {
-            match ShardedVisited::with_spill(cfg.base.visited_capacity, budget) {
-                Ok(v) => Some(v),
-                Err(e) => return spill_init_report(cfg.workers, &e),
-            }
-        }
+    let shared = match cfg
+        .shared_visited
+        .then(|| fleet_visited(&cfg.base, cfg.workers))
+    {
+        None => None,
+        Some(Ok(v)) => Some(v),
+        Some(Err(e)) => return spill_init_report(cfg.workers, &e),
     };
     let mut reports: Vec<Option<ExploreReport<S::Op>>> = (0..cfg.workers).map(|_| None).collect();
 
@@ -345,7 +334,7 @@ where
         for (idx, slot) in reports.iter_mut().enumerate() {
             let stop = &stop;
             let factory = &factory;
-            let shared = shared.clone();
+            let shared = &shared;
             let base = cfg.base.clone();
             scope.spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
@@ -354,20 +343,11 @@ where
                     let mut sys = Stoppable {
                         inner: factory(idx),
                         stop,
+                        round_done: None,
                     };
-                    let walk = RandomWalk::new(worker_cfg);
                     match shared {
-                        Some(mut visited) => {
-                            let mut report = walk.run_resumable(&mut sys, &mut visited, |_| {});
-                            // The shared set's spill counters are fleet-wide;
-                            // they surface once in `SwarmReport::spill`, not
-                            // per worker (summing per-worker copies of the
-                            // same global counters would overcount).
-                            report.stats.spill = None;
-                            report.stats.visited_peak_bytes = 0;
-                            report
-                        }
-                        None => walk.run(&mut sys),
+                        Some(visited) => walk_shared(worker_cfg, &mut sys, visited, |_| {}),
+                        None => RandomWalk::new(worker_cfg).run(&mut sys),
                     }
                 }));
                 *slot = Some(match result {
@@ -498,12 +478,9 @@ where
 {
     let workers = cfg.workers.max(1);
     let strategies = resolve_strategies(cfg);
-    let visited = match &cfg.base.mem_budget {
-        Some(budget) => match ShardedVisited::with_spill(cfg.base.visited_capacity, budget) {
-            Ok(v) => v,
-            Err(e) => return spill_init_report(workers, &e),
-        },
-        None => ShardedVisited::new(cfg.base.visited_capacity, workers.max(8)),
+    let visited = match fleet_visited(&cfg.base, workers) {
+        Ok(v) => v,
+        Err(e) => return spill_init_report(workers, &e),
     };
 
     let mut baseline = ExploreStats::default();
@@ -667,13 +644,11 @@ where
             // The shared set's fleet-wide spill counters ride in the
             // snapshot stats (per-worker stats exclude them — see
             // `SwarmReport::spill`).
-            if let Some(cur) = shared.visited.spill_stats() {
-                match &mut stats.spill {
-                    Some(b) => b.merge(&cur),
-                    None => stats.spill = Some(cur),
-                }
-            }
-            stats.visited_peak_bytes = stats.visited_peak_bytes.max(shared.visited.peak_bytes());
+            stats.merge(&ExploreStats {
+                spill: shared.visited.spill_stats(),
+                visited_peak_bytes: shared.visited.peak_bytes(),
+                ..ExploreStats::default()
+            });
             let rng: Vec<RngCursor> = (0..workers)
                 .map(|i| RngCursor {
                     seed: walk_seed(cfg.base.seed, i, round, generation),
@@ -753,19 +728,15 @@ where
     if worker_cfg.max_ops == 0 {
         return Some(StopReason::OpBudget);
     }
-    let mut sys = RoundStoppable {
+    let mut sys = Stoppable {
         inner: factory(idx),
         stop: &shared.stop,
-        round_done: &shared.round_done,
+        round_done: Some(&shared.round_done),
     };
-    let mut visited = shared.visited.clone();
-    let walk = RandomWalk::new(worker_cfg);
-    let mut report = walk.run_resumable(&mut sys, &mut visited, |_| shared.tick_round(quota));
+    let report = walk_shared(worker_cfg, &mut sys, &shared.visited, |_| {
+        shared.tick_round(quota)
+    });
     let drained_by_round = shared.round_done.load(Ordering::SeqCst);
-    // Shared-set spill counters surface fleet-wide (snapshot stats and
-    // `SwarmReport::spill`), not per worker.
-    report.stats.spill = None;
-    report.stats.visited_peak_bytes = 0;
     stats_slot.merge(&report.stats);
     viol_slot.extend(report.violations);
     match report.stop {
@@ -817,6 +788,10 @@ where
         Some(StopReason::Fatal(format!("{what} spill failed: {e}")))
     };
     let mut sys = factory(idx);
+    let mut visited = shared.visited.clone();
+    // No clock: frontier workers charge no memory model, since their
+    // checkpoints are a replay cache, not a modelled state store.
+    let mut k = Search::new(cfg, None, stats, viols);
     let root = StateId(0);
     let mut next_id = 1u64;
     if let Err(e) = sys.checkpoint(root) {
@@ -825,12 +800,11 @@ where
     // The root is every replay's fallback: pinned so the budgeted store can
     // never evict it.
     sys.pin(root);
-    stats.checkpoints += 1;
+    k.stats.checkpoints += 1;
     // Every worker fingerprints the root, but only the fleet-wide first
     // insert counts it as a discovered state (resumed runs re-match it).
-    let root_hash = sys.abstract_state();
-    if shared.visited.insert_at(root_hash, 0).0 == Visit::New {
-        stats.states_new += 1;
+    if visited.insert_at(sys.abstract_state(), 0).0 == Visit::New {
+        k.stats.states_new += 1;
         shared.states_total.fetch_add(1, Ordering::SeqCst);
     }
     if let Some(e) = shared.visited.error() {
@@ -901,61 +875,45 @@ where
         // cached prefix, then deterministically replay the rest.
         let mut replay_from = 0usize;
         loop {
-            let mut best: Option<(usize, usize)> = None; // (cache idx, prefix len)
-            for (ci, (p, _)) in cache.iter().enumerate() {
-                if p.len() > best.map_or(0, |(_, l)| l)
-                    && p.len() <= entry.prefix.len()
-                    && entry.prefix.starts_with(p)
-                {
-                    best = Some((ci, p.len()));
+            // The first of the longest non-empty cached prefixes.
+            let best = cache
+                .iter()
+                .enumerate()
+                .filter(|(_, (p, _))| !p.is_empty() && entry.prefix.starts_with(p))
+                .min_by_key(|(_, (p, _))| Reverse(p.len()))
+                .map(|(ci, (p, _))| (ci, p.len()));
+            let Some((ci, plen)) = best else {
+                if let Err(stop) = k.enter(&mut sys, root) {
+                    return Some(stop);
                 }
-            }
-            match best {
-                Some((ci, plen)) => {
-                    let id = cache[ci].1;
-                    match sys.restore(id) {
-                        Ok(()) => {
-                            stats.restores += 1;
-                            replay_from = plen;
-                            break;
-                        }
-                        Err(e) if is_evicted_error(&e) => {
-                            // The cached checkpoint aged out of the budgeted
-                            // store: forget it, fall back to a shorter one.
-                            cache.remove(ci);
-                            continue;
-                        }
-                        Err(e) => return Some(StopReason::Fatal(e)),
-                    }
+                break;
+            };
+            match k.enter(&mut sys, cache[ci].1) {
+                Ok(()) => {
+                    replay_from = plen;
+                    break;
                 }
-                None => match sys.restore(root) {
-                    Ok(()) => {
-                        stats.restores += 1;
-                        break;
-                    }
-                    Err(e) => return Some(restore_failure(e)),
-                },
+                // The cached checkpoint aged out of the budgeted store:
+                // forget it, fall back to a shorter one.
+                Err(StopReason::CheckpointEvicted(_)) => {
+                    cache.remove(ci);
+                }
+                Err(stop) => return Some(stop),
             }
         }
         for (i, op) in entry.prefix.iter().enumerate().skip(replay_from) {
             match sys.apply(op) {
-                ApplyOutcome::Ok => stats.ops_replayed += 1,
+                ApplyOutcome::Ok => k.stats.ops_replayed += 1,
                 ApplyOutcome::Prune(_) => {
                     // A prefix that replayed cleanly when discovered cannot
                     // prune under deterministic replay; treat it as a stale
                     // entry and drop it rather than poison the run.
-                    stats.pruned += 1;
+                    k.stats.pruned += 1;
                     shared.tick_round(quota);
                     continue 'entries;
                 }
                 ApplyOutcome::Violation(message) => {
-                    let trace = entry.prefix[..=i].to_vec();
-                    viols.push(record_violation(
-                        &mut sys,
-                        trace,
-                        message,
-                        stats.ops_executed,
-                    ));
+                    k.record(&mut sys, entry.prefix[..=i].to_vec(), message);
                     if cfg.stop_on_violation {
                         shared.stop.store(true, Ordering::SeqCst);
                         return Some(StopReason::Violation);
@@ -974,7 +932,7 @@ where
             return Some(StopReason::Fatal(e));
         }
         sys.pin(ent_id);
-        stats.checkpoints += 1;
+        k.stats.checkpoints += 1;
         cache.push_back((entry.prefix.clone(), ent_id));
         if cache.len() > PREFIX_CACHE_CAP {
             if let Some((_, old)) = cache.pop_front() {
@@ -984,91 +942,44 @@ where
 
         // --- Expand: apply every enabled op, fingerprint, push new states.
         let depth = entry.prefix.len();
-        let ops = sys.ops();
-        let ops = crate::explore::persistent_filter(cfg, &mut sys, ops, &mut stats.pruned);
+        let ops = k.expandable(&mut sys);
         let mut at_entry = true;
         for (i, op) in ops.iter().enumerate() {
-            if cfg.por && entry.sleep.contains(op) {
-                stats.pruned += 1;
+            if k.asleep(&entry.sleep, op) {
                 continue;
             }
             if !at_entry {
-                if let Err(e) = sys.restore(ent_id) {
-                    // ent_id is pinned for the whole expansion; any failure
-                    // is genuine.
+                // ent_id is pinned for the whole expansion; any failure is
+                // genuine.
+                if let Err(stop) = k.enter(&mut sys, ent_id) {
                     sys.unpin(ent_id);
-                    return Some(restore_failure(e));
+                    return Some(stop);
                 }
-                stats.restores += 1;
             }
             at_entry = false;
-            let outcome = sys.apply(op);
-            stats.ops_executed += 1;
+            let step = k.step(&mut sys, &mut visited, op, depth as u32 + 1, || {
+                entry.prefix.clone()
+            });
             shared.ops_total.fetch_add(1, Ordering::SeqCst);
-            match outcome {
-                ApplyOutcome::Ok => {}
-                ApplyOutcome::Prune(_) => {
-                    stats.pruned += 1;
-                    continue;
+            // Shallower: a known state reached closer to the root must be
+            // re-expanded or depth-bounded coverage would depend on which
+            // worker got there first.
+            let visit = match step {
+                Ok(Step::Expand(visit)) => visit,
+                Ok(Step::Pruned | Step::Matched) => continue,
+                // A violation or a spill failure stops the whole fleet.
+                Err(stop) => {
+                    shared.stop.store(true, Ordering::SeqCst);
+                    sys.unpin(ent_id);
+                    return Some(stop);
                 }
-                ApplyOutcome::Violation(message) => {
-                    let mut trace = entry.prefix.clone();
-                    trace.push(op.clone());
-                    viols.push(record_violation(
-                        &mut sys,
-                        trace,
-                        message,
-                        stats.ops_executed,
-                    ));
-                    if cfg.stop_on_violation {
-                        shared.stop.store(true, Ordering::SeqCst);
-                        sys.unpin(ent_id);
-                        return Some(StopReason::Violation);
-                    }
-                    continue;
-                }
+            };
+            if visit == Visit::New {
+                shared.states_total.fetch_add(1, Ordering::SeqCst);
             }
-            let h = sys.abstract_state();
-            let (visit, resize) = shared.visited.insert_at(h, depth as u32 + 1);
-            if resize.is_some() {
-                stats.resize_events += 1;
-            }
-            if let Some(e) = shared.visited.error() {
-                sys.unpin(ent_id);
-                return spill_fatal("visited", e);
-            }
-            match visit {
-                Visit::Matched => {
-                    stats.states_matched += 1;
-                    continue;
-                }
-                Visit::New => {
-                    stats.states_new += 1;
-                    shared.states_total.fetch_add(1, Ordering::SeqCst);
-                }
-                // Shallower: a known state reached closer to the root must
-                // be re-expanded or depth-bounded coverage would depend on
-                // which worker got there first.
-                Visit::Shallower => {}
-            }
-            stats.max_depth_seen = stats.max_depth_seen.max(depth + 1);
+            k.stats.max_depth_seen = k.stats.max_depth_seen.max(depth + 1);
             if depth + 1 < cfg.max_depth {
-                let sleep = if cfg.por {
-                    let mut s: Vec<S::Op> = entry
-                        .sleep
-                        .iter()
-                        .filter(|x| sys.independent(x, op))
-                        .cloned()
-                        .collect();
-                    for prev in &ops[..i] {
-                        if sys.independent(prev, op) && !s.contains(prev) {
-                            s.push(prev.clone());
-                        }
-                    }
-                    s
-                } else {
-                    Vec::new()
-                };
+                let sleep = k.sleep_after(&sys, &entry.sleep, &ops[..i], op);
                 let mut prefix = entry.prefix.clone();
                 prefix.push(op.clone());
                 let pushed = shared.queues[idx]
@@ -1131,97 +1042,73 @@ fn steal<Op: Clone>(
 // ---------------------------------------------------------------------------
 
 /// Wrapper that reports no enabled operations once the shared stop flag is
-/// raised, draining the remaining workers quickly.
+/// raised — or, for walk workers parking at a snapshot round boundary, once
+/// `round_done` is — draining the worker quickly.
 struct Stoppable<'a, S> {
     inner: S,
     stop: &'a AtomicBool,
+    round_done: Option<&'a AtomicBool>,
 }
 
-impl<S> Stoppable<'_, S> {
-    fn drained(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-}
+impl<S: ModelSystem> ModelSystem for Stoppable<'_, S> {
+    type Op = S::Op;
 
-/// Like [`Stoppable`], but also drains at a snapshot round boundary so walk
-/// workers park for a consistent fleet snapshot.
-struct RoundStoppable<'a, S> {
-    inner: S,
-    stop: &'a AtomicBool,
-    round_done: &'a AtomicBool,
-}
-
-impl<S> RoundStoppable<'_, S> {
-    fn drained(&self) -> bool {
-        self.stop.load(Ordering::Relaxed) || self.round_done.load(Ordering::Relaxed)
-    }
-}
-
-macro_rules! delegate_system {
-    ($ty:ident) => {
-        impl<S: ModelSystem> ModelSystem for $ty<'_, S> {
-            type Op = S::Op;
-
-            fn ops(&mut self) -> Vec<Self::Op> {
-                if self.drained() {
-                    // No ops and an empty restart set terminates the walk
-                    // via its op budget; force it sooner by returning
-                    // nothing forever.
-                    return Vec::new();
-                }
-                self.inner.ops()
-            }
-
-            fn apply(&mut self, op: &Self::Op) -> crate::system::ApplyOutcome {
-                self.inner.apply(op)
-            }
-
-            fn abstract_state(&mut self) -> u128 {
-                self.inner.abstract_state()
-            }
-
-            fn checkpoint(&mut self, id: crate::system::StateId) -> Result<usize, String> {
-                self.inner.checkpoint(id)
-            }
-
-            fn restore(&mut self, id: crate::system::StateId) -> Result<(), String> {
-                self.inner.restore(id)
-            }
-
-            fn release(&mut self, id: crate::system::StateId) {
-                self.inner.release(id)
-            }
-
-            fn pin(&mut self, id: crate::system::StateId) {
-                self.inner.pin(id)
-            }
-
-            fn unpin(&mut self, id: crate::system::StateId) {
-                self.inner.unpin(id)
-            }
-
-            fn checkpoint_store_stats(&self) -> Option<crate::system::CheckpointStoreStats> {
-                self.inner.checkpoint_store_stats()
-            }
-
-            fn crash_stats(&self) -> Option<crate::system::CrashStats> {
-                self.inner.crash_stats()
-            }
-
-            fn independent(&self, a: &Self::Op, b: &Self::Op) -> bool {
-                self.inner.independent(a, b)
-            }
-
-            fn minimize(
-                &mut self,
-                trace: &[Self::Op],
-                message: &str,
-            ) -> Option<(Vec<Self::Op>, crate::ShrinkStats)> {
-                self.inner.minimize(trace, message)
-            }
+    fn ops(&mut self) -> Vec<Self::Op> {
+        let drained = self.stop.load(Ordering::Relaxed)
+            || self.round_done.is_some_and(|r| r.load(Ordering::Relaxed));
+        if drained {
+            // No ops and an empty restart set terminates the walk via its
+            // op budget; force it sooner by returning nothing forever.
+            return Vec::new();
         }
-    };
-}
+        self.inner.ops()
+    }
 
-delegate_system!(Stoppable);
-delegate_system!(RoundStoppable);
+    fn apply(&mut self, op: &Self::Op) -> ApplyOutcome {
+        self.inner.apply(op)
+    }
+
+    fn abstract_state(&mut self) -> u128 {
+        self.inner.abstract_state()
+    }
+
+    fn checkpoint(&mut self, id: StateId) -> Result<usize, String> {
+        self.inner.checkpoint(id)
+    }
+
+    fn restore(&mut self, id: StateId) -> Result<(), String> {
+        self.inner.restore(id)
+    }
+
+    fn release(&mut self, id: StateId) {
+        self.inner.release(id)
+    }
+
+    fn pin(&mut self, id: StateId) {
+        self.inner.pin(id)
+    }
+
+    fn unpin(&mut self, id: StateId) {
+        self.inner.unpin(id)
+    }
+
+    fn checkpoint_store_stats(&self) -> Option<crate::system::CheckpointStoreStats> {
+        self.inner.checkpoint_store_stats()
+    }
+
+    fn crash_stats(&self) -> Option<crate::system::CrashStats> {
+        self.inner.crash_stats()
+    }
+
+    fn independent(&self, a: &Self::Op, b: &Self::Op) -> bool {
+        self.inner.independent(a, b)
+    }
+
+    fn minimize(
+        &mut self,
+        trace: &[Self::Op],
+        message: &str,
+    ) -> Option<(Vec<Self::Op>, crate::ShrinkStats)> {
+        self.inner.minimize(trace, message)
+    }
+}
