@@ -149,6 +149,17 @@ impl CowImage {
         }
     }
 
+    /// Chunk `index` itself, shared rather than copied. A caller that keeps
+    /// the returned `Arc` keeps those bytes: any later write or fill of the
+    /// chunk copies it first, because the chunk then has a second owner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn chunk(&self, index: usize) -> &Arc<Vec<u8>> {
+        &self.chunks[index]
+    }
+
     /// Iterates the image's chunks as byte slices, in order.
     pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
         self.chunks.iter().map(|c| c.as_slice())

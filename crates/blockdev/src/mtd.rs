@@ -9,6 +9,7 @@
 //! [`MtdDevice`] and [`MtdBlock`] are those two modules.
 
 use std::cell::Cell;
+use std::sync::Arc;
 
 use crate::cow::CowImage;
 use crate::device::{BlockDevice, DeviceError, DeviceResult, DeviceSnapshot};
@@ -221,6 +222,34 @@ impl MtdDevice {
         }
         self.data.read(offset as usize, buf);
         Ok(())
+    }
+
+    /// Reads erase block `index` whole, without copying it: the same range
+    /// check, read count and fault decision as [`read`](Self::read) of that
+    /// block, but the result shares the device's copy-on-write chunk. Holding
+    /// it pins those bytes: a later program or erase of the block copies the
+    /// chunk first, so two results are [`Arc::ptr_eq`] only if the block was
+    /// not rewritten in between.
+    ///
+    /// # Errors
+    ///
+    /// [`MtdError::OutOfRange`] if `index` is not an erase block of this
+    /// device; [`MtdError::Io`] for an injected read fault.
+    pub fn read_erase_block(&self, index: usize) -> Result<Arc<Vec<u8>>, MtdError> {
+        if index >= self.num_erase_blocks() {
+            return Err(MtdError::OutOfRange);
+        }
+        let offset = (index * self.erase_block_size) as u64;
+        self.reads.set(self.reads.get() + 1);
+        if self
+            .next_fault(FaultKind::Read, &self.reads_seen, offset)
+            .is_some()
+        {
+            return Err(MtdError::Io(format!(
+                "injected read fault at offset {offset}"
+            )));
+        }
+        Ok(Arc::clone(self.data.chunk(index)))
     }
 
     /// Programs (writes) `data` at `offset`.
@@ -463,6 +492,31 @@ mod tests {
         assert!(matches!(err, MtdError::ProgramWithoutErase { offset: 0 }));
         mtd.erase(0, 64).unwrap();
         mtd.program(0, &[0x1F]).unwrap();
+    }
+
+    #[test]
+    fn erase_block_reads_share_until_rewritten() {
+        let mut mtd = MtdDevice::new(64, 4).unwrap();
+        mtd.program(70, b"abc").unwrap();
+        let held = mtd.read_erase_block(1).unwrap();
+        let mut copy = vec![0u8; 64];
+        mtd.read(64, &mut copy).unwrap();
+        assert_eq!(*held, copy);
+        assert!(Arc::ptr_eq(&held, &mtd.read_erase_block(1).unwrap()));
+        assert_eq!(mtd.reads(), 3);
+        // Rewriting the block copies the held chunk instead of mutating it.
+        mtd.program(80, b"d").unwrap();
+        assert_eq!(*held, copy, "held bytes never change");
+        assert!(!Arc::ptr_eq(&held, &mtd.read_erase_block(1).unwrap()));
+        mtd.erase(64, 64).unwrap();
+        assert_eq!(*mtd.read_erase_block(1).unwrap(), vec![0xFF; 64]);
+        assert_eq!(mtd.read_erase_block(4), Err(MtdError::OutOfRange));
+        assert_eq!(mtd.reads(), 5, "out-of-range reads are not counted");
+        // The same fault decision as `read` of the block.
+        mtd.set_fault_plan(Some(FaultPlan::eio(FaultKind::Read, 1, 1)));
+        mtd.read_erase_block(0).unwrap();
+        assert!(matches!(mtd.read_erase_block(0), Err(MtdError::Io(_))));
+        assert_eq!(mtd.faults_injected(), 1);
     }
 
     #[test]

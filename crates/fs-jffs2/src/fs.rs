@@ -1,6 +1,7 @@
 //! The JFFS2-style log-structured engine: scan, append, garbage-collect.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 use blockdev::{BlockDevice, Clock, FaultPhase, MtdBlock, MtdDevice};
 use vfs::{
@@ -55,14 +56,14 @@ impl Default for Jffs2Config {
 }
 
 /// Location of a live node on flash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Loc {
     block: u32,
     offset: u32,
     len: u32,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct InodeInfo {
     ftype: u8,
     mode: u16,
@@ -139,8 +140,11 @@ struct ScanOutcome {
 /// unchanged.
 #[derive(Debug, Clone)]
 struct BlockScan {
-    /// The exact bytes decoded (the memo key).
-    bytes: Vec<u8>,
+    /// The exact bytes decoded (the memo key): the device's own erase-block
+    /// chunk. Holding it keeps it immutable, since the device copies a
+    /// shared chunk before programming or erasing it, so an unchanged block
+    /// is recognized by pointer.
+    bytes: Arc<Vec<u8>>,
     /// The valid node stream, in flash order.
     nodes: Vec<(Node, Loc)>,
     /// Offset just past the valid node stream.
@@ -150,14 +154,18 @@ struct BlockScan {
 }
 
 impl BlockScan {
-    fn decode(blk: u32, bytes: Vec<u8>) -> Self {
+    /// Decodes erase block `blk`. An inode node recording a file larger
+    /// than the device (`max_size`, the cap `write` and `truncate` enforce)
+    /// is as corrupt as one failing its CRC.
+    fn decode(blk: u32, bytes: Arc<Vec<u8>>, max_size: u64) -> Self {
         let ebs = bytes.len();
         let mut nodes = Vec::new();
         let mut quarantined = None;
         let mut off = 0usize;
         while off < ebs {
             match Node::decode(&bytes[off..]) {
-                Ok(Some((node, len))) => {
+                Ok(Some((node, len))) if !matches!(node, Node::Inode { isize, .. } if isize > max_size) =>
+                {
                     nodes.push((
                         node,
                         Loc {
@@ -169,7 +177,7 @@ impl BlockScan {
                     off += len;
                 }
                 Ok(None) => break,
-                Err(_) => {
+                Ok(Some(_)) | Err(_) => {
                     // The node stream is broken: without a trustworthy
                     // length field, every later offset in this block is
                     // suspect. Seal the block (so appends never program
@@ -187,6 +195,234 @@ impl BlockScan {
             quarantined,
         }
     }
+}
+
+/// Rebuilds every inode from the inode nodes among `nodes` (all nodes, in
+/// version order), adding the flash they waste to `dead`.
+type InodeFold = fn(&[&(Node, Loc)], &mut [u32]) -> HashMap<u32, InodeInfo>;
+
+impl ScanOutcome {
+    /// Folds every block's decoded nodes into an index, applying them in
+    /// version order so later nodes win (`fold_inodes` rebuilds the inodes;
+    /// dirents and xattrs are folded here).
+    fn fold(memo: &[Option<BlockScan>], fold_inodes: InodeFold) -> Self {
+        let blocks: Vec<&BlockScan> = memo
+            .iter()
+            .map(|b| b.as_ref().expect("every block was scanned"))
+            .collect();
+        let num = blocks.len() as u32;
+        let used: Vec<u32> = blocks.iter().map(|b| b.end).collect();
+        let quarantined: Vec<(u32, u32)> = (0..num)
+            .zip(&blocks)
+            .filter_map(|(blk, b)| b.quarantined.map(|lost| (blk, lost)))
+            .collect();
+        let mut nodes: Vec<&(Node, Loc)> = blocks.iter().flat_map(|b| &b.nodes).collect();
+        let nodes_seen = nodes.len();
+        // Stable: equal versions (a GC copy whose source survived) keep
+        // flash order.
+        nodes.sort_by_key(|(n, _)| n.version());
+        let mut dead = vec![0u32; num as usize];
+        for &(blk, lost) in &quarantined {
+            dead[blk as usize] += lost;
+        }
+        let inodes = fold_inodes(&nodes, &mut dead);
+        let mut dirents: HashMap<(u32, String), DirentInfo> = HashMap::new();
+        let mut xattrs: HashMap<(u32, String), XattrInfo> = HashMap::new();
+        let mut max_version = 0u64;
+        let mut max_ino = 1u32;
+        for &(ref node, loc) in nodes {
+            max_version = max_version.max(node.version());
+            match *node {
+                Node::Inode { ino, .. } => max_ino = max_ino.max(ino),
+                Node::Dirent {
+                    parent,
+                    ino,
+                    ftype,
+                    ref name,
+                    ..
+                } => {
+                    max_ino = max_ino.max(ino);
+                    if let Some(old) =
+                        dirents.insert((parent, name.clone()), DirentInfo { ino, ftype, loc })
+                    {
+                        dead[old.loc.block as usize] += old.loc.len;
+                    }
+                }
+                Node::Xattr {
+                    ino,
+                    delete,
+                    ref name,
+                    ref value,
+                    ..
+                } => {
+                    let x = XattrInfo {
+                        value: value.clone(),
+                        delete,
+                        loc,
+                    };
+                    if let Some(old) = xattrs.insert((ino, name.clone()), x) {
+                        dead[old.loc.block as usize] += old.loc.len;
+                    }
+                }
+            }
+        }
+        // Drop dirents whose target inode has no inode node on flash: a
+        // crash between the dirent append and the inode append leaves a name
+        // that resolves to nothing. The dead-marking makes GC reclaim the
+        // node; fsck erases it eagerly so the repair is durable.
+        let orphan_keys: Vec<(u32, String)> = dirents
+            .iter()
+            .filter(|(_, d)| d.ino != 0 && !inodes.contains_key(&d.ino))
+            .map(|(k, _)| k.clone())
+            .collect();
+        let mut orphan_dirents = Vec::new();
+        for key in orphan_keys {
+            let d = dirents.remove(&key).expect("orphan key just collected");
+            dead[d.loc.block as usize] += d.loc.len;
+            orphan_dirents.push((key.0, key.1, d.ino, d.loc.block));
+        }
+        let clean: VecDeque<u32> = (0..num).filter(|&b| used[b as usize] == 0).collect();
+        // Head: the non-clean block with the most tail space.
+        let head = (0..num)
+            .filter(|&b| used[b as usize] > 0)
+            .min_by_key(|&b| used[b as usize])
+            .unwrap_or(0);
+        ScanOutcome {
+            m: Mounted {
+                inodes,
+                dirents,
+                xattrs,
+                used,
+                dead,
+                clean,
+                head,
+                next_version: max_version + 1,
+                next_ino: max_ino + 1,
+                fds: FdTable::default(),
+                time: max_version << 16,
+            },
+            nodes_seen: nodes_seen as u64,
+            quarantined,
+            orphan_dirents,
+        }
+    }
+}
+
+/// What an inode's content needs of one of its nodes.
+struct Extent<'a> {
+    /// File size after the node.
+    isize: u64,
+    offset: u64,
+    data: Option<&'a [u8]>,
+}
+
+/// The [`InodeFold`] of every mount. One pass in version order takes each
+/// inode's metadata and `meta_loc` from its newest node and its
+/// `data_locs` from the fragments since its last rewrite; content is then
+/// painted newest-first ([`paint`]). Every inode node was live when it was
+/// written, so its space is dead unless it is still live at the end.
+fn fold_inodes(nodes: &[&(Node, Loc)], dead: &mut [u32]) -> HashMap<u32, InodeInfo> {
+    let mut rebuilt: HashMap<u32, (InodeInfo, Vec<Extent>)> = HashMap::new();
+    for &&(ref node, loc) in nodes {
+        let Node::Inode {
+            ino,
+            ftype,
+            mode,
+            uid,
+            gid,
+            atime,
+            mtime,
+            ctime,
+            isize,
+            offset,
+            rewrite,
+            ref data,
+            ..
+        } = *node
+        else {
+            continue;
+        };
+        dead[loc.block as usize] += loc.len;
+        let (info, extents) = rebuilt.entry(ino).or_default();
+        info.ftype = ftype;
+        info.mode = mode;
+        info.uid = uid;
+        info.gid = gid;
+        info.atime = atime;
+        info.mtime = mtime;
+        info.ctime = ctime;
+        info.meta_loc = loc;
+        if data.is_some() {
+            if rewrite {
+                // A rewrite starts: previous fragments die.
+                info.data_locs.clear();
+            }
+            info.data_locs.push(loc);
+        }
+        extents.push(Extent {
+            isize,
+            offset,
+            data: data.as_deref(),
+        });
+    }
+    rebuilt
+        .into_iter()
+        .map(|(ino, (mut info, extents))| {
+            info.content = paint(&extents);
+            for loc in info.live_locs() {
+                dead[loc.block as usize] -= loc.len;
+            }
+            (ino, info)
+        })
+        .collect()
+}
+
+/// An inode's content from its nodes' extents (oldest first), as replaying
+/// every node's resize and fragment copy in version order would leave it.
+/// A byte comes from the newest fragment covering it, provided it lies
+/// below the size every later node recorded (a truncation zeroes what lies
+/// past it); otherwise it is zero. Painting newest-first, with the painted
+/// ranges kept as a sorted list of disjoint intervals, copies each live
+/// byte once and stops as soon as no older fragment can show through.
+fn paint(extents: &[Extent]) -> Vec<u8> {
+    // Every size is within the device (`BlockScan::decode`) and every
+    // fragment within its own node's size (`Node::decode`).
+    let size = extents.last().map_or(0, |e| e.isize as usize);
+    let mut content = vec![0u8; size];
+    let mut bound = size;
+    let mut painted: Vec<(usize, usize)> = Vec::new();
+    for extent in extents.iter().rev() {
+        bound = bound.min(extent.isize as usize);
+        if matches!(painted.first(), Some(&(0, end)) if end >= bound) {
+            break;
+        }
+        let Some(data) = extent.data else { continue };
+        let lo = extent.offset as usize;
+        let hi = (lo + data.len()).min(bound);
+        if lo >= hi {
+            continue;
+        }
+        // The painted intervals overlapping or touching [lo, hi).
+        let first = painted.partition_point(|&(_, end)| end < lo);
+        let last = first + painted[first..].partition_point(|&(start, _)| start <= hi);
+        let mut at = lo;
+        for &(start, end) in &painted[first..last] {
+            if start > at {
+                content[at..start].copy_from_slice(&data[at - lo..start - lo]);
+            }
+            at = at.max(end);
+        }
+        if at < hi {
+            content[at..hi].copy_from_slice(&data[at - lo..hi - lo]);
+        }
+        let merged = if first < last {
+            (lo.min(painted[first].0), hi.max(painted[last - 1].1))
+        } else {
+            (lo, hi)
+        };
+        painted.splice(first..last, [merged]);
+    }
+    content
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -798,200 +1034,34 @@ impl Jffs2Fs {
         (head_free + clean + reclaimable).saturating_sub(reserve)
     }
     /// Scans the whole flash and rebuilds the index, tolerating corruption:
-    /// a block whose node stream breaks (bad CRC, torn program, garbage)
-    /// keeps its valid prefix and quarantines the rest as dead space, and
-    /// dirents whose target inode never made it to flash are dropped. Both
-    /// conditions are recorded in the [`ScanOutcome`] so `fsck` can report
-    /// and persist the repairs; `mount` applies them silently, as real
-    /// JFFS2's scanner does.
+    /// a block whose node stream breaks (bad CRC, torn program, garbage,
+    /// an inconsistent node) keeps its valid prefix and quarantines the rest
+    /// as dead space, and dirents whose target inode never made it to flash
+    /// are dropped. Both conditions are recorded in the [`ScanOutcome`] so
+    /// `fsck` can report and persist the repairs; `mount` applies them
+    /// silently, as real JFFS2's scanner does.
     fn scan(&mut self) -> VfsResult<ScanOutcome> {
-        let ebs = self.ebs();
-        let num = self.num_eb();
+        let max_size = self.dev.mtd().size_bytes();
         // Full-device scan: every block is read and charged, but a block
         // whose bytes equal its memoized ones is not decoded again.
-        let mut block = vec![0u8; ebs as usize];
-        for blk in 0..num {
-            self.dev
+        for blk in 0..self.num_eb() {
+            let bytes = self
+                .dev
                 .mtd()
-                .read(blk as u64 * ebs as u64, &mut block)
+                .read_erase_block(blk as usize)
                 .map_err(|_| Errno::EIO)?;
-            self.charge_read(ebs as u64);
-            let memo = &mut self.scan_memo[blk as usize];
-            if !matches!(memo, Some(hit) if hit.bytes == block) {
-                *memo = Some(BlockScan::decode(blk, block.clone()));
+            self.charge_read(bytes.len() as u64);
+            match &mut self.scan_memo[blk as usize] {
+                // The memo holds the chunk, so the device copied it before
+                // any program or erase: the same chunk means the same bytes.
+                Some(hit) if Arc::ptr_eq(&hit.bytes, &bytes) => {}
+                // Equal bytes in another chunk (say, after a restore):
+                // adopt it, so the next scan hits by pointer.
+                Some(hit) if hit.bytes == bytes => hit.bytes = bytes,
+                memo => *memo = Some(BlockScan::decode(blk, bytes, max_size)),
             }
         }
-        let blocks: Vec<&BlockScan> = self
-            .scan_memo
-            .iter()
-            .map(|b| b.as_ref().expect("every block was scanned above"))
-            .collect();
-        let used: Vec<u32> = blocks.iter().map(|b| b.end).collect();
-        let quarantined: Vec<(u32, u32)> = (0..num)
-            .zip(&blocks)
-            .filter_map(|(blk, b)| b.quarantined.map(|lost| (blk, lost)))
-            .collect();
-        let mut nodes: Vec<&(Node, Loc)> = blocks.iter().flat_map(|b| &b.nodes).collect();
-        // Apply in version order so later nodes win.
-        let nodes_seen = nodes.len();
-        nodes.sort_by_key(|(n, _)| n.version());
-        let mut inodes: HashMap<u32, InodeInfo> = HashMap::new();
-        let mut dirents: HashMap<(u32, String), DirentInfo> = HashMap::new();
-        let mut xattrs: HashMap<(u32, String), XattrInfo> = HashMap::new();
-        let mut dead = vec![0u32; num as usize];
-        for &(blk, lost) in &quarantined {
-            dead[blk as usize] += lost;
-        }
-        let mut max_version = 0u64;
-        let mut max_ino = 1u32;
-        for &(ref node, loc) in nodes {
-            max_version = max_version.max(node.version());
-            match *node {
-                Node::Inode {
-                    ino,
-                    ftype,
-                    mode,
-                    uid,
-                    gid,
-                    atime,
-                    mtime,
-                    ctime,
-                    isize,
-                    offset,
-                    rewrite,
-                    ref data,
-                    ..
-                } => {
-                    max_ino = max_ino.max(ino);
-                    match inodes.get_mut(&ino) {
-                        Some(info) => {
-                            let old_live = info.live_locs();
-                            info.ftype = ftype;
-                            info.mode = mode;
-                            info.uid = uid;
-                            info.gid = gid;
-                            info.atime = atime;
-                            info.mtime = mtime;
-                            info.ctime = ctime;
-                            // Every node carries the file size at its time:
-                            // metadata-only nodes implement truncate.
-                            info.content.resize(isize as usize, 0);
-                            if let Some(d) = data {
-                                let end = (offset as usize + d.len()).min(info.content.len());
-                                let n = end.saturating_sub(offset as usize);
-                                info.content[offset as usize..end].copy_from_slice(&d[..n]);
-                                if rewrite {
-                                    // A rewrite starts: previous fragments die.
-                                    info.data_locs = vec![loc];
-                                } else {
-                                    info.data_locs.push(loc);
-                                }
-                            }
-                            info.meta_loc = loc;
-                            let new_live = info.live_locs();
-                            for l in old_live {
-                                if !new_live.contains(&l) {
-                                    dead[l.block as usize] += l.len;
-                                }
-                            }
-                        }
-                        None => {
-                            let mut content = vec![0u8; isize as usize];
-                            let has_data = data.is_some();
-                            if let Some(d) = data {
-                                let end = (offset as usize + d.len()).min(content.len());
-                                let n = end.saturating_sub(offset as usize);
-                                content[offset as usize..end].copy_from_slice(&d[..n]);
-                            }
-                            inodes.insert(
-                                ino,
-                                InodeInfo {
-                                    ftype,
-                                    mode,
-                                    uid,
-                                    gid,
-                                    atime,
-                                    mtime,
-                                    ctime,
-                                    content,
-                                    meta_loc: loc,
-                                    data_locs: if has_data { vec![loc] } else { Vec::new() },
-                                },
-                            );
-                        }
-                    }
-                }
-                Node::Dirent {
-                    parent,
-                    ino,
-                    ftype,
-                    ref name,
-                    ..
-                } => {
-                    max_ino = max_ino.max(ino);
-                    if let Some(old) =
-                        dirents.insert((parent, name.clone()), DirentInfo { ino, ftype, loc })
-                    {
-                        dead[old.loc.block as usize] += old.loc.len;
-                    }
-                }
-                Node::Xattr {
-                    ino,
-                    delete,
-                    ref name,
-                    ref value,
-                    ..
-                } => {
-                    let x = XattrInfo {
-                        value: value.clone(),
-                        delete,
-                        loc,
-                    };
-                    if let Some(old) = xattrs.insert((ino, name.clone()), x) {
-                        dead[old.loc.block as usize] += old.loc.len;
-                    }
-                }
-            }
-        }
-        // Drop dirents whose target inode has no inode node on flash: a
-        // crash between the dirent append and the inode append leaves a name
-        // that resolves to nothing. The dead-marking makes GC reclaim the
-        // node; fsck erases it eagerly so the repair is durable.
-        let orphan_keys: Vec<(u32, String)> = dirents
-            .iter()
-            .filter(|(_, d)| d.ino != 0 && !inodes.contains_key(&d.ino))
-            .map(|(k, _)| k.clone())
-            .collect();
-        let mut orphan_dirents = Vec::new();
-        for key in orphan_keys {
-            let d = dirents.remove(&key).expect("orphan key just collected");
-            dead[d.loc.block as usize] += d.loc.len;
-            orphan_dirents.push((key.0, key.1, d.ino, d.loc.block));
-        }
-        let clean: VecDeque<u32> = (0..num).filter(|&b| used[b as usize] == 0).collect();
-        // Head: the non-clean block with the most tail space.
-        let head = (0..num)
-            .filter(|&b| used[b as usize] > 0)
-            .min_by_key(|&b| used[b as usize])
-            .unwrap_or(0);
-        Ok(ScanOutcome {
-            m: Mounted {
-                inodes,
-                dirents,
-                xattrs,
-                used,
-                dead,
-                clean,
-                head,
-                next_version: max_version + 1,
-                next_ino: max_ino + 1,
-                fds: FdTable::default(),
-                time: max_version << 16,
-            },
-            nodes_seen: nodes_seen as u64,
-            quarantined,
-            orphan_dirents,
-        })
+        Ok(ScanOutcome::fold(&self.scan_memo, fold_inodes))
     }
 
     /// The repair pipeline behind [`FileSystem::fsck`] (fault-phase
@@ -1766,6 +1836,93 @@ impl DeviceBacked for Jffs2Fs {
     }
 }
 
+/// The forward replay mounts used before [`fold_inodes`]: every inode node's
+/// resize and fragment copy applied in version order, with the dead space
+/// of whatever each node supersedes counted as it goes. Kept as the
+/// reference the fold is tested against.
+#[cfg(test)]
+fn replay_inodes(nodes: &[&(Node, Loc)], dead: &mut [u32]) -> HashMap<u32, InodeInfo> {
+    let mut inodes: HashMap<u32, InodeInfo> = HashMap::new();
+    for &&(ref node, loc) in nodes {
+        let Node::Inode {
+            ino,
+            ftype,
+            mode,
+            uid,
+            gid,
+            atime,
+            mtime,
+            ctime,
+            isize,
+            offset,
+            rewrite,
+            ref data,
+            ..
+        } = *node
+        else {
+            continue;
+        };
+        match inodes.get_mut(&ino) {
+            Some(info) => {
+                let old_live = info.live_locs();
+                info.ftype = ftype;
+                info.mode = mode;
+                info.uid = uid;
+                info.gid = gid;
+                info.atime = atime;
+                info.mtime = mtime;
+                info.ctime = ctime;
+                // Every node carries the file size at its time:
+                // metadata-only nodes implement truncate.
+                info.content.resize(isize as usize, 0);
+                if let Some(d) = data {
+                    let end = (offset as usize + d.len()).min(info.content.len());
+                    let n = end.saturating_sub(offset as usize);
+                    info.content[offset as usize..end].copy_from_slice(&d[..n]);
+                    if rewrite {
+                        // A rewrite starts: previous fragments die.
+                        info.data_locs = vec![loc];
+                    } else {
+                        info.data_locs.push(loc);
+                    }
+                }
+                info.meta_loc = loc;
+                let new_live = info.live_locs();
+                for l in old_live {
+                    if !new_live.contains(&l) {
+                        dead[l.block as usize] += l.len;
+                    }
+                }
+            }
+            None => {
+                let mut content = vec![0u8; isize as usize];
+                let has_data = data.is_some();
+                if let Some(d) = data {
+                    let end = (offset as usize + d.len()).min(content.len());
+                    let n = end.saturating_sub(offset as usize);
+                    content[offset as usize..end].copy_from_slice(&d[..n]);
+                }
+                inodes.insert(
+                    ino,
+                    InodeInfo {
+                        ftype,
+                        mode,
+                        uid,
+                        gid,
+                        atime,
+                        mtime,
+                        ctime,
+                        content,
+                        meta_loc: loc,
+                        data_locs: if has_data { vec![loc] } else { Vec::new() },
+                    },
+                );
+            }
+        }
+    }
+    inodes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2267,92 +2424,133 @@ mod tests {
         }
     }
 
-    #[test]
-    fn warm_scan_matches_cold_scan_over_random_histories() {
+    /// Mounts `fs` memo-warm next to a cold twin after every few steps of
+    /// a random history. With `snapshots`, device snapshots are taken and
+    /// restored, so most erase blocks have several owners. Without them,
+    /// no chunk has an owner besides the device and the memo, and the
+    /// history also programs and erases blocks behind the file system's
+    /// back: a memo that keyed on a chunk's address without holding it
+    /// would see the device rewrite that chunk in place and serve stale
+    /// nodes.
+    fn warm_matches_cold_over_history(seed: u64, snapshots: bool) {
         use blockdev::{FaultKind, FaultPlan};
         let names = ["/a", "/b", "/d/c", "/d/e"];
-        for seed in 1..=6u64 {
-            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut fs = timed_jffs2(16);
-            assert_warm_mount_matches_cold(&mut fs);
-            let _ = fs.mkdir("/d", FileMode::DIR_DEFAULT);
-            let mut snaps = Vec::new();
-            for _ in 0..160 {
-                let name = names[rng.below(names.len() as u64) as usize];
-                let other = names[rng.below(names.len() as u64) as usize];
-                match rng.below(14) {
-                    0..=2 => {
-                        let flags = OpenFlags::write_only().with_create().with_trunc();
-                        if let Ok(fd) = fs.open(name, flags, FileMode::REG_DEFAULT) {
-                            let len = rng.below(12_000) as usize;
-                            let _ = fs.write(fd, &vec![rng.below(256) as u8; len]);
-                            let _ = fs.close(fd);
-                        }
-                    }
-                    3 => {
-                        let _ = fs.unlink(name);
-                    }
-                    4 => {
-                        let _ = fs.rename(name, other);
-                    }
-                    5 => {
-                        let _ = fs.truncate(name, rng.below(9_000));
-                    }
-                    6 => {
-                        let value = vec![b'v'; rng.below(64) as usize];
-                        let _ = fs.setxattr(name, "user.k", &value, XattrFlags::Any);
-                    }
-                    7 => {
-                        let _ = fs.link(name, other);
-                    }
-                    8 => {
-                        let _ = fs.unmount();
-                        assert_warm_mount_matches_cold(&mut fs);
-                    }
-                    9 => snaps.push(fs.snapshot_device().unwrap()),
-                    10 if !snaps.is_empty() => {
-                        let snap = &snaps[rng.below(snaps.len() as u64) as usize];
-                        fs.restore_device(snap).unwrap();
-                        let _ = fs.unmount();
-                        assert_warm_mount_matches_cold(&mut fs);
-                    }
-                    11 => {
-                        // Tear one of the next programs, then rescan.
-                        let plan = FaultPlan::eio(FaultKind::Write, rng.below(3), 1)
-                            .with_torn_bytes(rng.below(40) as usize);
-                        fs.dev.mtd_mut().set_fault_plan(Some(plan));
-                        let flags = OpenFlags::write_only().with_create().with_append();
-                        if let Ok(fd) = fs.open(name, flags, FileMode::REG_DEFAULT) {
-                            let _ = fs.write(fd, &[7u8; 300]);
-                            let _ = fs.close(fd);
-                        }
-                        fs.dev.mtd_mut().set_fault_plan(None);
-                        let _ = fs.unmount();
-                        assert_warm_mount_matches_cold(&mut fs);
-                    }
-                    12 => {
-                        let (w, w_ns, w_reads) = metered(&mut fs, |fs| fs.crash_reboot());
-                        let mut cold = cold_twin(&fs);
-                        let (c, c_ns, c_reads) = metered(&mut cold, |fs| fs.mount());
-                        assert_eq!(w, c);
-                        assert_eq!(fs.m, cold.m);
-                        assert_eq!((w_ns, w_reads), (c_ns, c_reads));
-                    }
-                    _ => {
-                        let _ = fs.unmount();
-                        let mut cold = cold_twin(&fs);
-                        let (w, w_ns, w_reads) = metered(&mut fs, |fs| fs.fsck());
-                        let (c, c_ns, c_reads) = metered(&mut cold, |fs| fs.fsck());
-                        assert_eq!(canonical(w), canonical(c));
-                        assert_eq!((w_ns, w_reads), (c_ns, c_reads));
-                        // Repairs relocate nodes in hash-map order, so the
-                        // two flash images may now differ: compare on the
-                        // repaired one, with the memo fsck's rescans left.
-                        assert_warm_mount_matches_cold(&mut fs);
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut fs = timed_jffs2(16);
+        assert_warm_mount_matches_cold(&mut fs);
+        let _ = fs.mkdir("/d", FileMode::DIR_DEFAULT);
+        let mut snaps = Vec::new();
+        for _ in 0..160 {
+            let name = names[rng.below(names.len() as u64) as usize];
+            let other = names[rng.below(names.len() as u64) as usize];
+            match rng.below(14) {
+                0..=2 => {
+                    let flags = OpenFlags::write_only().with_create().with_trunc();
+                    if let Ok(fd) = fs.open(name, flags, FileMode::REG_DEFAULT) {
+                        let len = rng.below(12_000) as usize;
+                        let _ = fs.write(fd, &vec![rng.below(256) as u8; len]);
+                        let _ = fs.close(fd);
                     }
                 }
+                3 => {
+                    let _ = fs.unlink(name);
+                }
+                4 => {
+                    let _ = fs.rename(name, other);
+                }
+                5 => {
+                    let _ = fs.truncate(name, rng.below(9_000));
+                }
+                6 => {
+                    let value = vec![b'v'; rng.below(64) as usize];
+                    let _ = fs.setxattr(name, "user.k", &value, XattrFlags::Any);
+                }
+                7 => {
+                    let _ = fs.link(name, other);
+                }
+                8 => {
+                    let _ = fs.unmount();
+                    assert_warm_mount_matches_cold(&mut fs);
+                }
+                9 if snapshots => snaps.push(fs.snapshot_device().unwrap()),
+                10 if !snaps.is_empty() => {
+                    let snap = &snaps[rng.below(snaps.len() as u64) as usize];
+                    fs.restore_device(snap).unwrap();
+                    let _ = fs.unmount();
+                    assert_warm_mount_matches_cold(&mut fs);
+                }
+                9 => {
+                    // Append a node (a deletion marker) to a random
+                    // block's log by hand.
+                    let _ = fs.unmount();
+                    let ghost = Node::Dirent {
+                        parent: 1,
+                        version: 1_000_000 + rng.below(1_000),
+                        ino: 0,
+                        ftype: FT_REG,
+                        name: "ghost".into(),
+                    };
+                    let end = log_end(&fs, rng.below(16) as u32);
+                    let _ = fs.dev.mtd_mut().program(end, &ghost.encode());
+                    assert_warm_mount_matches_cold(&mut fs);
+                }
+                10 if !snapshots => {
+                    // Erase a random block by hand; fsck recreates a lost root.
+                    let _ = fs.unmount();
+                    let ebs = fs.ebs() as u64;
+                    fs.dev.mtd_mut().erase(rng.below(16) * ebs, ebs).unwrap();
+                    assert_warm_mount_matches_cold(&mut fs);
+                }
+                11 => {
+                    // Tear one of the next programs, then rescan.
+                    let plan = FaultPlan::eio(FaultKind::Write, rng.below(3), 1)
+                        .with_torn_bytes(rng.below(40) as usize);
+                    fs.dev.mtd_mut().set_fault_plan(Some(plan));
+                    let flags = OpenFlags::write_only().with_create().with_append();
+                    if let Ok(fd) = fs.open(name, flags, FileMode::REG_DEFAULT) {
+                        let _ = fs.write(fd, &[7u8; 300]);
+                        let _ = fs.close(fd);
+                    }
+                    fs.dev.mtd_mut().set_fault_plan(None);
+                    let _ = fs.unmount();
+                    assert_warm_mount_matches_cold(&mut fs);
+                }
+                12 => {
+                    let (w, w_ns, w_reads) = metered(&mut fs, |fs| fs.crash_reboot());
+                    let mut cold = cold_twin(&fs);
+                    let (c, c_ns, c_reads) = metered(&mut cold, |fs| fs.mount());
+                    assert_eq!(w, c);
+                    assert_eq!(fs.m, cold.m);
+                    assert_eq!((w_ns, w_reads), (c_ns, c_reads));
+                }
+                _ => {
+                    let _ = fs.unmount();
+                    let mut cold = cold_twin(&fs);
+                    let (w, w_ns, w_reads) = metered(&mut fs, |fs| fs.fsck());
+                    let (c, c_ns, c_reads) = metered(&mut cold, |fs| fs.fsck());
+                    assert_eq!(canonical(w), canonical(c));
+                    assert_eq!((w_ns, w_reads), (c_ns, c_reads));
+                    // Repairs relocate nodes in hash-map order, so the
+                    // two flash images may now differ: compare on the
+                    // repaired one, with the memo fsck's rescans left.
+                    assert_warm_mount_matches_cold(&mut fs);
+                }
             }
-            assert!(fs.scan_memo.iter().all(Option::is_some));
+        }
+        assert!(fs.scan_memo.iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn warm_scan_matches_cold_scan_over_random_histories() {
+        for seed in 1..=6 {
+            warm_matches_cold_over_history(seed, true);
+        }
+    }
+
+    #[test]
+    fn memo_is_never_stale_when_blocks_are_rewritten_in_place() {
+        for seed in 1..=6 {
+            warm_matches_cold_over_history(seed, false);
         }
     }
 
@@ -2411,6 +2609,182 @@ mod tests {
         assert_eq!(warm.m, cold.m);
         assert_warm_mount_matches_cold(&mut fs);
         assert_eq!(read_file(&mut fs, "/f"), b"kept");
+    }
+
+    /// Scans `fs`'s flash and checks the mount fold against the forward
+    /// replay of the same decoded blocks: the whole index (every inode's
+    /// content, locations, dead space, block state and counters) and what
+    /// the scan reports to fsck.
+    fn assert_fold_matches_replay(fs: &mut Jffs2Fs) {
+        let fold = fs.scan().unwrap();
+        let replay = ScanOutcome::fold(&fs.scan_memo, replay_inodes);
+        assert_eq!(fold.m, replay.m);
+        assert_eq!(fold.nodes_seen, replay.nodes_seen);
+        assert_eq!(fold.quarantined, replay.quarantined);
+        let sorted = |mut o: Vec<(u32, String, u32, u32)>| {
+            o.sort();
+            o
+        };
+        assert_eq!(sorted(fold.orphan_dirents), sorted(replay.orphan_dirents));
+    }
+
+    /// Writes `len` bytes of `byte` at `offset` of `p`, creating it.
+    fn write_at(fs: &mut Jffs2Fs, p: &str, offset: u64, len: usize, byte: u8) {
+        let flags = OpenFlags::write_only().with_create();
+        if let Ok(fd) = fs.open(p, flags, FileMode::REG_DEFAULT) {
+            let _ = fs.lseek(fd, offset);
+            let _ = fs.write(fd, &vec![byte; len]);
+            let _ = fs.close(fd);
+        }
+    }
+
+    /// How many live data fragments `p` has (0 if it cannot be resolved).
+    fn fragments(fs: &Jffs2Fs, p: &str) -> usize {
+        fs.resolve(p)
+            .and_then(|ino| fs.info(ino))
+            .map_or(0, |info| info.data_locs.len())
+    }
+
+    #[test]
+    fn fold_matches_forward_replay_over_random_histories() {
+        use blockdev::{FaultKind, FaultPlan};
+        let names = ["/a", "/b", "/d/c"];
+        let (mut torn, mut compactions) = (0, 0);
+        for seed in 1..=8u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut fs = crate::jffs2_on_mtdram(16 * 1024, 12).unwrap();
+            fs.mount().unwrap();
+            let _ = fs.mkdir("/d", FileMode::DIR_DEFAULT);
+            for _ in 0..100 {
+                let name = names[rng.below(names.len() as u64) as usize];
+                let byte = 1 + rng.below(255) as u8;
+                match rng.below(10) {
+                    0 | 1 => {
+                        // Anywhere, often past EOF: a sparse hole.
+                        let len = rng.below(9_000) as usize;
+                        write_at(&mut fs, name, rng.below(24_000), len, byte);
+                    }
+                    2 => {
+                        // Shrink, then extend: the old tail must not return.
+                        let _ = fs.truncate(name, rng.below(3_000));
+                        let _ = fs.truncate(name, rng.below(20_000));
+                    }
+                    3 => {
+                        // Enough fragments that the next write compacts the
+                        // file with a multi-fragment rewrite, one of whose
+                        // programs is torn.
+                        for _ in 0..80 {
+                            if fragments(&fs, name) > 64 {
+                                break;
+                            }
+                            write_at(&mut fs, name, rng.below(16_000), 64, byte);
+                        }
+                        let before = fragments(&fs, name);
+                        let plan = FaultPlan::eio(FaultKind::Write, rng.below(3), 1)
+                            .with_torn_bytes(rng.below(300) as usize);
+                        fs.dev.mtd_mut().set_fault_plan(Some(plan));
+                        write_at(&mut fs, name, rng.below(8_000), 500, byte);
+                        torn += fs.dev.mtd().faults_injected();
+                        fs.dev.mtd_mut().set_fault_plan(None);
+                        if before > 64 && fragments(&fs, name) < before {
+                            compactions += 1;
+                        }
+                    }
+                    4 => {
+                        let _ = fs.unlink(name);
+                    }
+                    5 => {
+                        let value = vec![byte; rng.below(64) as usize];
+                        let _ = fs.setxattr(name, "user.k", &value, XattrFlags::Any);
+                        let _ = fs.chmod(name, FileMode::new(0o600));
+                    }
+                    6 => {
+                        let _ = fs.crash_reboot();
+                    }
+                    7 => {
+                        let _ = fs.fsck();
+                    }
+                    _ => {
+                        let _ = fs.unmount();
+                    }
+                }
+                if !fs.is_mounted() {
+                    let _ = fs.mount();
+                }
+                assert_fold_matches_replay(&mut fs);
+            }
+            let erases: u64 = fs.erase_counts().iter().sum();
+            assert!(erases > 12, "seed {seed}: GC never ran");
+        }
+        assert!(
+            torn > 8 && compactions > 8,
+            "{torn} tears, {compactions} compactions"
+        );
+    }
+
+    /// Mounts a volume holding `/f` whose block 0 log ends in `forged`.
+    fn mount_with_forged_node(forged: &[u8]) -> Jffs2Fs {
+        let mut fs = jffs2();
+        write_file(&mut fs, "/f", b"keep me");
+        fs.unmount().unwrap();
+        let end = log_end(&fs, 0);
+        fs.dev.mtd_mut().program(end, forged).unwrap();
+        let quarantined = fs.scan().unwrap().quarantined;
+        assert_eq!(quarantined, vec![(0, (16 * 1024 - end) as u32)]);
+        fs.mount().expect("an inconsistent node is quarantined");
+        assert_eq!(read_file(&mut fs, "/f"), b"keep me");
+        fs
+    }
+
+    /// A CRC-valid inode node for a fresh inode.
+    fn forged_inode(isize: u64, offset: u64, data: &[u8]) -> Vec<u8> {
+        Node::Inode {
+            ino: 40,
+            version: 1_000,
+            ftype: FT_REG,
+            mode: 0o644,
+            uid: 0,
+            gid: 0,
+            atime: 0,
+            mtime: 0,
+            ctime: 0,
+            isize,
+            offset,
+            rewrite: false,
+            data: Some(data.to_vec()),
+        }
+        .encode()
+    }
+
+    #[test]
+    fn crc_valid_short_node_body_is_quarantined() {
+        // Regression: the decoder read fixed offsets before checking the
+        // body's length and panicked the mount.
+        mount_with_forged_node(&crate::log::frame(crate::log::NT_INODE, &[1]));
+        mount_with_forged_node(&crate::log::frame(crate::log::NT_DIRENT, &[1, 2, 3]));
+    }
+
+    #[test]
+    fn fragment_past_its_own_isize_is_quarantined() {
+        // Regression: the node decoded, then the mount panicked slicing
+        // the content at an offset past the file's end.
+        for forged in [
+            forged_inode(4, 100, b"boom"),
+            forged_inode(0, u64::MAX, b"x"),
+        ] {
+            let fs = mount_with_forged_node(&forged);
+            assert!(!fs.m.unwrap().inodes.contains_key(&40));
+        }
+    }
+
+    #[test]
+    fn isize_beyond_the_device_is_quarantined() {
+        // Regression: the mount allocated whatever size a node claimed.
+        let device = 16 * 16 * 1024;
+        for isize in [device + 1, 1 << 42] {
+            let fs = mount_with_forged_node(&forged_inode(isize, 0, b"big"));
+            assert!(!fs.m.unwrap().inodes.contains_key(&40));
+        }
     }
 
     #[test]

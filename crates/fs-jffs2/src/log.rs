@@ -111,6 +111,23 @@ pub enum Node {
     },
 }
 
+/// Wraps a node body in the common header with a matching CRC, padding it
+/// to 4 bytes. The body is not checked: tests forge inconsistent nodes here.
+pub(crate) fn frame(ntype: u8, body: &[u8]) -> Vec<u8> {
+    let total = HEADER_LEN + body.len();
+    let padded = total.div_ceil(4) * 4;
+    let mut out = Vec::with_capacity(padded);
+    out.extend_from_slice(&NODE_MAGIC.to_le_bytes());
+    out.push(ntype);
+    out.extend_from_slice(&(padded as u32).to_le_bytes());
+    out.extend_from_slice(&[0u8; 4]); // CRC placeholder
+    out.extend_from_slice(body);
+    out.resize(padded, 0);
+    let crc = node_crc(&out[HEADER_LEN..]);
+    out[7..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
 impl Node {
     /// Serializes the node, including the common header
     /// (`magic u16 | type u8 | total_len u32 | crc u32`, where the CRC
@@ -188,18 +205,7 @@ impl Node {
                 NT_XATTR
             }
         };
-        let total = HEADER_LEN + body.len();
-        let padded = total.div_ceil(4) * 4;
-        let mut out = Vec::with_capacity(padded);
-        out.extend_from_slice(&NODE_MAGIC.to_le_bytes());
-        out.push(ntype);
-        out.extend_from_slice(&(padded as u32).to_le_bytes());
-        out.extend_from_slice(&[0u8; 4]); // CRC placeholder
-        out.extend_from_slice(&body);
-        out.resize(padded, 0);
-        let crc = node_crc(&out[HEADER_LEN..]);
-        out[7..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-        out
+        frame(ntype, &body)
     }
 
     /// Decodes one node from the start of `buf`, returning it and its total
@@ -231,6 +237,18 @@ impl Node {
             return Err(Errno::EIO);
         }
         let b = &buf[HEADER_LEN..total];
+        // A CRC-valid body may still be inconsistent (forged, or written by
+        // a buggy encoder): every fixed-offset field must fit before any is
+        // read.
+        let fixed_len = match ntype {
+            NT_INODE => 65,
+            NT_DIRENT => 18,
+            NT_XATTR => 16,
+            _ => return Err(Errno::EIO),
+        };
+        if b.len() < fixed_len {
+            return Err(Errno::EIO);
+        }
         let u16_at = |i: usize| u16::from_le_bytes([b[i], b[i + 1]]);
         let u32_at = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
         let u64_at = |i: usize| {
@@ -254,6 +272,9 @@ impl Node {
                 let rewrite = b[63] != 0;
                 let has_data = b[64];
                 let data = if has_data != 0 {
+                    if b.len() < 69 {
+                        return Err(Errno::EIO);
+                    }
                     let dlen = u32_at(65) as usize;
                     if 69 + dlen > b.len() {
                         return Err(Errno::EIO);
@@ -262,6 +283,15 @@ impl Node {
                 } else {
                     None
                 };
+                // A fragment lies inside the file size its node records.
+                if let Some(d) = &data {
+                    if offset
+                        .checked_add(d.len() as u64)
+                        .is_none_or(|end| end > isize)
+                    {
+                        return Err(Errno::EIO);
+                    }
+                }
                 Node::Inode {
                     ino,
                     version,
@@ -321,6 +351,15 @@ impl Node {
             }
             _ => return Err(Errno::EIO),
         };
+        // The mount allocates past the largest version and inode number it
+        // scans: neither may already be the maximum.
+        let max_ino = matches!(
+            node,
+            Node::Inode { ino: u32::MAX, .. } | Node::Dirent { ino: u32::MAX, .. }
+        );
+        if max_ino || node.version() == u64::MAX {
+            return Err(Errno::EIO);
+        }
         Ok(Some((node, total)))
     }
 
@@ -444,6 +483,72 @@ mod tests {
         let mut header = vec![0x85u8, 0x19, NT_INODE, 0xFF, 0xFF, 0xFF, 0x7F];
         header.resize(16, 0);
         assert_eq!(Node::decode(&header), Err(Errno::EIO));
+    }
+
+    #[test]
+    fn crc_valid_short_bodies_are_eio() {
+        // Regression: the decoder read fixed offsets before checking the
+        // body's length, so a forged node with a valid CRC panicked it.
+        for (ntype, len) in [(NT_INODE, 1), (NT_INODE, 61), (NT_DIRENT, 3), (NT_XATTR, 5)] {
+            let forged = frame(ntype, &vec![0x11; len]);
+            assert_eq!(
+                Node::decode(&forged),
+                Err(Errno::EIO),
+                "type {ntype}, {len} bytes"
+            );
+        }
+        // A data flag whose length field is cut off.
+        let mut body = vec![0x11; 65];
+        body[64] = 1;
+        assert_eq!(Node::decode(&frame(NT_INODE, &body)), Err(Errno::EIO));
+    }
+
+    fn fragment(isize: u64, offset: u64, data: &[u8]) -> Node {
+        Node::Inode {
+            ino: 2,
+            version: 3,
+            ftype: FT_REG,
+            mode: 0o644,
+            uid: 0,
+            gid: 0,
+            atime: 0,
+            mtime: 0,
+            ctime: 0,
+            isize,
+            offset,
+            rewrite: false,
+            data: Some(data.to_vec()),
+        }
+    }
+
+    #[test]
+    fn fragments_past_their_own_isize_are_eio() {
+        let fits = fragment(10, 7, b"abc");
+        assert_eq!(Node::decode(&fits.encode()).unwrap().unwrap().0, fits);
+        for bad in [
+            fragment(10, 8, b"abc"),
+            fragment(0, 11, b""),
+            fragment(u64::MAX, u64::MAX, b"x"),
+        ] {
+            assert_eq!(Node::decode(&bad.encode()), Err(Errno::EIO), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn maximal_versions_and_inode_numbers_are_eio() {
+        let mut node = fragment(3, 0, b"abc");
+        if let Node::Inode { version, .. } = &mut node {
+            *version = u64::MAX;
+        }
+        assert_eq!(Node::decode(&node.encode()), Err(Errno::EIO));
+        let dirent = Node::Dirent {
+            parent: 1,
+            version: 5,
+            ino: u32::MAX,
+            ftype: FT_REG,
+            name: "x".into(),
+        };
+        assert_eq!(Node::decode(&dirent.encode()), Err(Errno::EIO));
     }
 
     #[test]

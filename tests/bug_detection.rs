@@ -242,6 +242,53 @@ fn jffs2_dirent_whose_inode_never_hit_flash_is_dropped() {
 }
 
 #[test]
+fn jffs2_crc_valid_fragment_past_its_file_size_is_quarantined() {
+    // Backend bug found by forging flash nodes (a valid CRC is one
+    // `node_crc` call away). Minimized trace:
+    //   CreateFile(/real) · [inode node for /real on flash: 8-byte file,
+    //   fragment at offset 100] · Mount
+    // The node decoded, then the mount panicked slicing the file's content
+    // at an offset past its end. An inconsistent node must be quarantined
+    // like any corrupt one: the mount keeps everything before it.
+    use fs_jffs2::log::{Node, FT_REG};
+    let mut fs = fs_jffs2::jffs2_on_mtdram(16 * 1024, 8).unwrap();
+    fs.mount().unwrap();
+    write_file(&mut fs, "/real", b"survives");
+    let ino = fs.stat("/real").unwrap().ino.0 as u32;
+    fs.unmount().unwrap();
+    let forged = Node::Inode {
+        ino,
+        version: 1_000,
+        ftype: FT_REG,
+        mode: 0o644,
+        uid: 0,
+        gid: 0,
+        atime: 0,
+        mtime: 0,
+        ctime: 0,
+        isize: 8,
+        offset: 100,
+        rewrite: false,
+        data: Some(b"boom".to_vec()),
+    };
+    let mtd = fs.device_mut().mtd_mut();
+    let mut block = vec![0u8; mtd.erase_block_size()];
+    mtd.read(0, &mut block).unwrap();
+    let mut end = 0;
+    while let Ok(Some((_, len))) = Node::decode(&block[end..]) {
+        end += len;
+    }
+    mtd.program(end as u64, &forged.encode()).unwrap();
+    fs.mount()
+        .expect("an inconsistent node must not break the mount");
+    assert_eq!(read_file(&mut fs, "/real"), b"survives");
+    let report = fs.fsck().unwrap();
+    assert!(report.repairs_made >= 1, "{:?}", report.fixes);
+    assert!(fs.fsck().unwrap().is_clean());
+    assert_eq!(read_file(&mut fs, "/real"), b"survives");
+}
+
+#[test]
 fn clean_filesystems_run_without_detection() {
     // The control: no bugs, no violations (paper: 159M ops, zero errors).
     let mut m = harness(1, BugConfig::none());
