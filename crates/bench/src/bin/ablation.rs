@@ -181,7 +181,7 @@ fn main() {
     //    for the same kernel-file-system pairing.
     {
         use blockdev::LatencyModel;
-        use mcfs::{RemountMode, RemountTarget, VfsCheckpointTarget};
+        use mcfs::{ImageTarget, RemountMode, RemountTarget};
         let run = |vfs_api: bool| -> f64 {
             let clock = Clock::new();
             let e2 = mcfs_bench::ext_on(
@@ -198,8 +198,8 @@ fn main() {
             .expect("format");
             let targets: Vec<Box<dyn CheckedTarget>> = if vfs_api {
                 vec![
-                    Box::new(VfsCheckpointTarget::new(e2).with_clock(clock.clone())),
-                    Box::new(VfsCheckpointTarget::new(e4).with_clock(clock.clone())),
+                    Box::new(ImageTarget::vfs(e2).with_clock(clock.clone())),
+                    Box::new(ImageTarget::vfs(e4).with_clock(clock.clone())),
                 ]
             } else {
                 vec![

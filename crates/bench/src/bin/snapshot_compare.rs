@@ -30,8 +30,7 @@ use std::time::Instant;
 
 use blockdev::{Clock, LatencyModel};
 use mcfs::{
-    CheckedTarget, CheckpointTarget, CriuTarget, Mcfs, McfsConfig, PoolConfig, RemountMode,
-    VmTarget,
+    CheckedTarget, CheckpointTarget, ImageTarget, Mcfs, McfsConfig, PoolConfig, RemountMode,
 };
 use mcfs_bench::{
     ext_on, measure_dfs, pair_ext2_ext4, pair_verifs, print_table, verifs_fuse, verifs_tree,
@@ -192,7 +191,7 @@ fn strategy_table(budget: u64) -> Vec<(String, String)> {
         let mut fs = VeriFs::v1();
         fs.mount().expect("mount");
         let targets: Vec<Box<dyn CheckedTarget>> = vec![
-            Box::new(CriuTarget::new(fs, vec![], Some(clock.clone()), 1 << 20)),
+            Box::new(ImageTarget::criu(fs, &[], 1 << 20).with_clock(clock.clone())),
             Box::new(CheckpointTarget::new(verifs_fuse(
                 2,
                 BugConfig::none(),
@@ -228,8 +227,8 @@ fn strategy_table(budget: u64) -> Vec<(String, String)> {
         )
         .expect("format");
         let targets: Vec<Box<dyn CheckedTarget>> = vec![
-            Box::new(VmTarget::new(e2, clock.clone(), 256 * 1024)),
-            Box::new(VmTarget::new(e4, clock.clone(), 256 * 1024)),
+            Box::new(ImageTarget::vm(e2, 256 * 1024).with_clock(clock.clone())),
+            Box::new(ImageTarget::vm(e4, 256 * 1024).with_clock(clock.clone())),
         ];
         let harness = Mcfs::with_clock(targets, McfsConfig::default(), clock.clone());
         let mut pairing = mcfs_bench::Pairing {

@@ -27,11 +27,19 @@
 //! writes one page. [`CheckpointPool::get`] transparently promotes a demoted
 //! snapshot back into RAM; only disk failure (or a non-demotable snapshot
 //! under pressure) still surfaces as an eviction.
+//!
+//! Every checked target keeps its snapshots in a `SavedStates`, which pairs
+//! the pool with the fingerprint-cache snapshot taken alongside each state
+//! and owns the save / load / drop contract the harness relies on.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use mdigest::Digest128;
 use modelcheck::{fnv128, CheckpointStoreStats, PageLoc, SpillStore};
+use vfs::{Errno, FileSystem, VfsResult};
+
+use crate::abstraction::{AbstractionConfig, FingerprintStore};
 
 /// Byte accounting a stored snapshot reports to the pool.
 pub trait SnapshotBytes {
@@ -86,8 +94,8 @@ impl SnapshotBytes for blockdev::DeviceSnapshot {
     }
 }
 
-/// A pooled full file-system image (the VM, CRIU, and VFS-checkpoint
-/// strategies clone the whole instance).
+/// A pooled full file-system image (`ImageTarget` clones the whole
+/// instance).
 #[derive(Debug, Clone)]
 pub struct FsImage<F> {
     /// The cloned instance.
@@ -551,6 +559,127 @@ impl<S: SnapshotBytes> CheckpointPool<S> {
             promotions,
             spilled_bytes,
         }
+    }
+}
+
+/// A target's saved states: the budgeted snapshot pool plus the
+/// fingerprint-cache snapshot saved with each state, behind the one
+/// checkpoint contract every [`CheckedTarget`](crate::CheckedTarget) keeps:
+///
+/// * **save** stores the snapshot with the live fingerprint cache and drops
+///   the fingerprints of any key the budget evicts;
+/// * **load** fails `ESTALE` for an evicted key and `ENOENT` for an unknown
+///   one, and adopts the saved fingerprints only once the restore itself
+///   succeeded;
+/// * **remove** drops the snapshot and its fingerprints; removing an
+///   evicted key succeeds, removing an unknown one fails `ENOENT`.
+#[derive(Debug)]
+pub(crate) struct SavedStates<S> {
+    pool: CheckpointPool<S>,
+    fingerprints: FingerprintStore,
+}
+
+impl<S: SnapshotBytes> SavedStates<S> {
+    /// An unbudgeted store; `incremental: false` disables the fingerprint
+    /// cache, so every hash is a full recompute.
+    pub fn new(incremental: bool) -> Self {
+        SavedStates {
+            pool: CheckpointPool::new(None),
+            fingerprints: FingerprintStore::new(incremental),
+        }
+    }
+
+    /// Saves `snap` under `key` (replacing any state there) with the live
+    /// fingerprint cache. Returns the keys the budget evicted, so an owner
+    /// keeping the real storage elsewhere can release it.
+    pub fn save(&mut self, key: u64, snap: S) -> Vec<u64> {
+        let victims = self.pool.insert(key, snap);
+        for &victim in &victims {
+            self.fingerprints.drop_key(victim);
+        }
+        self.fingerprints.save(key);
+        victims
+    }
+
+    /// Restores the state under `key` through `restore`, then adopts the
+    /// fingerprints saved with it.
+    ///
+    /// # Errors
+    ///
+    /// `ESTALE` if the budget evicted `key`, `ENOENT` for an unknown key,
+    /// and whatever `restore` returns.
+    pub fn load(&mut self, key: u64, restore: impl FnOnce(&S) -> VfsResult<()>) -> VfsResult<()> {
+        let Some(snap) = self.pool.get(key) else {
+            return Err(if self.pool.was_evicted(key) {
+                Errno::ESTALE
+            } else {
+                Errno::ENOENT
+            });
+        };
+        restore(snap)?;
+        self.fingerprints.load(key);
+        Ok(())
+    }
+
+    /// Removes the state under `key` with its fingerprints, returning the
+    /// snapshot — `None` when the budget had already evicted it.
+    ///
+    /// # Errors
+    ///
+    /// `ENOENT` for an unknown key.
+    pub fn remove(&mut self, key: u64) -> VfsResult<Option<S>> {
+        if let Some(snap) = self.pool.remove(key) {
+            self.fingerprints.drop_key(key);
+            Ok(Some(snap))
+        } else if self.pool.forget_evicted(key) {
+            Ok(None)
+        } else {
+            Err(Errno::ENOENT)
+        }
+    }
+
+    /// See [`CheckpointPool::set_budget`].
+    pub fn set_budget(&mut self, budget: Option<usize>) {
+        self.pool.set_budget(budget);
+    }
+
+    /// See [`CheckpointPool::enable_spill`].
+    pub fn enable_spill(&mut self, store: Arc<SpillStore>) {
+        self.pool.enable_spill(store);
+    }
+
+    /// See [`CheckpointPool::pin`].
+    pub fn pin(&mut self, key: u64) {
+        self.pool.pin(key);
+    }
+
+    /// See [`CheckpointPool::unpin`].
+    pub fn unpin(&mut self, key: u64) {
+        self.pool.unpin(key);
+    }
+
+    /// See [`CheckpointPool::stats`].
+    pub fn stats(&self) -> CheckpointStoreStats {
+        self.pool.stats()
+    }
+
+    /// See [`FingerprintStore::invalidate`].
+    pub fn invalidate(&mut self, fs: &mut dyn FileSystem, touched: &[&str]) {
+        self.fingerprints.invalidate(fs, touched);
+    }
+
+    /// See [`FingerprintStore::hash`].
+    pub fn hash(
+        &mut self,
+        fs: &mut dyn FileSystem,
+        cfg: &AbstractionConfig,
+    ) -> VfsResult<Digest128> {
+        self.fingerprints.hash(fs, cfg)
+    }
+
+    /// See [`FingerprintStore::clear_live`].
+    pub fn clear_live(&mut self) {
+        self.fingerprints.clear_live();
     }
 }
 

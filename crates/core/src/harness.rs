@@ -12,7 +12,6 @@ use blockdev::Clock;
 use mdigest::Digest128;
 use modelcheck::{
     ApplyOutcome, CheckpointStoreStats, CrashStats, MemBudget, ModelSystem, SpillStore, StateId,
-    EVICTED_MARKER,
 };
 use vfs::{Errno, FileMode, OpenFlags, VfsResult};
 
@@ -20,7 +19,7 @@ use crate::abstraction::{abstract_state, AbstractionConfig};
 use crate::coverage::Coverage;
 use crate::effect::{EffectIndex, EffectProfile};
 use crate::pool::{execute_with, FsOp, OpOutcome, PoolConfig};
-use crate::target::CheckedTarget;
+use crate::target::{self, CheckedTarget};
 
 /// Name of the dummy file written to equalize free space (§3.4); always on
 /// the abstraction exception list.
@@ -333,24 +332,6 @@ impl Mcfs {
         let _ = self.targets[0].post_op();
         self.last_hash = None;
         h
-    }
-
-    /// XOR-fold of every target's
-    /// [`opaque_state_digest`](vfs::FileSystem::opaque_state_digest),
-    /// mixed with the target index so identical hidden state on two
-    /// targets cannot cancel to zero. Zero when no target reports one.
-    fn opaque_digest_fold(&mut self) -> u128 {
-        let mut acc = 0u128;
-        // mcfs-lint: allow(MC007, target order is fixed at construction; the index is part of the digest domain by design)
-        for (i, t) in self.targets.iter_mut().enumerate() {
-            if let Some(d) = t.fs_mut().opaque_state_digest() {
-                let mut bytes = [0u8; 24];
-                bytes[..8].copy_from_slice(&(i as u64).to_le_bytes());
-                bytes[8..].copy_from_slice(&d.to_le_bytes());
-                acc ^= mdigest::md5(&bytes).as_u128();
-            }
-        }
-        acc
     }
 
     /// Attaches the replay factory counterexample minimization validates
@@ -866,16 +847,11 @@ impl ModelSystem for Mcfs {
         // hole write exposes) must not be matched away by the explorer.
         // Cross-target comparisons stay on the pure hashes — targets may
         // legitimately differ in hidden state.
-        self.pure_abstract_state() ^ self.opaque_digest_fold()
+        self.pure_abstract_state() ^ target::opaque_digest_fold(&mut self.targets)
     }
 
     fn checkpoint(&mut self, id: StateId) -> Result<usize, String> {
-        let mut total = 0usize;
-        for t in &mut self.targets {
-            total += t
-                .save_state(id.0)
-                .map_err(|e| format!("{}: checkpoint failed: {e}", t.name()))?;
-        }
+        let total = target::save_all(&mut self.targets, id.0)?;
         self.charge_ckpt_spill();
         if self.cfg.crash_exploration {
             // Checkpointing syncs device-backed targets, so this state is a
@@ -893,17 +869,7 @@ impl ModelSystem for Mcfs {
 
     fn restore(&mut self, id: StateId) -> Result<(), String> {
         self.last_hash = None;
-        for t in &mut self.targets {
-            t.load_state(id.0).map_err(|e| {
-                if e == Errno::ESTALE {
-                    // Budget-driven eviction, not a malfunction: tag the
-                    // message so explorers can tell the two apart.
-                    format!("{}: restore failed: {e} {EVICTED_MARKER}", t.name())
-                } else {
-                    format!("{}: restore failed: {e}", t.name())
-                }
-            })?;
-        }
+        target::load_all(&mut self.targets, id.0)?;
         if self.cfg.crash_exploration {
             // Back on the checkpointed state: its window applies again. If
             // the record is gone the window starts empty — safe, because
@@ -918,33 +884,19 @@ impl ModelSystem for Mcfs {
     }
 
     fn release(&mut self, id: StateId) {
-        for t in &mut self.targets {
-            let _ = t.drop_state(id.0);
-        }
+        target::drop_all(&mut self.targets, id.0);
     }
 
     fn pin(&mut self, id: StateId) {
-        for t in &mut self.targets {
-            t.pin_state(id.0);
-        }
+        target::pin_all(&mut self.targets, id.0);
     }
 
     fn unpin(&mut self, id: StateId) {
-        for t in &mut self.targets {
-            t.unpin_state(id.0);
-        }
+        target::unpin_all(&mut self.targets, id.0);
     }
 
     fn checkpoint_store_stats(&self) -> Option<CheckpointStoreStats> {
-        let mut merged = CheckpointStoreStats::default();
-        let mut any = false;
-        for t in &self.targets {
-            if let Some(s) = t.checkpoint_stats() {
-                merged.merge(&s);
-                any = true;
-            }
-        }
-        any.then_some(merged)
+        target::merged_store_stats(&self.targets)
     }
 
     fn crash_stats(&self) -> Option<CrashStats> {

@@ -36,7 +36,7 @@ use blockdev::Clock;
 use mdigest::Digest128;
 use modelcheck::{
     apply_mask, ddmin_mask, ApplyOutcome, CheckpointStoreStats, CrashStats, ModelSystem,
-    ShrinkStats, StateId, EVICTED_MARKER,
+    ShrinkStats, StateId,
 };
 use verifs::VeriFs;
 use vfs::{Errno, FileSystem, VfsResult};
@@ -45,7 +45,7 @@ use crate::abstraction::{abstract_state, AbstractionConfig};
 use crate::effect::{EffectIndex, EffectProfile};
 use crate::pool::{execute_with, FsOp, OpOutcome};
 use crate::shrink::{consumed_paths, produces, ShrinkConfig};
-use crate::target::{CheckedTarget, CheckpointTarget};
+use crate::target::{self, CheckedTarget, CheckpointTarget};
 
 /// The pseudo-thread id of the crash scheduler: a [`SchedStep`] with this
 /// tid power-cuts every target between two real steps. Never a valid
@@ -463,20 +463,6 @@ impl ThreadedMcfs {
             .unwrap_or(u128::MAX);
         let _ = self.targets[0].post_op();
         h
-    }
-
-    fn opaque_digest_fold(&mut self) -> u128 {
-        let mut acc = 0u128;
-        // mcfs-lint: allow(MC007, target order is fixed at construction; the index is part of the digest domain by design)
-        for (i, t) in self.targets.iter_mut().enumerate() {
-            if let Some(d) = t.fs_mut().opaque_state_digest() {
-                let mut bytes = [0u8; 24];
-                bytes[..8].copy_from_slice(&(i as u64).to_le_bytes());
-                bytes[8..].copy_from_slice(&d.to_le_bytes());
-                acc ^= mdigest::md5(&bytes).as_u128();
-            }
-        }
-        acc
     }
 
     /// Serializes an outcome for the scheduler fingerprint. Stable across
@@ -905,16 +891,13 @@ impl ModelSystem for ThreadedMcfs {
     }
 
     fn abstract_state(&mut self) -> u128 {
-        self.pure_abstract_state() ^ self.opaque_digest_fold() ^ self.sched_fold()
+        self.pure_abstract_state()
+            ^ target::opaque_digest_fold(&mut self.targets)
+            ^ self.sched_fold()
     }
 
     fn checkpoint(&mut self, id: StateId) -> Result<usize, String> {
-        let mut total = 0usize;
-        for t in &mut self.targets {
-            total += t
-                .save_state(id.0)
-                .map_err(|e| format!("{}: checkpoint failed: {e}", t.name()))?;
-        }
+        let total = target::save_all(&mut self.targets, id.0)?;
         let h = self.pure_abstract_state();
         self.ckpt_hashes.insert(id.0, h);
         if self.cfg.crash_exploration {
@@ -936,15 +919,7 @@ impl ModelSystem for ThreadedMcfs {
 
     fn restore(&mut self, id: StateId) -> Result<(), String> {
         self.last_hash = None;
-        for t in &mut self.targets {
-            t.load_state(id.0).map_err(|e| {
-                if e == Errno::ESTALE {
-                    format!("{}: restore failed: {e} {EVICTED_MARKER}", t.name())
-                } else {
-                    format!("{}: restore failed: {e}", t.name())
-                }
-            })?;
-        }
+        target::load_all(&mut self.targets, id.0)?;
         let saved = self
             .ckpt
             .get(&id.0)
@@ -961,35 +936,21 @@ impl ModelSystem for ThreadedMcfs {
     }
 
     fn release(&mut self, id: StateId) {
-        for t in &mut self.targets {
-            let _ = t.drop_state(id.0);
-        }
+        target::drop_all(&mut self.targets, id.0);
         self.ckpt.remove(&id.0);
         self.ckpt_hashes.remove(&id.0);
     }
 
     fn pin(&mut self, id: StateId) {
-        for t in &mut self.targets {
-            t.pin_state(id.0);
-        }
+        target::pin_all(&mut self.targets, id.0);
     }
 
     fn unpin(&mut self, id: StateId) {
-        for t in &mut self.targets {
-            t.unpin_state(id.0);
-        }
+        target::unpin_all(&mut self.targets, id.0);
     }
 
     fn checkpoint_store_stats(&self) -> Option<CheckpointStoreStats> {
-        let mut acc = CheckpointStoreStats::default();
-        let mut any = false;
-        for t in &self.targets {
-            if let Some(s) = t.checkpoint_stats() {
-                acc.merge(&s);
-                any = true;
-            }
-        }
-        any.then_some(acc)
+        target::merged_store_stats(&self.targets)
     }
 
     fn crash_stats(&self) -> Option<CrashStats> {

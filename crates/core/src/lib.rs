@@ -15,9 +15,11 @@
 //!   important metadata, with the exception list and the dir-size /
 //!   entry-order normalizations (§3.3–3.4);
 //! * [`CheckedTarget`] and friends — state-tracking strategies per file
-//!   system: remounting device snapshots (§3.2), the checkpoint/restore API
-//!   (§5), VM snapshots, CRIU process snapshots (§5), and the future-work
-//!   VFS-level checkpointing ([`VfsCheckpointTarget`]);
+//!   system: remounting device snapshots ([`RemountTarget`], §3.2), the
+//!   checkpoint/restore API ([`CheckpointTarget`], §5), and [`ImageTarget`],
+//!   which clones the whole instance for VM snapshots, CRIU process
+//!   snapshots (§5) and the future-work VFS-level checkpoints (§7); every
+//!   strategy keeps its snapshots in one saved-state store;
 //! * [`Mcfs`] — the harness wiring N targets into one
 //!   [`modelcheck::ModelSystem`], with integrity checks, free-space
 //!   equalization (§3.4), majority voting and coverage tracking (§7);
@@ -66,7 +68,6 @@ pub mod interleave;
 pub mod pool;
 pub mod shrink;
 mod target;
-mod vfs_checkpoint;
 pub mod wire;
 
 pub use abstraction::{
@@ -92,8 +93,6 @@ pub use shrink::{
     ShrinkOutcome,
 };
 pub use target::{
-    CheckedTarget, CheckpointTarget, CriuTarget, RemountMode, RemountTarget, RepairOutcome,
-    VmTarget,
+    CheckedTarget, CheckpointTarget, ImageTarget, RemountMode, RemountTarget, RepairOutcome,
 };
-pub use vfs_checkpoint::VfsCheckpointTarget;
 pub use wire::{FsOpCodec, ThreadedFsOpCodec};

@@ -2,7 +2,7 @@
 //! the `ESTALE`/evicted-restore signal surfacing through the harness, and
 //! the explorers' pin discipline keeping their backtrack spines restorable.
 
-use mcfs::{CheckedTarget, CheckpointTarget, Mcfs, McfsConfig, PoolConfig, VfsCheckpointTarget};
+use mcfs::{CheckedTarget, CheckpointTarget, ImageTarget, Mcfs, McfsConfig, PoolConfig};
 use modelcheck::{
     is_evicted_error, DfsExplorer, ExploreConfig, ModelSystem, RandomWalk, StateId, StopReason,
 };
@@ -13,8 +13,8 @@ fn ext_pair(budget: Option<usize>) -> Mcfs {
     let e2 = fs_ext::ext2_on_ram(256 * 1024).expect("format ext2");
     let e4 = fs_ext::ext4_on_ram(256 * 1024).expect("format ext4");
     let targets: Vec<Box<dyn CheckedTarget>> = vec![
-        Box::new(VfsCheckpointTarget::new(e2)),
-        Box::new(VfsCheckpointTarget::new(e4)),
+        Box::new(ImageTarget::vfs(e2)),
+        Box::new(ImageTarget::vfs(e4)),
     ];
     let cfg = McfsConfig {
         pool: PoolConfig::small(),

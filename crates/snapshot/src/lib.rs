@@ -2,17 +2,18 @@
 //! paper evaluated before designing the checkpoint/restore API (§5).
 //!
 //! * [`CriuEngine`] models CRIU process snapshotting. CRIU **refuses to
-//!   checkpoint processes holding open character or block devices**, which is
-//!   exactly why it could not snapshot FUSE file systems (they hold
-//!   `/dev/fuse`) but *could* snapshot the NFS-Ganesha user-space server.
-//! * [`VmEngine`] models LightVM-style whole-VM snapshotting: it always
-//!   works, but costs ~30 ms per checkpoint and ~20 ms per restore of
-//!   virtual time — limiting model checking to the paper's observed
-//!   20–30 operations/second.
+//!   checkpoint processes holding open character or block devices**
+//!   ([`criu_check_handles`]), which is exactly why it could not snapshot
+//!   FUSE file systems (they hold `/dev/fuse`) but *could* snapshot the
+//!   NFS-Ganesha user-space server. Dumps and restores cost
+//!   [`CRIU_NS_PER_KIB`] of virtual time per KiB of image.
+//! * LightVM-style whole-VM snapshotting always works, but costs
+//!   [`LIGHTVM_CHECKPOINT_MS`] per checkpoint and [`LIGHTVM_RESTORE_MS`] per
+//!   restore — limiting model checking to the paper's observed 20–30
+//!   operations/second.
 //!
-//! Both engines operate on [`ProcessImage`]-style byte blobs so the MCFS
-//! harness can plug either in as a state-tracking strategy and measure the
-//! resulting exploration rate.
+//! These are the §5 cost model's only home: `mcfs::ImageTarget` charges
+//! the same constants when it runs a file system under either mechanism.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -28,6 +29,39 @@ pub enum ProcessHandle {
     CharDevice(String),
     /// Block device (CRIU refuses these too).
     BlockDevice(String),
+}
+
+/// CRIU's dump/restore cost per KiB of image (it streams memory to files).
+pub const CRIU_NS_PER_KIB: u64 = 2_000;
+
+/// LightVM checkpoint latency (a trivial unikernel).
+pub const LIGHTVM_CHECKPOINT_MS: u64 = 30;
+
+/// LightVM restore latency.
+pub const LIGHTVM_RESTORE_MS: u64 = 20;
+
+/// Virtual time CRIU takes to dump or restore an image of `bytes`.
+pub fn criu_copy_ns(bytes: usize) -> u64 {
+    CRIU_NS_PER_KIB * (bytes as u64).div_ceil(1024)
+}
+
+/// CRIU's applicability check: a process holding any character or block
+/// device cannot be checkpointed.
+///
+/// # Errors
+///
+/// [`CriuError::UnsupportedDevice`] naming the first such device — the
+/// limitation that ruled CRIU out for FUSE file systems in the paper.
+pub fn criu_check_handles(handles: &[ProcessHandle]) -> Result<(), CriuError> {
+    for h in handles {
+        match h {
+            ProcessHandle::CharDevice(p) | ProcessHandle::BlockDevice(p) => {
+                return Err(CriuError::UnsupportedDevice(p.clone()));
+            }
+            ProcessHandle::File(_) => {}
+        }
+    }
+    Ok(())
 }
 
 /// A snapshot-able view of a user-space process: its memory image and the
@@ -75,8 +109,8 @@ impl std::fmt::Display for CriuError {
 impl std::error::Error for CriuError {}
 
 /// A captured process image. The bytes are `Arc`-shared: cloning an image
-/// (or handing one back from [`VmEngine::restore`]) is a refcount bump, not
-/// a copy, matching the copy-on-write checkpoint model used elsewhere.
+/// is a refcount bump, not a copy, matching the copy-on-write checkpoint
+/// model used elsewhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessImage {
     bytes: Arc<Vec<u8>>,
@@ -125,8 +159,6 @@ impl ProcessImage {
 pub struct CriuEngine {
     images: HashMap<u64, ProcessImage>,
     clock: Option<Clock>,
-    /// Per-KiB dump/restore cost (CRIU streams memory to images).
-    ns_per_kib: u64,
 }
 
 impl CriuEngine {
@@ -135,13 +167,12 @@ impl CriuEngine {
         CriuEngine {
             images: HashMap::new(),
             clock,
-            ns_per_kib: 2_000,
         }
     }
 
     fn charge(&self, bytes: usize) {
         if let Some(c) = &self.clock {
-            c.advance_ns(self.ns_per_kib * (bytes as u64).div_ceil(1024));
+            c.advance_ns(criu_copy_ns(bytes));
         }
     }
 
@@ -149,18 +180,9 @@ impl CriuEngine {
     ///
     /// # Errors
     ///
-    /// [`CriuError::UnsupportedDevice`] if the process holds any character
-    /// or block device — the limitation that ruled CRIU out for FUSE file
-    /// systems in the paper.
+    /// See [`criu_check_handles`].
     pub fn checkpoint(&mut self, key: u64, proc: &dyn Snapshotable) -> Result<(), CriuError> {
-        for h in proc.handles() {
-            match h {
-                ProcessHandle::CharDevice(p) | ProcessHandle::BlockDevice(p) => {
-                    return Err(CriuError::UnsupportedDevice(p));
-                }
-                ProcessHandle::File(_) => {}
-            }
-        }
+        criu_check_handles(&proc.handles())?;
         let bytes = proc.memory_image();
         self.charge(bytes.len());
         self.images.insert(
@@ -200,62 +222,6 @@ impl CriuEngine {
     /// Total bytes held by stored images.
     pub fn image_bytes(&self) -> usize {
         self.images.values().map(ProcessImage::size_bytes).sum()
-    }
-}
-
-/// LightVM-style whole-VM snapshotting.
-///
-/// Always applicable (the VM encloses everything — kernel caches included),
-/// but each checkpoint costs ~30 ms and each restore ~20 ms of virtual time,
-/// capping the model-checking rate at the paper's observed 20–30 ops/s.
-#[derive(Debug)]
-pub struct VmEngine {
-    images: HashMap<u64, Arc<Vec<u8>>>,
-    clock: Clock,
-    /// Checkpoint cost (LightVM: 30 ms for a trivial unikernel).
-    pub checkpoint_ms: u64,
-    /// Restore cost (LightVM: 20 ms).
-    pub restore_ms: u64,
-}
-
-impl VmEngine {
-    /// Creates an engine charging the paper's LightVM costs to `clock`.
-    pub fn new(clock: Clock) -> Self {
-        VmEngine {
-            images: HashMap::new(),
-            clock,
-            checkpoint_ms: 30,
-            restore_ms: 20,
-        }
-    }
-
-    /// Checkpoints an opaque VM state blob under `key`.
-    pub fn checkpoint(&mut self, key: u64, vm_state: Vec<u8>) {
-        self.clock.advance_ms(self.checkpoint_ms);
-        self.images.insert(key, Arc::new(vm_state));
-    }
-
-    /// Restores the blob stored under `key` (keeping it). The returned
-    /// handle shares storage with the stored image — the engine-side copy
-    /// the real LightVM pays is charged to the clock, not re-materialized.
-    pub fn restore(&mut self, key: u64) -> Option<Arc<Vec<u8>>> {
-        self.clock.advance_ms(self.restore_ms);
-        self.images.get(&key).cloned()
-    }
-
-    /// Drops the blob under `key`, reporting whether one existed.
-    pub fn discard(&mut self, key: u64) -> bool {
-        self.images.remove(&key).is_some()
-    }
-
-    /// Number of stored images.
-    pub fn image_count(&self) -> usize {
-        self.images.len()
-    }
-
-    /// Total bytes held by stored images.
-    pub fn image_bytes(&self) -> usize {
-        self.images.values().map(|v| v.len()).sum()
     }
 }
 
@@ -339,37 +305,5 @@ mod tests {
         let mut engine = CriuEngine::new(Some(clock.clone()));
         engine.checkpoint(1, &proc).unwrap();
         assert_eq!(clock.now_ns(), 10 * 2_000);
-    }
-
-    #[test]
-    fn vm_engine_costs_bound_rate_to_tens_of_ops() {
-        let clock = Clock::new();
-        let mut vm = VmEngine::new(clock.clone());
-        // One checkpoint + restore per operation, as backtracking requires.
-        for i in 0..100u64 {
-            vm.checkpoint(i, vec![0; 64]);
-            vm.restore(i);
-        }
-        let secs = clock.now_secs();
-        let rate = 100.0 / secs;
-        assert!(
-            rate > 15.0 && rate < 35.0,
-            "paper reports 20-30 ops/s; modelled {rate:.1}"
-        );
-    }
-
-    #[test]
-    fn vm_engine_roundtrip() {
-        let mut vm = VmEngine::new(Clock::new());
-        vm.checkpoint(1, b"vm state".to_vec());
-        assert_eq!(vm.restore(1).unwrap().as_slice(), b"vm state");
-        assert_eq!(vm.restore(2), None);
-        assert_eq!(vm.image_count(), 1);
-        assert_eq!(vm.image_bytes(), 8);
-        // Restored handles share storage with the stored image.
-        let a = vm.restore(1).unwrap();
-        let b = vm.restore(1).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(vm.discard(1));
     }
 }

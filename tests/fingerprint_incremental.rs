@@ -10,8 +10,7 @@
 use proptest::prelude::*;
 
 use mcfs::{
-    abstract_state, execute, AbstractionConfig, CheckedTarget, CheckpointTarget, FsOp,
-    VfsCheckpointTarget,
+    abstract_state, execute, AbstractionConfig, CheckedTarget, CheckpointTarget, FsOp, ImageTarget,
 };
 use verifs::VeriFs;
 use vfs::FileSystem;
@@ -77,7 +76,7 @@ fn backends() -> Vec<Box<dyn CheckedTarget>> {
     e4.mount().unwrap();
     vec![
         Box::new(CheckpointTarget::new(v2)),
-        Box::new(VfsCheckpointTarget::new(e4)),
+        Box::new(ImageTarget::vfs(e4)),
     ]
 }
 
