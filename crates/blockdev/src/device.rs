@@ -68,9 +68,9 @@ pub type DeviceResult<T> = Result<T, DeviceError>;
 /// A whole-device snapshot: the persistent state SPIN tracks by mmapping the
 /// backing store of each file system (paper §4).
 ///
-/// A snapshot is a [`CowImage`] plus geometry: capturing one is O(#chunks)
-/// reference bumps, and it shares every chunk the live device has not
-/// rewritten since. [`size_bytes`](DeviceSnapshot::size_bytes) still reports
+/// A snapshot is a [`CowImage`] plus geometry: capturing, restoring or
+/// dropping one bumps a single reference count, whatever the device size,
+/// and it shares every chunk the live device has not rewritten since. [`size_bytes`](DeviceSnapshot::size_bytes) still reports
 /// the full *logical* device size — that is what the model checker's memory
 /// model charges (SPIN really holds a full copy per tracked state); the
 /// structural-sharing saving is a host-memory win reported separately via

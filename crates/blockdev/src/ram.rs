@@ -105,7 +105,7 @@ impl BlockDevice for RamDisk {
     }
 
     fn snapshot(&mut self) -> DeviceResult<DeviceSnapshot> {
-        // O(#chunks): the snapshot shares every chunk with the live disk.
+        // O(1): the snapshot shares the live disk's whole chunk table.
         Ok(DeviceSnapshot {
             block_size: self.block_size,
             image: self.data.clone(),

@@ -540,7 +540,8 @@ impl<F: FileSystem + DeviceBacked + Send> CheckedTarget for RemountTarget<F> {
     fn track_state(&mut self) -> VfsResult<()> {
         // Stream the device image (the timed device charges the reads);
         // the image itself is discarded — SPIN copies it into its state
-        // vector, we only account the cost.
+        // vector, we only account the cost. The snapshot shares the live
+        // image's chunk table, so building and dropping it is O(1).
         self.fs.snapshot_device().map(|_| ())
     }
 

@@ -589,6 +589,7 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
         let st = res?;
         self.cache_dentry(parent, name, Some(st.ino.0));
         self.cache_attr(st);
+        self.drop_attr(parent); // its nlink and mtime changed
         Ok(())
     }
 
@@ -602,6 +603,7 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
         let res = self.send(FuseOpKind::Rmdir, |fs| fs.rmdir(&path_owned));
         if res.is_ok() {
             self.cache_dentry(parent, name, None);
+            self.drop_attr(parent); // its nlink and mtime changed
             if let Some(ino) = removed_ino {
                 self.drop_attr(ino);
             }
@@ -702,6 +704,9 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
             // The kernel drops both dentries; the next lookup refetches.
             self.drop_dentry(sparent, sname);
             self.drop_dentry(dparent, dname);
+            // Both parents' mtime changed, and their nlink if a directory moved.
+            self.drop_attr(sparent);
+            self.drop_attr(dparent);
             if let Some(ino) = replaced {
                 self.drop_attr(ino);
             }

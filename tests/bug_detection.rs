@@ -459,3 +459,70 @@ fn ext_commit_interrupted_between_old_rounds_is_all_or_nothing() {
         blocks.len()
     );
 }
+
+/// One step of a scripted directory-metadata sequence.
+enum DirStep {
+    Mkdir(&'static str),
+    Rmdir(&'static str),
+    Rename(&'static str, &'static str),
+    Stat(&'static str),
+}
+
+/// Runs `script` on bare VeriFS2 and on VeriFS2 behind FUSE (wired to its
+/// invalidation channel, as the checker mounts it) and asserts every stat
+/// returns the same attributes on both: a stat through the kernel's
+/// attribute cache must not serve a parent's pre-operation nlink or mtime.
+fn assert_fuse_matches_bare(script: &[DirStep]) {
+    fn run(fs: &mut dyn FileSystem, script: &[DirStep]) -> Vec<vfs::FileStat> {
+        fs.mount().unwrap();
+        let mut stats = Vec::new();
+        for step in script {
+            match *step {
+                DirStep::Mkdir(p) => fs.mkdir(p, FileMode::DIR_DEFAULT).unwrap(),
+                DirStep::Rmdir(p) => fs.rmdir(p).unwrap(),
+                DirStep::Rename(a, b) => fs.rename(a, b).unwrap(),
+                DirStep::Stat(p) => stats.push(fs.stat(p).unwrap()),
+            }
+        }
+        stats
+    }
+    let mut fuse = FuseMount::new(VeriFs::v2());
+    let conn = fuse.connection();
+    fuse.daemon_mut()
+        .fs_mut()
+        .set_invalidation_sink(std::sync::Arc::new(conn));
+    assert_eq!(run(&mut fuse, script), run(&mut VeriFs::v2(), script));
+}
+
+#[test]
+fn fuse_mkdir_drops_the_parents_cached_attrs() {
+    use DirStep::*;
+    assert_fuse_matches_bare(&[Mkdir("/d0"), Mkdir("/d0/d1"), Stat("/d0")]);
+}
+
+#[test]
+fn fuse_rmdir_drops_the_parents_cached_attrs() {
+    use DirStep::*;
+    assert_fuse_matches_bare(&[
+        Mkdir("/d0"),
+        Mkdir("/d0/d1"),
+        Stat("/d0"),
+        Rmdir("/d0/d1"),
+        Stat("/d0"),
+    ]);
+}
+
+#[test]
+fn fuse_rename_drops_both_parents_cached_attrs() {
+    use DirStep::*;
+    assert_fuse_matches_bare(&[
+        Mkdir("/a"),
+        Mkdir("/b"),
+        Mkdir("/a/c"),
+        Stat("/a"),
+        Stat("/b"),
+        Rename("/a/c", "/b/c"),
+        Stat("/a"),
+        Stat("/b"),
+    ]);
+}
