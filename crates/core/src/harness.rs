@@ -321,11 +321,11 @@ impl Mcfs {
         // Recompute from the first target (all agree whenever apply
         // succeeded; before the first op this hashes the initial state).
         let _ = self.targets[0].pre_op();
-        let cfg = self.cfg.abstraction.clone();
+        let cfg = &self.cfg.abstraction;
         let h = if self.cfg.incremental_fingerprint {
-            self.targets[0].cached_abstract_state(&cfg)
+            self.targets[0].cached_abstract_state(cfg)
         } else {
-            abstract_state(self.targets[0].fs_mut(), &cfg)
+            abstract_state(self.targets[0].fs_mut(), cfg)
         }
         .map(|d| d.as_u128())
         .unwrap_or(u128::MAX);
@@ -426,15 +426,15 @@ impl Mcfs {
     }
 
     fn hash_all(&mut self) -> VfsResult<Vec<Digest128>> {
-        let cfg = self.cfg.abstraction.clone();
+        let cfg = &self.cfg.abstraction;
         let incremental = self.cfg.incremental_fingerprint;
         self.targets
             .iter_mut()
             .map(|t| {
                 if incremental {
-                    t.cached_abstract_state(&cfg)
+                    t.cached_abstract_state(cfg)
                 } else {
-                    abstract_state(t.fs_mut(), &cfg)
+                    abstract_state(t.fs_mut(), cfg)
                 }
             })
             .collect()
@@ -794,11 +794,11 @@ impl ModelSystem for Mcfs {
             }
         }
         // Phase 1: execute on every file system.
-        let exceptions = self.cfg.abstraction.exceptions.clone();
+        let exceptions = &self.cfg.abstraction.exceptions;
         let sort_entries = self.cfg.abstraction.sort_entries;
         let mut outcomes: Vec<OpOutcome> = Vec::with_capacity(self.targets.len());
         for t in &mut self.targets {
-            outcomes.push(execute_with(t.fs_mut(), op, &exceptions, sort_entries));
+            outcomes.push(execute_with(t.fs_mut(), op, exceptions, sort_entries));
         }
         self.charge(self.cfg.syscall_cpu_ns * self.targets.len() as u64);
         // Phase 2: integrity check — return values and error codes.

@@ -388,13 +388,13 @@ impl ThreadedMcfs {
     }
 
     fn run_setup(&mut self) -> VfsResult<()> {
-        let exceptions = self.cfg.abstraction.exceptions.clone();
+        let exceptions = &self.cfg.abstraction.exceptions;
         let sort = self.cfg.abstraction.sort_entries;
         for op in &self.setup.clone() {
             let outcomes: Vec<OpOutcome> = self
                 .targets
                 .iter_mut()
-                .map(|t| execute_with(t.fs_mut(), op, &exceptions, sort))
+                .map(|t| execute_with(t.fs_mut(), op, exceptions, sort))
                 .collect();
             if outcomes.iter().any(|o| *o != outcomes[0]) {
                 return Err(Errno::EINVAL);
@@ -404,10 +404,10 @@ impl ThreadedMcfs {
     }
 
     fn hash_all(&mut self) -> VfsResult<Vec<Digest128>> {
-        let cfg = self.cfg.abstraction.clone();
+        let cfg = &self.cfg.abstraction;
         self.targets
             .iter_mut()
-            .map(|t| abstract_state(t.fs_mut(), &cfg))
+            .map(|t| abstract_state(t.fs_mut(), cfg))
             .collect()
     }
 
@@ -457,8 +457,8 @@ impl ThreadedMcfs {
             return h.as_u128();
         }
         let _ = self.targets[0].pre_op();
-        let cfg = self.cfg.abstraction.clone();
-        let h = abstract_state(self.targets[0].fs_mut(), &cfg)
+        let cfg = &self.cfg.abstraction;
+        let h = abstract_state(self.targets[0].fs_mut(), cfg)
             .map(|d| d.as_u128())
             .unwrap_or(u128::MAX);
         let _ = self.targets[0].post_op();
@@ -572,12 +572,12 @@ impl ThreadedMcfs {
         if let Some(c) = &self.clock {
             c.set_active_lane(step.tid);
         }
-        let exceptions = self.cfg.abstraction.exceptions.clone();
+        let exceptions = &self.cfg.abstraction.exceptions;
         let sort = self.cfg.abstraction.sort_entries;
         let mut outcomes = Vec::with_capacity(self.targets.len());
         for tgt in &mut self.targets {
             tgt.fs_mut().set_active_thread(step.tid);
-            outcomes.push(execute_with(tgt.fs_mut(), &step.op, &exceptions, sort));
+            outcomes.push(execute_with(tgt.fs_mut(), &step.op, exceptions, sort));
         }
         self.charge(self.cfg.syscall_cpu_ns * self.targets.len() as u64);
         if let Some(c) = &self.clock {
@@ -648,10 +648,10 @@ impl ThreadedMcfs {
         reference
             .pre_op()
             .map_err(|e| format!("linearizability reference mount failed: {e}"))?;
-        let exceptions = self.cfg.abstraction.exceptions.clone();
+        let exceptions = &self.cfg.abstraction.exceptions;
         let sort = self.cfg.abstraction.sort_entries;
         for op in &self.setup {
-            execute_with(reference.fs_mut(), op, &exceptions, sort);
+            execute_with(reference.fs_mut(), op, exceptions, sort);
         }
         let mut lin_pcs = vec![0usize; tc];
         let mut tried = 0u64;
@@ -663,7 +663,7 @@ impl ThreadedMcfs {
             &mut lin_pcs,
             0,
             total,
-            &exceptions,
+            exceptions,
             sort,
             &mut tried,
         )
@@ -823,16 +823,16 @@ impl ThreadedMcfs {
                 return Ok(Vec::new());
             }
         }
-        let exceptions = self.cfg.abstraction.exceptions.clone();
+        let exceptions = &self.cfg.abstraction.exceptions;
         let sort = self.cfg.abstraction.sort_entries;
-        let abstraction = self.cfg.abstraction.clone();
+        let abstraction = &self.cfg.abstraction;
         let mut out = Vec::with_capacity(total);
         let mut cut: Vec<usize> = self.floor.clone();
         loop {
             let mut reference = VeriFs::v2();
             reference.mount()?;
             for op in &self.setup {
-                execute_with(&mut reference, op, &exceptions, sort);
+                execute_with(&mut reference, op, exceptions, sort);
             }
             let mut idx = vec![0usize; tc];
             for (step, _) in &self.history {
@@ -841,11 +841,11 @@ impl ThreadedMcfs {
                 }
                 let t = step.tid as usize;
                 if idx[t] < cut[t] {
-                    execute_with(&mut reference, &step.op, &exceptions, sort);
+                    execute_with(&mut reference, &step.op, exceptions, sort);
                 }
                 idx[t] += 1;
             }
-            out.push(abstract_state(&mut reference, &abstraction)?.as_u128());
+            out.push(abstract_state(&mut reference, abstraction)?.as_u128());
             // Mixed-radix increment over the cut lattice.
             let mut t = 0;
             loop {
