@@ -7,7 +7,10 @@
 //!    incremental hash folds cached per-path digests and only recomputes
 //!    the touched paths, so the per-op cost drops from O(total tree bytes)
 //!    to O(touched bytes) + O(tree entries).
-//! 2. **Shared sharded visited set** — duplicate states expanded by a
+//! 2. **The MD5 kernel** under both — ns per 64-byte block over a 1 MiB
+//!    buffer, and ns per digest of a 49-byte message (one block after
+//!    padding, the size of a typical leaf digest's metadata).
+//! 3. **Shared sharded visited set** — duplicate states expanded by a
 //!    private-visited-set swarm vs a swarm sharing one
 //!    [`modelcheck::ShardedVisited`], at an equal per-worker op budget.
 //!    Each worker records every abstract state it sees, so the global
@@ -63,6 +66,35 @@ struct HashBench {
     incremental_ops_per_sec: f64,
     speedup: f64,
     hashes_agree: bool,
+}
+
+struct Md5Bench {
+    block_ns: f64,
+    one_block_digest_ns: f64,
+}
+
+fn bench_md5(quick: bool) -> Md5Bench {
+    let buf: Vec<u8> = (0..1usize << 20).map(|i| (i % 251) as u8).collect();
+    let passes = if quick { 8 } else { 32 };
+    let mut sink = 0u128;
+    let start = Instant::now();
+    for _ in 0..passes {
+        sink ^= mdigest::md5(std::hint::black_box(&buf)).as_u128();
+    }
+    let block_ns = start.elapsed().as_nanos() as f64 / (passes * buf.len() / 64) as f64;
+
+    let digests = if quick { 100_000 } else { 400_000 };
+    let start = Instant::now();
+    for i in 0..digests {
+        let off = i % 64;
+        sink ^= mdigest::md5(std::hint::black_box(&buf[off..off + 49])).as_u128();
+    }
+    let one_block_digest_ns = start.elapsed().as_nanos() as f64 / digests as f64;
+    std::hint::black_box(sink);
+    Md5Bench {
+        block_ns,
+        one_block_digest_ns,
+    }
 }
 
 fn bench_hashing(iters: usize) -> HashBench {
@@ -235,6 +267,7 @@ fn main() {
         .find_map(|a| a.parse().ok())
         .unwrap_or(if quick { 80 } else { 240 });
     let hash = bench_hashing(iters);
+    let md5 = bench_md5(quick);
 
     let workers = 4;
     let budget = if quick { 600 } else { 1_500 };
@@ -257,6 +290,13 @@ fn main() {
     );
     println!("    \"speedup\": {:.2},", hash.speedup);
     println!("    \"hashes_agree\": {}", hash.hashes_agree);
+    println!("  }},");
+    println!("  \"md5\": {{");
+    println!("    \"block_ns\": {:.1},", md5.block_ns);
+    println!(
+        "    \"one_block_digest_ns\": {:.1}",
+        md5.one_block_digest_ns
+    );
     println!("  }},");
     println!("  \"swarm_dedup\": {{");
     println!("    \"workers\": {workers},");
