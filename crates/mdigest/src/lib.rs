@@ -10,6 +10,17 @@
 //! fingerprint states produced by the checker itself, matching the paper's
 //! design.
 //!
+//! The kernel runs the 64 RFC 1321 steps unrolled with their constants
+//! inline, compresses whole 64-byte blocks straight from the input slice,
+//! and pads in one pass. A seeded differential test holds it to a plain
+//! reference implementation (rolled loop, table constants, byte-at-a-time
+//! padding) over every length up to 1,024 bytes, and over every split point
+//! of a two-call `update` for lengths up to 200 and for 1,024.
+//!
+//! [`Md5`] is `Clone`, so a context can be saved after a common prefix and
+//! resumed: the fingerprint layer keeps the context after each distinct file
+//! content and resumes from it instead of rehashing the bytes.
+//!
 //! # Examples
 //!
 //! ```
