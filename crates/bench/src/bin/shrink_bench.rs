@@ -108,8 +108,10 @@ fn minimize_case(case: &'static str, factory: &Arc<HarnessFactory>, trace: &[FsO
     let mut recorder = (factory)().expect("factory builds");
     let (idx, msg) = replay(&mut recorder, trace).expect("seeded trace must violate");
     let recorded = &trace[..=idx];
-    let out = shrink_trace(factory.as_ref(), recorded, &msg, &ShrinkConfig::default())
-        .expect("a reproducing trace must minimize");
+    let out = shrink_trace(recorded, &msg, &ShrinkConfig::default(), |c| {
+        replay(&mut factory().ok()?, c)
+    })
+    .expect("a reproducing trace must minimize");
     // Trustworthy replay is part of the acceptance: the minimized trace
     // reproduces the identical diagnosis on another fresh pair.
     let mut fresh = (factory)().expect("factory rebuilds");

@@ -3,27 +3,36 @@
 //! Each operation is executed on every checked file system; the integrity
 //! check then asserts equality of return values, error codes, file data and
 //! metadata (via the abstraction function). Any discrepancy is reported as a
-//! violation with the precise operation sequence that led to it (§2).
+//! violation with the precise operation sequence that led to it (§2). The
+//! lockstep step itself is [`crate::lockstep`]'s; this harness adds the op
+//! pool, free-space equalization, the crash and fsck oracles, coverage and
+//! counterexample minimization.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use blockdev::Clock;
-use mdigest::Digest128;
 use modelcheck::{
     ApplyOutcome, CheckpointStoreStats, CrashStats, MemBudget, ModelSystem, SpillStore, StateId,
 };
 use vfs::{Errno, FileMode, OpenFlags, VfsResult};
 
-use crate::abstraction::{abstract_state, AbstractionConfig};
+use crate::abstraction::AbstractionConfig;
 use crate::coverage::Coverage;
-use crate::effect::{EffectIndex, EffectProfile};
-use crate::pool::{execute_with, FsOp, OpOutcome, PoolConfig};
+use crate::effect::EffectIndex;
+use crate::lockstep::Lockstep;
+use crate::pool::{FsOp, PoolConfig};
+use crate::shrink::{shrink_trace, ShrinkConfig};
 use crate::target::{self, CheckedTarget};
 
 /// Name of the dummy file written to equalize free space (§3.4); always on
 /// the abstraction exception list.
 pub const EQUALIZE_DUMMY: &str = ".mcfs_space_dummy";
+
+/// Cap on the equalization dummy file: a file system with more free space
+/// than this is effectively unbounded next to the bounded op pools (e.g.
+/// VeriFS1), and is left alone.
+const EQUALIZE_CAP_BYTES: u64 = 64 << 20;
 
 /// Harness configuration.
 #[derive(Debug, Clone)]
@@ -32,16 +41,8 @@ pub struct McfsConfig {
     pub pool: PoolConfig,
     /// Abstraction-function settings (exception list etc.).
     pub abstraction: AbstractionConfig,
-    /// Charge this much CPU time per syscall per file system.
-    pub syscall_cpu_ns: u64,
     /// Equalize usable capacity across file systems at start (§3.4).
     pub equalize_free_space: bool,
-    /// Cap on the equalization dummy file (protects against pairing a
-    /// bounded file system with an effectively unbounded one).
-    pub equalize_cap_bytes: u64,
-    /// With ≥3 file systems, report the minority as the suspect
-    /// (majority-voting, the paper's future work §7).
-    pub majority_voting: bool,
     /// Maintain the abstract-state hash incrementally: before each mutation
     /// the harness invalidates every target's cached per-path fingerprints
     /// for the touched paths, and the post-op hash reuses the surviving
@@ -95,10 +96,7 @@ impl Default for McfsConfig {
         McfsConfig {
             pool: PoolConfig::small(),
             abstraction: AbstractionConfig::default(),
-            syscall_cpu_ns: 2_000,
             equalize_free_space: true,
-            equalize_cap_bytes: 64 << 20,
-            majority_voting: true,
             incremental_fingerprint: true,
             checkpoint_budget_bytes: None,
             mem_budget: None,
@@ -132,24 +130,18 @@ pub type HarnessFactory = dyn Fn() -> VfsResult<Mcfs> + Send + Sync;
 /// The MCFS harness: implements [`ModelSystem`] over N checked targets so
 /// any `modelcheck` explorer can drive it.
 pub struct Mcfs {
-    targets: Vec<Box<dyn CheckedTarget>>,
-    cfg: McfsConfig,
+    core: Lockstep,
     ops: Vec<FsOp>,
-    clock: Option<Clock>,
-    last_hash: Option<Digest128>,
     coverage: Coverage,
-    /// Crash-oracle prefix window: abstract states the run has passed
-    /// through since the last sync point (checkpoint/restore resets it).
-    /// A crash recovery must land on one of these, or on the pre-crash
-    /// state itself.
-    prefix_hashes: Vec<u128>,
     /// The prefix window to re-adopt when a checkpoint is restored.
     ckpt_hashes: HashMap<u64, u128>,
     crashes: u64,
     crash_recoveries: u64,
     crash_divergences: u64,
+    fsck_exploration: bool,
     fscks: u64,
     fsck_repairs: u64,
+    minimize_violations: bool,
     /// Builds a fresh equivalent harness; candidate traces from the
     /// minimizer replay against factory products, never against this
     /// (already violated) instance.
@@ -164,9 +156,8 @@ pub struct Mcfs {
 
 impl std::fmt::Debug for Mcfs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<String> = self.targets.iter().map(|t| t.name()).collect();
         f.debug_struct("Mcfs")
-            .field("targets", &names)
+            .field("targets", &self.core.target_names())
             .field("ops", &self.ops.len())
             .finish()
     }
@@ -215,7 +206,8 @@ impl Mcfs {
                 t.set_checkpoint_spill(store.clone());
             }
         }
-        // Intersect capabilities and generate the bounded op set.
+        // Intersect capabilities and generate the bounded op set. The POR
+        // alias classes come from the `Hardlink` ops that survive it.
         let mut caps = targets[0].capabilities();
         for t in &targets[1..] {
             caps = caps.intersect(t.capabilities());
@@ -227,13 +219,6 @@ impl Mcfs {
             .filter(|op| op.allowed_by(caps))
             .collect();
         if cfg.crash_exploration {
-            // Crash exploration needs every target to survive a crash —
-            // device-backed targets via power-cut + recovery mount, RAM
-            // targets trivially. Refusing here beats a misleading
-            // violation later.
-            if !targets.iter().all(|t| t.supports_crash()) {
-                return Err(Errno::ENOSYS);
-            }
             ops.push(FsOp::Crash);
         }
         if cfg.fsck_exploration {
@@ -245,49 +230,34 @@ impl Mcfs {
             }
             ops.push(FsOp::Fsck);
         }
-        // Mount everything.
-        for t in &mut targets {
-            t.pre_op()?;
-        }
-        // Derive the POR independence relation from the filtered pool: the
-        // alias classes come from the `Hardlink` ops that survived the
-        // capability intersection, and targets behind caching kernel
-        // layers make cache-filling reads count as kernel-state writes.
-        let kernel_caches = targets.iter_mut().any(|t| t.fs_mut().caches_metadata());
-        let profile = EffectProfile::from_pool(&ops)
-            .with_kernel_caches(kernel_caches)
-            .with_atime(cfg.abstraction.include_atime);
-        let effects = EffectIndex::new(&ops, profile);
-        let mut harness = Mcfs {
+        let (core, effects) = Lockstep::new(
             targets,
-            cfg,
-            ops,
             clock,
-            last_hash: None,
+            cfg.abstraction,
+            cfg.incremental_fingerprint,
+            cfg.crash_exploration,
+            &ops,
+        )?;
+        let mut harness = Mcfs {
+            core,
+            ops,
             coverage: Coverage::new(),
-            prefix_hashes: Vec::new(),
             ckpt_hashes: HashMap::new(),
             crashes: 0,
             crash_recoveries: 0,
             crash_divergences: 0,
+            fsck_exploration: cfg.fsck_exploration,
             fscks: 0,
             fsck_repairs: 0,
+            minimize_violations: cfg.minimize_violations,
             factory: None,
             effects,
             ckpt_spill,
         };
-        if harness.cfg.equalize_free_space {
+        if cfg.equalize_free_space {
             harness.equalize()?;
         }
-        // The initial states must agree, or every run starts violated.
-        let hashes = harness.hash_all()?;
-        if hashes.windows(2).any(|w| w[0] != w[1]) {
-            return Err(Errno::EINVAL);
-        }
-        harness.prefix_hashes.push(hashes[0].as_u128());
-        for t in &mut harness.targets {
-            t.post_op()?;
-        }
+        harness.core.agree()?;
         Ok(harness)
     }
 
@@ -305,33 +275,17 @@ impl Mcfs {
     /// Repair-oracle statistics, when [`McfsConfig::fsck_exploration`] is
     /// on (`None` otherwise).
     pub fn fsck_stats(&self) -> Option<FsckStats> {
-        self.cfg.fsck_exploration.then_some(FsckStats {
+        self.fsck_exploration.then_some(FsckStats {
             fscks: self.fscks,
             repairs_made: self.fsck_repairs,
         })
     }
 
     /// The POSIX-observable abstraction hash alone, without the
-    /// opaque-digest fold — what `hash_all` compares across targets and
-    /// what the crash oracle's prefix window stores.
+    /// opaque-digest fold — what the targets are compared on and what the
+    /// crash oracle's prefix window stores.
     pub fn pure_abstract_state(&mut self) -> u128 {
-        if let Some(h) = self.last_hash {
-            return h.as_u128();
-        }
-        // Recompute from the first target (all agree whenever apply
-        // succeeded; before the first op this hashes the initial state).
-        let _ = self.targets[0].pre_op();
-        let cfg = &self.cfg.abstraction;
-        let h = if self.cfg.incremental_fingerprint {
-            self.targets[0].cached_abstract_state(cfg)
-        } else {
-            abstract_state(self.targets[0].fs_mut(), cfg)
-        }
-        .map(|d| d.as_u128())
-        .unwrap_or(u128::MAX);
-        let _ = self.targets[0].post_op();
-        self.last_hash = None;
-        h
+        self.core.pure_abstract_state()
     }
 
     /// Attaches the replay factory counterexample minimization validates
@@ -351,7 +305,7 @@ impl Mcfs {
 
     /// Target names, for reports.
     pub fn target_names(&self) -> Vec<String> {
-        self.targets.iter().map(|t| t.name()).collect()
+        self.core.target_names()
     }
 
     /// Operation/outcome coverage accumulated so far (§7 future work:
@@ -360,18 +314,12 @@ impl Mcfs {
         &self.coverage
     }
 
-    fn charge(&self, ns: u64) {
-        if let Some(c) = &self.clock {
-            c.advance_ns(ns);
-        }
-    }
-
     /// Drains the checkpoint spill store's accumulated page-traffic cost
     /// into the virtual clock (demotions/promotions happened since the last
     /// drain).
     fn charge_ckpt_spill(&self) {
         if let Some(s) = &self.ckpt_spill {
-            self.charge(s.take_pending_ns());
+            self.core.charge(s.take_pending_ns());
         }
     }
 
@@ -386,26 +334,27 @@ impl Mcfs {
     /// `S_L`, then on every other file system write `S_n - S_L` zeros into a
     /// dummy file so `write` fills all of them at the same point.
     fn equalize(&mut self) -> VfsResult<()> {
+        let targets = &mut self.core.targets;
         // Iterate: the dummy file itself consumes metadata (indirect
         // blocks, directory growth), so one round typically leaves a small
         // residual imbalance.
         for _round in 0..8 {
-            let mut avails = Vec::with_capacity(self.targets.len());
-            for t in &mut self.targets {
+            let mut avails = Vec::with_capacity(targets.len());
+            for t in targets.iter_mut() {
                 avails.push(t.fs_mut().statfs()?.bytes_avail());
             }
             let lowest = *avails.iter().min().expect("at least two targets");
             if avails
                 .iter()
-                .all(|&a| a == lowest || a > self.cfg.equalize_cap_bytes)
+                .all(|&a| a == lowest || a > EQUALIZE_CAP_BYTES)
             {
                 break;
             }
-            for (t, &avail) in self.targets.iter_mut().zip(&avails) {
+            for (t, &avail) in targets.iter_mut().zip(&avails) {
                 let surplus = avail - lowest;
                 // Pairing with an effectively unbounded file system (e.g.
                 // VeriFS1): skip; the bounded pools never reach its limit.
-                if surplus == 0 || avail > self.cfg.equalize_cap_bytes {
+                if surplus == 0 || avail > EQUALIZE_CAP_BYTES {
                     continue;
                 }
                 let fs = t.fs_mut();
@@ -425,90 +374,6 @@ impl Mcfs {
         Ok(())
     }
 
-    fn hash_all(&mut self) -> VfsResult<Vec<Digest128>> {
-        let cfg = &self.cfg.abstraction;
-        let incremental = self.cfg.incremental_fingerprint;
-        self.targets
-            .iter_mut()
-            .map(|t| {
-                if incremental {
-                    t.cached_abstract_state(cfg)
-                } else {
-                    abstract_state(t.fs_mut(), cfg)
-                }
-            })
-            .collect()
-    }
-
-    /// Builds a discrepancy message. With ≥3 targets and voting enabled, the
-    /// minority is named as the suspect.
-    fn describe_discrepancy<T: std::fmt::Debug + PartialEq>(
-        &self,
-        what: &str,
-        op: &FsOp,
-        values: &[T],
-    ) -> String {
-        let mut msg = format!("{what} discrepancy on {op}:");
-        for (t, v) in self.targets.iter().zip(values) {
-            msg.push_str(&format!(
-                "\n  {:<12} [{}] => {:?}",
-                t.name(),
-                t.strategy(),
-                v
-            ));
-        }
-        if self.cfg.majority_voting && values.len() >= 3 {
-            // Majority vote: the value held by most targets is "correct".
-            let mut best: Option<(usize, usize)> = None; // (index, count)
-            for (i, v) in values.iter().enumerate() {
-                let count = values.iter().filter(|x| *x == v).count();
-                if best.map(|(_, c)| count > c).unwrap_or(true) {
-                    best = Some((i, count));
-                }
-            }
-            if let Some((winner, count)) = best {
-                if count > values.len() / 2 {
-                    let suspects: Vec<String> = self
-                        .targets
-                        .iter()
-                        .zip(values)
-                        .filter(|(_, v)| *v != &values[winner])
-                        .map(|(t, _)| t.name())
-                        .collect();
-                    msg.push_str(&format!(
-                        "\n  majority vote: {} of {} agree; suspect(s): {}",
-                        count,
-                        values.len(),
-                        suspects.join(", ")
-                    ));
-                }
-            }
-        }
-        msg
-    }
-
-    /// Wraps every violation return out of [`apply`](ModelSystem::apply):
-    /// best-effort phase-4 cleanup first, so per-op remount targets are not
-    /// left mounted when the explorer stops mid-operation. Without this, a
-    /// replay (or any further use of the harness) starts from a different
-    /// mount/cache state than exploration saw.
-    fn violation(&mut self, msg: String) -> ApplyOutcome {
-        for t in &mut self.targets {
-            let _ = t.post_op();
-        }
-        ApplyOutcome::Violation(msg)
-    }
-
-    /// Records a post-operation state in the crash-oracle prefix window.
-    fn push_prefix(&mut self, hash: u128) {
-        if !self.cfg.crash_exploration {
-            return;
-        }
-        if self.prefix_hashes.last() != Some(&hash) {
-            self.prefix_hashes.push(hash);
-        }
-    }
-
     /// The `crash` pseudo-operation: power-cut every target's device, run
     /// its recovery mount, and check the oracle.
     ///
@@ -521,88 +386,36 @@ impl Mcfs {
     /// trace. Targets may legally recover to *different* prefix states
     /// (their sync points differ), in which case the branch is pruned: both
     /// behaviors are correct, but lockstep comparison cannot continue.
-    fn apply_crash(&mut self) -> ApplyOutcome {
-        self.last_hash = None;
+    fn apply_crash(&mut self) -> Result<(), ApplyOutcome> {
         self.crashes += 1;
-        for t in &mut self.targets {
-            if let Err(e) = t.pre_op() {
-                let msg = format!("{}: pre-crash mount failed: {e}", t.name());
-                return self.violation(msg);
-            }
-        }
-        // The state being crashed is always a legal recovery point: a file
-        // system that persists everything synchronously loses nothing.
-        let pre = match self.hash_all() {
-            Ok(h) => h,
-            Err(e) => {
-                let msg = format!("state traversal failed before crash: {e}");
-                return self.violation(msg);
-            }
-        };
-        let mut allowed = self.prefix_hashes.clone();
-        allowed.push(pre[0].as_u128());
-        // Crash + recovery mount on every target.
-        for t in &mut self.targets {
-            if let Err(e) = t.crash_remount() {
-                let msg = format!(
-                    "{}: crash recovery failed: {e} (file system not remountable after power cut)",
-                    t.name()
-                );
-                return self.violation(msg);
-            }
-        }
-        self.charge(self.cfg.syscall_cpu_ns * self.targets.len() as u64);
-        let recovered = match self.hash_all() {
-            Ok(h) => h,
-            Err(e) => {
-                let msg =
-                    format!("state traversal failed after crash recovery: {e} (recovery corrupted the file system?)");
-                return self.violation(msg);
-            }
-        };
-        // Oracle: every target individually recovered to an allowed state?
-        for (t, h) in self.targets.iter().zip(&recovered) {
-            if !allowed.contains(&h.as_u128()) {
-                let names: Vec<String> = self.targets.iter().map(|x| x.name()).collect();
-                let msg = format!(
-                    "crash-consistency violation: {} recovered to a state outside the \
-                     prefix window ({} allowed states; targets: {})",
-                    t.name(),
-                    allowed.len(),
-                    names.join(", ")
-                );
-                return self.violation(msg);
-            }
-        }
+        let pre = self.core.crash_prelude()?;
+        let mut allowed = self.core.prefix_hashes.clone();
+        allowed.push(pre);
+        let names = self.core.target_names().join(", ");
+        let recovered = self.core.recover(
+            |h| allowed.contains(&h),
+            |name| {
+                format!(
+                    "crash-consistency violation: {name} recovered to a state outside the \
+                     prefix window ({} allowed states; targets: {names})",
+                    allowed.len()
+                )
+            },
+        )?;
         // All recoveries valid — but lockstep checking needs them equal.
         if recovered.windows(2).any(|w| w[0] != w[1]) {
             self.crash_divergences += 1;
-            for t in &mut self.targets {
-                let _ = t.post_op();
-            }
-            return ApplyOutcome::Prune(
+            self.core.unmount_quietly();
+            return Err(ApplyOutcome::Prune(
                 "crash recoveries diverged (each prefix-consistent)".into(),
-            );
+            ));
         }
         self.crash_recoveries += 1;
         // The recovered state is the new sync floor: everything before it
         // in the window is no longer reachable by a later crash.
-        self.prefix_hashes.clear();
-        self.prefix_hashes.push(recovered[0].as_u128());
-        self.last_hash = Some(recovered[0]);
-        for t in &mut self.targets {
-            if let Err(e) = t.post_op() {
-                let msg = format!("{}: post-crash unmount failed: {e}", t.name());
-                return self.violation(msg);
-            }
-        }
-        for t in &mut self.targets {
-            if let Err(e) = t.track_state() {
-                let msg = format!("{}: state tracking failed: {e}", t.name());
-                return self.violation(msg);
-            }
-        }
-        ApplyOutcome::Ok
+        self.core.prefix_hashes.clear();
+        self.core.prefix_hashes.push(recovered[0].as_u128());
+        self.core.commit(recovered[0], "post-crash")
     }
 
     /// Execute the `fsck` pseudo-operation: run every target's
@@ -616,116 +429,83 @@ impl Mcfs {
     /// volume and changes nothing. Internal fixes (counter rebuilds,
     /// quarantined torn log tails after a crash) are allowed on the first
     /// run and counted, but may not survive into the second.
-    fn apply_fsck(&mut self) -> ApplyOutcome {
-        self.last_hash = None;
+    fn apply_fsck(&mut self) -> Result<(), ApplyOutcome> {
+        let core = &mut self.core;
+        core.last_hash = None;
         self.fscks += 1;
-        for t in &mut self.targets {
-            if let Err(e) = t.pre_op() {
-                let msg = format!("{}: pre-fsck mount failed: {e}", t.name());
-                return self.violation(msg);
-            }
-        }
-        let pre = match self.hash_all() {
-            Ok(h) => h,
-            Err(e) => {
-                let msg = format!("state traversal failed before fsck: {e}");
-                return self.violation(msg);
-            }
-        };
-        for t in &mut self.targets {
+        core.mount_all("pre-fsck")?;
+        let pre = core.hashes(|e| format!("state traversal failed before fsck: {e}"))?;
+        for t in &mut core.targets {
             match t.fsck() {
                 Ok(outcome) => self.fsck_repairs += outcome.report.repairs_made,
                 Err(e) => {
                     let msg = format!("{}: fsck failed on a consistent volume: {e}", t.name());
-                    return self.violation(msg);
+                    return Err(core.violation(msg));
                 }
             }
         }
-        self.charge(self.cfg.syscall_cpu_ns * self.targets.len() as u64);
-        let post = match self.hash_all() {
-            Ok(h) => h,
-            Err(e) => {
-                let msg = format!(
-                    "state traversal failed after fsck: {e} (repair corrupted the file system?)"
-                );
-                return self.violation(msg);
-            }
-        };
+        core.charge_syscalls();
+        let post = core.hashes(|e| {
+            format!("state traversal failed after fsck: {e} (repair corrupted the file system?)")
+        })?;
         // Oracle 1: repair preserves the observable state of a consistent
         // volume — per target, so a lost file cannot hide behind lockstep
         // agreement on the loss.
-        for (t, (before, after)) in self.targets.iter().zip(pre.iter().zip(&post)) {
+        for (t, (before, after)) in core.targets.iter().zip(pre.iter().zip(&post)) {
             if before != after {
                 let msg = format!(
                     "repair-safety violation: fsck changed {}'s observable state on a \
                      consistent volume (reachable data lost or invented)",
                     t.name()
                 );
-                return self.violation(msg);
+                return Err(core.violation(msg));
             }
         }
         // Oracle 2: all targets converged (implied by oracle 1 when the
         // pre-states agreed, but checked so the message names fsck).
         if post.windows(2).any(|w| w[0] != w[1]) {
-            let msg = self.describe_discrepancy("post-fsck abstract-state", &FsOp::Fsck, &post);
-            return self.violation(msg);
+            let msg = core.describe_discrepancy("post-fsck abstract-state", &FsOp::Fsck, &post);
+            return Err(core.violation(msg));
         }
         // Oracle 3: fsck ∘ fsck ≡ fsck. The second run must find a clean
         // volume and fix nothing.
-        for t in &mut self.targets {
-            match t.fsck() {
-                Ok(outcome) => {
-                    if !outcome.report.is_clean() {
-                        let msg = format!(
-                            "repair-idempotence violation: second fsck on {} still made {} \
-                             repair(s): {}",
-                            t.name(),
-                            outcome.report.repairs_made,
-                            outcome.report.fixes.join("; ")
-                        );
-                        return self.violation(msg);
-                    }
-                }
-                Err(e) => {
-                    let msg = format!("{}: second fsck failed: {e}", t.name());
-                    return self.violation(msg);
-                }
-            }
+        for t in &mut core.targets {
+            let msg = match t.fsck() {
+                Ok(outcome) if outcome.report.is_clean() => continue,
+                Ok(outcome) => format!(
+                    "repair-idempotence violation: second fsck on {} still made {} \
+                     repair(s): {}",
+                    t.name(),
+                    outcome.report.repairs_made,
+                    outcome.report.fixes.join("; ")
+                ),
+                Err(e) => format!("{}: second fsck failed: {e}", t.name()),
+            };
+            return Err(core.violation(msg));
         }
-        self.charge(self.cfg.syscall_cpu_ns * self.targets.len() as u64);
-        let settled = match self.hash_all() {
-            Ok(h) => h,
-            Err(e) => {
-                let msg = format!("state traversal failed after second fsck: {e}");
-                return self.violation(msg);
-            }
-        };
+        core.charge_syscalls();
+        let settled = core.hashes(|e| format!("state traversal failed after second fsck: {e}"))?;
         if settled != post {
-            return self.violation(
+            return Err(core.violation(
                 "repair-idempotence violation: second fsck changed the abstract state".into(),
-            );
+            ));
         }
         // fsck writes everything back and commits, so the repaired state is
         // a new sync floor for the crash oracle — a later crash recovering
         // to anything earlier would have lost repaired-and-synced data.
-        if self.cfg.crash_exploration {
-            self.prefix_hashes.clear();
+        if core.crash_exploration {
+            core.prefix_hashes.clear();
         }
-        self.last_hash = Some(post[0]);
-        self.push_prefix(post[0].as_u128());
-        for t in &mut self.targets {
-            if let Err(e) = t.post_op() {
-                let msg = format!("{}: post-fsck unmount failed: {e}", t.name());
-                return self.violation(msg);
-            }
-        }
-        for t in &mut self.targets {
-            if let Err(e) = t.track_state() {
-                let msg = format!("{}: state tracking failed: {e}", t.name());
-                return self.violation(msg);
-            }
-        }
-        ApplyOutcome::Ok
+        core.push_prefix(post[0].as_u128());
+        core.commit(post[0], "post-fsck")
+    }
+
+    /// One pool operation through the lockstep core, recording its agreed
+    /// outcome's coverage.
+    fn apply_op(&mut self, op: &FsOp) -> Result<(), ApplyOutcome> {
+        let outcome = self.core.execute(op, op, None)?;
+        self.coverage.record(op, &outcome);
+        self.core.settle(op)
     }
 }
 
@@ -770,74 +550,12 @@ impl ModelSystem for Mcfs {
     fn apply(&mut self, op: &FsOp) -> ApplyOutcome {
         // The crash and fsck pseudo-ops never reach per-target execution:
         // the harness intercepts them and runs their oracles instead.
-        if matches!(op, FsOp::Crash) {
-            return self.apply_crash();
-        }
-        if matches!(op, FsOp::Fsck) {
-            return self.apply_fsck();
-        }
-        self.last_hash = None;
-        // Phase 0: mount (remount strategies).
-        for t in &mut self.targets {
-            if let Err(e) = t.pre_op() {
-                let msg = format!("{}: pre-op mount failed: {e}", t.name());
-                return self.violation(msg);
-            }
-        }
-        // Phase 0.5: drop cached fingerprints for the paths this operation
-        // touches. This must happen *before* execution so the invalidation
-        // logic can observe pre-operation link counts (hardlink aliasing).
-        if self.cfg.incremental_fingerprint && op.is_mutation() {
-            let touched = op.touched_paths();
-            for t in &mut self.targets {
-                t.invalidate_fingerprints(&touched);
-            }
-        }
-        // Phase 1: execute on every file system.
-        let exceptions = &self.cfg.abstraction.exceptions;
-        let sort_entries = self.cfg.abstraction.sort_entries;
-        let mut outcomes: Vec<OpOutcome> = Vec::with_capacity(self.targets.len());
-        for t in &mut self.targets {
-            outcomes.push(execute_with(t.fs_mut(), op, exceptions, sort_entries));
-        }
-        self.charge(self.cfg.syscall_cpu_ns * self.targets.len() as u64);
-        // Phase 2: integrity check — return values and error codes.
-        if outcomes.windows(2).any(|w| w[0] != w[1]) {
-            let msg = self.describe_discrepancy("outcome", op, &outcomes);
-            return self.violation(msg);
-        }
-        self.coverage.record(op, &outcomes[0]);
-        // Phase 3: integrity check — abstract states (file data + metadata).
-        let hashes = match self.hash_all() {
-            Ok(h) => h,
-            Err(e) => {
-                let msg =
-                    format!("state traversal failed after {op}: {e} (file system corrupted?)");
-                return self.violation(msg);
-            }
+        let applied = match op {
+            FsOp::Crash => self.apply_crash(),
+            FsOp::Fsck => self.apply_fsck(),
+            _ => self.apply_op(op),
         };
-        if hashes.windows(2).any(|w| w[0] != w[1]) {
-            let msg = self.describe_discrepancy("abstract-state", op, &hashes);
-            return self.violation(msg);
-        }
-        self.last_hash = Some(hashes[0]);
-        self.push_prefix(hashes[0].as_u128());
-        // Phase 4: unmount (remount strategies).
-        for t in &mut self.targets {
-            if let Err(e) = t.post_op() {
-                let msg = format!("{}: post-op unmount failed: {e}", t.name());
-                return self.violation(msg);
-            }
-        }
-        // Phase 5: per-transition state tracking (SPIN reading the tracked
-        // buffers; free for the checkpoint-API strategy).
-        for t in &mut self.targets {
-            if let Err(e) = t.track_state() {
-                let msg = format!("{}: state tracking failed: {e}", t.name());
-                return self.violation(msg);
-            }
-        }
-        ApplyOutcome::Ok
+        applied.err().unwrap_or(ApplyOutcome::Ok)
     }
 
     fn abstract_state(&mut self) -> u128 {
@@ -847,36 +565,36 @@ impl ModelSystem for Mcfs {
         // hole write exposes) must not be matched away by the explorer.
         // Cross-target comparisons stay on the pure hashes — targets may
         // legitimately differ in hidden state.
-        self.pure_abstract_state() ^ target::opaque_digest_fold(&mut self.targets)
+        self.core.pure_abstract_state() ^ target::opaque_digest_fold(&mut self.core.targets)
     }
 
     fn checkpoint(&mut self, id: StateId) -> Result<usize, String> {
-        let total = target::save_all(&mut self.targets, id.0)?;
+        let total = target::save_all(&mut self.core.targets, id.0)?;
         self.charge_ckpt_spill();
-        if self.cfg.crash_exploration {
+        if self.core.crash_exploration {
             // Checkpointing syncs device-backed targets, so this state is a
             // new sync floor: the crash window restarts here, and a restore
             // of this checkpoint re-adopts it. The window stores *pure*
             // hashes (the oracle compares against `hash_all` results), so
             // the opaque-digest fold must stay out of it.
-            let h = self.pure_abstract_state();
+            let h = self.core.pure_abstract_state();
             self.ckpt_hashes.insert(id.0, h);
-            self.prefix_hashes.clear();
-            self.prefix_hashes.push(h);
+            self.core.prefix_hashes.clear();
+            self.core.prefix_hashes.push(h);
         }
         Ok(total)
     }
 
     fn restore(&mut self, id: StateId) -> Result<(), String> {
-        self.last_hash = None;
-        target::load_all(&mut self.targets, id.0)?;
-        if self.cfg.crash_exploration {
+        self.core.last_hash = None;
+        target::load_all(&mut self.core.targets, id.0)?;
+        if self.core.crash_exploration {
             // Back on the checkpointed state: its window applies again. If
             // the record is gone the window starts empty — safe, because
             // the oracle always admits the pre-crash state.
-            self.prefix_hashes.clear();
+            self.core.prefix_hashes.clear();
             if let Some(&h) = self.ckpt_hashes.get(&id.0) {
-                self.prefix_hashes.push(h);
+                self.core.prefix_hashes.push(h);
             }
         }
         self.charge_ckpt_spill();
@@ -884,23 +602,23 @@ impl ModelSystem for Mcfs {
     }
 
     fn release(&mut self, id: StateId) {
-        target::drop_all(&mut self.targets, id.0);
+        target::drop_all(&mut self.core.targets, id.0);
     }
 
     fn pin(&mut self, id: StateId) {
-        target::pin_all(&mut self.targets, id.0);
+        target::pin_all(&mut self.core.targets, id.0);
     }
 
     fn unpin(&mut self, id: StateId) {
-        target::unpin_all(&mut self.targets, id.0);
+        target::unpin_all(&mut self.core.targets, id.0);
     }
 
     fn checkpoint_store_stats(&self) -> Option<CheckpointStoreStats> {
-        target::merged_store_stats(&self.targets)
+        target::merged_store_stats(&self.core.targets)
     }
 
     fn crash_stats(&self) -> Option<CrashStats> {
-        self.cfg.crash_exploration.then_some(CrashStats {
+        self.core.crash_exploration.then_some(CrashStats {
             crashes: self.crashes,
             recoveries: self.crash_recoveries,
             divergent_recoveries: self.crash_divergences,
@@ -912,16 +630,13 @@ impl ModelSystem for Mcfs {
         trace: &[FsOp],
         message: &str,
     ) -> Option<(Vec<FsOp>, modelcheck::ShrinkStats)> {
-        if !self.cfg.minimize_violations {
+        if !self.minimize_violations {
             return None;
         }
         let factory = self.factory.clone()?;
-        crate::shrink::shrink_trace(
-            factory.as_ref(),
-            trace,
-            message,
-            &crate::shrink::ShrinkConfig::default(),
-        )
+        shrink_trace(trace, message, &ShrinkConfig::default(), |candidate| {
+            replay(&mut factory().ok()?, candidate)
+        })
         .map(|o| (o.trace, o.stats))
     }
 
@@ -1627,7 +1342,7 @@ mod tests {
             }
         }
         assert!(violated, "capacity asymmetry must diverge");
-        for t in &mut m.targets {
+        for t in &mut m.core.targets {
             assert!(
                 !t.fs_mut().is_mounted(),
                 "{}: left mounted after a violation",

@@ -8,7 +8,10 @@
 //! optionally crossed with a crash pseudo-step between any two scheduled
 //! ops. Steps execute atomically (one op runs to completion before the
 //! next is scheduled), which models a kernel serializing the VFS layer;
-//! what varies is the *order* in which threads win.
+//! what varies is the *order* in which threads win. Each step runs through
+//! the same lockstep core as [`Mcfs`](crate::Mcfs) ([`crate::lockstep`]),
+//! so the targets' outcomes and abstract states are checked, and
+//! violations worded, exactly as there.
 //!
 //! Two oracles judge each schedule:
 //!
@@ -35,22 +38,27 @@ use std::sync::Arc;
 use blockdev::Clock;
 use mdigest::Digest128;
 use modelcheck::{
-    apply_mask, ddmin_mask, ApplyOutcome, CheckpointStoreStats, CrashStats, ModelSystem,
-    ShrinkStats, StateId,
+    ApplyOutcome, CheckpointStoreStats, CrashStats, ModelSystem, ShrinkStats, StateId,
 };
 use verifs::VeriFs;
 use vfs::{Errno, FileSystem, VfsResult};
 
 use crate::abstraction::{abstract_state, AbstractionConfig};
-use crate::effect::{EffectIndex, EffectProfile};
+use crate::effect::EffectIndex;
+use crate::lockstep::Lockstep;
 use crate::pool::{execute_with, FsOp, OpOutcome};
-use crate::shrink::{consumed_paths, produces, ShrinkConfig};
+use crate::shrink::{shrink_trace, ShrinkConfig};
 use crate::target::{self, CheckedTarget, CheckpointTarget};
 
 /// The pseudo-thread id of the crash scheduler: a [`SchedStep`] with this
 /// tid power-cuts every target between two real steps. Never a valid
 /// program thread.
 pub const CRASH_TID: u16 = u16::MAX;
+
+/// Cap on thread-cut enumerations per crash (the cut lattice is
+/// `Π(pc_t − floor_t + 1)`); past the cap the crash oracle falls back to
+/// the interleaved prefix window alone.
+const MAX_CRASH_CUTS: usize = 1024;
 
 /// One scheduling decision: thread `tid` issues its next program op.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,6 +85,14 @@ impl SchedStep {
     }
 }
 
+/// A step's op: the crash step's is [`FsOp::Crash`], so trace minimization
+/// repairs schedules exactly as it repairs op traces.
+impl AsRef<FsOp> for SchedStep {
+    fn as_ref(&self) -> &FsOp {
+        &self.op
+    }
+}
+
 impl fmt::Display for SchedStep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_crash() {
@@ -97,38 +113,16 @@ pub type ThreadedTrace = Vec<SchedStep>;
 pub type ThreadedHarnessFactory = dyn Fn(&[SchedStep]) -> VfsResult<ThreadedMcfs> + Send + Sync;
 
 /// Configuration for [`ThreadedMcfs`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ThreadedMcfsConfig {
     /// Abstraction-function settings (exception list etc.).
     pub abstraction: AbstractionConfig,
-    /// Charge this much CPU time per syscall per target.
-    pub syscall_cpu_ns: u64,
     /// Enable the crash pseudo-step between any two scheduled ops. Requires
     /// every target to support crash recovery.
     pub crash_exploration: bool,
-    /// Check every terminal interleaving's observed results against a
-    /// sequential reference execution. **On** by default — it is the point.
-    pub check_linearizability: bool,
     /// Delta-debug violating schedules at record time (needs a factory,
     /// [`ThreadedMcfs::set_factory`]).
     pub minimize_violations: bool,
-    /// Cap on thread-cut enumerations per crash (the cut lattice is
-    /// `Π(pc_t − floor_t + 1)`); past the cap the crash oracle falls back
-    /// to the interleaved prefix window alone.
-    pub max_crash_cuts: usize,
-}
-
-impl Default for ThreadedMcfsConfig {
-    fn default() -> Self {
-        ThreadedMcfsConfig {
-            abstraction: AbstractionConfig::default(),
-            syscall_cpu_ns: 2_000,
-            crash_exploration: false,
-            check_linearizability: true,
-            minimize_violations: false,
-            max_crash_cuts: 1024,
-        }
-    }
 }
 
 /// Exploration counters specific to interleaved checking.
@@ -158,26 +152,23 @@ struct SavedSched {
 /// N per-thread programs driven in every interleaving against one or more
 /// checked targets, with linearizability and crash-cut oracles.
 pub struct ThreadedMcfs {
-    targets: Vec<Box<dyn CheckedTarget>>,
+    /// The targets in lockstep. The interleaved harness never invalidates
+    /// cached fingerprints, so it re-hashes every target in full.
+    core: Lockstep,
     programs: Vec<Vec<FsOp>>,
     setup: Vec<FsOp>,
-    cfg: ThreadedMcfsConfig,
-    clock: Option<Clock>,
+    minimize_violations: bool,
     effects: EffectIndex,
     /// Per-thread program counter: ops already issued.
     pcs: Vec<usize>,
     /// Interleaved execution so far: each scheduled step with the outcome
     /// every target agreed on.
     history: Vec<(SchedStep, OpOutcome)>,
-    /// Crash-oracle window: interleaved-prefix states since the last sync
-    /// floor (plus the floor itself).
-    prefix_hashes: Vec<u128>,
     /// Per-thread cut floor for the crash oracle: ops issued before the
     /// last sync point are durable and cannot be lost.
     floor: Vec<usize>,
     ckpt: HashMap<u64, SavedSched>,
     ckpt_hashes: HashMap<u64, u128>,
-    last_hash: Option<Digest128>,
     /// Fingerprints of every terminal state reached (POR equivalence
     /// validation compares these across settings).
     final_states: BTreeSet<u128>,
@@ -236,7 +227,7 @@ impl ThreadedMcfs {
     }
 
     fn with_clock_opt(
-        mut targets: Vec<Box<dyn CheckedTarget>>,
+        targets: Vec<Box<dyn CheckedTarget>>,
         programs: Vec<Vec<FsOp>>,
         setup: Vec<FsOp>,
         cfg: ThreadedMcfsConfig,
@@ -245,12 +236,6 @@ impl ThreadedMcfs {
         if targets.is_empty() || programs.is_empty() || programs.len() >= CRASH_TID as usize {
             return Err(Errno::EINVAL);
         }
-        if cfg.crash_exploration && !targets.iter().all(|t| t.supports_crash()) {
-            return Err(Errno::ENOSYS);
-        }
-        for t in &mut targets {
-            t.pre_op()?;
-        }
         // The POR independence relation comes from every op any thread (or
         // the setup) can issue, plus the crash step when explored.
         let mut flat: Vec<FsOp> = setup.to_vec();
@@ -258,41 +243,32 @@ impl ThreadedMcfs {
         if cfg.crash_exploration {
             flat.push(FsOp::Crash);
         }
-        let kernel_caches = targets.iter_mut().any(|t| t.fs_mut().caches_metadata());
-        let profile = EffectProfile::from_pool(&flat)
-            .with_kernel_caches(kernel_caches)
-            .with_atime(cfg.abstraction.include_atime);
-        let effects = EffectIndex::new(&flat, profile);
-
+        let (core, effects) = Lockstep::new(
+            targets,
+            clock,
+            cfg.abstraction,
+            false,
+            cfg.crash_exploration,
+            &flat,
+        )?;
         let thread_count = programs.len();
         let mut this = ThreadedMcfs {
-            targets,
+            core,
             programs,
             setup,
-            cfg,
-            clock,
+            minimize_violations: cfg.minimize_violations,
             effects,
             pcs: vec![0; thread_count],
             history: Vec::new(),
-            prefix_hashes: Vec::new(),
             floor: vec![0; thread_count],
             ckpt: HashMap::new(),
             ckpt_hashes: HashMap::new(),
-            last_hash: None,
             final_states: BTreeSet::new(),
             stats: InterleaveStats::default(),
             factory: None,
         };
         this.run_setup()?;
-        let hashes = this.hash_all()?;
-        if hashes.iter().any(|h| *h != hashes[0]) {
-            return Err(Errno::EINVAL);
-        }
-        this.last_hash = Some(hashes[0]);
-        this.prefix_hashes = vec![hashes[0].as_u128()];
-        for t in &mut this.targets {
-            t.post_op()?;
-        }
+        this.core.last_hash = Some(this.core.agree()?);
         Ok(this)
     }
 
@@ -332,7 +308,7 @@ impl ThreadedMcfs {
     /// the replay (exploration never continues past a crash either).
     pub fn replay_schedule(&mut self, schedule: &[SchedStep]) -> Option<(usize, String)> {
         for (i, step) in schedule.iter().enumerate() {
-            match self.apply(&step.clone()) {
+            match self.apply(step) {
                 ApplyOutcome::Ok => {}
                 ApplyOutcome::Prune(_) => return None,
                 ApplyOutcome::Violation(msg) => return Some((i, msg)),
@@ -381,17 +357,12 @@ impl ThreadedMcfs {
             .all(|(&pc, prog)| pc >= prog.len())
     }
 
-    fn charge(&self, ns: u64) {
-        if let Some(c) = &self.clock {
-            c.advance_ns(ns);
-        }
-    }
-
     fn run_setup(&mut self) -> VfsResult<()> {
-        let exceptions = &self.cfg.abstraction.exceptions;
-        let sort = self.cfg.abstraction.sort_entries;
-        for op in &self.setup.clone() {
+        let exceptions = &self.core.abstraction.exceptions;
+        let sort = self.core.abstraction.sort_entries;
+        for op in &self.setup {
             let outcomes: Vec<OpOutcome> = self
+                .core
                 .targets
                 .iter_mut()
                 .map(|t| execute_with(t.fs_mut(), op, exceptions, sort))
@@ -403,66 +374,10 @@ impl ThreadedMcfs {
         Ok(())
     }
 
-    fn hash_all(&mut self) -> VfsResult<Vec<Digest128>> {
-        let cfg = &self.cfg.abstraction;
-        self.targets
-            .iter_mut()
-            .map(|t| abstract_state(t.fs_mut(), cfg))
-            .collect()
-    }
-
-    /// Best-effort cleanup wrapper around every violation return, so
-    /// per-op remount targets are not left mounted mid-operation.
-    fn violation(&mut self, msg: String) -> ApplyOutcome {
-        if let Some(c) = &self.clock {
-            c.clear_active_lane();
-        }
-        for t in &mut self.targets {
-            let _ = t.post_op();
-        }
-        ApplyOutcome::Violation(msg)
-    }
-
-    fn describe_discrepancy<T: fmt::Debug + PartialEq>(
-        &self,
-        what: &str,
-        step: &SchedStep,
-        values: &[T],
-    ) -> String {
-        let mut msg = format!("{what} discrepancy on {step}:");
-        for (t, v) in self.targets.iter().zip(values) {
-            msg.push_str(&format!(
-                "\n  {:<12} [{}] => {:?}",
-                t.name(),
-                t.strategy(),
-                v
-            ));
-        }
-        msg
-    }
-
-    fn push_prefix(&mut self, hash: u128) {
-        if !self.cfg.crash_exploration {
-            return;
-        }
-        if self.prefix_hashes.last() != Some(&hash) {
-            self.prefix_hashes.push(hash);
-        }
-    }
-
     /// The POSIX-observable fingerprint (first target; all agree whenever
     /// apply succeeded).
     pub fn pure_abstract_state(&mut self) -> u128 {
-        if let Some(h) = self.last_hash {
-            return h.as_u128();
-        }
-        let _ = self.targets[0].pre_op();
-        let cfg = &self.cfg.abstraction;
-        let h = abstract_state(self.targets[0].fs_mut(), cfg)
-            .map(|d| d.as_u128())
-            .unwrap_or(u128::MAX);
-        let _ = self.targets[0].post_op();
-        h
+        self.core.pure_abstract_state()
     }
 
     /// Serializes an outcome for the scheduler fingerprint. Stable across
@@ -550,9 +465,9 @@ impl ThreadedMcfs {
         self.history.iter().map(|(s, _)| s.clone()).collect()
     }
 
-    /// Executes one thread step on every target and checks lockstep
-    /// agreement, then — at terminal states — the linearizability oracle.
-    fn apply_step(&mut self, step: &SchedStep) -> ApplyOutcome {
+    /// Executes one thread step through the lockstep core, on the thread's
+    /// clock lane, then — at terminal states — the linearizability oracle.
+    fn apply_step(&mut self, step: &SchedStep) -> Result<(), ApplyOutcome> {
         let t = step.tid as usize;
         // Stale steps (explorer replaying against a restored scheduler that
         // moved on) prune rather than corrupt.
@@ -560,65 +475,21 @@ impl ThreadedMcfs {
             || self.pcs[t] >= self.programs[t].len()
             || self.programs[t][self.pcs[t]] != step.op
         {
-            return ApplyOutcome::Prune(format!("stale step {step}"));
+            return Err(ApplyOutcome::Prune(format!("stale step {step}")));
         }
-        self.last_hash = None;
-        for tgt in &mut self.targets {
-            if let Err(e) = tgt.pre_op() {
-                let msg = format!("{}: pre-op mount failed: {e}", tgt.name());
-                return self.violation(msg);
-            }
-        }
-        if let Some(c) = &self.clock {
-            c.set_active_lane(step.tid);
-        }
-        let exceptions = &self.cfg.abstraction.exceptions;
-        let sort = self.cfg.abstraction.sort_entries;
-        let mut outcomes = Vec::with_capacity(self.targets.len());
-        for tgt in &mut self.targets {
-            tgt.fs_mut().set_active_thread(step.tid);
-            outcomes.push(execute_with(tgt.fs_mut(), &step.op, exceptions, sort));
-        }
-        self.charge(self.cfg.syscall_cpu_ns * self.targets.len() as u64);
-        if let Some(c) = &self.clock {
-            c.clear_active_lane();
-        }
-        if outcomes.iter().any(|o| *o != outcomes[0]) {
-            let msg = self.describe_discrepancy("outcome", step, &outcomes);
-            return self.violation(msg);
-        }
-        let hashes = match self.hash_all() {
-            Ok(h) => h,
-            Err(e) => return self.violation(format!("abstraction failed after {step}: {e}")),
-        };
-        if hashes.iter().any(|h| *h != hashes[0]) {
-            let msg = self.describe_discrepancy("state", step, &hashes);
-            return self.violation(msg);
-        }
-        self.last_hash = Some(hashes[0]);
-        self.push_prefix(hashes[0].as_u128());
-        self.history.push((step.clone(), outcomes[0].clone()));
+        let outcome = self.core.execute(step, &step.op, Some(step.tid))?;
+        self.core.settle(step)?;
+        self.history.push((step.clone(), outcome));
         self.pcs[t] += 1;
-        for tgt in &mut self.targets {
-            if let Err(e) = tgt.post_op() {
-                let msg = format!("{}: post-op failed: {e}", tgt.name());
-                return self.violation(msg);
-            }
-        }
-        for tgt in &mut self.targets {
-            let _ = tgt.track_state();
-        }
         if self.done() {
             self.stats.terminals += 1;
-            if self.cfg.check_linearizability {
-                if let Err(msg) = self.check_linearizable() {
-                    return self.violation(msg);
-                }
+            if let Err(msg) = self.check_linearizable() {
+                return Err(self.core.violation(msg));
             }
             let fp = ModelSystem::abstract_state(self);
             self.final_states.insert(fp);
         }
-        ApplyOutcome::Ok
+        Ok(())
     }
 
     /// Wing & Gong linearizability check against a fresh sequential
@@ -648,8 +519,8 @@ impl ThreadedMcfs {
         reference
             .pre_op()
             .map_err(|e| format!("linearizability reference mount failed: {e}"))?;
-        let exceptions = &self.cfg.abstraction.exceptions;
-        let sort = self.cfg.abstraction.sort_entries;
+        let exceptions = &self.core.abstraction.exceptions;
+        let sort = self.core.abstraction.sort_entries;
         for op in &self.setup {
             execute_with(reference.fs_mut(), op, exceptions, sort);
         }
@@ -750,82 +621,61 @@ impl ThreadedMcfs {
     /// every per-thread cut of the history re-executed sequentially (a
     /// thread's issued-but-unsynced tail may be lost independently of the
     /// others').
-    fn apply_crash(&mut self) -> ApplyOutcome {
-        self.last_hash = None;
+    fn apply_crash(&mut self) -> Result<(), ApplyOutcome> {
         self.stats.crashes += 1;
-        for t in &mut self.targets {
-            if let Err(e) = t.pre_op() {
-                let msg = format!("{}: pre-crash mount failed: {e}", t.name());
-                return self.violation(msg);
-            }
-        }
-        let pre = match self.hash_all() {
-            Ok(h) => h,
-            Err(e) => return self.violation(format!("pre-crash abstraction failed: {e}")),
-        };
-        let mut allowed: BTreeSet<u128> = self.prefix_hashes.iter().copied().collect();
-        allowed.insert(pre[0].as_u128());
+        let pre = self.core.crash_prelude()?;
+        let mut allowed: BTreeSet<u128> = self.core.prefix_hashes.iter().copied().collect();
+        allowed.insert(pre);
         match self.crash_cut_states() {
             Ok(cuts) => allowed.extend(cuts),
-            Err(e) => return self.violation(format!("crash-cut reference execution failed: {e}")),
-        }
-        for t in &mut self.targets {
-            if let Err(e) = t.crash_remount() {
-                let msg = format!("{}: crash recovery failed: {e}", t.name());
-                return self.violation(msg);
+            Err(e) => {
+                let msg = format!("crash-cut reference execution failed: {e}");
+                return Err(self.core.violation(msg));
             }
         }
-        self.charge(self.cfg.syscall_cpu_ns * self.targets.len() as u64);
-        let recovered = match self.hash_all() {
-            Ok(h) => h,
-            Err(e) => return self.violation(format!("post-crash abstraction failed: {e}")),
-        };
-        for (t, h) in self.targets.iter().zip(&recovered) {
-            if !allowed.contains(&h.as_u128()) {
-                let msg = format!(
-                    "crash-consistency violation: {} recovered to a state matching no \
-                     linearizable prefix of the interleaved history",
-                    t.name()
-                );
-                return self.violation(msg);
-            }
-        }
-        let diverged = recovered.iter().any(|h| *h != recovered[0]);
-        for t in &mut self.targets {
-            let _ = t.post_op();
-        }
-        if diverged {
+        let recovered = self.core.recover(
+            |h| allowed.contains(&h),
+            |name| {
+                format!(
+                    "crash-consistency violation: {name} recovered to a state matching no \
+                     linearizable prefix of the interleaved history"
+                )
+            },
+        )?;
+        if recovered.windows(2).any(|w| w[0] != w[1]) {
             self.stats.divergent_recoveries += 1;
-            ApplyOutcome::Prune("targets recovered to different (each valid) cut states".into())
-        } else {
-            self.stats.crash_recoveries += 1;
-            // Post-crash, the scheduler's program counters no longer match
-            // the recovered file-system state (a thread's tail may be
-            // gone); interleaved exploration does not continue past a
-            // verified crash.
-            ApplyOutcome::Prune(
-                "crash recovery verified; interleaved exploration does not continue past a crash"
-                    .into(),
-            )
+            self.core.unmount_quietly();
+            return Err(ApplyOutcome::Prune(
+                "targets recovered to different (each valid) cut states".into(),
+            ));
         }
+        self.core.unmount_all("post-crash")?;
+        self.stats.crash_recoveries += 1;
+        // Post-crash, the scheduler's program counters no longer match the
+        // recovered file-system state (a thread's tail may be gone);
+        // interleaved exploration does not continue past a verified crash.
+        Err(ApplyOutcome::Prune(
+            "crash recovery verified; interleaved exploration does not continue past a crash"
+                .into(),
+        ))
     }
 
     /// Reference states of every per-thread cut `floor ≤ c ≤ pc`: each
     /// thread's issued ops truncated at its cut, executed in the recorded
     /// schedule order on a fresh reference. Empty past
-    /// [`ThreadedMcfsConfig::max_crash_cuts`].
+    /// [`MAX_CRASH_CUTS`].
     fn crash_cut_states(&mut self) -> VfsResult<Vec<u128>> {
         let tc = self.thread_count();
         let mut total = 1usize;
         for t in 0..tc {
             total = total.saturating_mul(self.pcs[t] - self.floor[t] + 1);
-            if total > self.cfg.max_crash_cuts {
+            if total > MAX_CRASH_CUTS {
                 return Ok(Vec::new());
             }
         }
-        let exceptions = &self.cfg.abstraction.exceptions;
-        let sort = self.cfg.abstraction.sort_entries;
-        let abstraction = &self.cfg.abstraction;
+        let abstraction = &self.core.abstraction;
+        let exceptions = &abstraction.exceptions;
+        let sort = abstraction.sort_entries;
         let mut out = Vec::with_capacity(total);
         let mut cut: Vec<usize> = self.floor.clone();
         loop {
@@ -876,33 +726,34 @@ impl ModelSystem for ThreadedMcfs {
                 });
             }
         }
-        if self.cfg.crash_exploration {
+        if self.core.crash_exploration {
             out.push(SchedStep::crash());
         }
         out
     }
 
     fn apply(&mut self, op: &SchedStep) -> ApplyOutcome {
-        if op.is_crash() {
+        let applied = if op.is_crash() {
             self.apply_crash()
         } else {
             self.apply_step(op)
-        }
+        };
+        applied.err().unwrap_or(ApplyOutcome::Ok)
     }
 
     fn abstract_state(&mut self) -> u128 {
-        self.pure_abstract_state()
-            ^ target::opaque_digest_fold(&mut self.targets)
+        self.core.pure_abstract_state()
+            ^ target::opaque_digest_fold(&mut self.core.targets)
             ^ self.sched_fold()
     }
 
     fn checkpoint(&mut self, id: StateId) -> Result<usize, String> {
-        let total = target::save_all(&mut self.targets, id.0)?;
-        let h = self.pure_abstract_state();
+        let total = target::save_all(&mut self.core.targets, id.0)?;
+        let h = self.core.pure_abstract_state();
         self.ckpt_hashes.insert(id.0, h);
-        if self.cfg.crash_exploration {
+        if self.core.crash_exploration {
             // Checkpointing syncs device-backed targets: new sync floor.
-            self.prefix_hashes = vec![h];
+            self.core.prefix_hashes = vec![h];
             self.floor = self.pcs.clone();
         }
         self.ckpt.insert(
@@ -910,7 +761,7 @@ impl ModelSystem for ThreadedMcfs {
             SavedSched {
                 pcs: self.pcs.clone(),
                 history: self.history.clone(),
-                prefix: self.prefix_hashes.clone(),
+                prefix: self.core.prefix_hashes.clone(),
                 floor: self.floor.clone(),
             },
         );
@@ -918,17 +769,17 @@ impl ModelSystem for ThreadedMcfs {
     }
 
     fn restore(&mut self, id: StateId) -> Result<(), String> {
-        self.last_hash = None;
-        target::load_all(&mut self.targets, id.0)?;
+        self.core.last_hash = None;
+        target::load_all(&mut self.core.targets, id.0)?;
         let saved = self
             .ckpt
             .get(&id.0)
             .ok_or_else(|| format!("no scheduler state saved under {id}"))?;
         self.pcs = saved.pcs.clone();
         self.history = saved.history.clone();
-        self.prefix_hashes = saved.prefix.clone();
+        self.core.prefix_hashes = saved.prefix.clone();
         self.floor = saved.floor.clone();
-        self.last_hash = self
+        self.core.last_hash = self
             .ckpt_hashes
             .get(&id.0)
             .map(|h| Digest128::from_bytes(h.to_le_bytes()));
@@ -936,25 +787,25 @@ impl ModelSystem for ThreadedMcfs {
     }
 
     fn release(&mut self, id: StateId) {
-        target::drop_all(&mut self.targets, id.0);
+        target::drop_all(&mut self.core.targets, id.0);
         self.ckpt.remove(&id.0);
         self.ckpt_hashes.remove(&id.0);
     }
 
     fn pin(&mut self, id: StateId) {
-        target::pin_all(&mut self.targets, id.0);
+        target::pin_all(&mut self.core.targets, id.0);
     }
 
     fn unpin(&mut self, id: StateId) {
-        target::unpin_all(&mut self.targets, id.0);
+        target::unpin_all(&mut self.core.targets, id.0);
     }
 
     fn checkpoint_store_stats(&self) -> Option<CheckpointStoreStats> {
-        target::merged_store_stats(&self.targets)
+        target::merged_store_stats(&self.core.targets)
     }
 
     fn crash_stats(&self) -> Option<CrashStats> {
-        self.cfg.crash_exploration.then_some(CrashStats {
+        self.core.crash_exploration.then_some(CrashStats {
             crashes: self.stats.crashes,
             recoveries: self.stats.crash_recoveries,
             divergent_recoveries: self.stats.divergent_recoveries,
@@ -1019,108 +870,15 @@ impl ModelSystem for ThreadedMcfs {
         trace: &[SchedStep],
         message: &str,
     ) -> Option<(Vec<SchedStep>, ShrinkStats)> {
-        if !self.cfg.minimize_violations {
+        if !self.minimize_violations {
             return None;
         }
         let factory = self.factory.clone()?;
-        let out = shrink_threaded_trace(&*factory, trace, message, &ShrinkConfig::default())?;
-        Some((out.schedule, out.stats))
+        shrink_trace(trace, message, &ShrinkConfig::default(), |candidate| {
+            factory(candidate).ok()?.replay_schedule(candidate)
+        })
+        .map(|o| (o.trace, o.stats))
     }
-}
-
-/// A successful schedule minimization.
-#[derive(Debug, Clone)]
-pub struct ThreadedShrinkOutcome {
-    /// The minimized schedule: a subsequence of the original (so every
-    /// thread's program order is preserved) that reproduces a violation
-    /// with the original message on a factory-fresh harness.
-    pub schedule: ThreadedTrace,
-    /// Work counters.
-    pub stats: ShrinkStats,
-}
-
-/// Dependency repair for interleaved schedules: re-adds, for every kept
-/// step, the last preceding producer (on *any* thread — files are shared)
-/// of each path its op consumes, and for every kept crash step its
-/// nearest preceding mutation (the crash-window anchor), to a fixpoint.
-/// Because repair and ddmin only ever remove or re-add *subsequence*
-/// elements, each thread's program order is preserved by construction.
-fn repair_sched_mask(schedule: &[SchedStep], mask: &mut [bool]) {
-    loop {
-        let mut changed = false;
-        for i in 0..schedule.len() {
-            if !mask[i] {
-                continue;
-            }
-            if schedule[i].is_crash() {
-                if let Some(j) = (0..i).rev().find(|&j| schedule[j].op.is_mutation()) {
-                    if !mask[j] {
-                        mask[j] = true;
-                        changed = true;
-                    }
-                }
-                continue;
-            }
-            for p in consumed_paths(&schedule[i].op) {
-                if let Some(j) = (0..i).rev().find(|&j| produces(&schedule[j].op, p)) {
-                    if !mask[j] {
-                        mask[j] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-}
-
-/// Minimizes a violating schedule to a 1-minimal subsequence reproducing a
-/// violation with exactly `message` on a factory-fresh harness. Program
-/// order per thread is preserved automatically (candidates are
-/// subsequences). Returns `None` when the full schedule does not reproduce
-/// on a fresh harness.
-pub fn shrink_threaded_trace(
-    factory: &ThreadedHarnessFactory,
-    schedule: &[SchedStep],
-    message: &str,
-    cfg: &ShrinkConfig,
-) -> Option<ThreadedShrinkOutcome> {
-    let n = schedule.len();
-    let mut cache: HashMap<Vec<bool>, bool> = HashMap::new();
-    let mut replays = 0u64;
-    let mut test = |mask: &[bool]| -> bool {
-        if let Some(&hit) = cache.get(mask) {
-            return hit;
-        }
-        let candidate = apply_mask(schedule, mask);
-        replays += 1;
-        let ok = match factory(&candidate) {
-            Ok(mut fresh) => fresh
-                .replay_schedule(&candidate)
-                .map(|(_, msg)| msg == message)
-                .unwrap_or(false),
-            Err(_) => false,
-        };
-        cache.insert(mask.to_vec(), ok);
-        ok
-    };
-    if !test(&vec![true; n]) {
-        return None;
-    }
-    let mut repair = |mask: &mut Vec<bool>| repair_sched_mask(schedule, mask);
-    let (mask, tests) = ddmin_mask(n, &mut repair, &mut test, cfg.max_candidates);
-    let minimized = apply_mask(schedule, &mask);
-    Some(ThreadedShrinkOutcome {
-        stats: ShrinkStats {
-            ops_before: n,
-            ops_after: minimized.len(),
-            candidates_tried: tests + 1,
-            replays_run: replays,
-        },
-        schedule: minimized,
-    })
 }
 
 #[cfg(test)]
@@ -1313,10 +1071,12 @@ mod tests {
         };
         let mut sys = factory(&sched).unwrap();
         let (_, msg) = sys.replay_schedule(&sched).expect("violates");
-        let out = shrink_threaded_trace(&factory, &sched, &msg, &ShrinkConfig::default())
-            .expect("full schedule reproduces");
-        assert!(out.schedule.len() < sched.len());
-        assert!(out.schedule.iter().all(|s| s.tid == 0), "fillers removed");
+        let out = shrink_trace(&sched, &msg, &ShrinkConfig::default(), |c| {
+            factory(c).ok()?.replay_schedule(c)
+        })
+        .expect("full schedule reproduces");
+        assert!(out.trace.len() < sched.len());
+        assert!(out.trace.iter().all(|s| s.tid == 0), "fillers removed");
         // Program order preserved: the minimized schedule is a subsequence
         // of thread 0's program.
         let prog: Vec<FsOp> = sched
@@ -1325,7 +1085,7 @@ mod tests {
             .map(|s| s.op.clone())
             .collect();
         let mut cursor = 0;
-        for step in &out.schedule {
+        for step in &out.trace {
             let at = prog[cursor..]
                 .iter()
                 .position(|op| *op == step.op)
@@ -1333,9 +1093,170 @@ mod tests {
             cursor += at + 1;
         }
         // And the result still reproduces byte-identically.
-        let mut fresh = factory(&out.schedule).unwrap();
-        let (_, msg2) = fresh.replay_schedule(&out.schedule).expect("reproduces");
+        let mut fresh = factory(&out.trace).unwrap();
+        let (_, msg2) = fresh.replay_schedule(&out.trace).expect("reproduces");
         assert_eq!(msg2, msg);
+    }
+
+    /// Which hook a [`Faulty`] target fails once with `EIO`.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Fault {
+        TrackState,
+        PostOpAfterCrash,
+    }
+
+    /// VeriFS2 behind the checkpoint API, failing one `track_state`, or the
+    /// first `post_op` after a crash, with `EIO` — a device error the
+    /// harness must report rather than swallow.
+    struct Faulty {
+        inner: CheckpointTarget<VeriFs>,
+        fault: Option<Fault>,
+        crashed: bool,
+    }
+
+    impl Faulty {
+        fn pair(fault: Fault) -> Vec<Box<dyn CheckedTarget>> {
+            let mut fs = VeriFs::v2();
+            fs.mount().unwrap();
+            let faulty = Faulty {
+                inner: CheckpointTarget::new(fs),
+                fault: Some(fault),
+                crashed: false,
+            };
+            let mut targets = clean_pair();
+            targets[1] = Box::new(faulty);
+            targets
+        }
+
+        fn fail(&mut self, fault: Fault) -> VfsResult<()> {
+            if self.fault == Some(fault) {
+                self.fault = None;
+                return Err(Errno::EIO);
+            }
+            Ok(())
+        }
+    }
+
+    impl CheckedTarget for Faulty {
+        fn name(&self) -> String {
+            "faulty".into()
+        }
+        fn fs_mut(&mut self) -> &mut dyn FileSystem {
+            self.inner.fs_mut()
+        }
+        fn capabilities(&self) -> vfs::FsCapabilities {
+            self.inner.capabilities()
+        }
+        fn strategy(&self) -> &'static str {
+            self.inner.strategy()
+        }
+        fn save_state(&mut self, key: u64) -> VfsResult<usize> {
+            self.inner.save_state(key)
+        }
+        fn load_state(&mut self, key: u64) -> VfsResult<()> {
+            self.inner.load_state(key)
+        }
+        fn drop_state(&mut self, key: u64) -> VfsResult<()> {
+            self.inner.drop_state(key)
+        }
+        fn pre_op(&mut self) -> VfsResult<()> {
+            self.inner.pre_op()
+        }
+        fn post_op(&mut self) -> VfsResult<()> {
+            if std::mem::take(&mut self.crashed) {
+                self.fail(Fault::PostOpAfterCrash)?;
+            }
+            self.inner.post_op()
+        }
+        fn track_state(&mut self) -> VfsResult<()> {
+            self.fail(Fault::TrackState)?;
+            self.inner.track_state()
+        }
+        fn supports_crash(&self) -> bool {
+            self.inner.supports_crash()
+        }
+        fn crash_remount(&mut self) -> VfsResult<()> {
+            self.crashed = true;
+            self.inner.crash_remount()
+        }
+    }
+
+    #[test]
+    fn track_state_failures_are_violations() {
+        let mut sys = ThreadedMcfs::new(
+            Faulty::pair(Fault::TrackState),
+            disjoint_programs(),
+            ThreadedMcfsConfig::default(),
+        )
+        .unwrap();
+        let step = sys.ops()[0].clone();
+        match sys.apply(&step) {
+            ApplyOutcome::Violation(msg) => {
+                assert_eq!(
+                    msg,
+                    format!("faulty: state tracking failed: {}", Errno::EIO)
+                )
+            }
+            other => panic!("a failed track_state must be a violation: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn post_crash_unmount_failures_are_violations() {
+        let cfg = ThreadedMcfsConfig {
+            crash_exploration: true,
+            ..ThreadedMcfsConfig::default()
+        };
+        let mut sys = ThreadedMcfs::new(
+            Faulty::pair(Fault::PostOpAfterCrash),
+            disjoint_programs(),
+            cfg,
+        )
+        .unwrap();
+        let step = sys.ops()[0].clone();
+        assert!(matches!(sys.apply(&step), ApplyOutcome::Ok));
+        match sys.apply(&SchedStep::crash()) {
+            ApplyOutcome::Violation(msg) => assert_eq!(
+                msg,
+                format!("faulty: post-crash unmount failed: {}", Errno::EIO)
+            ),
+            other => panic!("a failed post-crash unmount must be a violation: {other:?}"),
+        }
+        assert_eq!(sys.interleave_stats().crash_recoveries, 0);
+    }
+
+    #[test]
+    fn three_targets_name_the_minority_suspect() {
+        let mut targets = clean_pair();
+        let mut buggy = VeriFs::v2_with_bugs(BugConfig::v2_size());
+        buggy.mount().unwrap();
+        targets.push(Box::new(CheckpointTarget::new(buggy)));
+        let program = vec![
+            op_create("/f0"),
+            op_write("/f0", 0, 10, 1),
+            op_write("/f0", 10, 10, 2),
+        ];
+        let schedule: ThreadedTrace = program
+            .iter()
+            .map(|op| SchedStep {
+                tid: 0,
+                op: op.clone(),
+            })
+            .collect();
+        let mut sys =
+            ThreadedMcfs::new(targets, vec![program], ThreadedMcfsConfig::default()).unwrap();
+        let (at, msg) = sys
+            .replay_schedule(&schedule)
+            .expect("the size bug diverges");
+        assert_eq!(at, 2);
+        assert!(
+            msg.starts_with("abstract-state discrepancy on t0:"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("majority vote: 2 of 3 agree; suspect(s): verifs2"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -65,6 +65,7 @@ mod coverage;
 pub mod effect;
 mod harness;
 pub mod interleave;
+mod lockstep;
 pub mod pool;
 pub mod shrink;
 mod target;
@@ -84,8 +85,8 @@ pub use harness::{
     EQUALIZE_DUMMY,
 };
 pub use interleave::{
-    shrink_threaded_trace, InterleaveStats, SchedStep, ThreadedHarnessFactory, ThreadedMcfs,
-    ThreadedMcfsConfig, ThreadedShrinkOutcome, ThreadedTrace, CRASH_TID,
+    InterleaveStats, SchedStep, ThreadedHarnessFactory, ThreadedMcfs, ThreadedMcfsConfig,
+    ThreadedTrace, CRASH_TID,
 };
 pub use pool::{execute, execute_with, pattern, FsOp, OpOutcome, PoolConfig};
 pub use shrink::{

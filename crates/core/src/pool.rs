@@ -223,6 +223,14 @@ impl FsOp {
     }
 }
 
+/// The op a trace element carries — the view trace minimization repairs
+/// dependencies on ([`crate::shrink`]).
+impl AsRef<FsOp> for FsOp {
+    fn as_ref(&self) -> &FsOp {
+        self
+    }
+}
+
 impl std::fmt::Display for FsOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -1,8 +1,11 @@
-//! Counterexample minimization for [`FsOp`] traces.
+//! Counterexample minimization for [`FsOp`] traces and interleaved
+//! schedules.
 //!
-//! The file-system half of the delta-debugging minimizer: the generic
-//! ddmin engine lives in [`modelcheck::ddmin_mask`]; this module supplies
-//! the two hooks that make it sound for MCFS traces.
+//! The generic ddmin engine lives in [`modelcheck::ddmin_mask`];
+//! [`shrink_trace`] drives it for both harnesses — a trace of [`FsOp`]s
+//! for [`Mcfs`], a schedule of [`SchedStep`](crate::SchedStep)s for
+//! [`ThreadedMcfs`](crate::ThreadedMcfs) — and supplies the two hooks that
+//! make it sound for file-system traces.
 //!
 //! **Dependency repair.** Removing an op subset can break the rest of the
 //! trace for reasons that have nothing to do with the bug: a `write` whose
@@ -13,18 +16,22 @@
 //! are anchored on the preceding mutation that establishes their
 //! crash-window boundary: a kept `Crash` keeps its anchor, so the pair is
 //! removed or retained as a unit (the anchor alone may outlive the crash —
-//! the dependency is one-directional). Repair is an accelerator, not an
-//! oracle: it only ever *re-adds* ops, and every candidate it lets through
-//! is still validated by replay.
+//! the dependency is one-directional). Files are shared between threads,
+//! so in a schedule the producer may be any thread's step; and because
+//! repair and ddmin only ever remove or re-add *subsequence* elements, each
+//! thread's program order is preserved by construction. Repair is an
+//! accelerator, not an oracle: it only ever *re-adds* ops, and every
+//! candidate it lets through is still validated by replay.
 //!
 //! **Same-message acceptance.** A candidate counts as reproducing only if a
 //! *fresh* harness — built by the caller-supplied factory, never the live,
 //! already-violated instance — replays it to a violation whose first
-//! message equals the original exactly ([`replay_checked`]). This is what
-//! makes the result trustworthy: a shorter trace that trips a *different*
-//! bug (or the same bug with a different diagnosis) is rejected, and if the
-//! full original trace does not reproduce at all, minimization refuses to
-//! run rather than "minimize" a counterexample it cannot confirm.
+//! message equals the original exactly (for [`Mcfs`],
+//! [`replay_checked`](crate::replay_checked)). This is what makes the
+//! result trustworthy: a shorter trace that trips a *different* bug (or the
+//! same bug with a different diagnosis) is rejected, and if the full
+//! original trace does not reproduce at all, minimization refuses to run
+//! rather than "minimize" a counterexample it cannot confirm.
 //!
 //! The result is 1-minimal *modulo repair*: removing any single op (plus
 //! whatever repair re-adds for the remainder) either reconstructs the same
@@ -37,7 +44,7 @@ use modelcheck::{apply_mask, ddmin_mask, ShrinkStats};
 use verifs::{BugConfig, VeriFs};
 use vfs::{FileSystem, VfsResult};
 
-use crate::harness::{replay_checked, HarnessFactory, Mcfs, McfsConfig};
+use crate::harness::{HarnessFactory, Mcfs, McfsConfig};
 use crate::pool::FsOp;
 use crate::target::CheckpointTarget;
 
@@ -62,10 +69,10 @@ impl Default for ShrinkConfig {
 
 /// A successful minimization.
 #[derive(Debug, Clone)]
-pub struct ShrinkOutcome {
+pub struct ShrinkOutcome<Op = FsOp> {
     /// The minimized trace: a subsequence of the original that reproduces a
     /// violation with the original message on a factory-fresh harness.
-    pub trace: Vec<FsOp>,
+    pub trace: Vec<Op>,
     /// Work counters.
     pub stats: ShrinkStats,
 }
@@ -84,7 +91,7 @@ fn parent_of(path: &str) -> Option<&str> {
 
 /// Paths an op *consumes*: objects that must already exist for the op to
 /// behave as it did in the original trace.
-pub(crate) fn consumed_paths(op: &FsOp) -> Vec<&str> {
+fn consumed_paths(op: &FsOp) -> Vec<&str> {
     match op {
         FsOp::CreateFile { path, .. } | FsOp::Mkdir { path, .. } => {
             parent_of(path).into_iter().collect()
@@ -111,7 +118,7 @@ pub(crate) fn consumed_paths(op: &FsOp) -> Vec<&str> {
 }
 
 /// Whether `op` *produces* `path` (makes it exist).
-pub(crate) fn produces(op: &FsOp, path: &str) -> bool {
+fn produces(op: &FsOp, path: &str) -> bool {
     match op {
         FsOp::CreateFile { path: p, .. } | FsOp::Mkdir { path: p, .. } => p == path,
         FsOp::Rename { dst, .. } | FsOp::Hardlink { dst, .. } => dst == path,
@@ -121,30 +128,31 @@ pub(crate) fn produces(op: &FsOp, path: &str) -> bool {
 }
 
 /// The index of the last producer of `path` before `at`, if any.
-fn producer_before(trace: &[FsOp], at: usize, path: &str) -> Option<usize> {
-    (0..at).rev().find(|&j| produces(&trace[j], path))
+fn producer_before<Op: AsRef<FsOp>>(trace: &[Op], at: usize, path: &str) -> Option<usize> {
+    (0..at).rev().find(|&j| produces(trace[j].as_ref(), path))
 }
 
 /// The crash-window anchor of a `Crash` at `at`: the nearest preceding
 /// mutation, whose post-state establishes the boundary the recovery oracle
 /// judged against. (A `Crash` is itself a mutation, so consecutive crashes
 /// chain.)
-fn crash_anchor(trace: &[FsOp], at: usize) -> Option<usize> {
-    (0..at).rev().find(|&j| trace[j].is_mutation())
+fn crash_anchor<Op: AsRef<FsOp>>(trace: &[Op], at: usize) -> Option<usize> {
+    (0..at).rev().find(|&j| trace[j].as_ref().is_mutation())
 }
 
 /// Dependency repair: flips removed ops back to *kept* until every kept op
 /// has its producers and every kept `Crash` its boundary anchor. Only ever
 /// re-adds (never removes), and runs to a fixpoint so chains — `write`
 /// needs its `create`, the `create` needs its `mkdir` — close transitively.
-pub fn repair_mask(trace: &[FsOp], mask: &mut [bool]) {
+pub fn repair_mask<Op: AsRef<FsOp>>(trace: &[Op], mask: &mut [bool]) {
     loop {
         let mut changed = false;
         for i in 0..trace.len() {
             if !mask[i] {
                 continue;
             }
-            if matches!(trace[i], FsOp::Crash) {
+            let op = trace[i].as_ref();
+            if matches!(op, FsOp::Crash) {
                 if let Some(j) = crash_anchor(trace, i) {
                     if !mask[j] {
                         mask[j] = true;
@@ -153,7 +161,7 @@ pub fn repair_mask(trace: &[FsOp], mask: &mut [bool]) {
                 }
                 continue;
             }
-            for p in consumed_paths(&trace[i]) {
+            for p in consumed_paths(op) {
                 if let Some(j) = producer_before(trace, i, p) {
                     if !mask[j] {
                         mask[j] = true;
@@ -169,20 +177,23 @@ pub fn repair_mask(trace: &[FsOp], mask: &mut [bool]) {
 }
 
 /// Minimizes `trace` down to a 1-minimal subsequence that still reproduces
-/// a violation with exactly `message` when replayed on a factory-fresh
-/// harness.
+/// a violation with exactly `message`. `replay` runs a candidate on a
+/// *fresh* harness built by the caller's factory and returns the index and
+/// message of the first violation it raises, as [`replay`](crate::replay)
+/// and [`ThreadedMcfs::replay_schedule`](crate::ThreadedMcfs::replay_schedule)
+/// do (`None` when none fires or the factory fails). Repeat candidate masks
+/// are answered from a cache.
 ///
-/// Returns `None` when the *full* trace does not reproduce `message` on a
-/// fresh harness — the counterexample is not trustworthy (nondeterminism,
-/// an unfaithful factory, or a replay tripping a different bug), and
-/// "minimizing" it would lie. Every candidate replay builds a brand-new
-/// harness via `factory`; repeat candidate masks are answered from a cache.
-pub fn shrink_trace(
-    factory: &HarnessFactory,
-    trace: &[FsOp],
+/// Returns `None` when the *full* trace does not reproduce `message` — the
+/// counterexample is not trustworthy (nondeterminism, an unfaithful
+/// factory, or a replay tripping a different bug), and "minimizing" it
+/// would lie.
+pub fn shrink_trace<Op: Clone + AsRef<FsOp>>(
+    trace: &[Op],
     message: &str,
     cfg: &ShrinkConfig,
-) -> Option<ShrinkOutcome> {
+    mut replay: impl FnMut(&[Op]) -> Option<(usize, String)>,
+) -> Option<ShrinkOutcome<Op>> {
     let n = trace.len();
     let mut cache: HashMap<Vec<bool>, bool> = HashMap::new();
     let mut replays = 0u64;
@@ -190,13 +201,8 @@ pub fn shrink_trace(
         if let Some(&hit) = cache.get(mask) {
             return hit;
         }
-        let candidate = apply_mask(trace, mask);
         replays += 1;
-        let ok = match factory() {
-            Ok(mut fresh) => replay_checked(&mut fresh, &candidate, message).reproduced(),
-            // A factory that cannot build is a factory that cannot confirm.
-            Err(_) => false,
-        };
+        let ok = replay(&apply_mask(trace, mask)).is_some_and(|(_, msg)| msg == message);
         cache.insert(mask.to_vec(), ok);
         ok
     };
@@ -252,6 +258,7 @@ pub fn harness_with_factory(factory: Arc<HarnessFactory>) -> VfsResult<Mcfs> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{replay, replay_checked};
 
     fn op_create(p: &str) -> FsOp {
         FsOp::CreateFile {
@@ -358,10 +365,10 @@ mod tests {
         let factory = buggy_verifs_factory(BugConfig::none(), McfsConfig::default());
         let trace = vec![op_create("/f0"), op_write("/f0", 0, 10, 1)];
         let out = shrink_trace(
-            factory.as_ref(),
             &trace,
             "some recorded message",
             &ShrinkConfig::default(),
+            |c| replay(&mut factory().ok()?, c),
         );
         assert!(out.is_none(), "an unreproducible trace must not minimize");
     }
@@ -393,10 +400,12 @@ mod tests {
             op_write("/f0", 30, 4, 2),
         ];
         let mut recorder = (factory)().unwrap();
-        let (idx, msg) = crate::harness::replay(&mut recorder, &trace).expect("bug fires");
+        let (idx, msg) = replay(&mut recorder, &trace).expect("bug fires");
         assert_eq!(idx, trace.len() - 1);
-        let out = shrink_trace(factory.as_ref(), &trace, &msg, &ShrinkConfig::default())
-            .expect("reproducible trace must minimize");
+        let out = shrink_trace(&trace, &msg, &ShrinkConfig::default(), |c| {
+            replay(&mut factory().ok()?, c)
+        })
+        .expect("reproducible trace must minimize");
         assert!(
             out.trace.len() < trace.len(),
             "filler ops must be removed: {:?}",

@@ -39,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         targets,
         McfsConfig {
             pool: PoolConfig::small(),
-            majority_voting: true,
             ..McfsConfig::default()
         },
         clock.clone(),

@@ -193,7 +193,6 @@ fn three_way_with_voting_is_clean() {
         targets,
         McfsConfig {
             pool: PoolConfig::small(),
-            majority_voting: true,
             ..McfsConfig::default()
         },
         clock,

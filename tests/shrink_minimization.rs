@@ -146,8 +146,10 @@ proptest! {
         let (idx, msg) = replay(&mut recorder, &trace).expect("hole bug fires");
         let recorded = &trace[..=idx];
 
-        let out = shrink_trace(factory.as_ref(), recorded, &msg, &ShrinkConfig::default())
-            .expect("a reproducing trace must minimize");
+        let out = shrink_trace(recorded, &msg, &ShrinkConfig::default(), |c| {
+            replay(&mut factory().ok()?, c)
+        })
+        .expect("a reproducing trace must minimize");
 
         // (a) same-message reproduction on a fresh harness.
         let mut fresh = (factory)().expect("factory rebuilds");
@@ -196,8 +198,10 @@ fn crash_markers_minimize_away_from_a_crash_trace() {
     let (idx, msg) = replay(&mut recorder, &trace).expect("hole bug fires through crashes");
     assert_eq!(idx, trace.len() - 1);
 
-    let out = shrink_trace(factory.as_ref(), &trace, &msg, &ShrinkConfig::default())
-        .expect("crash trace must minimize");
+    let out = shrink_trace(&trace, &msg, &ShrinkConfig::default(), |c| {
+        replay(&mut factory().ok()?, c)
+    })
+    .expect("crash trace must minimize");
     assert!(
         !out.trace.contains(&FsOp::Crash),
         "crashes are irrelevant to the hole bug and must shrink away: {:?}",
