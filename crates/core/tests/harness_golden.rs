@@ -678,9 +678,10 @@ fn threaded_three_target_state_discrepancy() {
     pin(
         "threaded discrepancy",
         &format!("at {at}: {msg}"),
-        r#"at 2: state discrepancy on t0:write_file(/f0, off=10, len=10, seed=2):
+        r#"at 2: abstract-state discrepancy on t0:write_file(/f0, off=10, len=10, seed=2):
   verifs2      [checkpoint-api] => Digest128([15, 122, 79, 85, 106, 133, 150, 186, 50, 10, 215, 185, 70, 120, 214, 224])
   verifs2      [checkpoint-api] => Digest128([15, 122, 79, 85, 106, 133, 150, 186, 50, 10, 215, 185, 70, 120, 214, 224])
-  verifs2      [checkpoint-api] => Digest128([68, 140, 116, 240, 50, 25, 184, 134, 92, 136, 117, 213, 126, 38, 250, 216])"#,
+  verifs2      [checkpoint-api] => Digest128([68, 140, 116, 240, 50, 25, 184, 134, 92, 136, 117, 213, 126, 38, 250, 216])
+  majority vote: 2 of 3 agree; suspect(s): verifs2"#,
     );
 }
