@@ -151,34 +151,17 @@ fn strategy_table(budget: u64) -> Vec<(String, String)> {
     // 1. CRIU on a FUSE file system: refused at the first checkpoint
     //    because the daemon process holds /dev/fuse.
     {
-        struct FuseProcess(fusesim::FuseMount<VeriFs>);
-        impl snapshot::Snapshotable for FuseProcess {
-            fn memory_image(&self) -> Vec<u8> {
-                Vec::new() // never reached: the handle check refuses first
-            }
-            fn restore_image(&mut self, _image: &[u8]) -> Result<(), String> {
-                Ok(())
-            }
-            fn handles(&self) -> Vec<snapshot::ProcessHandle> {
-                self.0
-                    .daemon()
-                    .device_handles()
-                    .iter()
-                    .map(|h| match h {
-                        fusesim::DeviceHandle::Char(p) => {
-                            snapshot::ProcessHandle::CharDevice(p.clone())
-                        }
-                        fusesim::DeviceHandle::Block(p) => {
-                            snapshot::ProcessHandle::BlockDevice(p.clone())
-                        }
-                    })
-                    .collect()
-            }
-        }
-        let clock = Clock::new();
-        let proc = FuseProcess(verifs_fuse(1, BugConfig::none(), clock.clone()));
-        let mut engine = snapshot::CriuEngine::new(Some(clock));
-        let outcome = match engine.checkpoint(1, &proc) {
+        let fuse = verifs_fuse(1, BugConfig::none(), Clock::new());
+        let handles: Vec<snapshot::ProcessHandle> = fuse
+            .daemon()
+            .device_handles()
+            .iter()
+            .map(|h| match h {
+                fusesim::DeviceHandle::Char(p) => snapshot::ProcessHandle::CharDevice(p.clone()),
+                fusesim::DeviceHandle::Block(p) => snapshot::ProcessHandle::BlockDevice(p.clone()),
+            })
+            .collect();
+        let outcome = match snapshot::criu_check_handles(&handles) {
             Err(e) => format!("REFUSED ({e}) — as the paper found for FUSE"),
             Ok(()) => "unexpectedly worked".to_string(),
         };

@@ -1,8 +1,8 @@
 //! Experiment harness regenerating the paper's evaluation (§6).
 //!
 //! Each figure/measurement has a binary under `src/bin/` that prints the
-//! same rows/series the paper reports, plus criterion benches for CI-style
-//! tracking. Everything is measured in **virtual time** (see DESIGN.md):
+//! same rows/series the paper reports; host cost is tracked by the separate
+//! `perfbench` package. Everything is measured in **virtual time** (see DESIGN.md):
 //! device latencies, FUSE crossings, remount overheads, swap traffic and
 //! hash-table resizes all charge a shared [`blockdev::Clock`], so ratios are
 //! deterministic and runs take seconds instead of the paper's weeks.
