@@ -47,7 +47,7 @@ impl SourceOptions {
     pub fn new(root: impl Into<PathBuf>) -> Self {
         SourceOptions {
             root: root.into(),
-            skip_crates: ["rand", "proptest", "criterion", "parking_lot", "bench"]
+            skip_crates: ["rand", "proptest", "parking_lot", "bench"]
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),

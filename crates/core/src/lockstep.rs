@@ -32,7 +32,7 @@ pub(crate) const SYSCALL_CPU_NS: u64 = 2_000;
 /// N checked targets driven in lockstep.
 pub(crate) struct Lockstep {
     pub(crate) targets: Vec<Box<dyn CheckedTarget>>,
-    pub(crate) clock: Option<Clock>,
+    clock: Option<Clock>,
     pub(crate) abstraction: AbstractionConfig,
     /// Hash through the targets' fingerprint caches, dropping the paths a
     /// mutation touches before it runs; otherwise re-hash every target in
@@ -129,7 +129,7 @@ impl Lockstep {
         }
     }
 
-    pub(crate) fn hash_all(&mut self) -> VfsResult<Vec<Digest128>> {
+    fn hash_all(&mut self) -> VfsResult<Vec<Digest128>> {
         let cfg = &self.abstraction;
         let incremental = self.incremental;
         self.targets
