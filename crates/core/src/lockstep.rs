@@ -27,7 +27,7 @@ use crate::pool::{execute_with, FsOp, OpOutcome};
 use crate::target::CheckedTarget;
 
 /// Virtual CPU time charged per syscall per target.
-pub(crate) const SYSCALL_CPU_NS: u64 = 2_000;
+const SYSCALL_CPU_NS: u64 = 2_000;
 
 /// N checked targets driven in lockstep.
 pub(crate) struct Lockstep {
