@@ -435,3 +435,163 @@ fn two_worker_frontier_swarm() {
     assert_eq!(r.distinct_states, Some(12));
     assert_eq!(visited, VISITED_DIGEST);
 }
+
+/// Collect-mode walk bounds for the one-worker walk fleets: 400 ops over
+/// the counter, with spread restarts reaching its violation at 12.
+fn walk_fleet_cfg() -> ExploreConfig {
+    ExploreConfig {
+        max_ops: 400,
+        seed: 5,
+        restart_spread: 0.5,
+        ..cfg(14)
+    }
+}
+
+/// A one-worker all-walk [`run_swarm`] fleet over the counter.
+fn walk_fleet(shared_visited: bool) -> SwarmReport<i64> {
+    run_swarm(
+        &SwarmConfig {
+            workers: 1,
+            base: walk_fleet_cfg(),
+            shared_visited,
+            strategies: vec![],
+        },
+        |_| counter(),
+    )
+}
+
+/// The walk's violations, each traced from its last (spread) restart.
+const WALK_FLEET_TRACES: &[(u64, &[i64])] = &[
+    (78, &[1, -1, 1, 1, 1, 1, 1, 1]),
+    (80, &[1, -1, 1, 1, 1, 1, 1, 1, -1]),
+    (87, &[1]),
+    (89, &[1, -1]),
+    (91, &[1, 1, -1]),
+    (95, &[1, 1, 1, 1, -1, -1]),
+    (97, &[1, 1, 1, 1, -1, 1, -1]),
+    (101, &[1, 1, 1, 1, -1, 1, -1, -1, 1, 1]),
+    (103, &[1, 1, 1, 1, -1, 1, -1, -1, 1, -1, 1]),
+    (107, &[1, 1, 1, 1, -1, 1, -1, -1, 1, -1, -1, -1, 1, 1]),
+    (151, &[-1]),
+    (153, &[-1, 1]),
+    (181, &[-1]),
+    (215, &[-1, 1, 1, -1, 1, 1]),
+    (217, &[-1, 1, 1, -1, 1, -1, 1]),
+    (223, &[-1, 1, 1, -1, 1, -1, 1, 1, 1, -1, -1, -1]),
+    (228, &[1, 1]),
+    (283, &[1, -1, -1, -1, 1, -1, -1, 1, 1, -1, 1, -1, -1, -1]),
+    (329, &[1, -1, -1]),
+    (331, &[1, -1, -1, 1]),
+    (339, &[1, -1, -1, 1, 1, -1, 1, 1, -1, -1, -1]),
+];
+
+#[test]
+fn one_worker_walk_fleet_with_a_private_set() {
+    let r = walk_fleet(false);
+    let plain = RandomWalk::new(walk_fleet_cfg()).run(&mut counter());
+    assert_eq!(r.distinct_states, None);
+    let w = &r.workers[0];
+    assert_eq!(w.stop, StopReason::OpBudget);
+    assert_eq!(w.stats, plain.stats);
+    assert_eq!(traces(w), traces(&plain));
+    assert_eq!(
+        w.stats,
+        ExploreStats {
+            ops_executed: 400,
+            states_new: 24,
+            states_matched: 356,
+            checkpoints: 24,
+            restores: 27,
+            max_depth_seen: 14,
+            resize_events: 3,
+            peak_memory_bytes: 25166592,
+            swap_traffic_bytes: 40894464,
+            swapped_bytes: 19922944,
+            hit_rate: 0.6296296296296297,
+            visited_peak_bytes: 1152,
+            ..ExploreStats::default()
+        }
+    );
+    let expected: Vec<(u64, Vec<i64>)> = WALK_FLEET_TRACES
+        .iter()
+        .map(|(ops, trace)| (*ops, trace.to_vec()))
+        .collect();
+    assert_eq!(traces(w), expected);
+}
+
+#[test]
+fn one_worker_walk_fleet_with_a_shared_set() {
+    let r = walk_fleet(true);
+    let plain = RandomWalk::new(walk_fleet_cfg()).run_resumable(
+        &mut counter(),
+        &mut ShardedVisited::new(4, 8),
+        |_| {},
+    );
+    assert_eq!(r.distinct_states, Some(plain.stats.states_new));
+    let w = &r.workers[0];
+    assert_eq!(w.stop, StopReason::OpBudget);
+    // The shared set's footprint is reported once, fleet-wide.
+    assert_eq!(
+        w.stats,
+        ExploreStats {
+            visited_peak_bytes: 0,
+            ..plain.stats.clone()
+        }
+    );
+    assert_eq!(traces(w), traces(&plain));
+    assert_eq!(r.visited_peak_bytes, plain.stats.visited_peak_bytes);
+}
+
+/// A one-worker persistent `[Walk]` fleet snapshotting every 25 ops, so
+/// four rounds each respawn the walk with a derived seed. Backtracking on
+/// every match keeps the walk at its root between ops once the depth-3
+/// space is saturated, so each round boundary falls between two paths.
+#[test]
+fn one_worker_persistent_walk_fleet() {
+    let dir = std::env::temp_dir().join("mcfs-golden-walk-fleet");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.pickle");
+    let r = run_swarm_persistent(
+        &SwarmConfig {
+            workers: 1,
+            base: ExploreConfig {
+                max_ops: 100,
+                seed: 5,
+                backtrack_on_match: true,
+                ..cfg(3)
+            },
+            shared_visited: true,
+            strategies: vec![WorkerStrategy::Walk],
+        },
+        |_| counter(),
+        SwarmPersist {
+            codec: &I64Codec,
+            snapshot_path: Some(path.clone()),
+            snapshot_every: 25,
+            resume: None,
+        },
+    );
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(r.distinct_states, Some(4));
+    assert_eq!(fnv128(&bytes), 0xbda10caa1db577a3e9f825231eaa36a8);
+    let w = &r.workers[0];
+    assert_eq!(w.stop, StopReason::OpBudget);
+    assert_eq!(
+        w.stats,
+        ExploreStats {
+            ops_executed: 100,
+            states_new: 4,
+            states_matched: 53,
+            pruned: 44,
+            // One root checkpoint per round, plus the three new states.
+            checkpoints: 7,
+            restores: 54,
+            max_depth_seen: 3,
+            resize_events: 2,
+            peak_memory_bytes: 4194496,
+            hit_rate: 1.0,
+            ..ExploreStats::default()
+        }
+    );
+}
