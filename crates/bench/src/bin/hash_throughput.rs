@@ -11,11 +11,11 @@
 //!    buffer, and ns per digest of a 49-byte message (one block after
 //!    padding, the size of a typical leaf digest's metadata).
 //! 3. **Shared sharded visited set** — duplicate states expanded by a
-//!    private-visited-set swarm vs a swarm sharing one
-//!    [`modelcheck::ShardedVisited`], at an equal per-worker op budget.
-//!    Each worker records every abstract state it sees, so the global
-//!    distinct count (the union) is exact and
-//!    `duplicates = Σ states_new − distinct`.
+//!    private-visited-set walk swarm vs one sharing a
+//!    [`modelcheck::ShardedVisited`] ([`modelcheck::run_swarm`] both), at
+//!    an equal per-worker op budget. Every worker records each abstract
+//!    state it sees into one shared set, so the global distinct count (the
+//!    union) is exact and `duplicates = Σ states_new − distinct`.
 //!
 //! Unlike the figure benches this one measures **real** wall-clock time:
 //! the fingerprint cache is a genuine CPU optimization, not a modeled cost.
@@ -25,6 +25,7 @@
 //! `--quick` shrinks the iteration counts to CI-smoke size.
 
 use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mcfs::{
@@ -32,8 +33,7 @@ use mcfs::{
     FingerprintCache, FsOp, Mcfs, McfsConfig, PoolConfig,
 };
 use modelcheck::{
-    ApplyOutcome, CheckpointStoreStats, ExploreConfig, ModelSystem, RandomWalk, ShardedVisited,
-    StateId, VisitedSet,
+    run_swarm, ApplyOutcome, CheckpointStoreStats, ExploreConfig, ModelSystem, StateId, SwarmConfig,
 };
 use verifs::VeriFs;
 use vfs::{FileMode, FileSystem, OpenFlags};
@@ -134,11 +134,11 @@ fn bench_hashing(iters: usize) -> HashBench {
 }
 
 /// An [`Mcfs`] wrapper that records every abstract state the explorer
-/// observes, so the union across workers gives the exact global distinct
-/// count.
+/// observes into a set every worker shares, which is then the union: the
+/// exact global distinct count.
 struct Recording {
     inner: Mcfs,
-    seen: HashSet<u128>,
+    seen: Arc<Mutex<HashSet<u128>>>,
 }
 
 impl ModelSystem for Recording {
@@ -154,7 +154,7 @@ impl ModelSystem for Recording {
 
     fn abstract_state(&mut self) -> u128 {
         let h = self.inner.abstract_state();
-        self.seen.insert(h);
+        self.seen.lock().expect("seen set").insert(h);
         h
     }
 
@@ -215,43 +215,30 @@ struct SwarmDedup {
 /// Runs `workers` diversified random walks at an equal per-worker budget,
 /// either each with a private visited set or all sharing one sharded set.
 fn swarm_dedup(shared: bool, workers: usize, budget: u64) -> SwarmDedup {
-    let shared_set = ShardedVisited::new(1 << 12, workers.max(8));
-    let results: Vec<(u64, HashSet<u128>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|idx| {
-                let mut set = shared_set.clone();
-                scope.spawn(move || {
-                    let walk = RandomWalk::new(ExploreConfig {
-                        max_depth: 5,
-                        max_ops: budget,
-                        seed: 100 + idx as u64,
-                        ..ExploreConfig::default()
-                    });
-                    let mut sys = Recording {
-                        inner: build_harness(),
-                        seen: HashSet::new(),
-                    };
-                    let report = if shared {
-                        walk.run_resumable(&mut sys, &mut set, |_| {})
-                    } else {
-                        let mut private = VisitedSet::new(1 << 12);
-                        walk.run_resumable(&mut sys, &mut private, |_| {})
-                    };
-                    (report.stats.states_new, sys.seen)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
-    });
-    let states_expanded: u64 = results.iter().map(|(n, _)| n).sum();
-    let mut union: HashSet<u128> = HashSet::new();
-    for (_, seen) in &results {
-        union.extend(seen);
+    let seen = Arc::new(Mutex::new(HashSet::new()));
+    let report = run_swarm(
+        &SwarmConfig {
+            workers,
+            base: ExploreConfig {
+                max_depth: 5,
+                max_ops: budget,
+                visited_capacity: 1 << 12,
+                seed: 100,
+                ..ExploreConfig::default()
+            },
+            shared_visited: shared,
+            strategies: Vec::new(),
+        },
+        |_| Recording {
+            inner: build_harness(),
+            seen: Arc::clone(&seen),
+        },
+    );
+    if let Some((idx, msg)) = report.panics().next() {
+        panic!("swarm worker {idx} panicked: {msg}");
     }
-    let distinct_states = union.len() as u64;
+    let states_expanded: u64 = report.workers.iter().map(|w| w.stats.states_new).sum();
+    let distinct_states = seen.lock().expect("seen set").len() as u64;
     SwarmDedup {
         states_expanded,
         distinct_states,

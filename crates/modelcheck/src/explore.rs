@@ -566,7 +566,7 @@ fn explore<S: ModelSystem, V: VisitedHandle + ?Sized>(
 
 /// Runs `run` over a fresh visited set: disk-spilling under
 /// [`ExploreConfig::mem_budget`], fully in RAM otherwise.
-fn with_fresh_visited<Op>(
+pub(crate) fn with_fresh_visited<Op>(
     cfg: &ExploreConfig,
     run: impl FnOnce(&mut dyn VisitedHandle) -> ExploreReport<Op>,
 ) -> ExploreReport<Op> {
@@ -702,13 +702,14 @@ fn bfs<S: ModelSystem, V: VisitedHandle + ?Sized>(
 /// depth bound, at a dead end, or (with `backtrack_on_match`) at a matched
 /// state. Only the root is pinned: spread-restart targets are nice to have,
 /// but the walk can always fall back to the root if the budgeted store
-/// evicted one.
+/// evicted one. The walk ends early, mid-path, once `halt` returns true.
 fn walk<S: ModelSystem, V: VisitedHandle + ?Sized>(
     k: &mut Search<'_, S>,
     sys: &mut S,
     visited: &mut V,
     root: StateId,
     mut observe: impl FnMut(&ExploreStats),
+    halt: impl Fn() -> bool,
 ) -> Result<(), StopReason> {
     let mut rng = StdRng::seed_from_u64(k.cfg.seed);
     let mut trace: Vec<S::Op> = Vec::new();
@@ -716,11 +717,13 @@ fn walk<S: ModelSystem, V: VisitedHandle + ?Sized>(
     let mut depth = 0usize;
     loop {
         k.budget()?;
+        if halt() {
+            return Ok(());
+        }
         let ops = sys.ops();
         if ops.is_empty() && depth == 0 {
             // No operation is enabled even in the initial state: nothing
-            // left to do (also how swarm workers drain once the shared stop
-            // flag rises).
+            // left to do.
             return Ok(());
         }
         if depth >= k.cfg.max_depth || ops.is_empty() {
@@ -922,12 +925,25 @@ impl RandomWalk {
         visited: &mut V,
         observe: impl FnMut(&ExploreStats),
     ) -> ExploreReport<S::Op> {
+        self.run_until(sys, visited, observe, || false)
+    }
+
+    /// [`RandomWalk::run_resumable`] that also ends, reporting
+    /// [`StopReason::Exhausted`], once `halt` returns true; the swarm
+    /// drains its walk workers through it.
+    pub(crate) fn run_until<S: ModelSystem, V: VisitedHandle + ?Sized>(
+        &self,
+        sys: &mut S,
+        visited: &mut V,
+        observe: impl FnMut(&ExploreStats),
+        halt: impl Fn() -> bool,
+    ) -> ExploreReport<S::Op> {
         explore(
             &self.cfg,
             self.clock.as_ref(),
             sys,
             visited,
-            |k, sys, visited, root| walk(k, sys, visited, root, observe),
+            |k, sys, visited, root| walk(k, sys, visited, root, observe, halt),
         )
     }
 

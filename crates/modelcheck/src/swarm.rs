@@ -7,23 +7,24 @@
 //! worker thread over systems produced by a factory, with a shared stop flag
 //! so the first violation cancels the fleet.
 //!
-//! Two fleet shapes exist:
+//! Every fleet runs one spawn-and-round loop; its workers differ only in how
+//! they search ([`SwarmConfig::strategies`], cycled over the workers):
 //!
-//! * **Classic walks** ([`SwarmConfig::strategies`] empty): every worker runs
-//!   a seed-diversified [`RandomWalk`]. With private visited sets workers
-//!   re-expand each other's states (maximum diversity); with
-//!   [`SwarmConfig::shared_visited`] they share one [`ShardedVisited`] and a
+//! * **Walks** ([`WorkerStrategy::Walk`], and every worker when `strategies`
+//!   is empty): each worker runs a seed-diversified [`RandomWalk`]. In an
+//!   all-walk fleet without [`SwarmConfig::shared_visited`] every walk has
+//!   a private visited set, so workers re-expand each other's states
+//!   (maximum diversity); otherwise they share one [`ShardedVisited`] and a
 //!   state expanded anywhere is pruned everywhere.
-//! * **Work-stealing frontier** (`strategies` non-empty): pending states
-//!   live in per-worker deques as *replayable op-prefixes*
-//!   ([`FrontierEntry`]); a worker whose deque runs dry steals half of a
-//!   victim's. The shared visited set arbitrates, so each state is expanded
-//!   exactly once fleet-wide and DFS/BFS — not just walks — parallelize.
-//!   [`WorkerStrategy::Dfs`] workers pop newest-first,
-//!   [`WorkerStrategy::Bfs`] oldest-first, and [`WorkerStrategy::Walk`]
-//!   workers run random walks against the same shared set. The system's
-//!   independence relation (e.g. the harness's `EffectIndex`) still applies
-//!   per-worker through sleep sets carried in the entries.
+//! * **Work-stealing frontier** ([`WorkerStrategy::Dfs`],
+//!   [`WorkerStrategy::Bfs`]): pending states live in per-worker deques as
+//!   *replayable op-prefixes* ([`FrontierEntry`]); a worker whose deque runs
+//!   dry steals half of a victim's. The shared visited set arbitrates, so
+//!   each state is expanded exactly once fleet-wide and DFS/BFS — not just
+//!   walks — parallelize. Dfs workers pop newest-first, Bfs oldest-first;
+//!   walk workers in the same fleet prune against (and feed) the same set.
+//!   The system's independence relation (e.g. the harness's `EffectIndex`)
+//!   still applies per-worker through sleep sets carried in the entries.
 //!
 //! The op-prefix frontier is also what makes a swarm *resumable*:
 //! [`run_swarm_persistent`] periodically pickles the shared visited set, the
@@ -48,8 +49,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::explore::{
-    spill_init_failure, ExploreConfig, ExploreReport, ExploreStats, RandomWalk, Search, Step,
-    StopReason,
+    spill_init_failure, with_fresh_visited, ExploreConfig, ExploreReport, ExploreStats, RandomWalk,
+    Search, Step, StopReason,
 };
 use crate::pickle::SnapshotWriter;
 use crate::pickle::{self, deal_frontier, FrontierEntry, OpCodec, RngCursor, RunSnapshot};
@@ -84,13 +85,14 @@ pub struct SwarmConfig {
     pub base: ExploreConfig,
     /// Share one sharded visited set across the fleet so workers skip
     /// states another worker already expanded, instead of duplicating work
-    /// with private per-worker sets. Implied (always on) in frontier mode,
-    /// where work-stealing without a shared set would be unsound.
+    /// with private per-worker sets. Only an all-walk [`run_swarm`] fleet
+    /// can turn it off: frontier workers need the shared set (work-stealing
+    /// without one would be unsound), and [`run_swarm_persistent`] pickles
+    /// it.
     pub shared_visited: bool,
     /// Per-worker strategy assignment, cycled over the worker index (e.g.
     /// `[Dfs, Dfs, Walk]` over 5 workers gives Dfs,Dfs,Walk,Dfs,Dfs).
-    /// Empty selects the classic all-walk swarm; any non-empty assignment
-    /// selects the work-stealing frontier.
+    /// Empty makes every worker walk.
     ///
     /// Out-of-core operation rides in [`ExploreConfig::mem_budget`] on
     /// `base`: a shared visited set becomes disk-spilling, and in
@@ -130,8 +132,8 @@ pub struct SwarmReport<Op> {
     /// accumulated before dying.
     pub workers: Vec<ExploreReport<Op>>,
     /// Distinct states in the shared visited set at the end of the run,
-    /// when one was used (`shared_visited` or frontier mode). `None` for
-    /// private-set fleets, where no global distinct count exists.
+    /// when one was used. `None` for private-set walk fleets, where no
+    /// global distinct count exists.
     pub distinct_states: Option<u64>,
     /// Stats carried in from the resumed snapshot (zero for fresh runs) —
     /// the totals below include them, so a resumed run reports its whole
@@ -235,7 +237,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// initialize: every worker slot reports the failure.
 fn spill_init_report<Op>(workers: usize, e: &str) -> SwarmReport<Op> {
     SwarmReport {
-        workers: (0..workers.max(1)).map(|_| spill_init_failure(e)).collect(),
+        workers: (0..workers).map(|_| spill_init_failure(e)).collect(),
         distinct_states: None,
         baseline: ExploreStats::default(),
         persist_error: None,
@@ -254,47 +256,26 @@ fn fleet_visited(base: &ExploreConfig, workers: usize) -> Result<ShardedVisited,
     }
 }
 
-/// Runs a walk worker over the fleet-shared visited set. The set's spill
-/// counters are fleet-wide, so they surface once in [`SwarmReport::spill`]
-/// (and the snapshot stats), not per worker, where summing copies of the
-/// same global counters would overcount.
-fn walk_shared<S: ModelSystem>(
-    cfg: ExploreConfig,
-    sys: &mut S,
-    visited: &ShardedVisited,
-    observe: impl FnMut(&ExploreStats),
-) -> ExploreReport<S::Op> {
-    let mut report = RandomWalk::new(cfg).run_resumable(sys, &mut visited.clone(), observe);
-    report.stats.spill = None;
-    report.stats.visited_peak_bytes = 0;
-    report
-}
-
 /// Runs `cfg.workers` searches in parallel over systems produced by
 /// `factory` (one system per worker, seeded by worker index).
 ///
-/// With an empty [`SwarmConfig::strategies`] this is the classic
-/// seed-diversified walk swarm; otherwise the work-stealing frontier runs
-/// (see the module docs). The first worker to find a violation raises the
-/// shared stop flag. A worker panic is contained to its slot (see
-/// [`SwarmReport::panics`]); the rest of the fleet keeps searching.
+/// With an empty [`SwarmConfig::strategies`] every worker walks; otherwise
+/// the assignment is cycled over the workers (see the module docs). The
+/// first worker to find a violation raises the shared stop flag. A worker
+/// panic is contained to its slot (see [`SwarmReport::panics`]); the rest
+/// of the fleet keeps searching.
 pub fn run_swarm<S, F>(cfg: &SwarmConfig, factory: F) -> SwarmReport<S::Op>
 where
     S: ModelSystem,
     S::Op: Send + 'static,
     F: Fn(usize) -> S + Sync,
 {
-    if cfg.strategies.is_empty() {
-        run_walk_swarm(cfg, factory)
-    } else {
-        run_frontier_swarm::<S, F>(cfg, factory, None)
-    }
+    run_fleet::<S, F>(cfg, factory, None)
 }
 
-/// Runs a resumable work-stealing swarm: like [`run_swarm`] with non-empty
-/// strategies (an empty assignment defaults to all-[`WorkerStrategy::Dfs`]
-/// here), plus periodic atomic snapshots and/or an initial state loaded
-/// from a [`RunSnapshot`] (see [`SwarmPersist`]).
+/// Runs a resumable swarm: like [`run_swarm`], always over a shared
+/// visited set, plus periodic atomic snapshots and/or an initial state
+/// loaded from a [`RunSnapshot`] (see [`SwarmPersist`]).
 pub fn run_swarm_persistent<S, F>(
     cfg: &SwarmConfig,
     factory: F,
@@ -305,85 +286,11 @@ where
     S::Op: Send + 'static,
     F: Fn(usize) -> S + Sync,
 {
-    run_frontier_swarm::<S, F>(cfg, factory, Some(persist))
+    run_fleet::<S, F>(cfg, factory, Some(persist))
 }
 
 // ---------------------------------------------------------------------------
-// Classic walk swarm (strategies empty)
-// ---------------------------------------------------------------------------
-
-fn run_walk_swarm<S, F>(cfg: &SwarmConfig, factory: F) -> SwarmReport<S::Op>
-where
-    S: ModelSystem,
-    S::Op: Send + 'static,
-    F: Fn(usize) -> S + Sync,
-{
-    let stop = AtomicBool::new(false);
-    let shared = match cfg
-        .shared_visited
-        .then(|| fleet_visited(&cfg.base, cfg.workers))
-    {
-        None => None,
-        Some(Ok(v)) => Some(v),
-        Some(Err(e)) => return spill_init_report(cfg.workers, &e),
-    };
-    let mut reports: Vec<Option<ExploreReport<S::Op>>> = (0..cfg.workers).map(|_| None).collect();
-
-    // mcfs-lint: allow(MC007, per-worker results land in indexed slots; the merge below is worker-order deterministic)
-    std::thread::scope(|scope| {
-        for (idx, slot) in reports.iter_mut().enumerate() {
-            let stop = &stop;
-            let factory = &factory;
-            let shared = &shared;
-            let base = cfg.base.clone();
-            scope.spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let mut worker_cfg = base;
-                    worker_cfg.seed = worker_cfg.seed.wrapping_add(idx as u64);
-                    let mut sys = Stoppable {
-                        inner: factory(idx),
-                        stop,
-                        round_done: None,
-                    };
-                    match shared {
-                        Some(visited) => walk_shared(worker_cfg, &mut sys, visited, |_| {}),
-                        None => RandomWalk::new(worker_cfg).run(&mut sys),
-                    }
-                }));
-                *slot = Some(match result {
-                    Ok(report) => {
-                        if report.stop == StopReason::Violation {
-                            stop.store(true, Ordering::SeqCst);
-                        }
-                        report
-                    }
-                    // Contain the panic: survivors keep searching, the dead
-                    // worker's slot records why it stopped.
-                    Err(payload) => ExploreReport {
-                        stats: ExploreStats::default(),
-                        violations: Vec::new(),
-                        stop: StopReason::WorkerPanic(panic_message(payload)),
-                    },
-                });
-            });
-        }
-    });
-
-    SwarmReport {
-        workers: reports
-            .into_iter()
-            .map(|r| r.expect("worker slot filled"))
-            .collect(),
-        distinct_states: shared.as_ref().map(|s| s.len() as u64),
-        baseline: ExploreStats::default(),
-        persist_error: None,
-        spill: shared.as_ref().and_then(|s| s.spill_stats()),
-        visited_peak_bytes: shared.as_ref().map(|s| s.peak_bytes()).unwrap_or(0),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Work-stealing frontier swarm
+// The fleet loop
 // ---------------------------------------------------------------------------
 
 /// Per-worker checkpoint cache capacity: concrete states keyed by the
@@ -402,8 +309,9 @@ struct FrontierShared<Op> {
     /// Spill context for the queues: present only in persistent runs with a
     /// [`crate::MemBudget`] (spilling op-prefixes needs the op codec).
     frontier_spill: Option<FrontierSpill>,
-    /// The fleet-shared visited set (also what gets pickled).
-    visited: ShardedVisited,
+    /// The fleet-shared visited set (also what gets pickled); `None` only
+    /// for an all-walk fleet of private sets.
+    visited: Option<ShardedVisited>,
     /// Workers currently expanding an entry; termination needs empty queues
     /// *and* zero busy workers (a busy worker may be about to push
     /// children).
@@ -423,13 +331,22 @@ struct FrontierShared<Op> {
 }
 
 impl<Op> FrontierShared<Op> {
+    /// The fleet-shared visited set, which frontier workers and persistent
+    /// runs always have.
+    fn fleet_set(&self) -> &ShardedVisited {
+        self.visited
+            .as_ref()
+            .expect("frontier workers and snapshots run over the fleet set")
+    }
+
     fn queues_all_empty(&self) -> bool {
         self.queues.iter().all(|q| q.lock().is_empty())
     }
 
-    /// Counts one unit of round work and raises the round flag at `quota`.
+    /// Counts one unit of round work and raises the round flag at `quota`
+    /// (a fleet without rounds, `u64::MAX`, counts nothing).
     fn tick_round(&self, quota: u64) {
-        if self.round_work.fetch_add(1, Ordering::SeqCst) + 1 >= quota {
+        if quota != u64::MAX && self.round_work.fetch_add(1, Ordering::SeqCst) + 1 >= quota {
             self.round_done.store(true, Ordering::SeqCst);
         }
     }
@@ -445,16 +362,16 @@ impl Drop for BusyGuard<'_> {
     }
 }
 
-/// The worker-index → strategy assignment for a fleet.
+/// The worker-index → strategy assignment for a fleet: `strategies`
+/// cycled, or every worker walking when it is empty.
 fn resolve_strategies(cfg: &SwarmConfig) -> Vec<WorkerStrategy> {
-    let workers = cfg.workers.max(1);
-    if cfg.strategies.is_empty() {
-        vec![WorkerStrategy::Dfs; workers]
-    } else {
-        (0..workers)
-            .map(|i| cfg.strategies[i % cfg.strategies.len()])
-            .collect()
-    }
+    let cycle = match cfg.strategies.as_slice() {
+        [] => &[WorkerStrategy::Walk],
+        some => some,
+    };
+    (0..cfg.workers.max(1))
+        .map(|i| cycle[i % cycle.len()])
+        .collect()
 }
 
 /// Derives a walk worker's seed for a given round/generation — diversified
@@ -466,7 +383,10 @@ fn walk_seed(base: u64, idx: usize, round: u64, generation: u32) -> u64 {
         .wrapping_add((generation as u64).wrapping_mul(0x85EB_CA6B_0000))
 }
 
-fn run_frontier_swarm<S, F>(
+/// The one fleet loop behind [`run_swarm`] and [`run_swarm_persistent`]:
+/// spawn the pending workers, join them at the round boundary, snapshot,
+/// and repeat until every worker is done or the fleet stops.
+fn run_fleet<S, F>(
     cfg: &SwarmConfig,
     factory: F,
     persist: Option<SwarmPersist<'_, S::Op>>,
@@ -478,7 +398,13 @@ where
 {
     let workers = cfg.workers.max(1);
     let strategies = resolve_strategies(cfg);
-    let visited = match fleet_visited(&cfg.base, workers) {
+    let shared_visited = cfg.shared_visited
+        || persist.is_some()
+        || strategies.iter().any(|s| *s != WorkerStrategy::Walk);
+    let visited = match shared_visited
+        .then(|| fleet_visited(&cfg.base, workers))
+        .transpose()
+    {
         Ok(v) => v,
         Err(e) => return spill_init_report(workers, &e),
     };
@@ -486,24 +412,22 @@ where
     let mut baseline = ExploreStats::default();
     let mut generation = 0u32;
     let mut initial_frontier: Option<Vec<FrontierEntry<S::Op>>> = None;
-    let (codec, snapshot_path, snapshot_every) = match &persist {
-        Some(p) => (Some(p.codec), p.snapshot_path.clone(), p.snapshot_every),
-        None => (None, None, 0),
+    let (codec, snapshot_path, snapshot_every, resume) = match persist {
+        Some(p) => (Some(p.codec), p.snapshot_path, p.snapshot_every, p.resume),
+        None => (None, None, 0, None),
     };
-    if let Some(p) = persist {
-        if let Some(snap) = p.resume {
-            visited.load_entries(&snap.visited);
-            baseline = snap.stats.clone();
-            generation = snap.generation + 1;
-            initial_frontier = Some(snap.frontier);
-        }
+    if let (Some(snap), Some(visited)) = (resume, &visited) {
+        visited.load_entries(&snap.visited);
+        baseline = snap.stats;
+        generation = snap.generation + 1;
+        initial_frontier = Some(snap.frontier);
     }
 
     // Frontier spilling needs both a budget (the hot cap) and a codec (to
     // encode op-prefixes into pages); the queues share the visited set's
     // page store so one spill file serves the whole run.
-    let frontier_spill = match (&cfg.base.mem_budget, codec) {
-        (Some(budget), Some(_)) => visited
+    let frontier_spill = match (&cfg.base.mem_budget, codec, &visited) {
+        (Some(budget), Some(_), Some(visited)) => visited
             .spill_set()
             .map(|s| FrontierSpill::new(s.store().clone(), budget.frontier_hot_bytes)),
         _ => None,
@@ -637,6 +561,7 @@ where
                     }
                 }
             }
+            let visited = shared.fleet_set();
             let mut stats = baseline.clone();
             for s in &agg_stats {
                 stats.merge(s);
@@ -645,8 +570,8 @@ where
             // snapshot stats (per-worker stats exclude them — see
             // `SwarmReport::spill`).
             stats.merge(&ExploreStats {
-                spill: shared.visited.spill_stats(),
-                visited_peak_bytes: shared.visited.peak_bytes(),
+                spill: visited.spill_stats(),
+                visited_peak_bytes: visited.peak_bytes(),
                 ..ExploreStats::default()
             });
             let rng: Vec<RngCursor> = (0..workers)
@@ -660,8 +585,8 @@ where
                 None => {
                     let mut w =
                         SnapshotWriter::new(codec, cfg.base.seed, workers as u32, generation);
-                    w.begin_visited(shared.visited.len() as u32);
-                    match shared.visited.stream_entries(|h, d| w.visited_entry(h, d)) {
+                    w.begin_visited(visited.len() as u32);
+                    match visited.stream_entries(|h, d| w.visited_entry(h, d)) {
                         Ok(()) => {
                             w.frontier(&frontier);
                             w.rng(&rng);
@@ -695,16 +620,23 @@ where
                 stop: stop.unwrap_or(StopReason::Exhausted),
             })
             .collect(),
-        distinct_states: Some(shared.visited.len() as u64),
+        distinct_states: shared.visited.as_ref().map(|v| v.len() as u64),
         baseline,
         persist_error,
-        spill: shared.visited.spill_stats(),
-        visited_peak_bytes: shared.visited.peak_bytes(),
+        spill: shared
+            .visited
+            .as_ref()
+            .and_then(ShardedVisited::spill_stats),
+        visited_peak_bytes: shared
+            .visited
+            .as_ref()
+            .map_or(0, ShardedVisited::peak_bytes),
     }
 }
 
 /// One round of a walk worker: a seed-diversified random walk over the
-/// shared visited set, drained early if the round quota or stop flag rises.
+/// fleet set, or over a fresh private set when the fleet has none, drained
+/// early if the round quota or stop flag rises.
 #[allow(clippy::too_many_arguments)]
 fn run_walk_round<S, F>(
     idx: usize,
@@ -728,14 +660,25 @@ where
     if worker_cfg.max_ops == 0 {
         return Some(StopReason::OpBudget);
     }
-    let mut sys = Stoppable {
-        inner: factory(idx),
-        stop: &shared.stop,
-        round_done: Some(&shared.round_done),
+    let walk = RandomWalk::new(worker_cfg);
+    let mut sys = factory(idx);
+    let tick = |_: &ExploreStats| shared.tick_round(quota);
+    let halt = || shared.stop.load(Ordering::Relaxed) || shared.round_done.load(Ordering::Relaxed);
+    let report = match &shared.visited {
+        // The fleet set's spill counters are fleet-wide, so they surface
+        // once in `SwarmReport::spill` (and the snapshot stats), not per
+        // worker, where summing copies of the same global counters would
+        // overcount.
+        Some(visited) => {
+            let mut report = walk.run_until(&mut sys, &mut visited.clone(), tick, halt);
+            report.stats.spill = None;
+            report.stats.visited_peak_bytes = 0;
+            report
+        }
+        None => with_fresh_visited(base, |visited| {
+            walk.run_until(&mut sys, visited, tick, halt)
+        }),
     };
-    let report = walk_shared(worker_cfg, &mut sys, &shared.visited, |_| {
-        shared.tick_round(quota)
-    });
     let drained_by_round = shared.round_done.load(Ordering::SeqCst);
     stats_slot.merge(&report.stats);
     viol_slot.extend(report.violations);
@@ -788,7 +731,7 @@ where
         Some(StopReason::Fatal(format!("{what} spill failed: {e}")))
     };
     let mut sys = factory(idx);
-    let mut visited = shared.visited.clone();
+    let mut visited = shared.fleet_set().clone();
     // No clock: frontier workers charge no memory model, since their
     // checkpoints are a replay cache, not a modelled state store.
     let mut k = Search::new(cfg, None, stats, viols);
@@ -807,7 +750,7 @@ where
         k.stats.states_new += 1;
         shared.states_total.fetch_add(1, Ordering::SeqCst);
     }
-    if let Some(e) = shared.visited.error() {
+    if let Some(e) = shared.fleet_set().error() {
         return spill_fatal("visited", e);
     }
 
@@ -1035,80 +978,4 @@ fn steal<Op: Clone>(
         return Ok(first);
     }
     Ok(None)
-}
-
-// ---------------------------------------------------------------------------
-// Stop-flag system wrappers
-// ---------------------------------------------------------------------------
-
-/// Wrapper that reports no enabled operations once the shared stop flag is
-/// raised — or, for walk workers parking at a snapshot round boundary, once
-/// `round_done` is — draining the worker quickly.
-struct Stoppable<'a, S> {
-    inner: S,
-    stop: &'a AtomicBool,
-    round_done: Option<&'a AtomicBool>,
-}
-
-impl<S: ModelSystem> ModelSystem for Stoppable<'_, S> {
-    type Op = S::Op;
-
-    fn ops(&mut self) -> Vec<Self::Op> {
-        let drained = self.stop.load(Ordering::Relaxed)
-            || self.round_done.is_some_and(|r| r.load(Ordering::Relaxed));
-        if drained {
-            // No ops and an empty restart set terminates the walk via its
-            // op budget; force it sooner by returning nothing forever.
-            return Vec::new();
-        }
-        self.inner.ops()
-    }
-
-    fn apply(&mut self, op: &Self::Op) -> ApplyOutcome {
-        self.inner.apply(op)
-    }
-
-    fn abstract_state(&mut self) -> u128 {
-        self.inner.abstract_state()
-    }
-
-    fn checkpoint(&mut self, id: StateId) -> Result<usize, String> {
-        self.inner.checkpoint(id)
-    }
-
-    fn restore(&mut self, id: StateId) -> Result<(), String> {
-        self.inner.restore(id)
-    }
-
-    fn release(&mut self, id: StateId) {
-        self.inner.release(id)
-    }
-
-    fn pin(&mut self, id: StateId) {
-        self.inner.pin(id)
-    }
-
-    fn unpin(&mut self, id: StateId) {
-        self.inner.unpin(id)
-    }
-
-    fn checkpoint_store_stats(&self) -> Option<crate::system::CheckpointStoreStats> {
-        self.inner.checkpoint_store_stats()
-    }
-
-    fn crash_stats(&self) -> Option<crate::system::CrashStats> {
-        self.inner.crash_stats()
-    }
-
-    fn independent(&self, a: &Self::Op, b: &Self::Op) -> bool {
-        self.inner.independent(a, b)
-    }
-
-    fn minimize(
-        &mut self,
-        trace: &[Self::Op],
-        message: &str,
-    ) -> Option<(Vec<Self::Op>, crate::ShrinkStats)> {
-        self.inner.minimize(trace, message)
-    }
 }
