@@ -368,42 +368,6 @@ impl FingerprintCache {
             self.map.remove(anc);
         }
     }
-
-    /// Visits every cached `(path, digest)` pair in path order — the
-    /// canonical export order — without cloning the paths. Serializers
-    /// stream straight from this into their output buffer; only a vector of
-    /// path *references* is materialized for the sort.
-    pub fn for_each_sorted(&self, mut f: impl FnMut(&str, u128)) {
-        let mut paths: Vec<&String> = self.map.keys().collect();
-        paths.sort_unstable();
-        for p in paths {
-            f(p, self.map[p].as_u128());
-        }
-    }
-
-    /// Exports the cached `(path, digest)` pairs, sorted by path so the
-    /// result is canonical. Prefer [`for_each_sorted`]
-    /// (FingerprintCache::for_each_sorted) when the pairs are consumed once:
-    /// it skips cloning every path.
-    pub fn export_entries(&self) -> Vec<(String, u128)> {
-        let mut out = Vec::with_capacity(self.map.len());
-        self.for_each_sorted(|p, d| out.push((p.to_string(), d)));
-        out
-    }
-
-    /// Rebuilds the cache from exported entries (replacing the current
-    /// contents). Digests are trusted verbatim: only feed back what
-    /// [`FingerprintCache::export_entries`] produced for an identically
-    /// configured target, or the next comparison will chase phantom
-    /// divergences.
-    pub fn load_entries(&mut self, entries: &[(String, u128)]) {
-        self.map.clear();
-        self.map.reserve(entries.len());
-        for (path, raw) in entries {
-            self.map
-                .insert(path.clone(), Digest128::from_bytes(raw.to_le_bytes()));
-        }
-    }
 }
 
 /// One target's fingerprint state: the live [`FingerprintCache`], snapshots
@@ -507,37 +471,6 @@ impl FingerprintStore {
     pub fn clear_live(&mut self) {
         if self.enabled {
             self.live = Arc::default();
-        }
-    }
-
-    /// Exports the live cache's `(path, digest)` pairs (sorted by path) for
-    /// persistence alongside a run snapshot. Saved per-checkpoint snapshots
-    /// are deliberately not exported: checkpoint keys are meaningless in a
-    /// resumed process, which rebuilds its checkpoints by replaying
-    /// frontier prefixes.
-    pub fn export_live(&self) -> Vec<(String, u128)> {
-        if self.enabled {
-            self.live.export_entries()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Streaming form of [`export_live`](FingerprintStore::export_live):
-    /// visits the live `(path, digest)` pairs in canonical path order
-    /// without materializing owned copies. A disabled store visits nothing.
-    pub fn for_each_live(&self, f: impl FnMut(&str, u128)) {
-        if self.enabled {
-            self.live.for_each_sorted(f);
-        }
-    }
-
-    /// Seeds the live cache from exported entries, so the first hash after
-    /// a resume is warm instead of a full-tree recompute. A disabled store
-    /// ignores the import.
-    pub fn import_live(&mut self, entries: &[(String, u128)]) {
-        if self.enabled {
-            Arc::make_mut(&mut self.live).load_entries(entries);
         }
     }
 }
