@@ -31,11 +31,22 @@ pub struct DirRecord {
 /// `EIO` if the content is structurally invalid (truncated record or
 /// non-UTF-8 name) — i.e. directory corruption.
 pub fn parse(content: &[u8]) -> VfsResult<Vec<DirRecord>> {
+    match salvage(content) {
+        (records, false) => Ok(records),
+        (_, true) => Err(Errno::EIO),
+    }
+}
+
+/// Parses as many whole records as possible, stopping at the first
+/// structural error (instead of rejecting the whole directory the way
+/// [`parse`] does — fsck keeps what it can). Returns the salvaged prefix and
+/// whether anything was dropped.
+pub fn salvage(content: &[u8]) -> (Vec<DirRecord>, bool) {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos < content.len() {
         if pos + 6 > content.len() {
-            return Err(Errno::EIO);
+            return (out, true);
         }
         let ino = u32::from_le_bytes([
             content[pos],
@@ -45,17 +56,20 @@ pub fn parse(content: &[u8]) -> VfsResult<Vec<DirRecord>> {
         ]);
         let ftype = content[pos + 4];
         let name_len = content[pos + 5] as usize;
-        pos += 6;
-        if pos + name_len > content.len() {
-            return Err(Errno::EIO);
+        if pos + 6 + name_len > content.len() {
+            return (out, true);
         }
-        let name = std::str::from_utf8(&content[pos..pos + name_len])
-            .map_err(|_| Errno::EIO)?
-            .to_string();
-        pos += name_len;
-        out.push(DirRecord { ino, ftype, name });
+        let Ok(name) = std::str::from_utf8(&content[pos + 6..pos + 6 + name_len]) else {
+            return (out, true);
+        };
+        out.push(DirRecord {
+            ino,
+            ftype,
+            name: name.to_string(),
+        });
+        pos += 6 + name_len;
     }
-    Ok(out)
+    (out, false)
 }
 
 /// Serializes records back to content bytes.

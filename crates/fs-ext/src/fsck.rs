@@ -181,41 +181,6 @@ fn check_inode(ino: u32, inode: &mut DiskInode, sb: &SuperBlock) -> Vec<String> 
     fixes
 }
 
-/// Parses as many whole directory records as possible, stopping at the
-/// first structural error (instead of rejecting the whole directory the
-/// way [`dir::parse`] does). Returns the salvaged prefix and whether
-/// anything was dropped.
-fn salvage_dir(content: &[u8]) -> (Vec<DirRecord>, bool) {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < content.len() {
-        if pos + 6 > content.len() {
-            return (out, true);
-        }
-        let ino = u32::from_le_bytes([
-            content[pos],
-            content[pos + 1],
-            content[pos + 2],
-            content[pos + 3],
-        ]);
-        let ftype = content[pos + 4];
-        let name_len = content[pos + 5] as usize;
-        if pos + 6 + name_len > content.len() {
-            return (out, true);
-        }
-        let Ok(name) = std::str::from_utf8(&content[pos + 6..pos + 6 + name_len]) else {
-            return (out, true);
-        };
-        out.push(DirRecord {
-            ino,
-            ftype,
-            name: name.to_string(),
-        });
-        pos += 6 + name_len;
-    }
-    (out, false)
-}
-
 /// The in-memory repair state threaded through the passes.
 struct Repair {
     sb: SuperBlock,
@@ -440,7 +405,7 @@ fn check_dir_entries(
     claimed_dirs: &mut HashSet<u32>,
     report: &mut RepairReport,
 ) -> (Vec<DirRecord>, bool) {
-    let (records, truncated) = salvage_dir(content);
+    let (records, truncated) = dir::salvage(content);
     if truncated {
         report.fixed(format!("directory {ino}: corrupt content, salvaged prefix"));
     }
