@@ -299,7 +299,7 @@ where
 /// with LIFO (Dfs) pops the newest cached states are the hot ones.
 const PREFIX_CACHE_CAP: usize = 64;
 
-/// Shared coordination state of one frontier fleet.
+/// Shared coordination state of one fleet.
 struct FrontierShared<Op> {
     /// Per-worker frontier queues. Owners push children to the back; Dfs
     /// pops the back, Bfs pops the front, thieves steal from the front
@@ -398,9 +398,15 @@ where
 {
     let workers = cfg.workers.max(1);
     let strategies = resolve_strategies(cfg);
-    let shared_visited = cfg.shared_visited
-        || persist.is_some()
-        || strategies.iter().any(|s| *s != WorkerStrategy::Walk);
+    let frontier_idxs: Vec<usize> = strategies
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| **s != WorkerStrategy::Walk)
+        .map(|(i, _)| i)
+        .collect();
+    // Frontier workers arbitrate stolen work through the fleet set, and a
+    // persistent run pickles it: only a plain all-walk fleet may go without.
+    let shared_visited = cfg.shared_visited || persist.is_some() || !frontier_idxs.is_empty();
     let visited = match shared_visited
         .then(|| fleet_visited(&cfg.base, workers))
         .transpose()
@@ -449,12 +455,6 @@ where
 
     // Seed the frontier: the resumed entries round-robin across frontier
     // (non-walk) workers, or the single root entry for a fresh run.
-    let frontier_idxs: Vec<usize> = strategies
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| **s != WorkerStrategy::Walk)
-        .map(|(i, _)| i)
-        .collect();
     match initial_frontier {
         Some(entries) => {
             let dealt = deal_frontier(entries, frontier_idxs.len().max(1));
