@@ -10,11 +10,14 @@
 //! 4. **VFS-level checkpointing** (§7 future work): kernel file systems with
 //!    checkpoint/restore support vs the remount workaround.
 //!
+//! Output: one table per ablation, then JSON (also written to
+//! `BENCH_ablation.json`).
+//!
 //! Usage: `cargo run --release -p mcfs-bench --bin ablation [ops]`
 
 use blockdev::Clock;
 use mcfs::{CheckedTarget, CheckpointTarget, Mcfs, McfsConfig, PoolConfig};
-use mcfs_bench::print_table;
+use mcfs_bench::{BenchArgs, BenchReport, Row};
 use modelcheck::{run_swarm, DfsExplorer, ExploreConfig, SwarmConfig};
 use verifs::{BugConfig, VeriFs};
 use vfs::FileSystem;
@@ -39,15 +42,15 @@ fn verifs_harness(atime_noise: bool, clock: Clock, bugs: BugConfig) -> Mcfs {
 }
 
 fn main() {
-    let budget: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000);
-    let mut rows = Vec::new();
+    let args = BenchArgs::parse("ablation [ops]");
+    let budget = args.count_or(2_000);
+    let mut out = BenchReport::new("ablation", args.quick);
+    out.params(Row::new().count("budget_ops", budget));
 
     // 1. Abstraction ablation: include atime in the hash (≈ hashing raw
     //    state) and watch deduplication collapse. A single file system is
     //    explored directly so only the matching strategy varies (§3.3).
+    let mut rows = Vec::new();
     for (label, noisy) in [
         ("abstract state (Algorithm 1)", false),
         ("raw state (atime hashed)", true),
@@ -103,20 +106,20 @@ fn main() {
         })
         .run(&mut single);
         let dedup = report.stats.states_matched as f64 / report.stats.ops_executed.max(1) as f64;
-        rows.push((
-            format!("matching: {label}"),
-            format!(
-                "{} ops -> {} distinct states, {:.0}% matched ({:?})",
-                report.stats.ops_executed,
-                report.stats.states_new,
-                dedup * 100.0,
-                report.stop,
-            ),
-        ));
+        rows.push(
+            Row::new()
+                .str("matching", label)
+                .count("ops", report.stats.ops_executed)
+                .count("states", report.stats.states_new)
+                .num("matched", dedup)
+                .str("stop", format!("{:?}", report.stop)),
+        );
     }
+    out.table("matching", "Ablation: abstract vs raw state matching", rows);
 
     // 2. Partial-order reduction on the harness's path-disjoint ops.
-    for (label, por) in [("off", false), ("on", true)] {
+    let mut rows = Vec::new();
+    for por in [false, true] {
         let clock = Clock::new();
         let mut harness = verifs_harness(false, clock.clone(), BugConfig::none());
         let report = DfsExplorer::new(ExploreConfig {
@@ -128,16 +131,18 @@ fn main() {
         })
         .with_clock(clock)
         .run(&mut harness);
-        rows.push((
-            format!("partial-order reduction {label}"),
-            format!(
-                "{} ops for {} states ({} pruned)",
-                report.stats.ops_executed, report.stats.states_new, report.stats.pruned
-            ),
-        ));
+        rows.push(
+            Row::new()
+                .flag("por", por)
+                .count("ops", report.stats.ops_executed)
+                .count("states", report.stats.states_new)
+                .count("pruned", report.stats.pruned),
+        );
     }
+    out.table("por", "Ablation: partial-order reduction", rows);
 
     // 3. Swarm scaling on a seeded bug.
+    let mut rows = Vec::new();
     for workers in [1usize, 2, 4] {
         let cfg = SwarmConfig {
             workers,
@@ -160,22 +165,18 @@ fn main() {
                 },
             )
         });
-        let first = report
-            .violations()
-            .map(|v| v.ops_executed)
-            .min()
-            .map(|o| o.to_string())
-            .unwrap_or_else(|| "none".to_string());
-        rows.push((
-            format!("swarm x{workers}"),
-            format!(
-                "found={} first-detection ops={} total ops={}",
-                report.found_violation(),
-                first,
-                report.total_ops()
-            ),
-        ));
+        rows.push(
+            Row::new()
+                .count("workers", workers as u64)
+                .flag("found", report.found_violation())
+                .opt_count(
+                    "first_detection_ops",
+                    report.violations().map(|v| v.ops_executed).min(),
+                )
+                .count("total_ops", report.total_ops()),
+        );
     }
+    out.table("swarm", "Ablation: swarm workers on a seeded bug", rows);
 
     // 4. VFS-level checkpointing (§7 future work) vs the remount strategy
     //    for the same kernel-file-system pairing.
@@ -228,21 +229,20 @@ fn main() {
         };
         let remount = run(false);
         let vfs_api = run(true);
-        rows.push((
-            "ext2-vs-ext4: remount workaround".to_string(),
-            format!("{remount:>8.1} ops/s"),
-        ));
-        rows.push((
-            "ext2-vs-ext4: VFS-level checkpoint API".to_string(),
-            format!(
-                "{vfs_api:>8.1} ops/s ({:.1}x — what §7 hopes to gain)",
-                vfs_api / remount
-            ),
-        ));
+        out.table(
+            "checkpointing",
+            "Ablation: VFS-level checkpointing (what §7 hopes to gain)",
+            vec![
+                Row::new()
+                    .str("strategy", "ext2-vs-ext4: remount workaround")
+                    .rate("ops", remount)
+                    .num("vs_remount", 1.0),
+                Row::new()
+                    .str("strategy", "ext2-vs-ext4: VFS-level checkpoint API")
+                    .rate("ops", vfs_api)
+                    .num("vs_remount", vfs_api / remount),
+            ],
+        );
     }
-
-    print_table(
-        "Ablations: abstraction, POR, swarm, VFS checkpointing",
-        &rows,
-    );
+    out.finish();
 }

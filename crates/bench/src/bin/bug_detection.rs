@@ -9,23 +9,26 @@
 //! (early-development bugs are shallow, later ones need rarer op combos)
 //! and that all four are found by behavioural divergence alone.
 //!
+//! A run that ends on its op budget is "not detected"; one that stops for
+//! any other reason than a violation fails the binary.
+//!
+//! Output: the table, then JSON (also written to `BENCH_bug_detection.json`).
+//!
 //! Usage: `cargo run --release -p mcfs-bench --bin bug_detection [max-ops]`
 
 use mcfs::{CheckedTarget, CheckpointTarget, Mcfs, McfsConfig, PoolConfig};
-use mcfs_bench::verifs_fuse;
+use mcfs_bench::{verifs_fuse, BenchArgs, BenchReport, Row};
 use modelcheck::{ExploreConfig, RandomWalk, StopReason};
 use verifs::BugConfig;
 
 fn main() {
-    let max_ops: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(400_000);
+    let args = BenchArgs::parse("bug_detection [max-ops]");
+    let max_ops = args.count_or(400_000);
 
     let bugs: [(&str, &str, BugConfig, bool); 4] = [
         (
             "bug 1: truncate fails to zero new space",
-            "paper: >9K ops (VeriFS1 vs Ext4)",
+            ">9K ops (VeriFS1 vs Ext4)",
             BugConfig {
                 v1_truncate_no_zero: true,
                 ..BugConfig::default()
@@ -34,7 +37,7 @@ fn main() {
         ),
         (
             "bug 2: restore skips kernel-cache invalidation",
-            "paper: ~12K ops (VeriFS1 vs Ext4)",
+            "~12K ops (VeriFS1 vs Ext4)",
             BugConfig {
                 v1_skip_invalidation: true,
                 ..BugConfig::default()
@@ -43,7 +46,7 @@ fn main() {
         ),
         (
             "bug 3: write does not zero holes",
-            "paper: >900K ops (VeriFS2 vs VeriFS1)",
+            ">900K ops (VeriFS2 vs VeriFS1)",
             BugConfig {
                 v2_hole_no_zero: true,
                 ..BugConfig::default()
@@ -52,7 +55,7 @@ fn main() {
         ),
         (
             "bug 4: size updated only on capacity growth",
-            "paper: >1.2M ops (VeriFS2 vs VeriFS1)",
+            ">1.2M ops (VeriFS2 vs VeriFS1)",
             BugConfig {
                 v2_size_only_on_capacity_growth: true,
                 ..BugConfig::default()
@@ -61,9 +64,8 @@ fn main() {
         ),
     ];
 
-    println!("== Section 6: ops-to-detection for the four historical bugs ==");
+    let mut rows = Vec::new();
     for (label, paper, cfg, v2_pair) in bugs {
-        let mut detections = Vec::new();
         for seed in 0..3u64 {
             let clock = blockdev::Clock::new();
             let targets: Vec<Box<dyn CheckedTarget>> = if v2_pair {
@@ -113,27 +115,26 @@ fn main() {
                 ..ExploreConfig::default()
             });
             let report = walk.run(&mut harness);
-            match report.stop {
-                StopReason::Violation => {
-                    detections.push(report.violations[0].ops_executed);
-                }
-                _ => detections.push(u64::MAX),
-            }
+            let detected = match report.stop {
+                StopReason::Violation => Some(report.violations[0].ops_executed),
+                StopReason::OpBudget => None,
+                other => panic!("{label}, seed {seed}: the run stopped with {other:?}"),
+            };
+            rows.push(
+                Row::new()
+                    .str("bug", label)
+                    .count("seed", seed)
+                    .opt_count("detected_after_ops", detected)
+                    .str("paper", paper),
+            );
         }
-        let shown: Vec<String> = detections
-            .iter()
-            .map(|&d| {
-                if d == u64::MAX {
-                    format!(">{max_ops} (not detected)")
-                } else {
-                    d.to_string()
-                }
-            })
-            .collect();
-        println!("  {label}");
-        println!(
-            "    detected after ops (3 seeds): {}   [{paper}]",
-            shown.join(", ")
-        );
     }
+    let mut out = BenchReport::new("bug_detection", args.quick);
+    out.params(Row::new().count("max_ops", max_ops));
+    out.table(
+        "detections",
+        "Section 6: ops-to-detection for the four historical bugs",
+        rows,
+    );
+    out.finish();
 }

@@ -5,6 +5,8 @@
 //! reporting, getdents ordering, special folders (`lost+found`), and
 //! capacity equalization.
 //!
+//! Output: the table, then JSON (also written to `BENCH_false_positives.json`).
+//!
 //! Usage: `cargo run --release -p mcfs-bench --bin false_positives`
 
 use blockdev::LatencyModel;
@@ -12,7 +14,7 @@ use mcfs::{
     AbstractionConfig, CheckedTarget, FsOp, Mcfs, McfsConfig, RemountMode, RemountTarget,
     EQUALIZE_DUMMY,
 };
-use mcfs_bench::{ext_on, print_table, xfs_on};
+use mcfs_bench::{ext_on, xfs_on, BenchArgs, BenchReport, Row};
 use modelcheck::{ApplyOutcome, ModelSystem};
 
 fn ext4_vs_xfs(cfg: McfsConfig) -> Result<Mcfs, vfs::Errno> {
@@ -39,7 +41,17 @@ fn ran_clean(harness: &mut Mcfs, script: &[FsOp]) -> Result<(), String> {
     Ok(())
 }
 
+/// One workaround's row: whether turning it off raises a false positive and
+/// whether leaving it on runs clean.
+fn workaround(name: &str, off_false_positive: bool, on_clean: bool) -> Row {
+    Row::new()
+        .str("workaround", name)
+        .flag("off_false_positive", off_false_positive)
+        .flag("on_clean", on_clean)
+}
+
 fn main() {
+    let args = BenchArgs::parse("false_positives");
     let mut rows = Vec::new();
     let script = vec![
         FsOp::Mkdir {
@@ -79,10 +91,7 @@ fn main() {
         };
         let mut harness = ext4_vs_xfs(McfsConfig::default()).expect("harness");
         let on = ran_clean(&mut harness, &script).is_ok();
-        rows.push((
-            "ignore directory sizes".to_string(),
-            format!("workaround off: false positive = {off}; on: clean = {on}"),
-        ));
+        rows.push(workaround("ignore directory sizes", off, on));
         assert!(off && on);
     }
 
@@ -103,10 +112,7 @@ fn main() {
         }
         let mut harness = ext4_vs_xfs(McfsConfig::default()).expect("harness");
         let on = ran_clean(&mut harness, &script).is_ok();
-        rows.push((
-            "sort getdents output".to_string(),
-            format!("workaround off: false positive = {off}; on: clean = {on}"),
-        ));
+        rows.push(workaround("sort getdents output", off, on));
         assert!(on);
     }
 
@@ -123,10 +129,7 @@ fn main() {
         // construction itself reports the discrepancy.
         let off = ext4_vs_xfs(bad_cfg).is_err();
         let on = ext4_vs_xfs(McfsConfig::default()).is_ok();
-        rows.push((
-            "special-folder exception list".to_string(),
-            format!("workaround off: false positive = {off}; on: clean = {on}"),
-        ));
+        rows.push(workaround("special-folder exception list", off, on));
         assert!(off && on);
     }
 
@@ -181,16 +184,15 @@ fn main() {
         };
         let off = run(false);
         let on = run(true);
-        rows.push((
-            "free-space equalization".to_string(),
-            format!(
-                "workaround off: false positive = {off}; on: clean = {}",
-                !on
-            ),
-        ));
+        rows.push(workaround("free-space equalization", off, !on));
         assert!(off && !on);
     }
 
-    print_table("Section 3.4: false-positive workarounds", &rows);
-    println!("\nAll four workarounds individually necessary and sufficient.");
+    let mut out = BenchReport::new("false_positives", args.quick);
+    out.table(
+        "workarounds",
+        "Section 3.4: false-positive workarounds",
+        rows,
+    );
+    out.finish();
 }

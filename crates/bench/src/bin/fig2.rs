@@ -4,73 +4,85 @@
 //! time) for Ext2-vs-Ext4 on RAM/SSD/HDD, Ext4-vs-XFS, Ext4-vs-JFFS2, and
 //! VeriFS1-vs-VeriFS2. The paper's qualitative results to match:
 //! VeriFS ≈ 5.8× faster than Ext2-vs-Ext4 (RAM); Ext4-vs-XFS ≈ 11× slower
-//! (swap-bound); HDD ≈ 20× and SSD ≈ 18× slower than RAM.
+//! (swap-bound); HDD ≈ 20× and SSD ≈ 18× slower than RAM. Every run must
+//! end on its op budget or exhaust its space, with no violation.
+//!
+//! Output: the table, then JSON (also written to `BENCH_fig2.json`).
 //!
 //! Usage: `cargo run --release --bin fig2 [ops-budget]`
 
 use blockdev::LatencyModel;
 use mcfs::{PoolConfig, RemountMode};
 use mcfs_bench::{
-    measure_dfs, pair_ext2_ext4, pair_ext4_jffs2, pair_ext4_xfs, pair_verifs, print_table,
+    measure_dfs, pair_ext2_ext4, pair_ext4_jffs2, pair_ext4_xfs, pair_verifs, BenchArgs,
+    BenchReport, Pairing, Row,
 };
 
+type PairingBuilder = Box<dyn FnOnce() -> vfs::VfsResult<Pairing>>;
+
 fn main() {
-    let budget: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3_000);
+    let args = BenchArgs::parse("fig2 [ops]");
+    let budget = args.count_or(3_000);
     let pool = PoolConfig::small;
 
-    let mut rows = Vec::new();
-    let mut baseline = None;
-    let mut results = Vec::new();
-
-    type PairingBuilder = Box<dyn FnOnce() -> vfs::VfsResult<mcfs_bench::Pairing>>;
-    let pairings: Vec<(&str, PairingBuilder)> = vec![
+    let pairings: Vec<(&str, &str, PairingBuilder)> = vec![
         (
             "ext2-vs-ext4-ram",
+            "1x (baseline)",
             Box::new(move || pair_ext2_ext4(LatencyModel::ram(), RemountMode::PerOp, pool())),
         ),
         (
             "ext2-vs-ext4-ssd",
+            "≈ 1/18x",
             Box::new(move || pair_ext2_ext4(LatencyModel::ssd(), RemountMode::PerOp, pool())),
         ),
         (
             "ext2-vs-ext4-hdd",
+            "≈ 1/20x",
             Box::new(move || pair_ext2_ext4(LatencyModel::hdd(), RemountMode::PerOp, pool())),
         ),
         (
             "ext4-vs-xfs-ram",
+            "≈ 1/11x",
             Box::new(move || pair_ext4_xfs(RemountMode::PerOp, pool())),
         ),
-        ("ext4-vs-jffs2", Box::new(move || pair_ext4_jffs2(pool()))),
-        ("verifs1-vs-verifs2", Box::new(move || pair_verifs(pool()))),
+        (
+            "ext4-vs-jffs2",
+            "no number in the text",
+            Box::new(move || pair_ext4_jffs2(pool())),
+        ),
+        (
+            "verifs1-vs-verifs2",
+            "≈ 5.8x",
+            Box::new(move || pair_verifs(pool())),
+        ),
     ];
 
-    for (key, build) in pairings {
+    let mut baseline = None;
+    let mut rows = Vec::new();
+    for (key, paper, build) in pairings {
         let mut pairing = build().expect("pairing construction");
         let (ops_per_sec, report) = measure_dfs(&mut pairing, budget);
-        if key == "ext2-vs-ext4-ram" {
-            baseline = Some(ops_per_sec);
-        }
-        results.push((pairing.label.clone(), key, ops_per_sec, report));
+        let base = *baseline.get_or_insert(ops_per_sec);
+        rows.push(
+            Row::new()
+                .str("pairing", key)
+                .str("label", pairing.label)
+                .rate("ops", ops_per_sec)
+                .num("vs_baseline", ops_per_sec / base)
+                .count("ops", report.stats.ops_executed)
+                .count("states", report.stats.states_new)
+                .count("swap_mib", report.stats.swap_traffic_bytes >> 20)
+                .str("paper", paper),
+        );
     }
 
-    let base = baseline.expect("baseline row ran");
-    for (label, _, ops_per_sec, report) in &results {
-        rows.push((
-            label.clone(),
-            format!(
-                "{ops_per_sec:>10.1} ops/s   {:>6.2}x vs baseline   ({} ops, {} states, swap {} MiB)",
-                ops_per_sec / base,
-                report.stats.ops_executed,
-                report.stats.states_new,
-                report.stats.swap_traffic_bytes >> 20,
-            ),
-        ));
-    }
-    print_table("Figure 2: model-checking speed (virtual time)", &rows);
-
-    println!("\npaper shape: VeriFS ≈ 5.8x the RAM baseline; Ext4-vs-XFS ≈ 1/11x;");
-    println!("             HDD ≈ 1/20x; SSD ≈ 1/18x.");
+    let mut out = BenchReport::new("fig2", args.quick);
+    out.params(Row::new().count("budget_ops", budget));
+    out.table(
+        "pairings",
+        "Figure 2: model-checking speed (virtual time)",
+        rows,
+    );
+    out.finish();
 }

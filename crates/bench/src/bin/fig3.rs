@@ -9,17 +9,17 @@
 //! mechanisms (visited-table resizes, state-store growth, LRU swap) produce
 //! the same series shape; the time axis is normalized to 14 "days".
 //!
+//! Output: the series, then JSON (also written to `BENCH_fig3.json`).
+//!
 //! Usage: `cargo run --release -p mcfs-bench --bin fig3 [ops]`
 
 use mcfs::PoolConfig;
-use mcfs_bench::pair_verifs;
+use mcfs_bench::{assert_clean, pair_verifs, BenchArgs, BenchReport, Row};
 use modelcheck::{ExploreConfig, MemConfig, RandomWalk};
 
 fn main() {
-    let budget: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40_000);
+    let args = BenchArgs::parse("fig3 [ops]");
+    let budget = args.count_or(40_000);
     let mut pairing = pair_verifs(PoolConfig::medium()).expect("pairing");
     let cfg = ExploreConfig {
         max_depth: 25,
@@ -58,36 +58,41 @@ fn main() {
             last_mark = (stats.ops_executed, now);
         }
     });
+    assert_clean("fig3", &report);
 
-    println!("== Figure 3: rate and swap over a long VeriFS run ==");
-    println!(
-        "{:>6} {:>12} {:>12} {:>10}",
-        "day", "ops/s", "swap (MiB)", "resizes"
-    );
     let total_ns: u64 = samples.iter().map(|s| s.1).sum::<u64>().max(1);
     let mut elapsed = 0u64;
-    for (ops, ns, swap, resizes) in &samples {
+    let mut rows = Vec::new();
+    for &(ops, ns, swap, resizes) in &samples {
         elapsed += ns;
-        let day = 14.0 * elapsed as f64 / total_ns as f64;
-        let rate = *ops as f64 * 1e9 / (*ns).max(1) as f64;
-        let bar = "#".repeat((rate / 120.0) as usize);
-        println!(
-            "{day:>6.1} {rate:>12.1} {:>12.1} {resizes:>10}  {bar}",
-            *swap as f64 / (1 << 20) as f64
+        rows.push(
+            Row::new()
+                .num("day", 14.0 * elapsed as f64 / total_ns as f64)
+                .rate("ops", ops as f64 * 1e9 / ns.max(1) as f64)
+                .num("swap_mib", swap as f64 / (1 << 20) as f64)
+                .count("resizes", resizes.into()),
         );
     }
-    println!(
-        "\nrun: {} ops, {} states, {} resize events, final hit rate {:.2}",
-        report.stats.ops_executed,
-        report.stats.states_new,
-        report.stats.resize_events,
-        report.stats.hit_rate
+    let mut out = BenchReport::new("fig3", args.quick);
+    out.params(Row::new().count("budget_ops", budget));
+    out.table(
+        "series",
+        "Figure 3: rate and swap over a long VeriFS run",
+        rows,
     );
-    println!("paper shape: ~1500 ops/s plateau, resize dip around day 3, gradual");
-    println!("decline as states spill to swap, partial rebound near day 13-14.");
-    assert!(
-        report.violations.is_empty(),
-        "soak must be violation-free: {}",
-        report.violations[0]
+    out.record(
+        "run",
+        "Figure 3: the whole run",
+        Row::new()
+            .count("ops", report.stats.ops_executed)
+            .count("states", report.stats.states_new)
+            .count("resize_events", report.stats.resize_events.into())
+            .num("final_hit_rate", report.stats.hit_rate)
+            .str(
+                "paper",
+                "~1500 ops/s plateau, resize dip around day 3, gradual decline \
+                 as states spill to swap, partial rebound near day 13-14",
+            ),
     );
+    out.finish();
 }

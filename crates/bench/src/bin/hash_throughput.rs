@@ -20,6 +20,8 @@
 //! Unlike the figure benches this one measures **real** wall-clock time:
 //! the fingerprint cache is a genuine CPU optimization, not a modeled cost.
 //!
+//! Output: the tables, then JSON (also written to `BENCH_hash.json`).
+//!
 //! Usage: `cargo run --release -p mcfs-bench --bin hash_throughput [iters] [--quick]`
 //!
 //! `--quick` shrinks the iteration counts to CI-smoke size.
@@ -32,6 +34,7 @@ use mcfs::{
     abstract_state, abstract_state_cached, AbstractionConfig, CheckedTarget, CheckpointTarget,
     FingerprintCache, FsOp, Mcfs, McfsConfig, PoolConfig,
 };
+use mcfs_bench::{BenchArgs, BenchReport, Row};
 use modelcheck::{
     run_swarm, ApplyOutcome, CheckpointStoreStats, ExploreConfig, ModelSystem, StateId, SwarmConfig,
 };
@@ -61,19 +64,7 @@ fn mutate(fs: &mut VeriFs, paths: &[String], i: usize) {
     fs.close(fd).expect("close");
 }
 
-struct HashBench {
-    full_ops_per_sec: f64,
-    incremental_ops_per_sec: f64,
-    speedup: f64,
-    hashes_agree: bool,
-}
-
-struct Md5Bench {
-    block_ns: f64,
-    one_block_digest_ns: f64,
-}
-
-fn bench_md5(quick: bool) -> Md5Bench {
+fn bench_md5(quick: bool) -> Row {
     let buf: Vec<u8> = (0..1usize << 20).map(|i| (i % 251) as u8).collect();
     let passes = if quick { 8 } else { 32 };
     let mut sink = 0u128;
@@ -91,13 +82,12 @@ fn bench_md5(quick: bool) -> Md5Bench {
     }
     let one_block_digest_ns = start.elapsed().as_nanos() as f64 / digests as f64;
     std::hint::black_box(sink);
-    Md5Bench {
-        block_ns,
-        one_block_digest_ns,
-    }
+    Row::new()
+        .ns("block", block_ns)
+        .ns("one_block_digest", one_block_digest_ns)
 }
 
-fn bench_hashing(iters: usize) -> HashBench {
+fn bench_hashing(iters: usize) -> Row {
     let cfg = AbstractionConfig::default();
 
     // Full rehash: the pre-optimization behavior, O(tree bytes) per op.
@@ -125,12 +115,24 @@ fn bench_hashing(iters: usize) -> HashBench {
 
     let full_ops_per_sec = iters as f64 / full_elapsed.as_secs_f64().max(1e-9);
     let incremental_ops_per_sec = iters as f64 / incr_elapsed.as_secs_f64().max(1e-9);
-    HashBench {
-        full_ops_per_sec,
-        incremental_ops_per_sec,
-        speedup: incremental_ops_per_sec / full_ops_per_sec,
-        hashes_agree: full_hashes == incr_hashes,
-    }
+    let speedup = incremental_ops_per_sec / full_ops_per_sec;
+    assert!(
+        full_hashes == incr_hashes,
+        "incremental and full hashing must agree on every iteration"
+    );
+    assert!(
+        speedup >= 5.0,
+        "incremental fingerprinting must be >= 5x full rehash (got {speedup:.2}x)"
+    );
+    Row::new()
+        .count("tree_files", TREE_FILES as u64)
+        .count("tree_depth", TREE_DEPTH as u64)
+        .count("file_bytes", FILE_BYTES as u64)
+        .count("iterations", iters as u64)
+        .rate("full_rehash_ops", full_ops_per_sec)
+        .rate("incremental_ops", incremental_ops_per_sec)
+        .num("speedup", speedup)
+        .flag("hashes_agree", true)
 }
 
 /// An [`Mcfs`] wrapper that records every abstract state the explorer
@@ -247,66 +249,21 @@ fn swarm_dedup(shared: bool, workers: usize, budget: u64) -> SwarmDedup {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let iters: usize = args
-        .iter()
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(if quick { 80 } else { 240 });
-    let hash = bench_hashing(iters);
-    let md5 = bench_md5(quick);
+    let args = BenchArgs::parse("hash_throughput [iters] [--quick]");
+    let quick = args.quick;
+    let iters = args.count_or(if quick { 80 } else { 240 });
+    let mut out = BenchReport::new("hash", quick);
+    out.record(
+        "hash_throughput",
+        "Incremental vs full fingerprinting (wall clock)",
+        bench_hashing(iters as usize),
+    );
+    out.record("md5", "MD5 kernel (wall clock)", bench_md5(quick));
 
     let workers = 4;
     let budget = if quick { 600 } else { 1_500 };
     let private = swarm_dedup(false, workers, budget);
     let shared = swarm_dedup(true, workers, budget);
-
-    println!("{{");
-    println!("  \"hash_throughput\": {{");
-    println!("    \"tree_files\": {TREE_FILES},");
-    println!("    \"tree_depth\": {TREE_DEPTH},");
-    println!("    \"file_bytes\": {FILE_BYTES},");
-    println!("    \"iterations\": {iters},");
-    println!(
-        "    \"full_rehash_ops_per_sec\": {:.1},",
-        hash.full_ops_per_sec
-    );
-    println!(
-        "    \"incremental_ops_per_sec\": {:.1},",
-        hash.incremental_ops_per_sec
-    );
-    println!("    \"speedup\": {:.2},", hash.speedup);
-    println!("    \"hashes_agree\": {}", hash.hashes_agree);
-    println!("  }},");
-    println!("  \"md5\": {{");
-    println!("    \"block_ns\": {:.1},", md5.block_ns);
-    println!(
-        "    \"one_block_digest_ns\": {:.1}",
-        md5.one_block_digest_ns
-    );
-    println!("  }},");
-    println!("  \"swarm_dedup\": {{");
-    println!("    \"workers\": {workers},");
-    println!("    \"ops_budget_per_worker\": {budget},");
-    for (label, r, comma) in [("private", &private, ","), ("shared_sharded", &shared, "")] {
-        println!("    \"{label}\": {{");
-        println!("      \"states_expanded\": {},", r.states_expanded);
-        println!("      \"distinct_states\": {},", r.distinct_states);
-        println!("      \"duplicate_states\": {}", r.duplicate_states);
-        println!("    }}{comma}");
-    }
-    println!("  }}");
-    println!("}}");
-
-    assert!(
-        hash.hashes_agree,
-        "incremental and full hashing must agree on every iteration"
-    );
-    assert!(
-        hash.speedup >= 5.0,
-        "incremental fingerprinting must be >= 5x full rehash (got {:.2}x)",
-        hash.speedup
-    );
     assert!(
         shared.duplicate_states < private.duplicate_states,
         "the shared sharded set must expand strictly fewer duplicates \
@@ -314,4 +271,21 @@ fn main() {
         shared.duplicate_states,
         private.duplicate_states
     );
+    out.table(
+        "swarm_dedup",
+        "Walk swarm duplicates: private vs shared sharded visited set",
+        [("private", &private), ("shared_sharded", &shared)]
+            .into_iter()
+            .map(|(visited, r)| {
+                Row::new()
+                    .str("visited", visited)
+                    .count("workers", workers as u64)
+                    .count("ops_budget_per_worker", budget)
+                    .count("states_expanded", r.states_expanded)
+                    .count("distinct_states", r.distinct_states)
+                    .count("duplicate_states", r.duplicate_states)
+            })
+            .collect(),
+    );
+    out.finish();
 }

@@ -29,7 +29,7 @@ use mcfs::{
     CheckedTarget, CheckpointTarget, FsOp, RemountMode, RemountTarget, ThreadedMcfs,
     ThreadedMcfsConfig,
 };
-use mcfs_bench::print_table;
+use mcfs_bench::{BenchArgs, BenchReport, Row};
 use modelcheck::{DfsExplorer, ExploreConfig};
 use verifs::VeriFs;
 use vfs::FileSystem;
@@ -41,28 +41,6 @@ struct Case {
     programs: Vec<Vec<FsOp>>,
     /// Disjoint-thread workloads must show the ≥3× POR reduction.
     expect_reduction: bool,
-}
-
-struct Row {
-    name: &'static str,
-    threads: usize,
-    ops: usize,
-    full_transitions: u64,
-    sleep_transitions: u64,
-    persistent_transitions: u64,
-    por_transitions: u64,
-    states: usize,
-    elapsed_s: f64,
-}
-
-impl Row {
-    fn reduction(&self) -> f64 {
-        self.full_transitions as f64 / self.por_transitions.max(1) as f64
-    }
-
-    fn states_per_s(&self) -> f64 {
-        self.states as f64 / self.elapsed_s.max(1e-9)
-    }
 }
 
 fn verifs_pair() -> Vec<Box<dyn CheckedTarget>> {
@@ -176,32 +154,34 @@ fn run_case(case: &Case) -> Row {
         );
         by_setting[k] = ops;
     }
-    let row = Row {
-        name: case.name,
-        threads: case.programs.len(),
-        ops: case.programs.iter().map(Vec::len).sum(),
-        full_transitions: full,
-        sleep_transitions: by_setting[0],
-        persistent_transitions: by_setting[1],
-        por_transitions: by_setting[2],
-        states: base.len(),
-        elapsed_s: start.elapsed().as_secs_f64(),
-    };
-    if case.expect_reduction {
-        assert!(
-            row.reduction() >= 3.0,
-            "{}: acceptance requires >=3x fewer transitions with POR, got {:.1}x ({} -> {})",
-            row.name,
-            row.reduction(),
-            row.full_transitions,
-            row.por_transitions
-        );
-    }
-    row
+    let elapsed_s = start.elapsed().as_secs_f64();
+    let reduction = full as f64 / by_setting[2].max(1) as f64;
+    assert!(
+        !case.expect_reduction || reduction >= 3.0,
+        "{}: acceptance requires >=3x fewer transitions with POR, got {reduction:.1}x \
+         ({full} -> {})",
+        case.name,
+        by_setting[2]
+    );
+    Row::new()
+        .str("case", case.name)
+        .count("threads", case.programs.len() as u64)
+        .count(
+            "ops",
+            case.programs.iter().map(Vec::len).sum::<usize>() as u64,
+        )
+        .count("full_transitions", full)
+        .count("sleep_transitions", by_setting[0])
+        .count("persistent_transitions", by_setting[1])
+        .count("por_transitions", by_setting[2])
+        .num("reduction", reduction)
+        .count("final_states", base.len() as u64)
+        .flag("final_state_sets_identical", true)
+        .rate("states", base.len() as f64 / elapsed_s.max(1e-9))
 }
 
 fn main() {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+    let quick = BenchArgs::parse("interleave_scale [--quick]").quick;
     let ops_per_thread = if quick { 2 } else { 3 };
 
     let mut cases = vec![
@@ -227,53 +207,8 @@ fn main() {
         });
     }
 
-    let rows: Vec<Row> = cases.iter().map(run_case).collect();
-
-    let table: Vec<(String, String)> = rows
-        .iter()
-        .map(|r| {
-            (
-                r.name.to_string(),
-                format!(
-                    "{}t/{:>2}ops  {:>5} -> {:>4} transitions ({:>4.1}x)  {:>3} states  {:>7.0} st/s",
-                    r.threads,
-                    r.ops,
-                    r.full_transitions,
-                    r.por_transitions,
-                    r.reduction(),
-                    r.states,
-                    r.states_per_s(),
-                ),
-            )
-        })
-        .collect();
-    print_table("Interleaving exploration (full vs POR)", &table);
-
-    let runs: String = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"case\": \"{}\", \"threads\": {}, \"ops\": {}, \
-                 \"full_transitions\": {}, \"sleep_transitions\": {}, \
-                 \"persistent_transitions\": {}, \"por_transitions\": {}, \
-                 \"reduction\": {:.2}, \"final_states\": {}, \
-                 \"final_state_sets_identical\": true, \"states_per_s\": {:.0}}}",
-                r.name,
-                r.threads,
-                r.ops,
-                r.full_transitions,
-                r.sleep_transitions,
-                r.persistent_transitions,
-                r.por_transitions,
-                r.reduction(),
-                r.states,
-                r.states_per_s(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!("{{\n  \"quick\": {quick},\n  \"runs\": [\n{runs}\n  ]\n}}");
-    println!("\n{json}");
-    std::fs::write("BENCH_interleave.json", format!("{json}\n"))
-        .expect("write BENCH_interleave.json");
+    let rows = cases.iter().map(run_case).collect();
+    let mut out = BenchReport::new("interleave", quick);
+    out.table("runs", "Interleaving exploration (full vs POR)", rows);
+    out.finish();
 }

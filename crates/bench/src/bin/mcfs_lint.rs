@@ -26,6 +26,7 @@
 //!   2  usage or internal error
 
 use analyze::{run_registry, LintCode, LintOptions, LintReport, Severity, SourceOptions};
+use mcfs_bench::{BenchReport, Row};
 
 fn usage() -> &'static str {
     "usage: mcfs-lint [--quick] [--json] [--code MC00N]... [--seed N] [--list]\n\
@@ -113,6 +114,7 @@ fn main() {
         i += 1;
     }
 
+    let quick = args.iter().any(|a| a == "--quick");
     let started = std::time::Instant::now();
     let report = if let Some(root) = &source_root {
         let sr = analyze::run_source(&SourceOptions::new(root)).unwrap_or_else(|e| {
@@ -126,13 +128,13 @@ fn main() {
         }
     } else {
         let opts = LintOptions {
-            quick: args.iter().any(|a| a == "--quick"),
+            quick,
             seed,
             codes: if codes.is_empty() { None } else { Some(codes) },
         };
         run_registry(&opts)
     };
-    let wall_ms = started.elapsed().as_millis();
+    let wall_ns = started.elapsed().as_nanos() as u64;
 
     if let Some(path) = &bench_out {
         let unsuppressed = report
@@ -145,21 +147,28 @@ fn main() {
             .iter()
             .filter(|d| d.severity == Severity::Error)
             .count();
-        let json = format!(
-            "{{\n  \"bench\": \"lint\",\n  \"mode\": \"{}\",\n  \"wall_ms\": {wall_ms},\n  \
-             \"checks_run\": {},\n  \"findings\": {},\n  \"unsuppressed\": {},\n  \
-             \"suppressed\": {},\n  \"dynamic_errors\": {errors}\n}}",
-            if source_root.is_some() {
-                "source"
-            } else {
-                "dynamic"
-            },
-            report.checks_run,
-            report.diagnostics.len() + report.source.len(),
-            unsuppressed,
-            report.source.len() - unsuppressed,
+        let mut out = BenchReport::new("lint", quick);
+        out.params(
+            Row::new()
+                .str(
+                    "mode",
+                    if source_root.is_some() {
+                        "source"
+                    } else {
+                        "dynamic"
+                    },
+                )
+                .ms("wall", wall_ns)
+                .count("checks_run", report.checks_run as u64)
+                .count(
+                    "findings",
+                    (report.diagnostics.len() + report.source.len()) as u64,
+                )
+                .count("unsuppressed", unsuppressed as u64)
+                .count("suppressed", (report.source.len() - unsuppressed) as u64)
+                .count("dynamic_errors", errors as u64),
         );
-        if let Err(e) = std::fs::write(path, format!("{json}\n")) {
+        if let Err(e) = out.write(path) {
             eprintln!("mcfs-lint: cannot write {path}: {e}");
             std::process::exit(2);
         }

@@ -21,23 +21,8 @@
 
 use blockdev::LatencyModel;
 use mcfs::{McfsConfig, PoolConfig, RemountMode};
-use mcfs_bench::{pair_ext2_ext4_cfg, pair_verifs, print_table};
+use mcfs_bench::{pair_ext2_ext4_cfg, pair_verifs, BenchArgs, BenchReport, Row};
 use modelcheck::{DfsExplorer, ExploreConfig, ExploreReport, MemBudget, RandomWalk, StopReason};
-
-struct Row {
-    budget_label: &'static str,
-    ram_bytes: u64,
-    states: u64,
-    virtual_ms: f64,
-    states_per_sec: f64,
-    rate_ratio: f64,
-    pages_written: u64,
-    pages_read: u64,
-    measured_swap_bytes: u64,
-    predicted_swap_bytes: u64,
-    model_error: f64,
-    bloom_skips: u64,
-}
 
 fn run_dfs(depth: usize, budget: Option<MemBudget>) -> ExploreReport<mcfs::FsOp> {
     let mut pairing = pair_verifs(PoolConfig::small()).expect("verifs pairing");
@@ -59,8 +44,7 @@ fn run_dfs(depth: usize, budget: Option<MemBudget>) -> ExploreReport<mcfs::FsOp>
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = BenchArgs::parse("oocore_scale [--quick]").quick;
     let depth = if quick { 3 } else { 4 };
 
     // ----- Section 1: visited-set scaling -------------------------------
@@ -76,6 +60,7 @@ fn main() {
         ("1/10x", Some(set_bytes / 10)),
     ];
     let mut rows = Vec::new();
+    let mut tenth = (0, 0.0); // (pages written, rate ratio) of the last budget
     for (label, ram) in budgets {
         let report = match ram {
             None => run_dfs(depth, None),
@@ -88,70 +73,40 @@ fn main() {
         );
         let rate = s.states_new as f64 * 1e9 / s.virtual_ns as f64;
         let spill = s.spill.unwrap_or_default();
-        rows.push(Row {
-            budget_label: label,
-            ram_bytes: ram.unwrap_or(0),
-            states: s.states_new,
-            virtual_ms: s.virtual_ns as f64 / 1e6,
-            states_per_sec: rate,
-            rate_ratio: rate / base_rate,
-            pages_written: spill.pages_written,
-            pages_read: spill.pages_read,
-            measured_swap_bytes: spill.measured_swap_bytes(),
-            predicted_swap_bytes: spill.predicted_swap_bytes,
-            model_error: spill.model_error(),
-            bloom_skips: spill.bloom_skips,
-        });
-    }
-
-    let table: Vec<(String, String)> = rows
-        .iter()
-        .map(|r| {
-            (
-                format!("{} ({} B RAM)", r.budget_label, r.ram_bytes),
-                format!(
-                    "{} states, {:.2} virt-ms, {:.0} states/s ({:.0}% of in-mem), \
-                     {} pg out / {} pg in, model err {:.1}%",
-                    r.states,
-                    r.virtual_ms,
-                    r.states_per_sec,
-                    r.rate_ratio * 100.0,
-                    r.pages_written,
-                    r.pages_read,
-                    r.model_error * 100.0
-                ),
-            )
-        })
-        .collect();
-    print_table(
-        &format!("Out-of-core visited set (depth {depth}, VeriFS pairing)"),
-        &table,
-    );
-
-    let tenth = rows.last().expect("1/10x row");
-    assert!(
-        tenth.pages_written > 0,
-        "the 1/10x budget must actually spill pages"
-    );
-    assert!(
-        tenth.rate_ratio > 0.5,
-        "1/10x-budget run fell to {:.1}% of the in-memory rate \
-         (acceptance floor: 50%)",
-        tenth.rate_ratio * 100.0
-    );
-    for r in &rows {
-        if r.measured_swap_bytes > 0 {
+        if spill.measured_swap_bytes() > 0 {
             assert!(
-                r.model_error <= 0.20,
-                "{}: memmodel predicted {} B of swap traffic vs {} B measured \
+                spill.model_error() <= 0.20,
+                "{label}: memmodel predicted {} B of swap traffic vs {} B measured \
                  ({:.1}% error, acceptance ceiling: 20%)",
-                r.budget_label,
-                r.predicted_swap_bytes,
-                r.measured_swap_bytes,
-                r.model_error * 100.0
+                spill.predicted_swap_bytes,
+                spill.measured_swap_bytes(),
+                spill.model_error() * 100.0
             );
         }
+        tenth = (spill.pages_written, rate / base_rate);
+        rows.push(
+            Row::new()
+                .str("budget", label)
+                .count("ram_bytes", ram.unwrap_or(0))
+                .count("states", s.states_new)
+                .ms("virtual", s.virtual_ns)
+                .rate("states", rate)
+                .num("rate_ratio", rate / base_rate)
+                .count("pages_written", spill.pages_written)
+                .count("pages_read", spill.pages_read)
+                .count("measured_swap_bytes", spill.measured_swap_bytes())
+                .count("predicted_swap_bytes", spill.predicted_swap_bytes)
+                .num("model_error", spill.model_error())
+                .count("bloom_skips", spill.bloom_skips),
+        );
     }
+    assert!(tenth.0 > 0, "the 1/10x budget must actually spill pages");
+    assert!(
+        tenth.1 > 0.5,
+        "1/10x-budget run fell to {:.1}% of the in-memory rate \
+         (acceptance floor: 50%)",
+        tenth.1 * 100.0
+    );
 
     // ----- Section 2: checkpoint-pool demotion --------------------------
     // A spread-restart random walk keeps *unpinned* restart checkpoints
@@ -199,52 +154,25 @@ fn main() {
         ckpt.promotions > 0,
         "restored restart targets must promote back from disk (stats: {ckpt:?})"
     );
-    print_table(
+    let mut out = BenchReport::new("oocore", quick);
+    out.params(
+        Row::new()
+            .count("depth", depth as u64)
+            .count("visited_set_bytes", set_bytes),
+    );
+    out.table(
+        "scale",
+        &format!("Out-of-core visited set (depth {depth}, VeriFS pairing)"),
+        rows,
+    );
+    out.record(
+        "checkpoint_spill",
         "Checkpoint-pool spill (ext2 vs ext4, 600 KiB pool budget)",
-        &[
-            ("demotions".into(), ckpt.demotions.to_string()),
-            ("promotions".into(), ckpt.promotions.to_string()),
-            ("hard evictions".into(), ckpt.evictions.to_string()),
-            (
-                "unique bytes on disk".into(),
-                format!("{} (COW-chunk deduplicated)", ckpt.spilled_bytes),
-            ),
-        ],
+        Row::new()
+            .count("demotions", ckpt.demotions)
+            .count("promotions", ckpt.promotions)
+            .count("evictions", ckpt.evictions)
+            .count("spilled_bytes", ckpt.spilled_bytes),
     );
-
-    // ----- JSON ---------------------------------------------------------
-    let scale_json: String = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"budget\": \"{}\", \"ram_bytes\": {}, \"states\": {}, \
-                 \"virtual_ms\": {:.3}, \"states_per_sec\": {:.1}, \
-                 \"rate_ratio\": {:.4}, \"pages_written\": {}, \"pages_read\": {}, \
-                 \"measured_swap_bytes\": {}, \"predicted_swap_bytes\": {}, \
-                 \"model_error\": {:.4}, \"bloom_skips\": {}}}",
-                r.budget_label,
-                r.ram_bytes,
-                r.states,
-                r.virtual_ms,
-                r.states_per_sec,
-                r.rate_ratio,
-                r.pages_written,
-                r.pages_read,
-                r.measured_swap_bytes,
-                r.predicted_swap_bytes,
-                r.model_error,
-                r.bloom_skips
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"quick\": {quick},\n  \"depth\": {depth},\n  \
-         \"visited_set_bytes\": {set_bytes},\n  \"scale\": [\n{scale_json}\n  ],\n  \
-         \"checkpoint_spill\": {{\"demotions\": {}, \"promotions\": {}, \
-         \"evictions\": {}, \"spilled_bytes\": {}}}\n}}",
-        ckpt.demotions, ckpt.promotions, ckpt.evictions, ckpt.spilled_bytes
-    );
-    println!("\n{json}");
-    std::fs::write("BENCH_oocore.json", format!("{json}\n")).expect("write BENCH_oocore.json");
+    out.finish();
 }

@@ -3,23 +3,23 @@
 //! The paper measures Ext2-vs-Ext4 at 316 ops/s without remounts (38% faster
 //! than with) and Ext4-vs-XFS 70% faster. This binary reruns both pairings
 //! in `RemountMode::PerOp` and `RemountMode::OnRestore` and prints the
-//! speedups.
+//! speedups. Every run must end on its op budget or exhaust its space, with
+//! no violation.
 //!
 //! Measured with the long-run randomized driver (restores happen only on
 //! walk restarts, as in the paper's multi-day averages).
+//!
+//! Output: the table, then JSON (also written to `BENCH_remount.json`).
 //!
 //! Usage: `cargo run --release -p mcfs-bench --bin remount_ablation [ops]`
 
 use blockdev::LatencyModel;
 use mcfs::{PoolConfig, RemountMode};
-use mcfs_bench::{measure_walk, pair_ext2_ext4, pair_ext4_xfs, print_table};
+use mcfs_bench::{measure_walk, pair_ext2_ext4, pair_ext4_xfs, BenchArgs, BenchReport, Row};
 
 fn main() {
-    let budget: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3_000);
-    let mut rows = Vec::new();
+    let args = BenchArgs::parse("remount_ablation [ops]");
+    let budget = args.count_or(3_000);
 
     let run = |mode: RemountMode, xfs: bool| -> f64 {
         let mut pairing = if xfs {
@@ -30,23 +30,29 @@ fn main() {
         measure_walk(&mut pairing, budget, 7).0
     };
 
+    let mut rows = Vec::new();
     for (label, xfs, paper) in [
-        (
-            "Ext2 vs Ext4 (RAM)",
-            false,
-            "paper: 229 -> 316 ops/s (+38%)",
-        ),
-        ("Ext4 vs XFS (RAM)", true, "paper: ~20 -> 34 ops/s (+70%)"),
+        ("Ext2 vs Ext4 (RAM)", false, "229 -> 316 ops/s (+38%)"),
+        ("Ext4 vs XFS (RAM)", true, "~20 -> 34 ops/s (+70%)"),
     ] {
         let with = run(RemountMode::PerOp, xfs);
         let without = run(RemountMode::OnRestore, xfs);
-        rows.push((
-            label.to_string(),
-            format!(
-                "{with:>8.1} -> {without:>8.1} ops/s  (+{:.0}%)   [{paper}]",
-                (without / with - 1.0) * 100.0
-            ),
-        ));
+        rows.push(
+            Row::new()
+                .str("pairing", label)
+                .rate("remount_ops", with)
+                .rate("no_remount_ops", without)
+                .num("speedup", without / with)
+                .str("paper", paper),
+        );
     }
-    print_table("Section 6: speed without inter-operation remounts", &rows);
+
+    let mut out = BenchReport::new("remount", args.quick);
+    out.params(Row::new().count("budget_ops", budget));
+    out.table(
+        "pairings",
+        "Section 6: speed without inter-operation remounts",
+        rows,
+    );
+    out.finish();
 }

@@ -34,23 +34,9 @@ use mcfs::{
     buggy_verifs_factory, replay, replay_checked, shrink_trace, FsOp, HarnessFactory, Mcfs,
     McfsConfig, PoolConfig, RemountMode, RemountTarget, ShrinkConfig,
 };
-use mcfs_bench::print_table;
+use mcfs_bench::{BenchArgs, BenchReport, Row};
 use verifs::BugConfig;
 use vfs::VfsResult;
-
-struct Row {
-    case: &'static str,
-    ops_before: usize,
-    ops_after: usize,
-    candidates_tried: u64,
-    replays_run: u64,
-}
-
-impl Row {
-    fn ratio(&self) -> f64 {
-        self.ops_before as f64 / self.ops_after.max(1) as f64
-    }
-}
 
 fn op_create(path: &str) -> FsOp {
     FsOp::CreateFile {
@@ -119,13 +105,19 @@ fn minimize_case(case: &'static str, factory: &Arc<HarnessFactory>, trace: &[FsO
         replay_checked(&mut fresh, &out.trace, &msg).reproduced(),
         "{case}: minimized trace must reproduce the same message"
     );
-    Row {
-        case,
-        ops_before: out.stats.ops_before,
-        ops_after: out.stats.ops_after,
-        candidates_tried: out.stats.candidates_tried,
-        replays_run: out.stats.replays_run,
-    }
+    let (before, after) = (out.stats.ops_before, out.stats.ops_after);
+    let ratio = before as f64 / after.max(1) as f64;
+    assert!(
+        ratio >= 5.0,
+        "{case}: acceptance requires a >=5x shrink, got {ratio:.1}x ({before} -> {after} ops)"
+    );
+    Row::new()
+        .str("case", case)
+        .count("ops_before", before as u64)
+        .count("ops_after", after as u64)
+        .num("shrink_ratio", ratio)
+        .count("candidates_tried", out.stats.candidates_tried)
+        .count("replays_run", out.stats.replays_run)
 }
 
 /// An ext2 whose device tears according to `plan`, armed after format so
@@ -210,7 +202,7 @@ fn find_torn_block(trace: &[FsOp], max_blocks: u64) -> Option<u64> {
 }
 
 fn main() {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+    let quick = BenchArgs::parse("shrink_bench [--quick]").quick;
     let (hole_filler, torn_reads) = if quick { (32, 20) } else { (36, 30) };
 
     let mut rows = Vec::new();
@@ -225,52 +217,7 @@ fn main() {
         .expect("some block address must carry /a's data and tear on overwrite");
     rows.push(minimize_case("ext2-torn-write", &torn_factory(addr), &torn));
 
-    for r in &rows {
-        assert!(
-            r.ratio() >= 5.0,
-            "{}: acceptance requires a >=5x shrink, got {:.1}x ({} -> {} ops)",
-            r.case,
-            r.ratio(),
-            r.ops_before,
-            r.ops_after
-        );
-    }
-
-    let table: Vec<(String, String)> = rows
-        .iter()
-        .map(|r| {
-            (
-                r.case.to_string(),
-                format!(
-                    "{:>3} -> {:>2} ops ({:>4.1}x)  {:>4} candidates, {:>4} replays",
-                    r.ops_before,
-                    r.ops_after,
-                    r.ratio(),
-                    r.candidates_tried,
-                    r.replays_run
-                ),
-            )
-        })
-        .collect();
-    print_table("Trace minimization", &table);
-
-    let runs: String = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"case\": \"{}\", \"ops_before\": {}, \"ops_after\": {}, \
-                 \"shrink_ratio\": {:.2}, \"candidates_tried\": {}, \"replays_run\": {}}}",
-                r.case,
-                r.ops_before,
-                r.ops_after,
-                r.ratio(),
-                r.candidates_tried,
-                r.replays_run,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!("{{\n  \"quick\": {quick},\n  \"runs\": [\n{runs}\n  ]\n}}");
-    println!("\n{json}");
-    std::fs::write("BENCH_shrink.json", format!("{json}\n")).expect("write BENCH_shrink.json");
+    let mut out = BenchReport::new("shrink", quick);
+    out.table("runs", "Trace minimization", rows);
+    out.finish();
 }

@@ -33,7 +33,8 @@ use mcfs::{
     CheckedTarget, CheckpointTarget, ImageTarget, Mcfs, McfsConfig, PoolConfig, RemountMode,
 };
 use mcfs_bench::{
-    ext_on, measure_dfs, pair_ext2_ext4, pair_verifs, print_table, verifs_fuse, verifs_tree,
+    ext_on, measure_dfs, pair_ext2_ext4, pair_verifs, verifs_fuse, verifs_tree, BenchArgs,
+    BenchReport, Row,
 };
 use verifs::{BugConfig, VeriFs};
 use vfs::{FileMode, FileSystem, FsCheckpoint, OpenFlags};
@@ -57,19 +58,9 @@ fn touch(fs: &mut VeriFs, paths: &[String], i: usize) {
     fs.close(fd).expect("close");
 }
 
-struct CowLatency {
-    rounds: usize,
-    deep_checkpoint_ns: u128,
-    cow_checkpoint_ns: u128,
-    checkpoint_speedup: f64,
-    deep_restore_ns: u128,
-    cow_restore_ns: u128,
-    restore_speedup: f64,
-}
-
 /// Measures mean per-call checkpoint/restore latency, deep-clone baseline vs
 /// copy-on-write, on identical trees and mutation sequences.
-fn bench_cow_latency(rounds: usize) -> CowLatency {
+fn bench_cow_latency(rounds: usize) -> Row {
     // Deep-clone baseline: checkpoint, then force every shared allocation
     // apart again — the copy a snapshot-by-value implementation pays.
     let (mut fs, paths) = verifs_tree(TREE_FILES, TREE_DEPTH, FILE_BYTES);
@@ -105,29 +96,32 @@ fn bench_cow_latency(rounds: usize) -> CowLatency {
         cow_restore += t.elapsed().as_nanos();
     }
 
-    let per = |total: u128| total / rounds.max(1) as u128;
-    CowLatency {
-        rounds,
-        deep_checkpoint_ns: per(deep_ckpt),
-        cow_checkpoint_ns: per(cow_ckpt),
-        checkpoint_speedup: deep_ckpt as f64 / cow_ckpt.max(1) as f64,
-        deep_restore_ns: per(deep_restore),
-        cow_restore_ns: per(cow_restore),
-        restore_speedup: deep_restore as f64 / cow_restore.max(1) as f64,
-    }
-}
-
-struct SpineResidency {
-    depth: usize,
-    logical_bytes: usize,
-    resident_bytes: usize,
-    reduction: f64,
+    let per = |total: u128| total as f64 / rounds.max(1) as f64;
+    let checkpoint_speedup = deep_ckpt as f64 / cow_ckpt.max(1) as f64;
+    assert!(
+        checkpoint_speedup >= 10.0,
+        "COW checkpoints must be >= 10x deep clones (got {checkpoint_speedup:.1}x)"
+    );
+    Row::new()
+        .count("tree_files", TREE_FILES as u64)
+        .count("tree_depth", TREE_DEPTH as u64)
+        .count("file_bytes", FILE_BYTES as u64)
+        .count("rounds", rounds as u64)
+        .ns("deep_checkpoint", per(deep_ckpt))
+        .ns("cow_checkpoint", per(cow_ckpt))
+        .num("checkpoint_speedup", checkpoint_speedup)
+        .ns("deep_restore", per(deep_restore))
+        .ns("cow_restore", per(cow_restore))
+        .num(
+            "restore_speedup",
+            deep_restore as f64 / cow_restore.max(1) as f64,
+        )
 }
 
 /// Builds a DFS-style backtrack spine of checkpoints — one per depth level,
 /// each after a small mutation — and compares what 50 deep clones would hold
 /// (the logical bytes) against what the sharing pool actually holds.
-fn bench_spine_residency() -> SpineResidency {
+fn bench_spine_residency() -> Row {
     let (mut fs, paths) = verifs_tree(TREE_FILES, TREE_DEPTH, FILE_BYTES);
     for d in 0..SPINE_DEPTH {
         touch(&mut fs, &paths, d);
@@ -135,18 +129,32 @@ fn bench_spine_residency() -> SpineResidency {
     }
     let logical_bytes = fs.snapshot_bytes();
     let resident_bytes = fs.snapshot_resident_bytes();
-    SpineResidency {
-        depth: SPINE_DEPTH,
-        logical_bytes,
-        resident_bytes,
-        reduction: logical_bytes as f64 / resident_bytes.max(1) as f64,
-    }
+    let reduction = logical_bytes as f64 / resident_bytes.max(1) as f64;
+    assert!(
+        reduction >= 5.0,
+        "the depth-{SPINE_DEPTH} spine must hold >= 5x less than deep clones \
+         (logical {logical_bytes} vs resident {resident_bytes})"
+    );
+    Row::new()
+        .count("depth", SPINE_DEPTH as u64)
+        .count("checkpoint_logical_bytes", logical_bytes as u64)
+        .count("checkpoint_resident_bytes", resident_bytes as u64)
+        .num("resident_reduction", reduction)
 }
 
-/// Runs the paper's five-strategy comparison, returning `(name, outcome)`
-/// rows measured in virtual time.
-fn strategy_table(budget: u64) -> Vec<(String, String)> {
-    let mut rows: Vec<(String, String)> = Vec::new();
+/// One strategy's row; `ops_per_sec` is `None` when the strategy cannot
+/// run at all.
+fn strategy(name: &str, ops_per_sec: Option<f64>, outcome: &str, paper: &str) -> Row {
+    Row::new()
+        .str("strategy", name)
+        .opt_rate("ops", ops_per_sec)
+        .str("outcome", outcome)
+        .str("paper", paper)
+}
+
+/// Runs the paper's five-strategy comparison, measured in virtual time.
+fn strategy_table(budget: u64) -> Vec<Row> {
+    let mut rows = Vec::new();
 
     // 1. CRIU on a FUSE file system: refused at the first checkpoint
     //    because the daemon process holds /dev/fuse.
@@ -162,10 +170,15 @@ fn strategy_table(budget: u64) -> Vec<(String, String)> {
             })
             .collect();
         let outcome = match snapshot::criu_check_handles(&handles) {
-            Err(e) => format!("REFUSED ({e}) — as the paper found for FUSE"),
+            Err(e) => format!("REFUSED ({e})"),
             Ok(()) => "unexpectedly worked".to_string(),
         };
-        rows.push(("criu + FUSE file system".into(), outcome));
+        rows.push(strategy(
+            "criu + FUSE file system",
+            None,
+            &outcome,
+            "refused: the daemon holds /dev/fuse",
+        ));
     }
 
     // 2. CRIU on a Ganesha-like plain user-space server (no device handles).
@@ -188,9 +201,11 @@ fn strategy_table(budget: u64) -> Vec<(String, String)> {
             clock,
         };
         let (ops_per_sec, _) = measure_dfs(&mut pairing, budget);
-        rows.push((
-            "criu + Ganesha-like server".into(),
-            format!("{ops_per_sec:>8.1} ops/s (works: no device handles)"),
+        rows.push(strategy(
+            "criu + Ganesha-like server",
+            Some(ops_per_sec),
+            "works: no device handles",
+            "works (under investigation)",
         ));
     }
 
@@ -220,9 +235,11 @@ fn strategy_table(budget: u64) -> Vec<(String, String)> {
             clock,
         };
         let (ops_per_sec, _) = measure_dfs(&mut pairing, budget);
-        rows.push((
-            "LightVM-style VM snapshots".into(),
-            format!("{ops_per_sec:>8.1} ops/s (paper: 20-30 ops/s)"),
+        rows.push(strategy(
+            "LightVM-style VM snapshots",
+            Some(ops_per_sec),
+            "works",
+            "20-30 ops/s",
         ));
     }
 
@@ -232,9 +249,11 @@ fn strategy_table(budget: u64) -> Vec<(String, String)> {
             pair_ext2_ext4(LatencyModel::ram(), RemountMode::PerOp, PoolConfig::small())
                 .expect("pairing");
         let (ops_per_sec, _) = measure_dfs(&mut pairing, budget);
-        rows.push((
-            "device snapshot + remount".into(),
-            format!("{ops_per_sec:>8.1} ops/s (paper: ~229 ops/s)"),
+        rows.push(strategy(
+            "device snapshot + remount",
+            Some(ops_per_sec),
+            "works",
+            "~229 ops/s",
         ));
     }
 
@@ -242,9 +261,11 @@ fn strategy_table(budget: u64) -> Vec<(String, String)> {
     {
         let mut pairing = pair_verifs(PoolConfig::small()).expect("pairing");
         let (ops_per_sec, _) = measure_dfs(&mut pairing, budget);
-        rows.push((
-            "checkpoint/restore API".into(),
-            format!("{ops_per_sec:>8.1} ops/s (paper: ~1330 ops/s, the winner)"),
+        rows.push(strategy(
+            "checkpoint/restore API",
+            Some(ops_per_sec),
+            "works",
+            "~1330 ops/s, the winner",
         ));
     }
 
@@ -252,79 +273,27 @@ fn strategy_table(budget: u64) -> Vec<(String, String)> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let budget: u64 = args
-        .iter()
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(if quick { 300 } else { 2_000 });
+    let args = BenchArgs::parse("snapshot_compare [ops] [--quick]");
+    let quick = args.quick;
+    let budget = args.count_or(if quick { 300 } else { 2_000 });
     let rounds = if quick { 12 } else { 50 };
 
-    let rows = strategy_table(budget);
-    print_table("Section 5: state-tracking strategies", &rows);
-
-    let latency = bench_cow_latency(rounds);
-    let spine = bench_spine_residency();
-
-    let strategies: String = rows
-        .iter()
-        .map(|(k, v)| {
-            format!(
-                "    {{\"strategy\": \"{}\", \"outcome\": \"{}\"}}",
-                k.replace('"', "'"),
-                v.trim().replace('"', "'")
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n\
-         \x20 \"strategies\": [\n{strategies}\n  ],\n\
-         \x20 \"cow_checkpoint\": {{\n\
-         \x20   \"tree_files\": {TREE_FILES},\n\
-         \x20   \"tree_depth\": {TREE_DEPTH},\n\
-         \x20   \"file_bytes\": {FILE_BYTES},\n\
-         \x20   \"rounds\": {rounds},\n\
-         \x20   \"deep_checkpoint_ns\": {deep_ckpt},\n\
-         \x20   \"cow_checkpoint_ns\": {cow_ckpt},\n\
-         \x20   \"checkpoint_speedup\": {ckpt_speedup:.2},\n\
-         \x20   \"deep_restore_ns\": {deep_restore},\n\
-         \x20   \"cow_restore_ns\": {cow_restore},\n\
-         \x20   \"restore_speedup\": {restore_speedup:.2}\n\
-         \x20 }},\n\
-         \x20 \"dfs_spine\": {{\n\
-         \x20   \"depth\": {spine_depth},\n\
-         \x20   \"checkpoint_logical_bytes\": {logical},\n\
-         \x20   \"checkpoint_resident_bytes\": {resident},\n\
-         \x20   \"resident_reduction\": {reduction:.2}\n\
-         \x20 }}\n\
-         }}",
-        rounds = latency.rounds,
-        deep_ckpt = latency.deep_checkpoint_ns,
-        cow_ckpt = latency.cow_checkpoint_ns,
-        ckpt_speedup = latency.checkpoint_speedup,
-        deep_restore = latency.deep_restore_ns,
-        cow_restore = latency.cow_restore_ns,
-        restore_speedup = latency.restore_speedup,
-        spine_depth = spine.depth,
-        logical = spine.logical_bytes,
-        resident = spine.resident_bytes,
-        reduction = spine.reduction,
+    let mut out = BenchReport::new("snapshot", quick);
+    out.params(Row::new().count("budget_ops", budget));
+    out.table(
+        "strategies",
+        "Section 5: state-tracking strategies",
+        strategy_table(budget),
     );
-    println!("\n{json}");
-    std::fs::write("BENCH_snapshot.json", format!("{json}\n")).expect("write BENCH_snapshot.json");
-
-    assert!(
-        latency.checkpoint_speedup >= 10.0,
-        "COW checkpoints must be >= 10x deep clones (got {:.1}x)",
-        latency.checkpoint_speedup
+    out.record(
+        "cow_checkpoint",
+        "Copy-on-write checkpoints vs deep clones (wall clock, per call)",
+        bench_cow_latency(rounds),
     );
-    assert!(
-        spine.reduction >= 5.0,
-        "the depth-{} spine must hold >= 5x less than deep clones \
-         (logical {} vs resident {})",
-        spine.depth,
-        spine.logical_bytes,
-        spine.resident_bytes
+    out.record(
+        "dfs_spine",
+        "Checkpoint spine residency",
+        bench_spine_residency(),
     );
+    out.finish();
 }

@@ -5,21 +5,22 @@
 //! corruption. This binary runs the scaled-down equivalent and asserts the
 //! same outcome: zero violations across the whole budget.
 //!
+//! Output: the run's summary and operation coverage, then JSON (the
+//! summary, also written to `BENCH_soak.json`).
+//!
 //! Usage: `cargo run --release -p mcfs-bench --bin soak [ops]`
 
 use blockdev::LatencyModel;
 use mcfs::{
     CheckedTarget, CheckpointTarget, Mcfs, McfsConfig, PoolConfig, RemountMode, RemountTarget,
 };
-use mcfs_bench::{ext_on, verifs_fuse};
+use mcfs_bench::{ext_on, verifs_fuse, BenchArgs, BenchReport, Row};
 use modelcheck::{ExploreConfig, RandomWalk, StopReason};
 use verifs::BugConfig;
 
 fn main() {
-    let budget: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60_000);
+    let args = BenchArgs::parse("soak [ops]");
+    let budget = args.count_or(60_000);
     // Ext4 vs VeriFS1, as in the paper's 5-day run.
     let clock = blockdev::Clock::new();
     let e4 = ext_on(
@@ -51,22 +52,29 @@ fn main() {
     .with_clock(clock.clone());
     let report = walk.run(&mut harness);
 
-    println!("== Section 5 soak: Ext4 vs VeriFS1 ==");
-    println!("  ops executed      : {}", report.stats.ops_executed);
-    println!("  distinct states   : {}", report.stats.states_new);
-    println!("  violations        : {}", report.violations.len());
-    println!("  virtual duration  : {:.1} s", clock.now_secs());
-    println!(
-        "  rate              : {:.1} ops/s",
-        report.stats.ops_executed as f64 / clock.now_secs().max(1e-9)
-    );
-    println!("  paper: 159M syscalls over 5+ days, zero discrepancies");
-    println!("\n{}", harness.coverage().summary());
+    println!("{}", harness.coverage().summary());
     assert_eq!(report.stop, StopReason::OpBudget, "must exhaust the budget");
     assert!(
         report.violations.is_empty(),
         "soak found a false positive: {}",
         report.violations[0]
     );
-    println!("  RESULT: zero discrepancies — matches the paper");
+    let virtual_ns = clock.now_ns();
+    let mut out = BenchReport::new("soak", args.quick);
+    out.params(Row::new().count("budget_ops", budget));
+    out.record(
+        "run",
+        "Section 5 soak: Ext4 vs VeriFS1",
+        Row::new()
+            .count("ops", report.stats.ops_executed)
+            .count("states", report.stats.states_new)
+            .count("violations", report.violations.len() as u64)
+            .ms("virtual", virtual_ns)
+            .rate(
+                "ops",
+                report.stats.ops_executed as f64 * 1e9 / virtual_ns.max(1) as f64,
+            )
+            .str("paper", "159M syscalls over 5+ days, zero discrepancies"),
+    );
+    out.finish();
 }

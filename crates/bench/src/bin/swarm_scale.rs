@@ -27,7 +27,7 @@ use std::sync::Mutex;
 
 use blockdev::{Clock, LatencyModel};
 use mcfs::{FsOp, FsOpCodec, Mcfs, McfsConfig, PoolConfig, RemountMode};
-use mcfs_bench::{pair_ext2_ext4_cfg, pair_verifs_cfg, print_table, Pairing};
+use mcfs_bench::{pair_ext2_ext4_cfg, pair_verifs_cfg, BenchArgs, BenchReport, Pairing, Row};
 use modelcheck::{
     load_snapshot, run_swarm, run_swarm_persistent, ExploreConfig, SwarmConfig, SwarmPersist,
     SwarmReport, WorkerStrategy,
@@ -35,27 +35,6 @@ use modelcheck::{
 use vfs::VfsResult;
 
 type PairingBuilder = Box<dyn Fn(McfsConfig) -> VfsResult<Pairing> + Sync>;
-
-struct ScaleRow {
-    pairing: &'static str,
-    workers: usize,
-    states: u64,
-    virtual_ms: f64,
-    states_per_sec: f64,
-    speedup: f64,
-}
-
-struct ResumeRow {
-    pairing: &'static str,
-    baseline_states: u64,
-    resumed_new: u64,
-    distinct: u64,
-    reexplored: u64,
-    replayed_ops: u64,
-    uninterrupted_ms: f64,
-    two_phase_ms: f64,
-    overhead_frac: f64,
-}
 
 fn swarm_cfg(workers: usize, max_depth: usize, max_ops: u64) -> SwarmConfig {
     SwarmConfig {
@@ -101,8 +80,7 @@ fn run_timed(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = BenchArgs::parse("swarm_scale [--quick]").quick;
 
     let harness_cfg = McfsConfig {
         pool: PoolConfig::small(),
@@ -125,9 +103,9 @@ fn main() {
     // Section 1: scaling. Every fleet size exhausts the same depth-bounded
     // space (shared visited, work-stealing frontier), so states/s ratios
     // reduce to virtual-elapsed ratios.
-    let mut scale_rows: Vec<ScaleRow> = Vec::new();
+    let mut scale_rows = Vec::new();
     for (label, depth, build) in &builders {
-        let mut single_rate = 0.0;
+        let mut single = None; // (states, states/s) of the 1-worker fleet
         for &workers in worker_counts {
             let cfg = swarm_cfg(workers, *depth, u64::MAX);
             let (report, elapsed) = run_timed(&cfg, build, &harness_cfg, None);
@@ -137,64 +115,33 @@ fn main() {
             );
             let states = report.total_states();
             let rate = states as f64 * 1e9 / elapsed as f64;
-            if workers == 1 {
-                single_rate = rate;
-            }
-            scale_rows.push(ScaleRow {
-                pairing: label,
-                workers,
-                states,
-                virtual_ms: elapsed as f64 / 1e6,
-                states_per_sec: rate,
-                speedup: if single_rate > 0.0 {
-                    rate / single_rate
-                } else {
-                    1.0
-                },
-            });
-        }
-        // Same exhaustive space at every fleet size.
-        let counts: Vec<u64> = scale_rows
-            .iter()
-            .filter(|r| r.pairing == *label)
-            .map(|r| r.states)
-            .collect();
-        assert!(
-            counts.windows(2).all(|w| w[0] == w[1]),
-            "{label}: fleet sizes explored different spaces: {counts:?}"
-        );
-        if !quick {
-            let at4 = scale_rows
-                .iter()
-                .find(|r| r.pairing == *label && r.workers == 4)
-                .expect("4-worker row");
+            let (single_states, single_rate) = *single.get_or_insert((states, rate));
+            assert_eq!(
+                states, single_states,
+                "{label}: {workers} workers explored a different space than one"
+            );
+            let speedup = rate / single_rate;
             assert!(
-                at4.speedup >= 3.0,
-                "{label}: aggregate states/s at 4 workers is only {:.2}x the \
-                 single-worker rate (acceptance floor: 3x)",
-                at4.speedup
+                quick || workers != 4 || speedup >= 3.0,
+                "{label}: aggregate states/s at 4 workers is only {speedup:.2}x the \
+                 single-worker rate (acceptance floor: 3x)"
+            );
+            scale_rows.push(
+                Row::new()
+                    .str("pairing", *label)
+                    .count("workers", workers as u64)
+                    .count("states", states)
+                    .ms("virtual", elapsed)
+                    .rate("states", rate)
+                    .num("speedup", speedup),
             );
         }
     }
 
-    let table: Vec<(String, String)> = scale_rows
-        .iter()
-        .map(|r| {
-            (
-                format!("{} x{}", r.pairing, r.workers),
-                format!(
-                    "{:>9.1} states/s  {:>7} states  {:>9.2} virt-ms  {:>5.2}x",
-                    r.states_per_sec, r.states, r.virtual_ms, r.speedup
-                ),
-            )
-        })
-        .collect();
-    print_table("Work-stealing swarm scaling (virtual time)", &table);
-
     // Section 2: kill-and-resume. Interrupt a 2-worker run with a tight op
     // budget, snapshot, resume from the file, and compare against one
     // uninterrupted run of the same space.
-    let mut resume_rows: Vec<ResumeRow> = Vec::new();
+    let mut resume_rows = Vec::new();
     let snap_dir = std::env::temp_dir().join("mcfs-swarm-scale");
     std::fs::create_dir_all(&snap_dir).expect("temp dir");
     for (label, depth, build) in &builders {
@@ -248,75 +195,34 @@ fn main() {
             "{label}: two-phase run lost states ({distinct} vs {full_states})"
         );
         let two_phase_ns = phase1_ns + phase2_ns;
-        resume_rows.push(ResumeRow {
-            pairing: label,
-            baseline_states,
-            resumed_new,
-            distinct,
-            reexplored,
-            replayed_ops: phase2.total_replayed(),
-            uninterrupted_ms: control_ns as f64 / 1e6,
-            two_phase_ms: two_phase_ns as f64 / 1e6,
-            overhead_frac: two_phase_ns as f64 / control_ns.max(1) as f64 - 1.0,
-        });
+        resume_rows.push(
+            Row::new()
+                .str("pairing", *label)
+                .count("baseline_states", baseline_states)
+                .count("resumed_new", resumed_new)
+                .count("distinct", distinct)
+                .count("reexplored", reexplored)
+                .count("replayed_ops", phase2.total_replayed())
+                .ms("uninterrupted", control_ns)
+                .ms("two_phase", two_phase_ns)
+                .num(
+                    "overhead_frac",
+                    two_phase_ns as f64 / control_ns.max(1) as f64 - 1.0,
+                ),
+        );
         let _ = std::fs::remove_file(&path);
     }
 
-    let table: Vec<(String, String)> = resume_rows
-        .iter()
-        .map(|r| {
-            (
-                r.pairing.to_string(),
-                format!(
-                    "{:>4} snap + {:>4} resumed = {:>5} states, 0 re-explored, \
-                     {:>5} ops replayed, {:>+6.1}% virtual-time overhead",
-                    r.baseline_states,
-                    r.resumed_new,
-                    r.distinct,
-                    r.replayed_ops,
-                    r.overhead_frac * 100.0
-                ),
-            )
-        })
-        .collect();
-    print_table("Kill-and-resume overhead (vs uninterrupted)", &table);
-
-    let scale_json: String = scale_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"pairing\": \"{}\", \"workers\": {}, \"states\": {}, \
-                 \"virtual_ms\": {:.3}, \"states_per_sec\": {:.1}, \"speedup\": {:.3}}}",
-                r.pairing, r.workers, r.states, r.virtual_ms, r.states_per_sec, r.speedup
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let resume_json: String = resume_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"pairing\": \"{}\", \"baseline_states\": {}, \"resumed_new\": {}, \
-                 \"distinct\": {}, \"reexplored\": {}, \"replayed_ops\": {}, \
-                 \"uninterrupted_ms\": {:.3}, \"two_phase_ms\": {:.3}, \
-                 \"overhead_frac\": {:.4}}}",
-                r.pairing,
-                r.baseline_states,
-                r.resumed_new,
-                r.distinct,
-                r.reexplored,
-                r.replayed_ops,
-                r.uninterrupted_ms,
-                r.two_phase_ms,
-                r.overhead_frac
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"quick\": {quick},\n  \"scale\": [\n{scale_json}\n  ],\n  \
-         \"resume\": [\n{resume_json}\n  ]\n}}"
+    let mut out = BenchReport::new("swarm", quick);
+    out.table(
+        "scale",
+        "Work-stealing swarm scaling (virtual time)",
+        scale_rows,
     );
-    println!("\n{json}");
-    std::fs::write("BENCH_swarm.json", format!("{json}\n")).expect("write BENCH_swarm.json");
+    out.table(
+        "resume",
+        "Kill-and-resume overhead (vs uninterrupted)",
+        resume_rows,
+    );
+    out.finish();
 }

@@ -526,3 +526,47 @@ fn fuse_rename_drops_both_parents_cached_attrs() {
         Stat("/b"),
     ]);
 }
+
+/// The walk-level counterpart of the three scripted checks above: VeriFS2
+/// behind the FUSE kernel model against bare VeriFS2 over the medium pool,
+/// whose `/d0/d1` nests a directory. Both sides run the same file system, so
+/// only a kernel-cache bug can make them disagree. Every restore clears the
+/// kernel caches, which hid the parent-attr bug from a depth-3 DFS and a
+/// 2,000-op walk; a walk as deep as 40 ops restores only at its restarts, so
+/// `mkdir /d0`, `mkdir /d0/d1` and `stat /d0` can share one cache lifetime.
+/// Without the parent-attr drops these seeds diverge on `stat(/d0)` after
+/// 8,074 and 513 ops.
+#[test]
+fn fuse_verifs2_agrees_with_bare_verifs2_over_deep_walks() {
+    for seed in [0, 5] {
+        let clock = Clock::new();
+        let fuse = fuse_target(2, BugConfig::none(), clock.clone());
+        let bare: Box<dyn CheckedTarget> = Box::new(CheckpointTarget::new(VeriFs::v2()));
+        let mut m = Mcfs::with_clock(
+            vec![fuse, bare],
+            McfsConfig {
+                pool: PoolConfig::medium(),
+                ..McfsConfig::default()
+            },
+            clock,
+        )
+        .expect("harness");
+        let report = RandomWalk::new(ExploreConfig {
+            max_depth: 40,
+            max_ops: 10_000,
+            seed,
+            ..ExploreConfig::default()
+        })
+        .run(&mut m);
+        assert_eq!(
+            report.stop,
+            StopReason::OpBudget,
+            "seed {seed}: {}",
+            report
+                .violations
+                .first()
+                .map(|v| v.to_string())
+                .unwrap_or_default()
+        );
+    }
+}
