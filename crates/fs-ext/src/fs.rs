@@ -226,20 +226,6 @@ impl<D: BlockDevice> ExtFs<D> {
         &mut self.dev
     }
 
-    /// Approximate bytes of in-memory mounted state (caches), for the
-    /// checker's memory model.
-    pub fn cache_bytes(&self) -> usize {
-        match &self.m {
-            Some(m) => {
-                m.bufs.len() * (self.config.block_size + 16)
-                    + m.icache.len() * INODE_SIZE
-                    + m.ibitmap.len()
-                    + m.bbitmap.len()
-            }
-            None => 0,
-        }
-    }
-
     /// Scan-and-repair with explicit options (worker count, clock). The
     /// [`FileSystem::fsck`] entry point delegates here with the defaults.
     ///

@@ -7,18 +7,17 @@
 //!
 //! * everything is a versioned **node** appended to the log (inode nodes,
 //!   dirent nodes with deletion markers, xattr nodes);
-//! * **mount scans the whole flash**, replaying nodes in version order to
-//!   rebuild the in-memory index — JFFS2's famously slow mount;
+//! * **mount scans the whole flash**, folding nodes in version order to
+//!   rebuild the in-memory index — JFFS2's famously slow mount; a file's
+//!   bytes are assembled from its nodes when first needed, not by the scan;
 //! * **garbage collection** copies live nodes out of the dirtiest erase
 //!   block and erases it, tracking per-block wear;
 //! * flash timing (program/erase/read) is charged to an optional virtual
 //!   clock.
 //!
-//! Simplification (recorded in DESIGN.md): inode nodes carry the *whole*
-//! file content rather than page-sized fragments. Versioning, scanning, GC,
-//! wear and the mount-time cost model — the properties MCFS exercises — are
-//! unaffected; only large-file write amplification differs, and MCFS's
-//! bounded parameter pools keep files small.
+//! Inode nodes carry content fragments: a write appends nodes for the
+//! changed range only, and a truncate is a metadata-only node carrying the
+//! new size (recorded in DESIGN.md).
 //!
 //! # Examples
 //!

@@ -379,18 +379,6 @@ impl<D: BlockDevice> XfsFs<D> {
         &mut self.dev
     }
 
-    /// Approximate bytes of mounted in-memory state.
-    pub fn cache_bytes(&self) -> usize {
-        match &self.m {
-            Some(m) => {
-                m.bufs.len() * (self.config.block_size + 16)
-                    + m.icache.len() * INODE_SIZE
-                    + m.free.iter().map(|f| f.len() * 8).sum::<usize>()
-            }
-            None => 0,
-        }
-    }
-
     fn core(&mut self) -> VfsResult<Xcore<'_, D>> {
         match &mut self.m {
             Some(m) => Ok(Xcore {
