@@ -22,8 +22,8 @@ use modelcheck::{
 };
 use vfs::{DeviceBacked, Errno, FileSystem, FsCheckpoint, VfsResult};
 
-use crate::backends::Backend;
 use crate::report::{Diagnostic, LintCode, Severity};
+use mcfs::backends::Backend;
 
 /// Deterministic xorshift64 PRNG: the sanitizers must be reproducible from
 /// their seed alone.

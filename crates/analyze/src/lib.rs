@@ -41,7 +41,6 @@
 
 #![warn(missing_docs)]
 
-pub mod backends;
 pub mod checks;
 pub mod report;
 pub mod source;
@@ -56,8 +55,13 @@ pub use checks::{
 pub use report::{Diagnostic, LintCode, LintReport, Severity};
 pub use source::{run_source, SourceFinding, SourceKind, SourceOptions, SourceReport};
 
-use mcfs::PoolConfig;
-use vfs::FileSystem;
+use blockdev::{Clock, LatencyModel};
+use fs_ext::ExtConfig;
+use fusesim::FuseMount;
+use mcfs::backends::{self, ext_on, jffs2_on, mounted, xfs_on};
+use mcfs::{Mcfs, McfsConfig, PoolConfig, RemountMode};
+use verifs::VeriFs;
+use vfs::VfsResult;
 
 /// Registry run options.
 #[derive(Debug, Clone)]
@@ -210,16 +214,7 @@ pub fn run_registry(opts: &LintOptions) -> LintReport {
             ..Mc004Config::default()
         };
         report.checks_run += 1;
-        match mc004_checkpoint_symmetry(
-            &|| {
-                let mut fs = verifs::VeriFs::v2();
-                fs.mount()?;
-                Ok(fs)
-            },
-            "verifs-v2",
-            &pool,
-            &cfg,
-        ) {
+        match mc004_checkpoint_symmetry(&|| mounted(VeriFs::v2()), "verifs-v2", &pool, &cfg) {
             Ok(ds) => report.diagnostics.extend(ds),
             Err(e) => report
                 .diagnostics
@@ -227,36 +222,24 @@ pub fn run_registry(opts: &LintOptions) -> LintReport {
         }
         report.checks_run += 1;
         match mc004_checkpoint_symmetry(
-            &|| {
-                let mut mount = fusesim::FuseMount::with_config(
-                    verifs::VeriFs::v2(),
-                    fusesim::FuseConfig::default(),
-                    None,
-                );
-                let conn = mount.connection();
-                mount
-                    .daemon_mut()
-                    .fs_mut()
-                    .set_invalidation_sink(std::sync::Arc::new(conn));
-                mount.mount()?;
-                Ok(mount)
-            },
-            "fuse-verifs",
+            &|| mounted(FuseMount::new(VeriFs::v2())),
+            "fuse-verifs-v2",
             &pool,
             &cfg,
         ) {
             Ok(ds) => report.diagnostics.extend(ds),
             Err(e) => report
                 .diagnostics
-                .push(check_failure(LintCode::Mc004, "fuse-verifs", e)),
+                .push(check_failure(LintCode::Mc004, "fuse-verifs-v2", e)),
         }
         report.checks_run += 1;
         match mc004_device_symmetry(
             &|| {
-                fs_ext::ext2_on_ram(backends::EXT_DEVICE_BYTES).and_then(|mut fs| {
-                    fs.mount()?;
-                    Ok(fs)
-                })
+                mounted(ext_on(
+                    ExtConfig::ext2(),
+                    LatencyModel::ram(),
+                    Clock::new(),
+                )?)
             },
             "ext2",
             &pool,
@@ -270,12 +253,7 @@ pub fn run_registry(opts: &LintOptions) -> LintReport {
         if !opts.quick {
             report.checks_run += 1;
             match mc004_device_symmetry(
-                &|| {
-                    fs_xfs::xfs_on_ram(backends::XFS_DEVICE_BYTES).and_then(|mut fs| {
-                        fs.mount()?;
-                        Ok(fs)
-                    })
-                },
+                &|| mounted(xfs_on(LatencyModel::ram(), Clock::new())?),
                 "xfs",
                 &pool,
                 &cfg,
@@ -286,21 +264,8 @@ pub fn run_registry(opts: &LintOptions) -> LintReport {
                     .push(check_failure(LintCode::Mc004, "xfs", e)),
             }
             report.checks_run += 1;
-            match mc004_device_symmetry(
-                &|| {
-                    let mtd = blockdev::MtdDevice::new(
-                        backends::JFFS2_ERASE_BLOCK,
-                        backends::JFFS2_BLOCKS,
-                    )
-                    .map_err(|_| vfs::Errno::EINVAL)?;
-                    let mut fs = fs_jffs2::Jffs2Fs::format(mtd, fs_jffs2::Jffs2Config::default())?;
-                    fs.mount()?;
-                    Ok(fs)
-                },
-                "jffs2",
-                &pool,
-                &cfg,
-            ) {
+            match mc004_device_symmetry(&|| mounted(jffs2_on(Clock::new())?), "jffs2", &pool, &cfg)
+            {
                 Ok(ds) => report.diagnostics.extend(ds),
                 Err(e) => report
                     .diagnostics
@@ -322,7 +287,7 @@ pub fn run_registry(opts: &LintOptions) -> LintReport {
         report.checks_run += 1;
         match mc007_divergence(
             "verifs",
-            &|| backends::mc007_verifs(pool.clone()),
+            &|| mc007_pair(["verifs-v1", "verifs-v2"], &pool),
             &mcfs::FsOpCodec,
             &cfg,
         ) {
@@ -334,7 +299,7 @@ pub fn run_registry(opts: &LintOptions) -> LintReport {
         report.checks_run += 1;
         match mc007_divergence(
             "ext2",
-            &|| backends::mc007_ext2(pool.clone()),
+            &|| mc007_pair(["ext2", "ext4"], &pool),
             &mcfs::FsOpCodec,
             &cfg,
         ) {
@@ -356,10 +321,11 @@ pub fn run_registry(opts: &LintOptions) -> LintReport {
         report.checks_run += 1;
         match mc005_repair_convergence(
             &|| {
-                fs_ext::ext2_on_ram(backends::EXT_DEVICE_BYTES).and_then(|mut fs| {
-                    fs.mount()?;
-                    Ok(fs)
-                })
+                mounted(ext_on(
+                    ExtConfig::ext2(),
+                    LatencyModel::ram(),
+                    Clock::new(),
+                )?)
             },
             "ext2",
             &pool,
@@ -375,10 +341,11 @@ pub fn run_registry(opts: &LintOptions) -> LintReport {
             report.checks_run += 1;
             match mc005_repair_convergence(
                 &|| {
-                    fs_ext::ext4_on_ram(backends::EXT_DEVICE_BYTES).and_then(|mut fs| {
-                        fs.mount()?;
-                        Ok(fs)
-                    })
+                    mounted(ext_on(
+                        ExtConfig::ext4(),
+                        LatencyModel::ram(),
+                        Clock::new(),
+                    )?)
                 },
                 "ext4",
                 &pool,
@@ -393,14 +360,7 @@ pub fn run_registry(opts: &LintOptions) -> LintReport {
         }
         report.checks_run += 1;
         match mc005_repair_convergence(
-            &|| {
-                let mtd =
-                    blockdev::MtdDevice::new(backends::JFFS2_ERASE_BLOCK, backends::JFFS2_BLOCKS)
-                        .map_err(|_| vfs::Errno::EINVAL)?;
-                let mut fs = fs_jffs2::Jffs2Fs::format(mtd, fs_jffs2::Jffs2Config::default())?;
-                fs.mount()?;
-                Ok(fs)
-            },
+            &|| mounted(jffs2_on(Clock::new())?),
             "jffs2",
             &pool,
             &|img, rng| jffs2_corrupt_log_tails(img, backends::JFFS2_ERASE_BLOCK, rng),
@@ -416,11 +376,28 @@ pub fn run_registry(opts: &LintOptions) -> LintReport {
     report
 }
 
+/// The two-backend remount-per-op harness the MC007 divergence check
+/// explores; the factory runs once per swarm worker per round.
+fn mc007_pair(names: [&str; 2], pool: &PoolConfig) -> VfsResult<Mcfs> {
+    let clock = Clock::new();
+    let targets = names
+        .iter()
+        .map(|name| backends::target(name, RemountMode::PerOp, clock.clone()))
+        .collect::<VfsResult<_>>()?;
+    Mcfs::new(
+        targets,
+        McfsConfig {
+            pool: pool.clone(),
+            ..McfsConfig::default()
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcfs::FsOp;
-    use vfs::{FileSystem, VfsResult};
+    use vfs::FileSystem;
 
     /// The acceptance criterion: MC002 fires on the historical VeriFS
     /// (hole writes skip zeroing, residue digest off — the CHUNK-rounding
@@ -447,12 +424,9 @@ mod tests {
             "diagnostic carries a replayable trace"
         );
 
-        let fixed = || -> VfsResult<Box<dyn FileSystem>> {
-            let mut fs = verifs::VeriFs::v2();
-            fs.mount()?;
-            Ok(Box::new(fs))
-        };
-        let ds = mc002_aliasing(&fixed, "verifs-v2", &ops, &cfg).expect("fixed backend runs");
+        let fixed = backends::quick()[1]; // verifs-v2
+        let ds =
+            mc002_aliasing(&|| fixed.fresh(), fixed.name, &ops, &cfg).expect("fixed backend runs");
         assert!(ds.is_empty(), "fixed v2 must be alias-free: {ds:?}");
     }
 

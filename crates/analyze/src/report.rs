@@ -161,11 +161,6 @@ impl LintReport {
             || self.source.iter().any(|f| f.suppressed.is_none())
     }
 
-    /// Findings with a given code.
-    pub fn with_code(&self, code: LintCode) -> Vec<&Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.code == code).collect()
-    }
-
     /// Terminal rendering: one block per finding plus a summary line.
     pub fn render_human(&self) -> String {
         let mut out = String::new();

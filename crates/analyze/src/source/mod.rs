@@ -101,11 +101,6 @@ impl SourceReport {
     pub fn unsuppressed(&self) -> impl Iterator<Item = &SourceFinding> {
         self.findings.iter().filter(|f| f.suppressed.is_none())
     }
-
-    /// Whether any unsuppressed finding exists.
-    pub fn has_findings(&self) -> bool {
-        self.unsuppressed().next().is_some()
-    }
 }
 
 /// Parses a suppression directive out of a comment, if present.

@@ -9,27 +9,23 @@
 //!
 //! Usage: `cargo run --release -p mcfs-bench --bin false_positives`
 
-use blockdev::LatencyModel;
-use mcfs::{
-    AbstractionConfig, CheckedTarget, FsOp, Mcfs, McfsConfig, RemountMode, RemountTarget,
-    EQUALIZE_DUMMY,
-};
-use mcfs_bench::{ext_on, xfs_on, BenchArgs, BenchReport, Row};
+use mcfs::backends::target;
+use mcfs::{AbstractionConfig, FsOp, Mcfs, McfsConfig, RemountMode, EQUALIZE_DUMMY};
+use mcfs_bench::{BenchArgs, BenchReport, Row};
 use modelcheck::{ApplyOutcome, ModelSystem};
 
-fn ext4_vs_xfs(cfg: McfsConfig) -> Result<Mcfs, vfs::Errno> {
+/// Two registry backends on one clock, remounted only around restores.
+fn pair(names: [&str; 2], cfg: McfsConfig) -> Result<Mcfs, vfs::Errno> {
     let clock = blockdev::Clock::new();
-    let e4 = ext_on(
-        fs_ext::ExtConfig::ext4(),
-        LatencyModel::ram(),
-        clock.clone(),
-    )?;
-    let xfs = xfs_on(LatencyModel::ram(), clock.clone())?;
-    let targets: Vec<Box<dyn CheckedTarget>> = vec![
-        Box::new(RemountTarget::new(e4, RemountMode::OnRestore).with_clock(clock.clone())),
-        Box::new(RemountTarget::new(xfs, RemountMode::OnRestore).with_clock(clock.clone())),
-    ];
+    let targets = names
+        .iter()
+        .map(|name| target(name, RemountMode::OnRestore, clock.clone()))
+        .collect::<Result<_, _>>()?;
     Mcfs::with_clock(targets, cfg, clock)
+}
+
+fn ext4_vs_xfs(cfg: McfsConfig) -> Result<Mcfs, vfs::Errno> {
+    pair(["ext4", "xfs"], cfg)
 }
 
 fn ran_clean(harness: &mut Mcfs, script: &[FsOp]) -> Result<(), String> {
@@ -142,24 +138,7 @@ fn main() {
                 equalize_free_space: equalize,
                 ..McfsConfig::default()
             };
-            let clock = blockdev::Clock::new();
-            let e2 = ext_on(
-                fs_ext::ExtConfig::ext2(),
-                LatencyModel::ram(),
-                clock.clone(),
-            )
-            .expect("format");
-            let e4 = ext_on(
-                fs_ext::ExtConfig::ext4(),
-                LatencyModel::ram(),
-                clock.clone(),
-            )
-            .expect("format");
-            let targets: Vec<Box<dyn CheckedTarget>> = vec![
-                Box::new(RemountTarget::new(e2, RemountMode::OnRestore).with_clock(clock.clone())),
-                Box::new(RemountTarget::new(e4, RemountMode::OnRestore).with_clock(clock.clone())),
-            ];
-            let mut harness = Mcfs::with_clock(targets, cfg, clock).expect("harness");
+            let mut harness = pair(["ext2", "ext4"], cfg).expect("harness");
             // The paper's symptom: "calling write can succeed on one file
             // system and fail on another" near full. Grow one file until
             // both sides fill.

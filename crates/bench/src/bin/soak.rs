@@ -10,29 +10,19 @@
 //!
 //! Usage: `cargo run --release -p mcfs-bench --bin soak [ops]`
 
-use blockdev::LatencyModel;
-use mcfs::{
-    CheckedTarget, CheckpointTarget, Mcfs, McfsConfig, PoolConfig, RemountMode, RemountTarget,
-};
-use mcfs_bench::{ext_on, verifs_fuse, BenchArgs, BenchReport, Row};
+use mcfs::backends::target;
+use mcfs::{Mcfs, McfsConfig, PoolConfig, RemountMode};
+use mcfs_bench::{BenchArgs, BenchReport, Row};
 use modelcheck::{ExploreConfig, RandomWalk, StopReason};
-use verifs::BugConfig;
 
 fn main() {
     let args = BenchArgs::parse("soak [ops]");
     let budget = args.count_or(60_000);
     // Ext4 vs VeriFS1, as in the paper's 5-day run.
     let clock = blockdev::Clock::new();
-    let e4 = ext_on(
-        fs_ext::ExtConfig::ext4(),
-        LatencyModel::ram(),
-        clock.clone(),
-    )
-    .expect("format");
-    let v1 = verifs_fuse(1, BugConfig::none(), clock.clone());
-    let targets: Vec<Box<dyn CheckedTarget>> = vec![
-        Box::new(RemountTarget::new(e4, RemountMode::PerOp).with_clock(clock.clone())),
-        Box::new(CheckpointTarget::new(v1)),
+    let targets = vec![
+        target("ext4", RemountMode::PerOp, clock.clone()).expect("format"),
+        target("fuse-verifs-v1", RemountMode::PerOp, clock.clone()).expect("mount"),
     ];
     let mut harness = Mcfs::with_clock(
         targets,

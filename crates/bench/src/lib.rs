@@ -8,27 +8,15 @@
 //! hash-table resizes all charge a shared [`blockdev::Clock`], so ratios are
 //! deterministic and runs take seconds instead of the paper's weeks.
 
-use blockdev::{Clock, LatencyModel, MtdDevice, RamDisk, TimedDevice};
-use fs_ext::{ExtConfig, ExtFs};
-use fs_jffs2::{Jffs2Config, Jffs2Fs};
-use fs_xfs::{XfsConfig, XfsFs};
-use fusesim::{FuseConfig, FuseMount};
-use mcfs::{
-    CheckedTarget, CheckpointTarget, Mcfs, McfsConfig, PoolConfig, RemountMode, RemountTarget,
-};
+use blockdev::{Clock, LatencyModel};
+use fs_ext::ExtConfig;
+use mcfs::backends::target;
+use mcfs::{CheckedTarget, Mcfs, McfsConfig, PoolConfig, RemountMode, RemountTarget};
 use modelcheck::{DfsExplorer, ExploreConfig, ExploreReport, MemConfig, RandomWalk, StopReason};
-use verifs::{BugConfig, VeriFs};
+use verifs::VeriFs;
 use vfs::{FileMode, FileSystem, VfsResult};
 
-/// The device sizes from the paper: 256 KiB RAM block devices for ext2/ext4,
-/// 16 MiB for XFS (its minimum).
-pub const EXT_DEVICE_BYTES: u64 = 256 * 1024;
-/// XFS device size (16 MiB minimum).
-pub const XFS_DEVICE_BYTES: u64 = 16 * 1024 * 1024;
-/// JFFS2 flash geometry: 16 KiB erase blocks × 64 = 1 MiB.
-pub const JFFS2_ERASE_BLOCK: usize = 16 * 1024;
-/// JFFS2 erase-block count.
-pub const JFFS2_BLOCKS: usize = 64;
+pub use mcfs::backends::{ext_on, jffs2_on, verifs_fuse, xfs_on};
 
 /// Memory-model scale for the figure experiments: the paper's 64 GB RAM /
 /// 128 GB swap VM scaled by 1/512 so its dynamics appear within bench-sized
@@ -39,63 +27,6 @@ pub fn scaled_mem() -> MemConfig {
         swap_bytes: 16 << 30,
         swap_ns_per_mib: 250_000,
     }
-}
-
-/// Builds an ext2 or ext4 on a timed RAM/SSD/HDD device.
-///
-/// # Errors
-///
-/// Propagated format errors.
-pub fn ext_on(
-    cfg: ExtConfig,
-    model: LatencyModel,
-    clock: Clock,
-) -> VfsResult<ExtFs<TimedDevice<RamDisk>>> {
-    let disk = RamDisk::new(cfg.block_size, EXT_DEVICE_BYTES).map_err(|_| vfs::Errno::EINVAL)?;
-    let dev = TimedDevice::new(disk, model, clock);
-    ExtFs::format(dev, cfg)
-}
-
-/// Builds an XFS on a timed RAM device (16 MiB, the paper's size).
-///
-/// # Errors
-///
-/// Propagated format errors.
-pub fn xfs_on(model: LatencyModel, clock: Clock) -> VfsResult<XfsFs<TimedDevice<RamDisk>>> {
-    let cfg = XfsConfig::default();
-    let disk = RamDisk::new(cfg.block_size, XFS_DEVICE_BYTES).map_err(|_| vfs::Errno::EINVAL)?;
-    let dev = TimedDevice::new(disk, model, clock);
-    XfsFs::format(dev, cfg)
-}
-
-/// Builds a JFFS2 on an in-RAM MTD with flash timing charged to `clock`.
-///
-/// # Errors
-///
-/// Propagated format errors.
-pub fn jffs2_on(clock: Clock) -> VfsResult<Jffs2Fs> {
-    let mtd = MtdDevice::new(JFFS2_ERASE_BLOCK, JFFS2_BLOCKS).map_err(|_| vfs::Errno::EINVAL)?;
-    let cfg = Jffs2Config {
-        clock: Some(clock),
-        ..Jffs2Config::default()
-    };
-    Jffs2Fs::format(mtd, cfg)
-}
-
-/// Builds a VeriFS (v1 or v2) mounted through the FUSE layer with the
-/// invalidation connection wired — the paper's deployment.
-pub fn verifs_fuse(version: u8, bugs: BugConfig, clock: Clock) -> FuseMount<VeriFs> {
-    let fs = match version {
-        1 => VeriFs::v1_with_bugs(bugs),
-        _ => VeriFs::v2_with_bugs(bugs),
-    };
-    let mut mount = FuseMount::with_config(fs, FuseConfig::default(), Some(clock));
-    let conn = mount.connection();
-    mount
-        .daemon_mut()
-        .fs_mut()
-        .set_invalidation_sink(std::sync::Arc::new(conn));
-    mount
 }
 
 /// Builds a VeriFS2 holding `files` regular files of `file_bytes` each, all
@@ -154,14 +85,7 @@ pub fn pair_ext2_ext4(
     mode: RemountMode,
     pool: PoolConfig,
 ) -> VfsResult<Pairing> {
-    pair_ext2_ext4_cfg(
-        model,
-        mode,
-        McfsConfig {
-            pool,
-            ..McfsConfig::default()
-        },
-    )
+    pair_ext2_ext4_cfg(model, mode, pool_cfg(pool))
 }
 
 /// [`pair_ext2_ext4`] with full control of the harness configuration —
@@ -197,26 +121,7 @@ pub fn pair_ext2_ext4_cfg(
 ///
 /// Propagated construction errors.
 pub fn pair_ext4_xfs(mode: RemountMode, pool: PoolConfig) -> VfsResult<Pairing> {
-    let clock = Clock::new();
-    let e4 = ext_on(ExtConfig::ext4(), LatencyModel::ram(), clock.clone())?;
-    let xfs = xfs_on(LatencyModel::ram(), clock.clone())?;
-    let targets: Vec<Box<dyn CheckedTarget>> = vec![
-        Box::new(RemountTarget::new(e4, mode).with_clock(clock.clone())),
-        Box::new(RemountTarget::new(xfs, mode).with_clock(clock.clone())),
-    ];
-    let harness = Mcfs::with_clock(
-        targets,
-        McfsConfig {
-            pool,
-            ..McfsConfig::default()
-        },
-        clock.clone(),
-    )?;
-    Ok(Pairing {
-        label: "Ext4 vs XFS (RAM)".to_string(),
-        harness,
-        clock,
-    })
+    pairing("Ext4 vs XFS (RAM)", ["ext4", "xfs"], mode, pool_cfg(pool))
 }
 
 /// Builds the Ext4-vs-JFFS2 pairing.
@@ -225,26 +130,12 @@ pub fn pair_ext4_xfs(mode: RemountMode, pool: PoolConfig) -> VfsResult<Pairing> 
 ///
 /// Propagated construction errors.
 pub fn pair_ext4_jffs2(pool: PoolConfig) -> VfsResult<Pairing> {
-    let clock = Clock::new();
-    let e4 = ext_on(ExtConfig::ext4(), LatencyModel::ram(), clock.clone())?;
-    let j2 = jffs2_on(clock.clone())?;
-    let targets: Vec<Box<dyn CheckedTarget>> = vec![
-        Box::new(RemountTarget::new(e4, RemountMode::PerOp).with_clock(clock.clone())),
-        Box::new(RemountTarget::new(j2, RemountMode::PerOp).with_clock(clock.clone())),
-    ];
-    let harness = Mcfs::with_clock(
-        targets,
-        McfsConfig {
-            pool,
-            ..McfsConfig::default()
-        },
-        clock.clone(),
-    )?;
-    Ok(Pairing {
-        label: "Ext4 vs JFFS2".to_string(),
-        harness,
-        clock,
-    })
+    pairing(
+        "Ext4 vs JFFS2",
+        ["ext4", "jffs2"],
+        RemountMode::PerOp,
+        pool_cfg(pool),
+    )
 }
 
 /// Builds the VeriFS1-vs-VeriFS2 pairing through FUSE with the
@@ -254,10 +145,7 @@ pub fn pair_ext4_jffs2(pool: PoolConfig) -> VfsResult<Pairing> {
 ///
 /// Propagated construction errors.
 pub fn pair_verifs(pool: PoolConfig) -> VfsResult<Pairing> {
-    pair_verifs_cfg(McfsConfig {
-        pool,
-        ..McfsConfig::default()
-    })
+    pair_verifs_cfg(pool_cfg(pool))
 }
 
 /// [`pair_verifs`] with full control of the harness configuration.
@@ -266,16 +154,38 @@ pub fn pair_verifs(pool: PoolConfig) -> VfsResult<Pairing> {
 ///
 /// Propagated construction errors.
 pub fn pair_verifs_cfg(cfg: McfsConfig) -> VfsResult<Pairing> {
+    pairing(
+        "VeriFS1 vs VeriFS2",
+        ["fuse-verifs-v1", "fuse-verifs-v2"],
+        RemountMode::PerOp,
+        cfg,
+    )
+}
+
+/// The default harness configuration with `pool`.
+fn pool_cfg(pool: PoolConfig) -> McfsConfig {
+    McfsConfig {
+        pool,
+        ..McfsConfig::default()
+    }
+}
+
+/// Pairs two registry backends ([`mcfs::backends::target`]) on a fresh
+/// clock.
+fn pairing(
+    label: &str,
+    names: [&str; 2],
+    mode: RemountMode,
+    cfg: McfsConfig,
+) -> VfsResult<Pairing> {
     let clock = Clock::new();
-    let v1 = verifs_fuse(1, BugConfig::none(), clock.clone());
-    let v2 = verifs_fuse(2, BugConfig::none(), clock.clone());
-    let targets: Vec<Box<dyn CheckedTarget>> = vec![
-        Box::new(CheckpointTarget::new(v1)),
-        Box::new(CheckpointTarget::new(v2)),
-    ];
+    let targets = names
+        .iter()
+        .map(|name| target(name, mode, clock.clone()))
+        .collect::<VfsResult<_>>()?;
     let harness = Mcfs::with_clock(targets, cfg, clock.clone())?;
     Ok(Pairing {
-        label: "VeriFS1 vs VeriFS2".to_string(),
+        label: label.to_string(),
         harness,
         clock,
     })

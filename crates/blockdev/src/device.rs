@@ -125,11 +125,6 @@ impl DeviceSnapshot {
     pub fn shared_bytes(&self) -> usize {
         self.image.shared_bytes()
     }
-
-    /// Bytes uniquely attributable to holding this snapshot.
-    pub fn unique_bytes(&self) -> usize {
-        self.size_bytes() - self.shared_bytes()
-    }
 }
 
 /// A fixed-geometry block device.

@@ -71,9 +71,6 @@ pub struct MtdDevice {
     erase_block_size: usize,
     data: CowImage,
     erase_counts: Vec<u64>,
-    /// Whether each erase block is currently in the erased (all-0xFF) state
-    /// with no programming since. Fresh devices start erased.
-    strict_program_check: bool,
     /// Scripted fault plan, if any. Counters are `Cell`s because `read` takes
     /// `&self` (JFFS2 reads through a shared reference).
     plan: Option<FaultPlan>,
@@ -107,7 +104,6 @@ impl MtdDevice {
             // read-modify-erase writes each touch exactly one chunk.
             data: CowImage::new(erase_block_size * num_erase_blocks, erase_block_size, 0xFF),
             erase_counts: vec![0; num_erase_blocks],
-            strict_program_check: true,
             plan: None,
             reads: Cell::new(0),
             reads_seen: Cell::new(0),
@@ -192,13 +188,6 @@ impl MtdDevice {
         self.erase_counts[index]
     }
 
-    /// Disables the flash-semantics check that programming may only clear
-    /// bits. [`MtdBlock`] uses this because a block interface must support
-    /// in-place overwrite (the real mtdblock driver read-modify-erases).
-    pub fn set_strict_program_check(&mut self, strict: bool) {
-        self.strict_program_check = strict;
-    }
-
     /// Reads `buf.len()` bytes starting at `offset`.
     ///
     /// # Errors
@@ -258,7 +247,7 @@ impl MtdDevice {
     ///
     /// [`MtdError::OutOfRange`] for accesses past the device end, and
     /// [`MtdError::ProgramWithoutErase`] if a bit would need to flip from 0
-    /// to 1 (flash can only clear bits) while strict checking is enabled.
+    /// to 1 (flash can only clear bits).
     pub fn program(&mut self, offset: u64, data: &[u8]) -> Result<(), MtdError> {
         let end = offset
             .checked_add(data.len() as u64)
@@ -266,17 +255,15 @@ impl MtdDevice {
         if end > self.size_bytes() {
             return Err(MtdError::OutOfRange);
         }
-        if self.strict_program_check {
-            let mut old = vec![0u8; data.len()];
-            self.data.read(offset as usize, &mut old);
-            for (i, (old, new)) in old.iter().zip(data).enumerate() {
-                // Programming can only clear bits: new must not have a 1
-                // where old has a 0.
-                if *new & !*old != 0 {
-                    return Err(MtdError::ProgramWithoutErase {
-                        offset: offset + i as u64,
-                    });
-                }
+        let mut old = vec![0u8; data.len()];
+        self.data.read(offset as usize, &mut old);
+        for (i, (old, new)) in old.iter().zip(data).enumerate() {
+            // Programming can only clear bits: new must not have a 1
+            // where old has a 0.
+            if *new & !*old != 0 {
+                return Err(MtdError::ProgramWithoutErase {
+                    offset: offset + i as u64,
+                });
             }
         }
         match self.next_fault(FaultKind::Write, &self.programs_seen, offset) {

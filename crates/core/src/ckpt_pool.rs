@@ -239,11 +239,6 @@ impl<S: SnapshotBytes> CheckpointPool<S> {
         });
     }
 
-    /// Whether a spill tier is attached.
-    pub fn spill_enabled(&self) -> bool {
-        self.spill.is_some()
-    }
-
     /// The current budget.
     pub fn budget(&self) -> Option<usize> {
         self.budget

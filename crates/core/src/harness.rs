@@ -323,13 +323,6 @@ impl Mcfs {
         }
     }
 
-    /// The spill store the targets' checkpoint pools demote to, if
-    /// [`McfsConfig::mem_budget`] attached one (benchmarks read its
-    /// counters).
-    pub fn checkpoint_spill_store(&self) -> Option<&Arc<SpillStore>> {
-        self.ckpt_spill.as_ref()
-    }
-
     /// Free-space equalization (§3.4): find the smallest available capacity
     /// `S_L`, then on every other file system write `S_n - S_L` zeros into a
     /// dummy file so `write` fills all of them at the same point.

@@ -23,6 +23,8 @@
 //! * [`Mcfs`] — the harness wiring N targets into one
 //!   [`modelcheck::ModelSystem`], with integrity checks, free-space
 //!   equalization (§3.4), majority voting and coverage tracking (§7);
+//! * [`backends`] — the one registry of backends: device geometry, typed
+//!   constructors and named checked targets;
 //! * any `modelcheck` explorer (DFS, BFS, random walk, swarm) runs it.
 //!
 //! # Examples
@@ -59,6 +61,7 @@
 //! ```
 
 pub mod abstraction;
+pub mod backends;
 pub mod canon;
 pub mod ckpt_pool;
 mod coverage;

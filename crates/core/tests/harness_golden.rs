@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use blockdev::{Clock, RamDisk};
 use fs_ext::{ExtConfig, ExtFs};
-use fusesim::{FuseConfig, FuseMount};
+use fusesim::FuseMount;
 use mcfs::{
     CheckedTarget, CheckpointTarget, FsOp, HarnessFactory, Mcfs, McfsConfig, PoolConfig,
     RemountMode, RemountTarget, SchedStep, ThreadedMcfs, ThreadedMcfsConfig,
@@ -27,19 +27,9 @@ use vfs::FileSystem;
 // Builders
 // ---------------------------------------------------------------------------
 
-/// VeriFS behind the FUSE layer with the invalidation connection wired.
+/// VeriFS behind the FUSE layer (which wires its invalidation connection).
 fn fuse_verifs(version: u8, clock: &Clock) -> FuseMount<VeriFs> {
-    let fs = match version {
-        1 => VeriFs::v1(),
-        _ => VeriFs::v2(),
-    };
-    let mut mount = FuseMount::with_config(fs, FuseConfig::default(), Some(clock.clone()));
-    let conn = mount.connection();
-    mount
-        .daemon_mut()
-        .fs_mut()
-        .set_invalidation_sink(Arc::new(conn));
-    mount
+    mcfs::backends::verifs_fuse(version, BugConfig::none(), clock.clone())
 }
 
 fn verifs2(bugs: BugConfig) -> Box<dyn CheckedTarget> {

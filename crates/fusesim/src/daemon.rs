@@ -82,11 +82,6 @@ impl<F> FuseDaemon<F> {
     pub fn fs(&self) -> &F {
         &self.fs
     }
-
-    /// Stops the daemon, returning the embedded file system.
-    pub fn into_fs(self) -> F {
-        self.fs
-    }
 }
 
 #[cfg(test)]

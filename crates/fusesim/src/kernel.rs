@@ -115,9 +115,10 @@ impl CacheTable {
     }
 }
 
-/// The invalidation side of a FUSE connection — hand this to the user-space
-/// file system as its [`InvalidationSink`] so restores can invalidate the
-/// kernel caches (the fix for paper bug 2).
+/// The invalidation side of a FUSE connection. Every [`FuseMount`] hands its
+/// own to the file system it mounts, as that file system's
+/// [`InvalidationSink`], so restores can invalidate the kernel caches (the
+/// fix for paper bug 2).
 #[derive(Debug, Clone)]
 pub struct FuseConn {
     caches: Arc<Mutex<CacheTable>>,
@@ -161,18 +162,21 @@ impl InvalidationSink for FuseConn {
 /// ```
 /// use fusesim::FuseMount;
 /// use verifs::VeriFs;
-/// use vfs::{FileSystem, FileMode};
+/// use vfs::{FileMode, FileSystem, FsCheckpoint};
 ///
 /// # fn main() -> vfs::VfsResult<()> {
 /// let mut mount = FuseMount::new(VeriFs::v1());
-/// // Wire the invalidation connection so restores reach the kernel caches.
-/// let conn = mount.connection();
-/// mount.daemon_mut().fs_mut().set_invalidation_sink(std::sync::Arc::new(conn));
 /// mount.mount()?;
 /// let fd = mount.create("/f", FileMode::REG_DEFAULT)?;
 /// mount.write(fd, b"via fuse")?;
 /// mount.close(fd)?;
 /// assert_eq!(mount.stat("/f")?.size, 8);
+/// // The mount handed VeriFS its invalidation connection, so a restore
+/// // drops the kernel's now-stale dentry for /d.
+/// mount.checkpoint(1)?;
+/// mount.mkdir("/d", FileMode::DIR_DEFAULT)?;
+/// mount.restore(1)?;
+/// mount.mkdir("/d", FileMode::DIR_DEFAULT)?;
 /// # Ok(())
 /// # }
 /// ```
@@ -197,9 +201,14 @@ impl<F: FileSystem> FuseMount<F> {
 
     /// Mounts `fs` with explicit tuning and an optional virtual clock for
     /// message-cost accounting and TTL expiry.
+    ///
+    /// `fs` gets this mount's invalidation connection
+    /// ([`FileSystem::set_invalidation_sink`]): every FUSE mount is wired,
+    /// so stale kernel caches after a restore come only from the file
+    /// system skipping its notify calls.
     pub fn with_config(fs: F, config: FuseConfig, clock: Option<Clock>) -> Self {
         let name = format!("fuse-{}", fs.fs_name());
-        FuseMount {
+        let mut mount = FuseMount {
             daemon: FuseDaemon::new(fs),
             caches: Arc::new(Mutex::new(CacheTable::default())),
             clock,
@@ -207,12 +216,15 @@ impl<F: FileSystem> FuseMount<F> {
             fd_inos: HashMap::new(),
             name,
             mounted: false,
-        }
+        };
+        let conn = Arc::new(mount.connection());
+        mount.daemon.fs_mut().set_invalidation_sink(conn);
+        mount
     }
 
-    /// The invalidation connection for this mount. Pass it (wrapped in an
-    /// `Arc`) to the user-space file system as its [`InvalidationSink`].
-    pub fn connection(&self) -> FuseConn {
+    /// The invalidation connection for this mount — the one
+    /// [`with_config`](Self::with_config) handed to the file system.
+    pub(crate) fn connection(&self) -> FuseConn {
         FuseConn {
             caches: Arc::clone(&self.caches),
         }
@@ -807,15 +819,10 @@ impl<F: FileSystem + FsCheckpoint> FsCheckpoint for FuseMount<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use verifs::{BugConfig, VeriFs};
 
     fn mount_verifs(fs: VeriFs) -> FuseMount<VeriFs> {
         let mut m = FuseMount::new(fs);
-        let conn = m.connection();
-        m.daemon_mut()
-            .fs_mut()
-            .set_invalidation_sink(Arc::new(conn));
         m.mount().unwrap();
         m
     }
@@ -877,30 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn bug2_stale_dentry_after_restore_without_invalidation() {
-        // The end-to-end reproduction of paper bug 2. With the historical
-        // bug enabled, restore skips kernel-cache invalidation, so a
-        // directory created *after* the checkpoint still has a positive
-        // dentry after rollback — and mkdir wrongly reports EEXIST.
-        let run = |bugs: BugConfig| {
-            let mut m = mount_verifs(VeriFs::v1_with_bugs(bugs));
-            m.checkpoint(1).unwrap();
-            m.mkdir("/testdir", FileMode::DIR_DEFAULT).unwrap();
-            m.restore(1).unwrap(); // roll back to before the mkdir
-            m.mkdir("/testdir", FileMode::DIR_DEFAULT)
-        };
-        assert_eq!(run(BugConfig::none()), Ok(()));
-        assert_eq!(
-            run(BugConfig {
-                v1_skip_invalidation: true,
-                ..BugConfig::default()
-            }),
-            Err(Errno::EEXIST),
-            "stale positive dentry claims the directory exists"
-        );
-    }
-
-    #[test]
     fn bug2_stale_attrs_after_restore() {
         let run = |bugs: BugConfig| -> u64 {
             let mut m = mount_verifs(VeriFs::v1_with_bugs(bugs));
@@ -926,6 +909,30 @@ mod tests {
             }),
             5,
             "stale attribute cache reports the discarded size"
+        );
+    }
+
+    /// The end-to-end reproduction of paper bug 2. A plain mount needs no
+    /// hand wiring: `FuseMount::new` hands VeriFS its invalidation
+    /// connection, so only the historical bug flag makes restore skip
+    /// kernel-cache invalidation. Then a directory created *after* the
+    /// checkpoint keeps a positive dentry after rollback, and mkdir wrongly
+    /// reports EEXIST.
+    #[test]
+    fn plain_mount_invalidates_on_restore_unless_the_bug_flag_is_set() {
+        let run = |fs: VeriFs| {
+            let mut m = FuseMount::new(fs);
+            m.mount().unwrap();
+            m.checkpoint(1).unwrap();
+            m.mkdir("/d", FileMode::DIR_DEFAULT).unwrap();
+            m.restore(1).unwrap(); // roll back to before the mkdir
+            m.mkdir("/d", FileMode::DIR_DEFAULT)
+        };
+        assert_eq!(run(VeriFs::v1()), Ok(()));
+        assert_eq!(
+            run(VeriFs::v1_with_bugs(BugConfig::v1_invalidation())),
+            Err(Errno::EEXIST),
+            "stale positive dentry claims the directory exists"
         );
     }
 
@@ -1030,15 +1037,10 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
-    use std::sync::Arc;
     use verifs::VeriFs;
 
     fn mounted() -> FuseMount<VeriFs> {
         let mut m = FuseMount::new(VeriFs::v2());
-        let conn = m.connection();
-        m.daemon_mut()
-            .fs_mut()
-            .set_invalidation_sink(Arc::new(conn));
         m.mount().unwrap();
         m
     }
@@ -1149,10 +1151,6 @@ mod more_tests {
                 broadcast_local_invalidation: broadcast,
             };
             let mut m = FuseMount::with_config(VeriFs::v2(), cfg, None);
-            let conn = m.connection();
-            m.daemon_mut()
-                .fs_mut()
-                .set_invalidation_sink(Arc::new(conn));
             m.mount().unwrap();
             let fd = m.create("/a", FileMode::REG_DEFAULT).unwrap();
             m.close(fd).unwrap();

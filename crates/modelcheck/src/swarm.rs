@@ -179,12 +179,6 @@ impl<Op> SwarmReport<Op> {
             .unwrap_or_else(|| self.total(|s| s.states_new))
     }
 
-    /// Total visited-set matches across workers — with a shared set this
-    /// includes states first expanded by *another* worker.
-    pub fn total_matched(&self) -> u64 {
-        self.total(|s| s.states_matched)
-    }
-
     /// Total operations replayed to reconstruct frontier states from their
     /// op-prefixes — the overhead work-stealing and resume pay instead of
     /// shipping concrete state between workers or processes.

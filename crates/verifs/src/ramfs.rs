@@ -275,13 +275,6 @@ impl VeriFs {
         }
     }
 
-    /// Connects the kernel-cache invalidation callbacks
-    /// (`fuse_lowlevel_notify_inval_*`). Without a sink, restores silently
-    /// skip invalidation — which is fine when no kernel cache sits in front.
-    pub fn set_invalidation_sink(&mut self, sink: Arc<dyn InvalidationSink>) {
-        self.sink = Some(sink);
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &VeriFsConfig {
         &self.config
@@ -1117,6 +1110,12 @@ impl FileSystem for VeriFs {
             }
         }
         any.then_some(acc)
+    }
+
+    /// Without a sink, restores silently skip invalidation — which is fine
+    /// when no kernel cache sits in front.
+    fn set_invalidation_sink(&mut self, sink: Arc<dyn InvalidationSink>) {
+        self.sink = Some(sink);
     }
 }
 

@@ -415,6 +415,15 @@ pub trait FileSystem: Send {
     fn set_active_thread(&mut self, tid: u16) {
         let _ = tid;
     }
+
+    /// Connects the kernel-cache invalidation callbacks
+    /// (`fuse_lowlevel_notify_inval_*`). A FUSE mount calls this on the file
+    /// system it mounts, handing over its own connection; implementations
+    /// whose restores must invalidate kernel caches keep the sink, and
+    /// everything else ignores the call (the default).
+    fn set_invalidation_sink(&mut self, sink: std::sync::Arc<dyn InvalidationSink>) {
+        let _ = sink;
+    }
 }
 
 /// The paper's proposed state checkpoint/restore API (§5), exposed by VeriFS

@@ -10,8 +10,10 @@
 //! * [`InvalidationSink`] — the `fuse_lowlevel_notify_inval_*` analogue that
 //!   lets a file system invalidate kernel caches after restoring state;
 //! * [`Errno`] — the shared error vocabulary MCFS's integrity checks compare;
-//! * [`cache`] — dentry/attr/page caches that make the paper's
-//!   cache-incoherency challenge (§3.2) mechanically real;
+//! * no cache layer: each mounted file system keeps its own caches, and
+//!   those are what make the paper's cache-incoherency challenge (§3.2)
+//!   mechanically real — ext's inode cache and buffer map (`fs-ext`) and
+//!   fusesim's kernel-side entry and attr caches;
 //! * [`path`] — path validation and manipulation;
 //! * [`FdTable`] — a generic descriptor table.
 //!
@@ -34,7 +36,6 @@
 //! # }
 //! ```
 
-pub mod cache;
 mod errno;
 mod fdtable;
 mod fs;

@@ -6,9 +6,8 @@
 //!
 //! Run with: `cargo run --release --example cache_incoherency`
 
-use std::sync::Arc;
-
 use fusesim::FuseMount;
+use mcfs::backends::EXT_DEVICE_BYTES;
 use mcfs::EQUALIZE_DUMMY;
 use verifs::{BugConfig, VeriFs};
 use vfs::{DeviceBacked, Errno, FileMode, FileSystem, FsCheckpoint};
@@ -17,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = EQUALIZE_DUMMY; // silence doc-link helper in older toolchains
 
     println!("--- part 1: a kernel file system with stale caches ---");
-    let mut ext2 = fs_ext::ext2_on_ram(256 * 1024)?;
+    let mut ext2 = fs_ext::ext2_on_ram(EXT_DEVICE_BYTES)?;
     ext2.mount()?;
     ext2.sync()?;
     let snapshot = ext2.snapshot_device()?; // state S0: empty root
@@ -36,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The paper's workaround: unmount/remount reloads everything from disk.
     // (A regular unmount would write the stale caches back; drop instead.)
-    let mut ext2 = fs_ext::ext2_on_ram(256 * 1024)?; // fresh instance…
+    let mut ext2 = fs_ext::ext2_on_ram(EXT_DEVICE_BYTES)?; // fresh instance…
     ext2.mount()?;
     ext2.sync()?;
     let snapshot = ext2.snapshot_device()?;
@@ -50,12 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("--- part 2: VeriFS behind FUSE, with and without invalidation ---");
     let run = |bugs: BugConfig| -> Result<bool, Errno> {
+        // The mount hands VeriFS its invalidation connection; only the bug
+        // flag makes restores skip it.
         let mut mount = FuseMount::new(VeriFs::v1_with_bugs(bugs));
-        let conn = mount.connection();
-        mount
-            .daemon_mut()
-            .fs_mut()
-            .set_invalidation_sink(Arc::new(conn));
         mount.mount()?;
         mount.checkpoint(1)?; // ioctl_CHECKPOINT
         mount.mkdir("/testdir", FileMode::DIR_DEFAULT)?;
@@ -65,10 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                            // symptom of the paper's bug 2.
         Ok(mount.mkdir("/testdir", FileMode::DIR_DEFAULT) == Err(Errno::EEXIST))
     };
-    let buggy = run(BugConfig {
-        v1_skip_invalidation: true,
-        ..BugConfig::default()
-    })?;
+    let buggy = run(BugConfig::v1_invalidation())?;
     println!("without fuse_lowlevel_notify_inval_*: mkdir wrongly reports EEXIST = {buggy}");
     assert!(buggy);
     let fixed = run(BugConfig::none())?;

@@ -7,34 +7,17 @@
 //!
 //! Run with: `cargo run --release --example compare_kernel_filesystems`
 
-use blockdev::{Clock, LatencyModel, RamDisk, TimedDevice};
-use fs_ext::{ExtConfig, ExtFs};
-use fs_xfs::{XfsConfig, XfsFs};
-use mcfs::{CheckedTarget, Mcfs, McfsConfig, PoolConfig, RemountMode, RemountTarget};
+use blockdev::Clock;
+use mcfs::backends::target;
+use mcfs::{Mcfs, McfsConfig, PoolConfig, RemountMode};
 use modelcheck::{DfsExplorer, ExploreConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clock = Clock::new();
-    let ram = LatencyModel::ram();
-
-    let e2 = ExtFs::format(
-        TimedDevice::new(RamDisk::new(1024, 256 * 1024)?, ram, clock.clone()),
-        ExtConfig::ext2(),
-    )?;
-    let e4 = ExtFs::format(
-        TimedDevice::new(RamDisk::new(1024, 256 * 1024)?, ram, clock.clone()),
-        ExtConfig::ext4(),
-    )?;
-    let xfs = XfsFs::format(
-        TimedDevice::new(RamDisk::new(4096, 16 * 1024 * 1024)?, ram, clock.clone()),
-        XfsConfig::default(),
-    )?;
-
-    let targets: Vec<Box<dyn CheckedTarget>> = vec![
-        Box::new(RemountTarget::new(e2, RemountMode::PerOp).with_clock(clock.clone())),
-        Box::new(RemountTarget::new(e4, RemountMode::PerOp).with_clock(clock.clone())),
-        Box::new(RemountTarget::new(xfs, RemountMode::PerOp).with_clock(clock.clone())),
-    ];
+    let targets = ["ext2", "ext4", "xfs"]
+        .into_iter()
+        .map(|name| target(name, RemountMode::PerOp, clock.clone()))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut harness = Mcfs::with_clock(
         targets,
         McfsConfig {

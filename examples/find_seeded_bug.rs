@@ -8,23 +8,14 @@
 //! Run with: `cargo run --release --example find_seeded_bug`
 
 use blockdev::Clock;
-use fusesim::FuseMount;
+use mcfs::backends::verifs_fuse;
 use mcfs::{replay, CheckedTarget, CheckpointTarget, Mcfs, McfsConfig, PoolConfig};
 use modelcheck::{ExploreConfig, RandomWalk, StopReason};
-use verifs::{BugConfig, VeriFs};
+use verifs::BugConfig;
 
+/// VeriFS `version` with `bugs`, behind FUSE.
 fn target(version: u8, bugs: BugConfig, clock: Clock) -> Box<dyn CheckedTarget> {
-    let fs = match version {
-        1 => VeriFs::v1_with_bugs(bugs),
-        _ => VeriFs::v2_with_bugs(bugs),
-    };
-    let mut mount = FuseMount::with_config(fs, fusesim::FuseConfig::default(), Some(clock));
-    let conn = mount.connection();
-    mount
-        .daemon_mut()
-        .fs_mut()
-        .set_invalidation_sink(std::sync::Arc::new(conn));
-    Box::new(CheckpointTarget::new(mount))
+    Box::new(CheckpointTarget::new(verifs_fuse(version, bugs, clock)))
 }
 
 fn harness(bugs: BugConfig) -> Result<Mcfs, vfs::Errno> {

@@ -4,35 +4,21 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use blockdev::Clock;
-use fusesim::FuseMount;
-use mcfs::{CheckedTarget, CheckpointTarget, Mcfs, McfsConfig, PoolConfig};
+use mcfs::backends::target;
+use mcfs::{Mcfs, McfsConfig, PoolConfig, RemountMode};
 use modelcheck::{DfsExplorer, ExploreConfig, StopReason};
-use verifs::VeriFs;
-
-fn mount_through_fuse(fs: VeriFs, clock: Clock) -> FuseMount<VeriFs> {
-    let mut mount = FuseMount::with_config(fs, fusesim::FuseConfig::default(), Some(clock));
-    let conn = mount.connection();
-    mount
-        .daemon_mut()
-        .fs_mut()
-        .set_invalidation_sink(std::sync::Arc::new(conn));
-    mount
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A shared virtual clock accounts every modelled cost.
     let clock = Clock::new();
 
     // The two file systems under test, each behind a simulated FUSE mount
-    // with the kernel-cache invalidation connection wired up.
-    let v1 = mount_through_fuse(VeriFs::v1(), clock.clone());
-    let v2 = mount_through_fuse(VeriFs::v2(), clock.clone());
-
-    // Both use the paper's proposed state-tracking API: ioctl_CHECKPOINT /
-    // ioctl_RESTORE.
-    let targets: Vec<Box<dyn CheckedTarget>> = vec![
-        Box::new(CheckpointTarget::new(v1)),
-        Box::new(CheckpointTarget::new(v2)),
+    // (which hands the file system its kernel-cache invalidation
+    // connection). Both use the paper's proposed state-tracking API:
+    // ioctl_CHECKPOINT / ioctl_RESTORE, so the remount mode does not apply.
+    let targets = vec![
+        target("fuse-verifs-v1", RemountMode::PerOp, clock.clone())?,
+        target("fuse-verifs-v2", RemountMode::PerOp, clock.clone())?,
     ];
     let mut harness = Mcfs::with_clock(
         targets,

@@ -13,15 +13,7 @@ use modelcheck::{DfsExplorer, ExploreConfig, StopReason, VisitedSet};
 use verifs::VeriFs;
 
 fn fresh_harness() -> Mcfs {
-    let wrap = |fs: VeriFs| {
-        let mut mount = FuseMount::new(fs);
-        let conn = mount.connection();
-        mount
-            .daemon_mut()
-            .fs_mut()
-            .set_invalidation_sink(std::sync::Arc::new(conn));
-        CheckpointTarget::new(mount)
-    };
+    let wrap = |fs: VeriFs| CheckpointTarget::new(FuseMount::new(fs));
     let targets: Vec<Box<dyn CheckedTarget>> =
         vec![Box::new(wrap(VeriFs::v1())), Box::new(wrap(VeriFs::v2()))];
     Mcfs::new(

@@ -4,30 +4,24 @@
 //! Run with: `cargo run --release --example swarm_search`
 
 use blockdev::Clock;
-use fusesim::FuseMount;
+use mcfs::backends::verifs_fuse;
 use mcfs::{CheckedTarget, CheckpointTarget, Mcfs, McfsConfig, PoolConfig};
 use modelcheck::{run_swarm, ExploreConfig, SwarmConfig};
-use verifs::{BugConfig, VeriFs};
+use verifs::BugConfig;
 
 fn build_harness(_worker: usize) -> Mcfs {
     let clock = Clock::new();
-    let wrap = |fs: VeriFs| {
-        let mut mount =
-            FuseMount::with_config(fs, fusesim::FuseConfig::default(), Some(clock.clone()));
-        let conn = mount.connection();
-        mount
-            .daemon_mut()
-            .fs_mut()
-            .set_invalidation_sink(std::sync::Arc::new(conn));
-        CheckpointTarget::new(mount)
-    };
     let bug = BugConfig {
         v2_hole_no_zero: true,
         ..BugConfig::default()
     };
     let targets: Vec<Box<dyn CheckedTarget>> = vec![
-        Box::new(wrap(VeriFs::v2())),
-        Box::new(wrap(VeriFs::v2_with_bugs(bug))),
+        Box::new(CheckpointTarget::new(verifs_fuse(
+            2,
+            BugConfig::none(),
+            clock.clone(),
+        ))),
+        Box::new(CheckpointTarget::new(verifs_fuse(2, bug, clock.clone()))),
     ];
     Mcfs::with_clock(
         targets,

@@ -10,22 +10,14 @@
 use blockdev::{BlockDevice, Clock, FaultKind, FaultPlan, RamDisk};
 use fs_ext::{journal, layout, ExtConfig, ExtFs};
 use fusesim::{FuseConfig, FuseMount};
+use mcfs::backends::verifs_fuse;
 use mcfs::{replay, CheckedTarget, CheckpointTarget, Mcfs, McfsConfig, PoolConfig};
 use modelcheck::{ExploreConfig, RandomWalk, StopReason};
 use verifs::{BugConfig, VeriFs};
 use vfs::{DeviceBacked, Errno, FileMode, FileSystem, FileType, OpenFlags};
 
 fn fuse_target(version: u8, bugs: BugConfig, clock: Clock) -> Box<dyn CheckedTarget> {
-    let fs = match version {
-        1 => VeriFs::v1_with_bugs(bugs),
-        _ => VeriFs::v2_with_bugs(bugs),
-    };
-    let mut m = FuseMount::with_config(fs, FuseConfig::default(), Some(clock));
-    let conn = m.connection();
-    m.daemon_mut()
-        .fs_mut()
-        .set_invalidation_sink(std::sync::Arc::new(conn));
-    Box::new(CheckpointTarget::new(m))
+    Box::new(CheckpointTarget::new(verifs_fuse(version, bugs, clock)))
 }
 
 fn harness(buggy_version: u8, bugs: BugConfig) -> Mcfs {
@@ -337,11 +329,7 @@ fn fuse_stale_view_under_interleaved_rename_stat_is_detected() {
             message_cost_ns: 0,
             broadcast_local_invalidation: broadcast,
         };
-        let mut m = FuseMount::with_config(VeriFs::v2(), cfg, None);
-        let conn = m.connection();
-        m.daemon_mut()
-            .fs_mut()
-            .set_invalidation_sink(std::sync::Arc::new(conn));
+        let m = FuseMount::with_config(VeriFs::v2(), cfg, None);
         let rename = FsOp::Rename {
             src: "/a".into(),
             dst: "/b".into(),
@@ -487,10 +475,6 @@ fn assert_fuse_matches_bare(script: &[DirStep]) {
         stats
     }
     let mut fuse = FuseMount::new(VeriFs::v2());
-    let conn = fuse.connection();
-    fuse.daemon_mut()
-        .fs_mut()
-        .set_invalidation_sink(std::sync::Arc::new(conn));
     assert_eq!(run(&mut fuse, script), run(&mut VeriFs::v2(), script));
 }
 

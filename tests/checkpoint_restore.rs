@@ -97,10 +97,6 @@ fn snapshot_pool_accounting_is_consistent() {
 #[test]
 fn checkpoint_travels_the_fuse_channel() {
     let mut m = fusesim::FuseMount::new(VeriFs::v2());
-    let conn = m.connection();
-    m.daemon_mut()
-        .fs_mut()
-        .set_invalidation_sink(std::sync::Arc::new(conn));
     m.mount().unwrap();
     mutate(&mut m, 9);
     let before = m.daemon().traffic().count(fusesim::FuseOpKind::Ioctl);
@@ -117,10 +113,6 @@ fn checkpoint_travels_the_fuse_channel() {
 #[test]
 fn restore_through_fuse_invalidates_kernel_caches() {
     let mut m = fusesim::FuseMount::new(VeriFs::v2());
-    let conn = m.connection();
-    m.daemon_mut()
-        .fs_mut()
-        .set_invalidation_sink(std::sync::Arc::new(conn));
     m.mount().unwrap();
     m.checkpoint(1).unwrap();
     m.mkdir("/later", FileMode::DIR_DEFAULT).unwrap();

@@ -32,7 +32,7 @@ use vfs::{DeviceBacked, FileMode, FileSystem, OpenFlags};
 const EXT_BLOCK: usize = 1024;
 const EXT_BYTES: u64 = 512 * 1024;
 const JFFS2_EBS: usize = 16 * 1024;
-const JFFS2_BLOCKS: usize = 16;
+const JFFS2_EB_COUNT: usize = 16;
 
 fn write_file(fs: &mut dyn FileSystem, p: &str, data: &[u8]) {
     let fd = fs.create(p, FileMode::REG_DEFAULT).unwrap();
@@ -184,7 +184,7 @@ fn ext4_repair_converges_under_power_cuts() {
 /// GC real erase blocks, so the window covers live-node copy programs and
 /// the erase that follows them.
 fn jffs2_repair_converges(torn: bool) {
-    let mut fs = fs_jffs2::jffs2_on_mtdram(JFFS2_EBS, JFFS2_BLOCKS).unwrap();
+    let mut fs = fs_jffs2::jffs2_on_mtdram(JFFS2_EBS, JFFS2_EB_COUNT).unwrap();
     fs.mount().unwrap();
     populate(&mut fs);
     fs.unmount().unwrap();
@@ -345,7 +345,7 @@ proptest! {
 
     #[test]
     fn fsck_is_idempotent_on_jffs2(files in workload()) {
-        let mut fs = fs_jffs2::jffs2_on_mtdram(JFFS2_EBS, JFFS2_BLOCKS).unwrap();
+        let mut fs = fs_jffs2::jffs2_on_mtdram(JFFS2_EBS, JFFS2_EB_COUNT).unwrap();
         fs.mount().unwrap();
         fsck_idempotent_on(&mut fs, &files);
     }

@@ -19,10 +19,6 @@ fn all_filesystems() -> Vec<(String, Box<dyn FileSystem>)> {
     v2.mount().unwrap();
     out.push(("verifs2".into(), Box::new(v2)));
     let mut fuse = fusesim::FuseMount::new(verifs::VeriFs::v2());
-    let conn = fuse.connection();
-    fuse.daemon_mut()
-        .fs_mut()
-        .set_invalidation_sink(std::sync::Arc::new(conn));
     fuse.mount().unwrap();
     out.push(("fuse-verifs2".into(), Box::new(fuse)));
     let mut e2 = fs_ext::ext2_on_ram(256 * 1024).unwrap();

@@ -6,37 +6,26 @@
 //! as an uninterrupted run — over both the VeriFS pairing and the
 //! on-disk ext2/ext4 pairing.
 
-use blockdev::{Clock, LatencyModel, RamDisk, TimedDevice};
-use fs_ext::{ExtConfig, ExtFs};
-use fusesim::FuseMount;
-use mcfs::{
-    CheckedTarget, CheckpointTarget, FsOp, FsOpCodec, Mcfs, McfsConfig, PoolConfig, RemountMode,
-    RemountTarget,
-};
+use blockdev::Clock;
+use mcfs::{FsOp, FsOpCodec, Mcfs, McfsConfig, PoolConfig, RemountMode};
 use modelcheck::{
     decode_snapshot, encode_snapshot, load_snapshot, run_swarm_persistent, ExploreConfig,
     FrontierEntry, OpCodec, RunSnapshot, SwarmConfig, SwarmPersist, SwarmReport, WorkerStrategy,
 };
 use proptest::prelude::*;
-use verifs::VeriFs;
 
 // ---------------------------------------------------------------------------
 // Harness builders (one per backend pairing)
 // ---------------------------------------------------------------------------
 
-fn verifs_harness(_worker: usize) -> Mcfs {
+/// Two registry backends on one clock, remounted around every op where
+/// they have a device.
+fn harness(names: [&str; 2]) -> Mcfs {
     let clock = Clock::new();
-    let wrap = |fs: VeriFs| -> Box<dyn CheckedTarget> {
-        let mut mount =
-            FuseMount::with_config(fs, fusesim::FuseConfig::default(), Some(clock.clone()));
-        let conn = mount.connection();
-        mount
-            .daemon_mut()
-            .fs_mut()
-            .set_invalidation_sink(std::sync::Arc::new(conn));
-        Box::new(CheckpointTarget::new(mount))
-    };
-    let targets = vec![wrap(VeriFs::v1()), wrap(VeriFs::v2())];
+    let targets = names
+        .iter()
+        .map(|name| mcfs::backends::target(name, RemountMode::PerOp, clock.clone()).expect(name))
+        .collect();
     Mcfs::with_clock(
         targets,
         McfsConfig {
@@ -45,27 +34,15 @@ fn verifs_harness(_worker: usize) -> Mcfs {
         },
         clock,
     )
-    .expect("verifs harness")
+    .expect("harness")
+}
+
+fn verifs_harness(_worker: usize) -> Mcfs {
+    harness(["fuse-verifs-v1", "fuse-verifs-v2"])
 }
 
 fn ext_harness(_worker: usize) -> Mcfs {
-    let clock = Clock::new();
-    let target = |cfg: ExtConfig| -> Box<dyn CheckedTarget> {
-        let disk = RamDisk::new(cfg.block_size, 256 * 1024).unwrap();
-        let dev = TimedDevice::new(disk, LatencyModel::ram(), clock.clone());
-        let fs = ExtFs::format(dev, cfg).unwrap();
-        Box::new(RemountTarget::new(fs, RemountMode::PerOp).with_clock(clock.clone()))
-    };
-    let targets = vec![target(ExtConfig::ext2()), target(ExtConfig::ext4())];
-    Mcfs::with_clock(
-        targets,
-        McfsConfig {
-            pool: PoolConfig::small(),
-            ..McfsConfig::default()
-        },
-        clock,
-    )
-    .expect("ext harness")
+    harness(["ext2", "ext4"])
 }
 
 fn swarm_cfg(max_ops: u64) -> SwarmConfig {
