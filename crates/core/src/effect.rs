@@ -1051,44 +1051,78 @@ mod tests {
         assert!(!independent(&rm, &c, &p), "emptiness read vs entry write");
     }
 
-    #[test]
-    fn effect_index_matches_direct_derivation() {
-        let ops = PoolConfig::small().ops();
-        let prof = EffectProfile::from_pool(&ops);
-        let idx = EffectIndex::new(&ops, prof.clone());
-        for a in &ops {
-            for b in &ops {
-                assert_eq!(
-                    idx.independent(a, b),
-                    independent(a, b, &prof),
-                    "{a} vs {b}"
-                );
-            }
-        }
-        // Unknown ops fall back to derivation.
-        let foreign = FsOp::Stat {
-            path: "/zzz".into(),
+    /// The op pool of the FUSE-mounted VeriFS v1/v2 pairing over the medium
+    /// pool: capability-filtered (v1 has no hard links, so no alias
+    /// classes), the pool `verifs-dfs` explores.
+    fn fuse_verifs_pool() -> Vec<FsOp> {
+        use crate::backends::target;
+        use crate::{Mcfs, McfsConfig, RemountMode};
+        let clock = blockdev::Clock::new();
+        let pair = ["fuse-verifs-v1", "fuse-verifs-v2"]
+            .map(|name| target(name, RemountMode::PerOp, clock.clone()).unwrap())
+            .into();
+        let cfg = McfsConfig {
+            pool: PoolConfig::medium(),
+            ..McfsConfig::default()
         };
-        assert!(idx.independent(&foreign, &ops[0]) == independent(&foreign, &ops[0], &prof));
+        let ops = Mcfs::with_clock(pair, cfg, clock)
+            .unwrap()
+            .op_pool()
+            .to_vec();
+        assert!(!ops.iter().any(|o| matches!(o, FsOp::Hardlink { .. })));
+        ops
     }
 
     #[test]
-    fn concurrent_relation_is_a_subset_of_sequential() {
-        // Whatever the concurrency relation admits, the sequential one
-        // must too: it only drops outcome-blind shortcuts.
-        let ops = PoolConfig::medium().ops();
-        let prof = EffectProfile::from_pool(&ops);
-        let idx = EffectIndex::new(&ops, prof.clone());
-        for a in &ops {
-            for b in &ops {
-                if idx.independent_concurrent(a, b) {
-                    assert!(idx.independent(a, b), "{a} vs {b}");
+    fn effect_index_matches_derivation_on_every_pool_and_profile() {
+        let pools = [
+            ("small", PoolConfig::small().ops()),
+            ("medium", PoolConfig::medium().ops()),
+            ("fuse-verifs", fuse_verifs_pool()),
+        ];
+        let foreign = [
+            FsOp::Stat {
+                path: "/zzz".into(),
+            },
+            op_write("/zzz", 0, 8),
+        ];
+        for (pool, ops) in &pools {
+            for (caches, atime) in [(false, false), (true, false), (false, true), (true, true)] {
+                let prof = EffectProfile::from_pool(ops)
+                    .with_kernel_caches(caches)
+                    .with_atime(atime);
+                let idx = EffectIndex::new(ops, prof.clone());
+                let at = format!("{pool} pool, kernel caches {caches}, atime {atime}");
+                for a in ops {
+                    for b in ops {
+                        let seq = idx.independent(a, b);
+                        let conc = idx.independent_concurrent(a, b);
+                        assert_eq!(seq, independent(a, b, &prof), "{at}: {a} vs {b}");
+                        assert_eq!(
+                            conc,
+                            independent_concurrent(a, b, &prof),
+                            "{at}: concurrent {a} vs {b}"
+                        );
+                        assert_eq!(seq, idx.independent(b, a), "{at}: symmetry {a} vs {b}");
+                        assert_eq!(
+                            conc,
+                            idx.independent_concurrent(b, a),
+                            "{at}: concurrent symmetry {a} vs {b}"
+                        );
+                        assert!(seq || !conc, "{at}: concurrent ⊄ sequential: {a} vs {b}");
+                    }
                 }
-                assert_eq!(
-                    idx.independent_concurrent(a, b),
-                    independent_concurrent(a, b, &prof),
-                    "index vs derivation: {a} vs {b}"
-                );
+                // Ops outside the pool fall back to derivation.
+                for f in &foreign {
+                    for b in ops {
+                        assert_eq!(idx.independent(f, b), independent(f, b, &prof), "{at}: {f}");
+                        assert_eq!(
+                            idx.independent_concurrent(b, f),
+                            independent_concurrent(b, f, &prof),
+                            "{at}: {f}"
+                        );
+                    }
+                }
             }
         }
     }
