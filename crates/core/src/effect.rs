@@ -80,26 +80,6 @@ pub enum Place {
     Global,
 }
 
-impl Place {
-    /// The path this place is anchored at, if any (used for subtree
-    /// overlap and alias detection).
-    fn anchor(&self) -> Option<&str> {
-        match self {
-            Place::Node(p)
-            | Place::Entries(p)
-            | Place::Subtree(p)
-            | Place::Cache(p)
-            | Place::Meta(_, p)
-            | Place::Size(_, p)
-            | Place::Range(_, p, _, _)
-            | Place::Links(_, p)
-            | Place::Xattr(_, p, _) => Some(p),
-            Place::Entry(d, _) => Some(d),
-            Place::Global => None,
-        }
-    }
-}
-
 impl std::fmt::Display for Place {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -519,6 +499,197 @@ fn add_cache_effects(op: &FsOp, sig: &mut EffectSig) {
     }
 }
 
+/// [`Place`]'s variants without their payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Node,
+    Entry,
+    Entries,
+    Meta,
+    Size,
+    Range,
+    Links,
+    Xattr,
+    Subtree,
+    Cache,
+    Global,
+}
+
+/// A [`Place`] compiled against a [`Places`] table: every string is an
+/// interned id, so [`overlap`] compares integers and never allocates.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    kind: Kind,
+    /// The path a subtree wildcard is compared against (an entry's joined
+    /// path). For content places it is also the anchor whose inequality
+    /// within one alias class marks aliasing.
+    path: u32,
+    /// `Entry`: the parent directory. `Xattr`: the attribute name.
+    /// `Subtree`: the row of [`Places::below`] for its path.
+    aux: u32,
+    class: u64,
+    lo: u64,
+    hi: u64,
+    /// A conservative footprint: two keys whose masks are disjoint cannot
+    /// overlap, so the scan skips them without consulting the rules.
+    mask: u64,
+}
+
+/// The interning table one analysis compiles its signatures against:
+/// string ids, plus the ancestor/descendant relation below every
+/// `Subtree` anchor, precomputed once the table is complete.
+#[derive(Debug, Default)]
+struct Places {
+    ids: HashMap<String, u32>,
+    /// The path id of each `Subtree` row.
+    subtrees: Vec<u32>,
+    /// Row-major `subtrees.len() × ids.len()`: whether id `q` is the row's
+    /// path or lies beneath it. Filled by [`Places::finish`].
+    below: Vec<bool>,
+}
+
+impl Places {
+    fn id(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = self.ids.len() as u32;
+        self.ids.insert(s.to_string(), id);
+        id
+    }
+
+    fn key(&mut self, place: &Place) -> Key {
+        let mut key = Key {
+            kind: Kind::Global,
+            path: 0,
+            aux: 0,
+            class: 0,
+            lo: 0,
+            hi: 0,
+            mask: u64::MAX,
+        };
+        let (kind, path) = match place {
+            Place::Node(p) => (Kind::Node, p),
+            Place::Entry(d, n) => {
+                key.aux = self.id(d);
+                (Kind::Entry, &path::join(d, n))
+            }
+            Place::Entries(d) => (Kind::Entries, d),
+            Place::Meta(c, p) => {
+                key.class = *c;
+                (Kind::Meta, p)
+            }
+            Place::Size(c, p) => {
+                key.class = *c;
+                (Kind::Size, p)
+            }
+            Place::Range(c, p, lo, hi) => {
+                (key.class, key.lo, key.hi) = (*c, *lo, *hi);
+                (Kind::Range, p)
+            }
+            Place::Links(c, p) => {
+                key.class = *c;
+                (Kind::Links, p)
+            }
+            Place::Xattr(c, p, n) => {
+                key.class = *c;
+                key.aux = self.id(n);
+                (Kind::Xattr, p)
+            }
+            Place::Subtree(p) => (Kind::Subtree, p),
+            Place::Cache(p) => (Kind::Cache, p),
+            Place::Global => return key,
+        };
+        key.kind = kind;
+        key.path = self.id(path);
+        if kind == Kind::Subtree {
+            key.aux = match self.subtrees.iter().position(|&s| s == key.path) {
+                Some(row) => row as u32,
+                None => {
+                    self.subtrees.push(key.path);
+                    self.subtrees.len() as u32 - 1
+                }
+            };
+        }
+        // Cells overlap only on an equal path (an entry also meets its
+        // directory's listing) or, for content, an equal alias class; low
+        // bits fold path ids, high bits alias classes. A subtree meets
+        // anything below it: its mask stays full.
+        let bit = |token: u64| 1u64 << (token % 32);
+        key.mask = match kind {
+            Kind::Node | Kind::Entries | Kind::Cache => bit(key.path.into()),
+            Kind::Entry => bit(key.path.into()) | bit(key.aux.into()),
+            Kind::Meta | Kind::Size | Kind::Range | Kind::Links | Kind::Xattr => {
+                bit(key.class) << 32
+            }
+            Kind::Subtree | Kind::Global => u64::MAX,
+        };
+        key
+    }
+
+    /// Compiles one signature; call [`finish`](Places::finish) once every
+    /// signature of the analysis is compiled.
+    fn compile<'s>(&mut self, sig: &'s EffectSig) -> Compiled<'s> {
+        let reads: Vec<Key> = sig.reads.iter().map(|p| self.key(p)).collect();
+        let writes: Vec<CompiledWrite> = sig
+            .writes
+            .iter()
+            .map(|w| CompiledWrite {
+                key: self.key(&w.place),
+                kind: w.kind,
+                tag: w.tag,
+                place: &w.place,
+            })
+            .collect();
+        Compiled {
+            read_mask: reads.iter().fold(0, |m, k| m | k.mask),
+            write_mask: writes.iter().fold(0, |m, w| m | w.key.mask),
+            reads,
+            writes,
+            global: sig.writes_global(),
+        }
+    }
+
+    fn finish(&mut self) {
+        let mut names = vec![""; self.ids.len()];
+        for (name, &id) in &self.ids {
+            names[id as usize] = name;
+        }
+        let mut below = Vec::with_capacity(self.subtrees.len() * names.len());
+        for &s in &self.subtrees {
+            let anchor = names[s as usize];
+            below.extend(names.iter().map(|q| path::is_same_or_descendant(anchor, q)));
+        }
+        self.below = below;
+    }
+
+    /// Whether `subtree`'s path is `path` or an ancestor of it.
+    fn within(&self, subtree: &Key, path: u32) -> bool {
+        self.below[subtree.aux as usize * self.ids.len() + path as usize]
+    }
+}
+
+/// One compiled write effect, keeping the place it came from so a
+/// witness can name it.
+#[derive(Debug)]
+struct CompiledWrite<'s> {
+    key: Key,
+    kind: WriteKind,
+    tag: Option<u64>,
+    place: &'s Place,
+}
+
+/// An [`EffectSig`] compiled against a [`Places`] table.
+#[derive(Debug)]
+struct Compiled<'s> {
+    reads: Vec<Key>,
+    writes: Vec<CompiledWrite<'s>>,
+    global: bool,
+    /// Unions of the read and write keys' masks.
+    read_mask: u64,
+    write_mask: u64,
+}
+
 /// How two places can overlap.
 struct Overlap {
     /// The match went through an alias class with distinct anchor paths.
@@ -528,35 +699,28 @@ struct Overlap {
     identical_cell: bool,
 }
 
-fn overlap(a: &Place, b: &Place) -> Option<Overlap> {
-    use Place::*;
+/// The overlap rules, in one place: whether two compiled places can
+/// denote a common location, and how.
+fn overlap(a: &Key, b: &Key, places: &Places) -> Option<Overlap> {
+    use Kind::*;
+    const WILD: Overlap = Overlap {
+        aliased: false,
+        identical_cell: false,
+    };
     // Global and Subtree are wildcards: resolve them first.
-    if matches!(a, Global) || matches!(b, Global) {
-        return Some(Overlap {
-            aliased: false,
-            identical_cell: false,
-        });
+    if a.kind == Global || b.kind == Global {
+        return Some(WILD);
     }
-    if let Subtree(p) = a {
-        if let Some(q) = anchor_for_subtree(b) {
-            if path::is_same_or_descendant(p, &q) {
-                return Some(Overlap {
-                    aliased: false,
-                    identical_cell: false,
-                });
-            }
+    if a.kind == Subtree {
+        if places.within(a, b.path) {
+            return Some(WILD);
         }
-        if !matches!(b, Subtree(_)) {
+        if b.kind != Subtree {
             return None;
         }
     }
-    if let Subtree(p) = b {
-        return anchor_for_subtree(a)
-            .filter(|q| path::is_same_or_descendant(p, q))
-            .map(|_| Overlap {
-                aliased: false,
-                identical_cell: false,
-            });
+    if b.kind == Subtree {
+        return places.within(b, a.path).then_some(WILD);
     }
     let cell = |same: bool, aliased: bool| {
         same.then_some(Overlap {
@@ -564,38 +728,26 @@ fn overlap(a: &Place, b: &Place) -> Option<Overlap> {
             identical_cell: true,
         })
     };
-    match (a, b) {
-        (Node(p), Node(q)) => cell(p == q, false),
-        (Entry(d, n), Entry(d2, n2)) => cell(d == d2 && n == n2, false),
-        (Entries(d), Entries(d2)) => cell(d == d2, false),
-        (Entry(d, _), Entries(d2)) | (Entries(d2), Entry(d, _)) => (d == d2).then_some(Overlap {
-            aliased: false,
-            identical_cell: false,
+    match (a.kind, b.kind) {
+        (Node, Node) | (Entries, Entries) | (Cache, Cache) => cell(a.path == b.path, false),
+        // An entry's path is its joined path: equal directories and equal
+        // joined paths mean equal names.
+        (Entry, Entry) => cell(a.aux == b.aux && a.path == b.path, false),
+        (Entry, Entries) => (a.aux == b.path).then_some(WILD),
+        (Entries, Entry) => (a.path == b.aux).then_some(WILD),
+        (Meta, Meta) | (Size, Size) | (Links, Links) => {
+            let same = a.class == b.class;
+            cell(same, same && a.path != b.path)
+        }
+        (Xattr, Xattr) => {
+            let same = a.class == b.class;
+            cell(same && a.aux == b.aux, same && a.path != b.path)
+        }
+        (Range, Range) => (a.class == b.class && a.lo < b.hi && b.lo < a.hi).then_some(Overlap {
+            aliased: a.path != b.path,
+            identical_cell: a.lo == b.lo && a.hi == b.hi,
         }),
-        (Cache(p), Cache(q)) => cell(p == q, false),
-        (Meta(c, p), Meta(c2, q)) | (Size(c, p), Size(c2, q)) | (Links(c, p), Links(c2, q)) => {
-            cell(c == c2, c == c2 && p != q)
-        }
-        (Xattr(c, p, n), Xattr(c2, q, n2)) => cell(c == c2 && n == n2, c == c2 && p != q),
-        (Range(c, p, lo, hi), Range(c2, q, lo2, hi2)) => {
-            if c == c2 && lo < hi2 && lo2 < hi {
-                Some(Overlap {
-                    aliased: p != q,
-                    identical_cell: lo == lo2 && hi == hi2,
-                })
-            } else {
-                None
-            }
-        }
         _ => None,
-    }
-}
-
-/// The path a subtree wildcard should be compared against.
-fn anchor_for_subtree(p: &Place) -> Option<String> {
-    match p {
-        Place::Entry(d, n) => Some(path::join(d, n)),
-        other => other.anchor().map(str::to_string),
     }
 }
 
@@ -623,6 +775,29 @@ pub struct Conflict {
     pub aliased: bool,
 }
 
+/// A [`Conflict`] before its place is rendered: the matrix build only
+/// asks whether there is one.
+struct Witness<'s> {
+    kind: ConflictKind,
+    place: &'s Place,
+    aliased: bool,
+}
+
+static GLOBAL: Place = Place::Global;
+
+impl From<Option<Witness<'_>>> for Independence {
+    fn from(w: Option<Witness<'_>>) -> Self {
+        match w {
+            None => Independence::Independent,
+            Some(w) => Independence::Dependent(Conflict {
+                kind: w.kind,
+                place: w.place.to_string(),
+                aliased: w.aliased,
+            }),
+        }
+    }
+}
+
 /// Outcome of the pairwise analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Independence {
@@ -639,36 +814,57 @@ impl Independence {
     }
 }
 
-/// Pairwise analysis with a dependence witness; see [`independent`].
-pub fn explain(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> Independence {
-    // Crash first: even against itself it must never enter a sleep set.
-    let sa = signature(a, prof);
-    let sb = signature(b, prof);
-    if sa.writes_global() || sb.writes_global() {
-        return Independence::Dependent(Conflict {
-            kind: ConflictKind::Global,
-            place: Place::Global.to_string(),
-            aliased: false,
-        });
-    }
-    // Identical ops commute trivially (o;o is the same sequence either
-    // way) — checked after the crash guard.
-    if a == b {
-        return Independence::Independent;
-    }
-    explain_sigs(&sa, &sb)
+/// Compiles the signatures of `a` and `b` against one fresh table and
+/// runs `relation` over them.
+fn analyze<T>(
+    a: &FsOp,
+    b: &FsOp,
+    prof: &EffectProfile,
+    relation: impl for<'s> FnOnce(&Compiled<'s>, &Compiled<'s>, &Places) -> T,
+) -> T {
+    let (sa, sb) = (signature(a, prof), signature(b, prof));
+    let mut places = Places::default();
+    let (ca, cb) = (places.compile(&sa), places.compile(&sb));
+    places.finish();
+    relation(&ca, &cb, &places)
 }
 
-/// Signature-level core of [`explain`] (callers with precomputed
-/// signatures, e.g. [`EffectIndex`], skip re-derivation).
-fn explain_sigs(sa: &EffectSig, sb: &EffectSig) -> Independence {
-    // Pure reads commute with anything: an empty write set cannot change
-    // the state the other op sees, and its own outcome is re-verified by
-    // the harness along every interleaving actually executed.
-    if sa.writes.is_empty() || sb.writes.is_empty() {
-        return Independence::Independent;
+/// Pairwise analysis with a dependence witness; see [`independent`].
+pub fn explain(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> Independence {
+    analyze(a, b, prof, |ca, cb, places| {
+        sequential(ca, cb, a == b, places).into()
+    })
+}
+
+/// Crash first: a global write never commutes, not even with itself.
+fn global<'s>(ca: &Compiled<'s>, cb: &Compiled<'s>) -> Option<Witness<'s>> {
+    (ca.global || cb.global).then_some(Witness {
+        kind: ConflictKind::Global,
+        place: &GLOBAL,
+        aliased: false,
+    })
+}
+
+/// The sequential relation behind [`explain`]; `same_op` says the two
+/// signatures belong to equal ops.
+fn sequential<'s>(
+    ca: &Compiled<'s>,
+    cb: &Compiled<'s>,
+    same_op: bool,
+    places: &Places,
+) -> Option<Witness<'s>> {
+    if let Some(w) = global(ca, cb) {
+        return Some(w);
     }
-    explain_sigs_overlaps(sa, sb, true)
+    // Identical ops commute trivially (o;o is the same sequence either
+    // way) — checked after the crash guard. Pure reads commute with
+    // anything: an empty write set cannot change the state the other op
+    // sees, and its own outcome is re-verified by the harness along every
+    // interleaving actually executed.
+    if same_op || ca.writes.is_empty() || cb.writes.is_empty() {
+        return None;
+    }
+    first_conflict(ca, cb, places, true)
 }
 
 /// Signature-level concurrency independence.
@@ -689,29 +885,52 @@ fn explain_sigs(sa: &EffectSig, sb: &EffectSig) -> Independence {
 ///   thread gets `Ok` and which gets `EEXIST` depends on the order.
 ///
 /// Only commutative merge-merge updates to the same place still commute.
-fn explain_sigs_concurrent(sa: &EffectSig, sb: &EffectSig) -> Independence {
-    explain_sigs_overlaps(sa, sb, false)
+fn concurrent<'s>(ca: &Compiled<'s>, cb: &Compiled<'s>, places: &Places) -> Option<Witness<'s>> {
+    global(ca, cb).or_else(|| first_conflict(ca, cb, places, false))
 }
 
-/// Shared overlap scan behind [`explain_sigs`] / [`explain_sigs_concurrent`]
-/// — `outcome_blind` selects the sequential (state-only) exceptions.
-fn explain_sigs_overlaps(sa: &EffectSig, sb: &EffectSig, outcome_blind: bool) -> Independence {
+/// Shared overlap scan behind [`sequential`] / [`concurrent`] —
+/// `outcome_blind` selects the sequential (state-only) exceptions.
+fn first_conflict<'s>(
+    sa: &Compiled<'s>,
+    sb: &Compiled<'s>,
+    places: &Places,
+    outcome_blind: bool,
+) -> Option<Witness<'s>> {
     for (wr, rd) in [(sa, sb), (sb, sa)] {
+        if wr.write_mask & rd.read_mask == 0 {
+            continue;
+        }
         for w in &wr.writes {
+            if w.key.mask & rd.read_mask == 0 {
+                continue;
+            }
             for r in &rd.reads {
-                if let Some(o) = overlap(&w.place, r) {
-                    return Independence::Dependent(Conflict {
+                if w.key.mask & r.mask == 0 {
+                    continue;
+                }
+                if let Some(o) = overlap(&w.key, r, places) {
+                    return Some(Witness {
                         kind: ConflictKind::WriteRead,
-                        place: w.place.to_string(),
+                        place: w.place,
                         aliased: o.aliased,
                     });
                 }
             }
         }
     }
+    if sa.write_mask & sb.write_mask == 0 {
+        return None;
+    }
     for wa in &sa.writes {
+        if wa.key.mask & sb.write_mask == 0 {
+            continue;
+        }
         for wb in &sb.writes {
-            if let Some(o) = overlap(&wa.place, &wb.place) {
+            if wa.key.mask & wb.key.mask == 0 {
+                continue;
+            }
+            if let Some(o) = overlap(&wa.key, &wb.key, places) {
                 // Merges commute with merges; exact writes of the same
                 // value to the identical cell commute — but only for the
                 // sequential relation: concurrently, two threads writing
@@ -725,23 +944,25 @@ fn explain_sigs_overlaps(sa: &EffectSig, sb: &EffectSig, outcome_blind: bool) ->
                     _ => false,
                 };
                 if !commutes {
-                    return Independence::Dependent(Conflict {
+                    return Some(Witness {
                         kind: ConflictKind::WriteWrite,
-                        place: wa.place.to_string(),
+                        place: wa.place,
                         aliased: o.aliased,
                     });
                 }
             }
         }
     }
-    Independence::Independent
+    None
 }
 
 /// Signature-derived independence: `true` iff the footprints of `a` and
 /// `b` cannot conflict, in which case executing them in either order from
 /// any state reaches the same abstract state.
 pub fn independent(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> bool {
-    explain(a, b, prof).is_independent()
+    analyze(a, b, prof, |ca, cb, places| {
+        sequential(ca, cb, a == b, places).is_none()
+    })
 }
 
 /// Pairwise *concurrency* independence with a dependence witness.
@@ -753,21 +974,16 @@ pub fn independent(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> bool {
 /// no identical-op shortcut: two threads issuing the same op often race
 /// for its result.
 pub fn explain_concurrent(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> Independence {
-    let sa = signature(a, prof);
-    let sb = signature(b, prof);
-    if sa.writes_global() || sb.writes_global() {
-        return Independence::Dependent(Conflict {
-            kind: ConflictKind::Global,
-            place: Place::Global.to_string(),
-            aliased: false,
-        });
-    }
-    explain_sigs_concurrent(&sa, &sb)
+    analyze(a, b, prof, |ca, cb, places| {
+        concurrent(ca, cb, places).into()
+    })
 }
 
 /// Concurrency independence predicate; see [`explain_concurrent`].
 pub fn independent_concurrent(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> bool {
-    explain_concurrent(a, b, prof).is_independent()
+    analyze(a, b, prof, |ca, cb, places| {
+        concurrent(ca, cb, places).is_none()
+    })
 }
 
 /// The original hand-written path-prefix heuristic (formerly the harness's
@@ -813,26 +1029,28 @@ pub struct EffectIndex {
 }
 
 impl EffectIndex {
-    /// Builds the matrix for `ops` under `profile`.
+    /// Builds the matrix for `ops` under `profile`. Every signature is
+    /// compiled once against one table, and only one triangle is scanned:
+    /// both relations are symmetric.
     pub fn new(ops: &[FsOp], profile: EffectProfile) -> Self {
         let sigs: Vec<EffectSig> = ops.iter().map(|o| signature(o, &profile)).collect();
+        let mut places = Places::default();
+        let compiled: Vec<Compiled> = sigs.iter().map(|s| places.compile(s)).collect();
+        places.finish();
         let n = ops.len();
         let mut matrix = vec![false; n * n];
         let mut conc = vec![false; n * n];
         for i in 0..n {
-            for j in 0..n {
-                let global = sigs[i].writes_global() || sigs[j].writes_global();
-                matrix[i * n + j] = if global {
-                    false
-                } else if ops[i] == ops[j] {
-                    true
-                } else {
-                    explain_sigs(&sigs[i], &sigs[j]).is_independent()
-                };
-                // No identical-op shortcut concurrently: same op on two
-                // threads races for its own result.
-                conc[i * n + j] =
-                    !global && explain_sigs_concurrent(&sigs[i], &sigs[j]).is_independent();
+            for j in i..n {
+                let (ci, cj) = (&compiled[i], &compiled[j]);
+                let c = concurrent(ci, cj, &places).is_none();
+                // Concurrent independence implies sequential independence:
+                // only a concurrent dependence needs the sequential scan.
+                let s = c || sequential(ci, cj, ops[i] == ops[j], &places).is_none();
+                for (a, b) in [(i, j), (j, i)] {
+                    matrix[a * n + b] = s;
+                    conc[a * n + b] = c;
+                }
             }
         }
         let index = ops
