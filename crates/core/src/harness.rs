@@ -615,6 +615,7 @@ impl ModelSystem for Mcfs {
             crashes: self.crashes,
             recoveries: self.crash_recoveries,
             divergent_recoveries: self.crash_divergences,
+            capped_cuts: 0,
         })
     }
 

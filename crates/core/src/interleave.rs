@@ -56,8 +56,10 @@ use crate::target::{self, CheckedTarget, CheckpointTarget};
 pub const CRASH_TID: u16 = u16::MAX;
 
 /// Cap on thread-cut enumerations per crash (the cut lattice is
-/// `Π(pc_t − floor_t + 1)`); past the cap the crash oracle falls back to
-/// the interleaved prefix window alone.
+/// `Π(pc_t − floor_t + 1)`). Past the cap the crash oracle checks recovery
+/// against the interleaved prefix window alone: a recovery inside it is
+/// verified, one outside it is pruned with the lattice size named and
+/// counted in [`CrashStats::capped_cuts`], never reported as a violation.
 const MAX_CRASH_CUTS: usize = 1024;
 
 /// One scheduling decision: thread `tid` issues its next program op.
@@ -138,6 +140,9 @@ pub struct InterleaveStats {
     pub crash_recoveries: u64,
     /// Crashes where targets recovered validly but to different states.
     pub divergent_recoveries: u64,
+    /// Crashes pruned because a recovery left the prefix window while the
+    /// cut lattice exceeded [`MAX_CRASH_CUTS`].
+    pub capped_cuts: u64,
 }
 
 /// Scheduler state saved alongside target checkpoints.
@@ -626,15 +631,21 @@ impl ThreadedMcfs {
         let pre = self.core.crash_prelude()?;
         let mut allowed: BTreeSet<u128> = self.core.prefix_hashes.iter().copied().collect();
         allowed.insert(pre);
-        match self.crash_cut_states() {
-            Ok(cuts) => allowed.extend(cuts),
-            Err(e) => {
-                let msg = format!("crash-cut reference execution failed: {e}");
-                return Err(self.core.violation(msg));
+        let lattice = self.cut_lattice_size();
+        let capped = lattice > MAX_CRASH_CUTS;
+        if !capped {
+            match self.crash_cut_states() {
+                Ok(cuts) => allowed.extend(cuts),
+                Err(e) => {
+                    let msg = format!("crash-cut reference execution failed: {e}");
+                    return Err(self.core.violation(msg));
+                }
             }
         }
+        // Past the cap the per-thread cuts are unknown: a recovery outside
+        // the window is pruned below instead of rejected here.
         let recovered = self.core.recover(
-            |h| allowed.contains(&h),
+            |h| capped || allowed.contains(&h),
             |name| {
                 format!(
                     "crash-consistency violation: {name} recovered to a state matching no \
@@ -642,6 +653,14 @@ impl ThreadedMcfs {
                 )
             },
         )?;
+        if capped && recovered.iter().any(|h| !allowed.contains(&h.as_u128())) {
+            self.stats.capped_cuts += 1;
+            self.core.unmount_quietly();
+            return Err(ApplyOutcome::Prune(format!(
+                "crash recovery left the interleaved prefix window and the {lattice}-cut \
+                 lattice exceeds MAX_CRASH_CUTS ({MAX_CRASH_CUTS}): per-thread cuts not checked"
+            )));
+        }
         if recovered.windows(2).any(|w| w[0] != w[1]) {
             self.stats.divergent_recoveries += 1;
             self.core.unmount_quietly();
@@ -660,23 +679,26 @@ impl ThreadedMcfs {
         ))
     }
 
+    /// Size of the per-thread cut lattice `Π(pc_t − floor_t + 1)`
+    /// (saturating).
+    fn cut_lattice_size(&self) -> usize {
+        self.pcs
+            .iter()
+            .zip(&self.floor)
+            .fold(1usize, |total, (pc, floor)| {
+                total.saturating_mul(pc - floor + 1)
+            })
+    }
+
     /// Reference states of every per-thread cut `floor ≤ c ≤ pc`: each
     /// thread's issued ops truncated at its cut, executed in the recorded
-    /// schedule order on a fresh reference. Empty past
-    /// [`MAX_CRASH_CUTS`].
+    /// schedule order on a fresh reference.
     fn crash_cut_states(&mut self) -> VfsResult<Vec<u128>> {
         let tc = self.thread_count();
-        let mut total = 1usize;
-        for t in 0..tc {
-            total = total.saturating_mul(self.pcs[t] - self.floor[t] + 1);
-            if total > MAX_CRASH_CUTS {
-                return Ok(Vec::new());
-            }
-        }
         let abstraction = &self.core.abstraction;
         let exceptions = &abstraction.exceptions;
         let sort = abstraction.sort_entries;
-        let mut out = Vec::with_capacity(total);
+        let mut out = Vec::new();
         let mut cut: Vec<usize> = self.floor.clone();
         loop {
             let mut reference = VeriFs::v2();
@@ -809,6 +831,7 @@ impl ModelSystem for ThreadedMcfs {
             crashes: self.stats.crashes,
             recoveries: self.stats.crash_recoveries,
             divergent_recoveries: self.stats.divergent_recoveries,
+            capped_cuts: self.stats.capped_cuts,
         })
     }
 
@@ -1178,6 +1201,102 @@ mod tests {
         fn crash_remount(&mut self) -> VfsResult<()> {
             self.crashed = true;
             self.inner.crash_remount()
+        }
+    }
+
+    /// VeriFS2 behind the checkpoint API whose power cut loses everything
+    /// but `survivors`, re-executed on a fresh volume: a file system that
+    /// recovers to a chosen per-thread cut.
+    struct CutRecovery {
+        inner: CheckpointTarget<VeriFs>,
+        survivors: Vec<FsOp>,
+    }
+
+    impl CheckedTarget for CutRecovery {
+        fn name(&self) -> String {
+            "cut-recovery".into()
+        }
+        fn fs_mut(&mut self) -> &mut dyn FileSystem {
+            self.inner.fs_mut()
+        }
+        fn capabilities(&self) -> vfs::FsCapabilities {
+            self.inner.capabilities()
+        }
+        fn strategy(&self) -> &'static str {
+            self.inner.strategy()
+        }
+        fn save_state(&mut self, key: u64) -> VfsResult<usize> {
+            self.inner.save_state(key)
+        }
+        fn load_state(&mut self, key: u64) -> VfsResult<()> {
+            self.inner.load_state(key)
+        }
+        fn drop_state(&mut self, key: u64) -> VfsResult<()> {
+            self.inner.drop_state(key)
+        }
+        fn supports_crash(&self) -> bool {
+            true
+        }
+        fn crash_remount(&mut self) -> VfsResult<()> {
+            let mut fs = VeriFs::v2();
+            fs.mount()?;
+            for op in &self.survivors {
+                crate::pool::execute(&mut fs, op, &[]);
+            }
+            self.inner = CheckpointTarget::new(fs);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn capped_cut_lattice_prunes_a_recovery_outside_the_window() {
+        // 34 ops per thread: the cut lattice has 35 × 35 = 1,225 cuts,
+        // past the cap, so per-thread cuts are not enumerated.
+        let program = |f: &str| {
+            let mut ops = vec![op_create(f)];
+            ops.extend((0..33).map(|i| op_write(f, i * 8, 8, 1)));
+            ops
+        };
+        let programs = vec![program("/a"), program("/b")];
+        // Keeping all of thread 0 and none of thread 1 is a valid cut but
+        // no prefix of the alternating schedule; keeping nothing is the
+        // window's first state.
+        for (survivors, verified) in [(programs[0].clone(), false), (Vec::new(), true)] {
+            let targets: Vec<Box<dyn CheckedTarget>> = (0..2)
+                .map(|_| {
+                    let mut fs = VeriFs::v2();
+                    fs.mount().unwrap();
+                    Box::new(CutRecovery {
+                        inner: CheckpointTarget::new(fs),
+                        survivors: survivors.clone(),
+                    }) as Box<dyn CheckedTarget>
+                })
+                .collect();
+            let cfg = ThreadedMcfsConfig {
+                crash_exploration: true,
+                ..ThreadedMcfsConfig::default()
+            };
+            let mut sys = ThreadedMcfs::new(targets, programs.clone(), cfg).unwrap();
+            for k in 0..34 {
+                for tid in 0..2 {
+                    let op = programs[tid as usize][k].clone();
+                    assert_eq!(sys.apply(&SchedStep { tid, op }), ApplyOutcome::Ok);
+                }
+            }
+            match sys.apply(&SchedStep::crash()) {
+                ApplyOutcome::Prune(msg) if verified => {
+                    assert!(msg.starts_with("crash recovery verified"), "{msg}")
+                }
+                ApplyOutcome::Prune(msg) => assert!(
+                    msg.contains("the 1225-cut lattice exceeds MAX_CRASH_CUTS (1024)"),
+                    "{msg}"
+                ),
+                other => panic!("a capped lattice must not reject a recovery: {other:?}"),
+            }
+            let crash = sys.crash_stats().unwrap();
+            assert_eq!(crash.crashes, 1);
+            assert_eq!(crash.recoveries, u64::from(verified));
+            assert_eq!(crash.capped_cuts, u64::from(!verified));
         }
     }
 

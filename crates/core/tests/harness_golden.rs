@@ -150,10 +150,10 @@ fn mcfs_ext2_crash_exploration() {
     pin(
         "ext crash dfs",
         &summary,
-        r#"ExploreStats { ops_executed: 586, ops_replayed: 0, states_new: 58, states_matched: 521, pruned: 474, checkpoints: 20, restores: 566, max_depth_seen: 3, resize_events: 0, peak_memory_bytes: 1572864, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 504062800, visited_peak_bytes: 2784, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 40, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: Some(CrashStats { crashes: 20, recoveries: 20, divergent_recoveries: 0 }) }
+        r#"ExploreStats { ops_executed: 586, ops_replayed: 0, states_new: 58, states_matched: 521, pruned: 474, checkpoints: 20, restores: 566, max_depth_seen: 3, resize_events: 0, peak_memory_bytes: 1572864, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 504062800, visited_peak_bytes: 2784, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 40, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: Some(CrashStats { crashes: 20, recoveries: 20, divergent_recoveries: 0, capped_cuts: 0 }) }
 visited 58 1da46affedf33c77874ae8fad572227b
 clock 504903200
-Some(CrashStats { crashes: 20, recoveries: 20, divergent_recoveries: 0 })"#,
+Some(CrashStats { crashes: 20, recoveries: 20, divergent_recoveries: 0, capped_cuts: 0 })"#,
     );
 }
 
@@ -469,19 +469,19 @@ fn threaded_verifs_disjoint() {
         &summary,
         r#"por=false persistent=false: 144 transitions, 1 finals a6bfa0f5e2f72755899b641c80576b1c
   ExploreStats { ops_executed: 144, ops_replayed: 0, states_new: 64, states_matched: 81, pruned: 0, checkpoints: 64, restores: 81, max_depth_seen: 9, resize_events: 0, peak_memory_bytes: 232776, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 3072, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 128, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 3, lin_candidates: 27, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 3, lin_candidates: 27, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 192000 lanes [192000, 192000, 192000]
 por=true persistent=false: 63 transitions, 1 finals a6bfa0f5e2f72755899b641c80576b1c
   ExploreStats { ops_executed: 63, ops_replayed: 0, states_new: 64, states_matched: 0, pruned: 81, checkpoints: 64, restores: 15, max_depth_seen: 9, resize_events: 0, peak_memory_bytes: 232776, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 3072, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 128, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 1, lin_candidates: 9, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 1, lin_candidates: 9, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 192000 lanes [12000, 48000, 192000]
 por=false persistent=true: 9 transitions, 1 finals a6bfa0f5e2f72755899b641c80576b1c
   ExploreStats { ops_executed: 9, ops_replayed: 0, states_new: 10, states_matched: 0, pruned: 9, checkpoints: 10, restores: 0, max_depth_seen: 9, resize_events: 0, peak_memory_bytes: 232776, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 480, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 20, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 1, lin_candidates: 9, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 1, lin_candidates: 9, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 12000 lanes [12000, 12000, 12000]
 por=true persistent=true: 9 transitions, 1 finals a6bfa0f5e2f72755899b641c80576b1c
   ExploreStats { ops_executed: 9, ops_replayed: 0, states_new: 10, states_matched: 0, pruned: 9, checkpoints: 10, restores: 0, max_depth_seen: 9, resize_events: 0, peak_memory_bytes: 232776, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 480, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 20, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 1, lin_candidates: 9, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 1, lin_candidates: 9, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 12000 lanes [12000, 12000, 12000]
 "#,
     );
@@ -495,19 +495,19 @@ fn threaded_verifs_racing() {
         &summary,
         r#"por=false persistent=false: 32 transitions, 11 finals fe6935be31d33b05305e058798391acd
   ExploreStats { ops_executed: 32, ops_replayed: 0, states_new: 32, states_matched: 1, pruned: 0, checkpoints: 32, restores: 11, max_depth_seen: 4, resize_events: 0, peak_memory_bytes: 114744, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 1536, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 64, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 11, lin_candidates: 88, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 11, lin_candidates: 88, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 56000 lanes [56000, 36000, 36000]
 por=true persistent=false: 32 transitions, 11 finals fe6935be31d33b05305e058798391acd
   ExploreStats { ops_executed: 32, ops_replayed: 0, states_new: 32, states_matched: 1, pruned: 0, checkpoints: 32, restores: 11, max_depth_seen: 4, resize_events: 0, peak_memory_bytes: 114744, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 1536, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 64, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 11, lin_candidates: 88, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 11, lin_candidates: 88, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 56000 lanes [56000, 36000, 36000]
 por=false persistent=true: 32 transitions, 11 finals fe6935be31d33b05305e058798391acd
   ExploreStats { ops_executed: 32, ops_replayed: 0, states_new: 32, states_matched: 1, pruned: 0, checkpoints: 32, restores: 11, max_depth_seen: 4, resize_events: 0, peak_memory_bytes: 114744, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 1536, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 64, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 11, lin_candidates: 88, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 11, lin_candidates: 88, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 56000 lanes [56000, 36000, 36000]
 por=true persistent=true: 32 transitions, 11 finals fe6935be31d33b05305e058798391acd
   ExploreStats { ops_executed: 32, ops_replayed: 0, states_new: 32, states_matched: 1, pruned: 0, checkpoints: 32, restores: 11, max_depth_seen: 4, resize_events: 0, peak_memory_bytes: 114744, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 1536, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 64, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 11, lin_candidates: 88, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 11, lin_candidates: 88, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 56000 lanes [56000, 36000, 36000]
 "#,
     );
@@ -521,19 +521,19 @@ fn threaded_ext2_disjoint() {
         &summary,
         r#"por=false persistent=false: 54 transitions, 1 finals 79252ca0302bd1dabda107abf83adc6b
   ExploreStats { ops_executed: 54, ops_replayed: 0, states_new: 27, states_matched: 28, pruned: 0, checkpoints: 27, restores: 28, max_depth_seen: 6, resize_events: 0, peak_memory_bytes: 1835008, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 1296, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 27, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 3, lin_candidates: 18, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 3, lin_candidates: 18, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 36000 lanes [36000, 36000, 36000]
 por=true persistent=false: 26 transitions, 1 finals 79252ca0302bd1dabda107abf83adc6b
   ExploreStats { ops_executed: 26, ops_replayed: 0, states_new: 27, states_matched: 0, pruned: 28, checkpoints: 27, restores: 8, max_depth_seen: 6, resize_events: 0, peak_memory_bytes: 1835008, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 1296, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 27, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 1, lin_candidates: 6, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 1, lin_candidates: 6, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 36000 lanes [4000, 12000, 36000]
 por=false persistent=true: 6 transitions, 1 finals 79252ca0302bd1dabda107abf83adc6b
   ExploreStats { ops_executed: 6, ops_replayed: 0, states_new: 7, states_matched: 0, pruned: 6, checkpoints: 7, restores: 0, max_depth_seen: 6, resize_events: 0, peak_memory_bytes: 1835008, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 336, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 7, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 1, lin_candidates: 6, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 1, lin_candidates: 6, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 4000 lanes [4000, 4000, 4000]
 por=true persistent=true: 6 transitions, 1 finals 79252ca0302bd1dabda107abf83adc6b
   ExploreStats { ops_executed: 6, ops_replayed: 0, states_new: 7, states_matched: 0, pruned: 6, checkpoints: 7, restores: 0, max_depth_seen: 6, resize_events: 0, peak_memory_bytes: 1835008, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 0, visited_peak_bytes: 336, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 7, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
-  InterleaveStats { terminals: 1, lin_candidates: 6, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+  InterleaveStats { terminals: 1, lin_candidates: 6, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
   clock 4000 lanes [4000, 4000, 4000]
 "#,
     );
@@ -564,7 +564,7 @@ fn threaded_linearizability_violation() {
         r#"ExploreStats { ops_executed: 7, ops_replayed: 0, states_new: 7, states_matched: 0, pruned: 0, checkpoints: 7, restores: 0, max_depth_seen: 6, resize_events: 0, peak_memory_bytes: 80525, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 10000, visited_peak_bytes: 336, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 7, pinned: 7, total_bytes: 80525, shared_bytes: 299, resident_bytes: 80226, evictions: 0, inserts: 7, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
 visited 7 9a79ee4ba24e60a748282de16559d946
 clock 10000
-InterleaveStats { terminals: 1, lin_candidates: 25, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
+InterleaveStats { terminals: 1, lin_candidates: 25, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0, capped_cuts: 0 }
 clock 10000 lanes [10000, 4000]
 after 7 ops: linearizability violation: no sequential execution of the threads' ops (respecting program order and real-time order) matches every thread's observed results
 trace ["t0:create_file(/f0, 0644)", "t0:write_file(/f0, off=0, len=40, seed=1)", "t0:truncate(/f0, 1)", "t0:write_file(/f0, off=30, len=4, seed=2)", "t0:read_file(/f0, off=0, len=40)", "t1:create_file(/b, 0644)", "t1:stat(/b)"]
@@ -598,10 +598,10 @@ fn threaded_crash_cuts() {
     pin(
         "crash cuts",
         &summary,
-        r#"ExploreStats { ops_executed: 17, ops_replayed: 0, states_new: 9, states_matched: 0, pruned: 13, checkpoints: 9, restores: 8, max_depth_seen: 4, resize_events: 0, peak_memory_bytes: 115304, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 60000, visited_peak_bytes: 432, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 18, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: Some(CrashStats { crashes: 9, recoveries: 9, divergent_recoveries: 0 }) }
+        r#"ExploreStats { ops_executed: 17, ops_replayed: 0, states_new: 9, states_matched: 0, pruned: 13, checkpoints: 9, restores: 8, max_depth_seen: 4, resize_events: 0, peak_memory_bytes: 115304, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 60000, visited_peak_bytes: 432, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 0, pinned: 0, total_bytes: 0, shared_bytes: 0, resident_bytes: 0, evictions: 0, inserts: 18, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: Some(CrashStats { crashes: 9, recoveries: 9, divergent_recoveries: 0, capped_cuts: 0 }) }
 visited 9 a9b2959fcddc67dc4d887da9bf2305f2
 clock 60000
-InterleaveStats { terminals: 1, lin_candidates: 4, crashes: 9, crash_recoveries: 9, divergent_recoveries: 0 }
+InterleaveStats { terminals: 1, lin_candidates: 4, crashes: 9, crash_recoveries: 9, divergent_recoveries: 0, capped_cuts: 0 }
 clock 60000 lanes [8000, 24000]"#,
     );
 }

@@ -290,20 +290,67 @@ pub mod bitmap {
         bits[i as usize / 8] &= !(1 << (i % 8));
     }
 
-    /// Finds the first zero bit in `[from, to)`.
-    pub fn find_zero(bits: &[u8], from: u32, to: u32) -> Option<u32> {
-        (from..to).find(|&i| !get(bits, i))
+    /// The bytes holding bits `[from, to)`, each with the mask of its bits
+    /// inside the range (partial only at an unaligned `from` or `to`).
+    fn spans(from: u32, to: u32) -> impl Iterator<Item = (usize, u8)> {
+        let (from, to) = (u64::from(from), u64::from(to));
+        let bytes = if from < to {
+            from / 8..to.div_ceil(8)
+        } else {
+            0..0
+        };
+        bytes.map(move |byte| {
+            let lo = from.saturating_sub(byte * 8);
+            let hi = (to - byte * 8).min(8);
+            (byte as usize, (0xFFu8 << lo) & (0xFFu8 >> (8 - hi)))
+        })
     }
 
-    /// Counts set bits in `[from, to)`.
+    /// Finds the first zero bit in `[from, to)`, a byte at a time: full
+    /// bytes are skipped whole.
+    pub fn find_zero(bits: &[u8], from: u32, to: u32) -> Option<u32> {
+        spans(from, to).find_map(|(byte, mask)| {
+            let free = !bits[byte] & mask;
+            (free != 0).then(|| byte as u32 * 8 + free.trailing_zeros())
+        })
+    }
+
+    /// Counts set bits in `[from, to)`, a byte at a time.
     pub fn count_ones(bits: &[u8], from: u32, to: u32) -> u32 {
-        (from..to).filter(|&i| get(bits, i)).count() as u32
+        spans(from, to)
+            .map(|(byte, mask)| (bits[byte] & mask).count_ones())
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The byte-wise bitmap scans agree with their bit-at-a-time
+        /// definitions over random bitmaps (full bytes included) and
+        /// unaligned, empty and inverted ranges.
+        #[test]
+        fn bitmap_scans_match_bitwise_definitions(
+            bytes in prop::collection::vec((any::<u8>(), any::<bool>()), 0..24),
+            a in 0u32..200,
+            b in 0u32..200,
+        ) {
+            let bits: Vec<u8> = bytes.iter().map(|&(v, full)| if full { 0xFF } else { v }).collect();
+            let len = bits.len() as u32 * 8;
+            let (from, to) = (a.min(len), b.min(len));
+            prop_assert_eq!(
+                bitmap::count_ones(&bits, from, to),
+                (from..to).filter(|&i| bitmap::get(&bits, i)).count() as u32
+            );
+            prop_assert_eq!(
+                bitmap::find_zero(&bits, from, to),
+                (from..to).find(|&i| !bitmap::get(&bits, i))
+            );
+        }
+    }
 
     fn sample_sb() -> SuperBlock {
         SuperBlock {

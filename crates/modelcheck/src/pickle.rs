@@ -58,7 +58,8 @@ pub const MAGIC: [u8; 8] = *b"MCFSPKL\x01";
 /// reject versions they do not know. Version 2 extended the stats section
 /// with the out-of-core counters (`visited_peak_bytes`, the optional
 /// [`SpillStats`] block, and the checkpoint-store demotion fields).
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 3 added [`CrashStats::capped_cuts`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a pickle stream failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -341,6 +342,7 @@ fn encode_stats(out: &mut Vec<u8>, s: &ExploreStats) {
             put_u64(out, c.crashes);
             put_u64(out, c.recoveries);
             put_u64(out, c.divergent_recoveries);
+            put_u64(out, c.capped_cuts);
         }
     }
 }
@@ -405,6 +407,7 @@ fn decode_stats(r: &mut ByteReader<'_>) -> Result<ExploreStats, PickleError> {
             crashes: r.u64()?,
             recoveries: r.u64()?,
             divergent_recoveries: r.u64()?,
+            capped_cuts: r.u64()?,
         }),
         t => return Err(PickleError::Corrupt(format!("bad crash-stats tag {t}"))),
     };
@@ -727,6 +730,7 @@ mod tests {
                     crashes: 2,
                     recoveries: 2,
                     divergent_recoveries: 0,
+                    capped_cuts: 1,
                 }),
                 ..ExploreStats::default()
             },
