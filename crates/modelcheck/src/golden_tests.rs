@@ -406,7 +406,7 @@ fn one_worker_frontier_swarm() {
     let (r, visited, pickle) = frontier_swarm(1);
     assert_eq!(r.distinct_states, Some(12));
     assert_eq!(visited, VISITED_DIGEST);
-    assert_eq!(pickle, 0x67e416ca2abf92282ef13ee361d2364a);
+    assert_eq!(pickle, 0xe17b90ed7d2e9d5ee4abcdb92ae0cc3b);
     let w = &r.workers[0];
     assert_eq!(w.stop, StopReason::Exhausted);
     assert_eq!(
@@ -574,7 +574,7 @@ fn one_worker_persistent_walk_fleet() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(r.distinct_states, Some(4));
-    assert_eq!(fnv128(&bytes), 0xbda10caa1db577a3e9f825231eaa36a8);
+    assert_eq!(fnv128(&bytes), 0x8bca377118a2eae2f7a9c72afad0a54d);
     let w = &r.workers[0];
     assert_eq!(w.stop, StopReason::OpBudget);
     assert_eq!(
