@@ -1277,10 +1277,13 @@ mod tests {
                 ..ThreadedMcfsConfig::default()
             };
             let mut sys = ThreadedMcfs::new(targets, programs.clone(), cfg).unwrap();
-            for k in 0..34 {
-                for tid in 0..2 {
-                    let op = programs[tid as usize][k].clone();
-                    assert_eq!(sys.apply(&SchedStep { tid, op }), ApplyOutcome::Ok);
+            for (a, b) in programs[0].iter().zip(&programs[1]) {
+                for (tid, op) in [(0, a), (1, b)] {
+                    let step = SchedStep {
+                        tid,
+                        op: op.clone(),
+                    };
+                    assert_eq!(sys.apply(&step), ApplyOutcome::Ok);
                 }
             }
             match sys.apply(&SchedStep::crash()) {
