@@ -40,6 +40,7 @@
 //! the relation is validated empirically by the `analyze` crate rather
 //! than trusted (`MC001`).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use vfs::path;
@@ -539,8 +540,9 @@ struct Key {
 /// string ids, plus the ancestor/descendant relation below every
 /// `Subtree` anchor, precomputed once the table is complete.
 #[derive(Debug, Default)]
-struct Places {
-    ids: HashMap<String, u32>,
+struct Places<'s> {
+    /// Borrowed from the signatures, except entries' joined paths.
+    ids: HashMap<Cow<'s, str>, u32>,
     /// The path id of each `Subtree` row.
     subtrees: Vec<u32>,
     /// Row-major `subtrees.len() × ids.len()`: whether id `q` is the row's
@@ -548,17 +550,17 @@ struct Places {
     below: Vec<bool>,
 }
 
-impl Places {
-    fn id(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.ids.get(s) {
+impl<'s> Places<'s> {
+    fn id(&mut self, s: Cow<'s, str>) -> u32 {
+        if let Some(&id) = self.ids.get(s.as_ref()) {
             return id;
         }
         let id = self.ids.len() as u32;
-        self.ids.insert(s.to_string(), id);
+        self.ids.insert(s, id);
         id
     }
 
-    fn key(&mut self, place: &Place) -> Key {
+    fn key(&mut self, place: &'s Place) -> Key {
         let mut key = Key {
             kind: Kind::Global,
             path: 0,
@@ -568,36 +570,36 @@ impl Places {
             hi: 0,
             mask: u64::MAX,
         };
-        let (kind, path) = match place {
-            Place::Node(p) => (Kind::Node, p),
+        let (kind, path): (Kind, Cow<str>) = match place {
+            Place::Node(p) => (Kind::Node, p.into()),
             Place::Entry(d, n) => {
-                key.aux = self.id(d);
-                (Kind::Entry, &path::join(d, n))
+                key.aux = self.id(d.into());
+                (Kind::Entry, path::join(d, n).into())
             }
-            Place::Entries(d) => (Kind::Entries, d),
+            Place::Entries(d) => (Kind::Entries, d.into()),
             Place::Meta(c, p) => {
                 key.class = *c;
-                (Kind::Meta, p)
+                (Kind::Meta, p.into())
             }
             Place::Size(c, p) => {
                 key.class = *c;
-                (Kind::Size, p)
+                (Kind::Size, p.into())
             }
             Place::Range(c, p, lo, hi) => {
                 (key.class, key.lo, key.hi) = (*c, *lo, *hi);
-                (Kind::Range, p)
+                (Kind::Range, p.into())
             }
             Place::Links(c, p) => {
                 key.class = *c;
-                (Kind::Links, p)
+                (Kind::Links, p.into())
             }
             Place::Xattr(c, p, n) => {
                 key.class = *c;
-                key.aux = self.id(n);
-                (Kind::Xattr, p)
+                key.aux = self.id(n.into());
+                (Kind::Xattr, p.into())
             }
-            Place::Subtree(p) => (Kind::Subtree, p),
-            Place::Cache(p) => (Kind::Cache, p),
+            Place::Subtree(p) => (Kind::Subtree, p.into()),
+            Place::Cache(p) => (Kind::Cache, p.into()),
             Place::Global => return key,
         };
         key.kind = kind;
@@ -629,7 +631,7 @@ impl Places {
 
     /// Compiles one signature; call [`finish`](Places::finish) once every
     /// signature of the analysis is compiled.
-    fn compile<'s>(&mut self, sig: &'s EffectSig) -> Compiled<'s> {
+    fn compile(&mut self, sig: &'s EffectSig) -> Compiled<'s> {
         let reads: Vec<Key> = sig.reads.iter().map(|p| self.key(p)).collect();
         let writes: Vec<CompiledWrite> = sig
             .writes
@@ -646,14 +648,14 @@ impl Places {
             write_mask: writes.iter().fold(0, |m, w| m | w.key.mask),
             reads,
             writes,
-            global: sig.writes_global(),
+            shape: Shape::of(sig),
         }
     }
 
     fn finish(&mut self) {
         let mut names = vec![""; self.ids.len()];
         for (name, &id) in &self.ids {
-            names[id as usize] = name;
+            names[id as usize] = name.as_ref();
         }
         let mut below = Vec::with_capacity(self.subtrees.len() * names.len());
         for &s in &self.subtrees {
@@ -679,12 +681,31 @@ struct CompiledWrite<'s> {
     place: &'s Place,
 }
 
+/// What the relations' shortcuts need to know of one signature, before
+/// any place is compared.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// Writes the global wildcard (crash-like).
+    global: bool,
+    /// Writes anything at all.
+    writes: bool,
+}
+
+impl Shape {
+    fn of(sig: &EffectSig) -> Self {
+        Shape {
+            global: sig.writes_global(),
+            writes: !sig.writes.is_empty(),
+        }
+    }
+}
+
 /// An [`EffectSig`] compiled against a [`Places`] table.
 #[derive(Debug)]
 struct Compiled<'s> {
     reads: Vec<Key>,
     writes: Vec<CompiledWrite<'s>>,
-    global: bool,
+    shape: Shape,
     /// Unions of the read and write keys' masks.
     read_mask: u64,
     write_mask: u64,
@@ -814,31 +835,26 @@ impl Independence {
     }
 }
 
-/// Compiles the signatures of `a` and `b` against one fresh table and
-/// runs `relation` over them.
-fn analyze<T>(
-    a: &FsOp,
-    b: &FsOp,
-    prof: &EffectProfile,
-    relation: impl for<'s> FnOnce(&Compiled<'s>, &Compiled<'s>, &Places) -> T,
-) -> T {
-    let (sa, sb) = (signature(a, prof), signature(b, prof));
+/// [`first_conflict`] of two signatures compiled against a fresh table.
+fn scan_pair<'s>(sa: &'s EffectSig, sb: &'s EffectSig, outcome_blind: bool) -> Option<Witness<'s>> {
     let mut places = Places::default();
-    let (ca, cb) = (places.compile(&sa), places.compile(&sb));
+    let (ca, cb) = (places.compile(sa), places.compile(sb));
     places.finish();
-    relation(&ca, &cb, &places)
+    first_conflict(&ca, &cb, &places, outcome_blind)
 }
 
 /// Pairwise analysis with a dependence witness; see [`independent`].
 pub fn explain(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> Independence {
-    analyze(a, b, prof, |ca, cb, places| {
-        sequential(ca, cb, a == b, places).into()
+    let (sa, sb) = (signature(a, prof), signature(b, prof));
+    sequential(Shape::of(&sa), Shape::of(&sb), a == b, |blind| {
+        scan_pair(&sa, &sb, blind)
     })
+    .into()
 }
 
 /// Crash first: a global write never commutes, not even with itself.
-fn global<'s>(ca: &Compiled<'s>, cb: &Compiled<'s>) -> Option<Witness<'s>> {
-    (ca.global || cb.global).then_some(Witness {
+fn global<'s>(a: Shape, b: Shape) -> Option<Witness<'s>> {
+    (a.global || b.global).then_some(Witness {
         kind: ConflictKind::Global,
         place: &GLOBAL,
         aliased: false,
@@ -846,14 +862,15 @@ fn global<'s>(ca: &Compiled<'s>, cb: &Compiled<'s>) -> Option<Witness<'s>> {
 }
 
 /// The sequential relation behind [`explain`]; `same_op` says the two
-/// signatures belong to equal ops.
+/// signatures belong to equal ops, and `scan` runs [`first_conflict`] on
+/// them (only when no shortcut decides the pair).
 fn sequential<'s>(
-    ca: &Compiled<'s>,
-    cb: &Compiled<'s>,
+    a: Shape,
+    b: Shape,
     same_op: bool,
-    places: &Places,
+    scan: impl FnOnce(bool) -> Option<Witness<'s>>,
 ) -> Option<Witness<'s>> {
-    if let Some(w) = global(ca, cb) {
+    if let Some(w) = global(a, b) {
         return Some(w);
     }
     // Identical ops commute trivially (o;o is the same sequence either
@@ -861,10 +878,10 @@ fn sequential<'s>(
     // anything: an empty write set cannot change the state the other op
     // sees, and its own outcome is re-verified by the harness along every
     // interleaving actually executed.
-    if same_op || ca.writes.is_empty() || cb.writes.is_empty() {
+    if same_op || !a.writes || !b.writes {
         return None;
     }
-    first_conflict(ca, cb, places, true)
+    scan(true)
 }
 
 /// Signature-level concurrency independence.
@@ -885,8 +902,12 @@ fn sequential<'s>(
 ///   thread gets `Ok` and which gets `EEXIST` depends on the order.
 ///
 /// Only commutative merge-merge updates to the same place still commute.
-fn concurrent<'s>(ca: &Compiled<'s>, cb: &Compiled<'s>, places: &Places) -> Option<Witness<'s>> {
-    global(ca, cb).or_else(|| first_conflict(ca, cb, places, false))
+fn concurrent<'s>(
+    a: Shape,
+    b: Shape,
+    scan: impl FnOnce(bool) -> Option<Witness<'s>>,
+) -> Option<Witness<'s>> {
+    global(a, b).or_else(|| scan(false))
 }
 
 /// Shared overlap scan behind [`sequential`] / [`concurrent`] —
@@ -960,9 +981,11 @@ fn first_conflict<'s>(
 /// `b` cannot conflict, in which case executing them in either order from
 /// any state reaches the same abstract state.
 pub fn independent(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> bool {
-    analyze(a, b, prof, |ca, cb, places| {
-        sequential(ca, cb, a == b, places).is_none()
+    let (sa, sb) = (signature(a, prof), signature(b, prof));
+    sequential(Shape::of(&sa), Shape::of(&sb), a == b, |blind| {
+        scan_pair(&sa, &sb, blind)
     })
+    .is_none()
 }
 
 /// Pairwise *concurrency* independence with a dependence witness.
@@ -974,16 +997,20 @@ pub fn independent(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> bool {
 /// no identical-op shortcut: two threads issuing the same op often race
 /// for its result.
 pub fn explain_concurrent(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> Independence {
-    analyze(a, b, prof, |ca, cb, places| {
-        concurrent(ca, cb, places).into()
+    let (sa, sb) = (signature(a, prof), signature(b, prof));
+    concurrent(Shape::of(&sa), Shape::of(&sb), |blind| {
+        scan_pair(&sa, &sb, blind)
     })
+    .into()
 }
 
 /// Concurrency independence predicate; see [`explain_concurrent`].
 pub fn independent_concurrent(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> bool {
-    analyze(a, b, prof, |ca, cb, places| {
-        concurrent(ca, cb, places).is_none()
+    let (sa, sb) = (signature(a, prof), signature(b, prof));
+    concurrent(Shape::of(&sa), Shape::of(&sb), |blind| {
+        scan_pair(&sa, &sb, blind)
     })
+    .is_none()
 }
 
 /// The original hand-written path-prefix heuristic (formerly the harness's
@@ -1043,10 +1070,11 @@ impl EffectIndex {
         for i in 0..n {
             for j in i..n {
                 let (ci, cj) = (&compiled[i], &compiled[j]);
-                let c = concurrent(ci, cj, &places).is_none();
+                let scan = |blind| first_conflict(ci, cj, &places, blind);
+                let c = concurrent(ci.shape, cj.shape, scan).is_none();
                 // Concurrent independence implies sequential independence:
                 // only a concurrent dependence needs the sequential scan.
-                let s = c || sequential(ci, cj, ops[i] == ops[j], &places).is_none();
+                let s = c || sequential(ci.shape, cj.shape, ops[i] == ops[j], scan).is_none();
                 for (a, b) in [(i, j), (j, i)] {
                     matrix[a * n + b] = s;
                     conc[a * n + b] = c;
