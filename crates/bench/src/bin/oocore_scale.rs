@@ -11,9 +11,10 @@
 //! machinery, not the other way round.
 //!
 //! Section 2 squeezes an ext2/ext4 run's checkpoint pool under a byte
-//! budget with the spill tier attached: eviction pressure must demote
-//! device snapshots to disk (COW-chunk deduplicated) and promote them back
-//! on restore instead of failing with `ESTALE`.
+//! budget, with the walk's out-of-core budget attaching the run's spill
+//! file to it: eviction pressure must demote device snapshots to disk
+//! (COW-chunk deduplicated) and promote them back on restore instead of
+//! failing with `ESTALE`.
 //!
 //! Results go to `BENCH_oocore.json`.
 //!
@@ -123,7 +124,6 @@ fn main() {
         McfsConfig {
             pool: PoolConfig::small(),
             checkpoint_budget_bytes: Some(ckpt_budget),
-            mem_budget: Some(MemBudget::new(64 << 10)),
             ..McfsConfig::default()
         },
     )
@@ -133,6 +133,7 @@ fn main() {
         max_ops: walk_ops,
         seed: 42,
         restart_spread: 0.5,
+        mem_budget: Some(MemBudget::new(64 << 10)),
         ..ExploreConfig::default()
     })
     .with_clock(pairing.clock.clone());

@@ -6,7 +6,7 @@
 //! stored snapshot is charged against an optional byte budget, and when the
 //! budget is exceeded the least-recently-used *unpinned* snapshot is
 //! evicted. Explorers pin the checkpoints they are guaranteed to re-enter
-//! (DFS pins its backtrack spine, BFS its frontier); everything else is a
+//! (DFS pins its backtrack spine, the walk its root); everything else is a
 //! cache that may be dropped and reported — restoring an evicted key fails
 //! with `ESTALE`, which the harness surfaces as a budget-driven stop rather
 //! than a fatal error.
@@ -225,9 +225,10 @@ impl<S: SnapshotBytes> CheckpointPool<S> {
     }
 
     /// Attaches a disk spill tier: from now on, budget pressure demotes
-    /// demotable snapshots to `store` instead of evicting them. Typically
-    /// the same store the visited set spills to, so one file carries all
-    /// out-of-core traffic and one counter set describes it.
+    /// demotable snapshots to `store` instead of evicting them. The store
+    /// is the run's one spill file, which the explorer opens and the
+    /// visited set spills to too, so one file carries all out-of-core
+    /// traffic and one counter set describes it.
     pub fn enable_spill(&mut self, store: Arc<SpillStore>) {
         self.spill = Some(SpillTier {
             store,

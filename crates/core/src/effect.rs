@@ -828,13 +828,6 @@ pub enum Independence {
     Dependent(Conflict),
 }
 
-impl Independence {
-    /// True iff independent.
-    pub fn is_independent(&self) -> bool {
-        matches!(self, Independence::Independent)
-    }
-}
-
 /// [`first_conflict`] of two signatures compiled against a fresh table.
 fn scan_pair<'s>(sa: &'s EffectSig, sb: &'s EffectSig, outcome_blind: bool) -> Option<Witness<'s>> {
     let mut places = Places::default();

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use blockdev::Clock;
 use modelcheck::{
-    ApplyOutcome, CheckpointStoreStats, CrashStats, MemBudget, ModelSystem, SpillStore, StateId,
+    ApplyOutcome, CheckpointStoreStats, CrashStats, ModelSystem, SpillStore, StateId,
 };
 use vfs::{Errno, FileMode, OpenFlags, VfsResult};
 
@@ -53,18 +53,11 @@ pub struct McfsConfig {
     /// Per-target checkpoint-store budget in logical bytes. When set, each
     /// target evicts least-recently-used unpinned snapshots past the bound;
     /// restoring an evicted checkpoint fails with `ESTALE` and is reported
-    /// to explorers as a budget-driven stop, not a fatal error. `None`
-    /// (the default) never evicts.
+    /// to explorers as a budget-driven stop, not a fatal error. Under an
+    /// explorer's out-of-core budget (`ExploreConfig::mem_budget`) pressure
+    /// demotes device snapshots to the run's spill file instead
+    /// (COW-chunk deduplicated). `None` (the default) never evicts.
     pub checkpoint_budget_bytes: Option<usize>,
-    /// Out-of-core memory budget. When set, the harness opens a spill store
-    /// and attaches it to every target's checkpoint pool: budget pressure
-    /// then demotes device snapshots to disk (COW-chunk deduplicated)
-    /// instead of evicting them, and the page traffic's virtual-time cost is
-    /// charged to the run's clock. Explorers read the same budget from
-    /// `ExploreConfig::mem_budget` for the visited set and frontier; pass
-    /// the one budget to both configs. `None` (the default) keeps the pool
-    /// RAM-only.
-    pub mem_budget: Option<MemBudget>,
     /// Add a nondeterministic `crash` pseudo-operation to the op pool. A
     /// crash drops every target's in-memory state, power-cuts its device
     /// (unflushed writes vanish), and remounts through the target's recovery
@@ -99,7 +92,6 @@ impl Default for McfsConfig {
             equalize_free_space: true,
             incremental_fingerprint: true,
             checkpoint_budget_bytes: None,
-            mem_budget: None,
             crash_exploration: false,
             fsck_exploration: false,
             minimize_violations: false,
@@ -148,9 +140,10 @@ pub struct Mcfs {
     factory: Option<Arc<HarnessFactory>>,
     /// Precomputed signature-derived independence over the filtered pool.
     effects: EffectIndex,
-    /// The spill store the targets' checkpoint pools demote to (when
-    /// [`McfsConfig::mem_budget`] is set); drained into the virtual clock
-    /// after each operation so checkpoint page traffic costs virtual time.
+    /// The run's spill store, which the targets' checkpoint pools demote
+    /// to ([`ModelSystem::attach_spill`]); drained into the virtual clock
+    /// after each checkpoint and restore so their page traffic costs
+    /// virtual time.
     ckpt_spill: Option<Arc<SpillStore>>,
 }
 
@@ -196,15 +189,8 @@ impl Mcfs {
         if targets.len() < 2 {
             return Err(Errno::EINVAL);
         }
-        let ckpt_spill = match &cfg.mem_budget {
-            Some(budget) => Some(SpillStore::new(budget).map_err(|_| Errno::EIO)?),
-            None => None,
-        };
         for t in &mut targets {
             t.set_checkpoint_budget(cfg.checkpoint_budget_bytes);
-            if let Some(store) = &ckpt_spill {
-                t.set_checkpoint_spill(store.clone());
-            }
         }
         // Intersect capabilities and generate the bounded op set. The POR
         // alias classes come from the `Hardlink` ops that survive it.
@@ -252,7 +238,7 @@ impl Mcfs {
             minimize_violations: cfg.minimize_violations,
             factory: None,
             effects,
-            ckpt_spill,
+            ckpt_spill: None,
         };
         if cfg.equalize_free_space {
             harness.equalize()?;
@@ -604,6 +590,13 @@ impl ModelSystem for Mcfs {
 
     fn unpin(&mut self, id: StateId) {
         target::unpin_all(&mut self.core.targets, id.0);
+    }
+
+    fn attach_spill(&mut self, store: &Arc<SpillStore>) {
+        for t in &mut self.core.targets {
+            t.set_checkpoint_spill(store.clone());
+        }
+        self.ckpt_spill = Some(store.clone());
     }
 
     fn checkpoint_store_stats(&self) -> Option<CheckpointStoreStats> {

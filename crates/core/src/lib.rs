@@ -25,7 +25,7 @@
 //!   equalization (§3.4), majority voting and coverage tracking (§7);
 //! * [`backends`] — the one registry of backends: device geometry, typed
 //!   constructors and named checked targets;
-//! * any `modelcheck` explorer (DFS, BFS, random walk, swarm) runs it.
+//! * any `modelcheck` explorer (DFS, random walk, swarm) runs it.
 //!
 //! # Examples
 //!

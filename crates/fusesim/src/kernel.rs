@@ -235,11 +235,6 @@ impl<F: FileSystem> FuseMount<F> {
         &self.daemon
     }
 
-    /// Mutable access to the daemon process.
-    pub fn daemon_mut(&mut self) -> &mut FuseDaemon<F> {
-        &mut self.daemon
-    }
-
     /// Number of cache entries invalidated so far (for tests and reports).
     pub fn invalidation_count(&self) -> u64 {
         let c = self.caches.lock().expect("cache lock poisoned");
@@ -699,20 +694,31 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
     }
 
     fn rename(&mut self, src: &str, dst: &str) -> VfsResult<()> {
+        path::validate(src)?;
+        path::validate(dst)?;
+        // A destination strictly under the source is EINVAL before any
+        // lookup, the order every bare backend checks in: resolving the
+        // destination's parent first would answer ENOENT for a missing one.
+        if src != dst && path::is_same_or_descendant(src, dst) {
+            return Err(Errno::EINVAL);
+        }
         let (sparent, sname) = self.resolve_parent(src)?;
-        let (dparent, dname) = self.resolve_parent(dst)?;
+        // The daemon checks the source before the destination: a missing
+        // destination parent is its answer to give, not the kernel's.
+        let dst_at = self.resolve_parent(dst).ok();
         // A rename over an existing destination unlinks that inode: its
         // cached attributes must go too, or a later stat through another
         // link serves the pre-unlink nlink. Snapshot the target before the
         // daemon replaces it.
-        let replaced = match self.cached_dentry(dparent, dname) {
-            Some(existing) => existing,
-            None => self.resolve(dst).ok(),
-        };
+        let replaced = dst_at.and_then(|(dparent, dname)| {
+            self.cached_dentry(dparent, dname)
+                .unwrap_or_else(|| self.resolve(dst).ok())
+        });
         let src_owned = src.to_string();
         let dst_owned = dst.to_string();
         let res = self.send(FuseOpKind::Rename, |fs| fs.rename(&src_owned, &dst_owned));
-        if res.is_ok() {
+        // A rename the daemon accepted had a destination parent to resolve.
+        if let (Ok(()), Some((dparent, dname))) = (&res, dst_at) {
             // The kernel drops both dentries; the next lookup refetches.
             self.drop_dentry(sparent, sname);
             self.drop_dentry(dparent, dname);

@@ -1,11 +1,9 @@
-//! Explorers: bounded DFS (SPIN's default search), BFS, and random walk.
+//! Explorers: bounded DFS (SPIN's default search) and random walk.
 //!
-//! All three, and the swarm's frontier workers, drive the system through
-//! one transition kernel ([`Search`]); each search keeps only its frontier
-//! policy (a frame stack, a queue, random restarts) and how it positions
-//! the system at the next state to expand.
-
-use std::collections::VecDeque;
+//! Both, and the swarm's frontier workers, drive the system through one
+//! transition kernel ([`Search`]); each search keeps only its frontier
+//! policy (a frame stack, random restarts) and how it positions the system
+//! at the next state to expand.
 
 use blockdev::Clock;
 use rand::rngs::StdRng;
@@ -42,10 +40,12 @@ pub struct ExploreConfig {
     pub por_persistent: bool,
     /// Memory model budgets.
     pub mem: MemConfig,
-    /// Out-of-core budget: when set, the visited set spills cold entries to
-    /// disk instead of growing without bound, real page traffic is charged
-    /// to the virtual clock, and [`ExploreStats::spill`] reports the
-    /// counters. `None` keeps the fully in-RAM sets.
+    /// Out-of-core budget: when set, the run opens one spill file. The
+    /// visited set spills cold entries to it instead of growing without
+    /// bound, the system gets it for its checkpoint store
+    /// ([`ModelSystem::attach_spill`]), real page traffic is charged to the
+    /// virtual clock, and [`ExploreStats::spill`] reports the file's
+    /// counters. `None` keeps everything in RAM.
     pub mem_budget: Option<MemBudget>,
     /// Initial visited-table capacity (first modelled resize threshold).
     pub visited_capacity: usize,
@@ -253,8 +253,8 @@ pub(crate) enum Step {
     Expand(Visit),
 }
 
-/// The transition kernel every search shares — DFS, BFS, the random walk
-/// and the swarm's frontier workers. It owns the run's memory model and
+/// The transition kernel every search shares — DFS, the random walk and
+/// the swarm's frontier workers. It owns the run's memory model and
 /// virtual-clock bookkeeping and applies, classifies, fingerprints and
 /// counts each transition; the searches only pick which state to expand
 /// next and how to get the system there.
@@ -564,18 +564,25 @@ fn explore<S: ModelSystem, V: VisitedHandle + ?Sized>(
     }
 }
 
-/// Runs `run` over a fresh visited set: disk-spilling under
-/// [`ExploreConfig::mem_budget`], fully in RAM otherwise.
-pub(crate) fn with_fresh_visited<Op>(
+/// Runs `run` on `sys` over a fresh visited set: fully in RAM, or under
+/// [`ExploreConfig::mem_budget`] disk-spilling to the run's one spill
+/// store, which is attached to `sys` too ([`ModelSystem::attach_spill`]).
+pub(crate) fn with_fresh_visited<S: ModelSystem>(
     cfg: &ExploreConfig,
-    run: impl FnOnce(&mut dyn VisitedHandle) -> ExploreReport<Op>,
-) -> ExploreReport<Op> {
+    sys: &mut S,
+    run: impl FnOnce(&mut S, &mut dyn VisitedHandle) -> ExploreReport<S::Op>,
+) -> ExploreReport<S::Op> {
     match &cfg.mem_budget {
         Some(budget) => match ShardedVisited::with_spill(cfg.visited_capacity, budget) {
-            Ok(mut visited) => run(&mut visited),
+            Ok(mut visited) => {
+                if let Some(set) = visited.spill_set() {
+                    sys.attach_spill(set.store());
+                }
+                run(sys, &mut visited)
+            }
             Err(e) => spill_init_failure(&e),
         },
-        None => run(&mut VisitedSet::new(cfg.visited_capacity)),
+        None => run(sys, &mut VisitedSet::new(cfg.visited_capacity)),
     }
 }
 
@@ -652,50 +659,6 @@ fn dfs<S: ModelSystem, V: VisitedHandle + ?Sized>(
             op_from_parent: Some(op),
         });
     }
-}
-
-/// Breadth-first search over a FIFO queue of stored states, every one
-/// pinned until expanded, with a parent-pointer arena for traces.
-fn bfs<S: ModelSystem, V: VisitedHandle + ?Sized>(
-    k: &mut Search<'_, S>,
-    sys: &mut S,
-    visited: &mut V,
-    root: StateId,
-) -> Result<(), StopReason> {
-    let mut arena: Vec<(Option<usize>, Option<S::Op>)> = vec![(None, None)];
-    let mut queue = VecDeque::from([(root, 0usize, 0usize)]); // (state, depth, arena idx)
-    while let Some((state, depth, node)) = queue.pop_front() {
-        k.position(sys, state)?;
-        for op in sys.ops() {
-            k.budget()?;
-            k.position(sys, state)?;
-            let trace = || {
-                let path = std::iter::successors(Some(node), |&i| arena[i].0);
-                let mut trace: Vec<S::Op> = path.filter_map(|i| arena[i].1.clone()).collect();
-                trace.reverse();
-                trace
-            };
-            let step = k.step(sys, visited, &op, depth as u32 + 1, trace)?;
-            if step != Step::Expand(Visit::New) {
-                // BFS reaches every state at its minimal depth first, so
-                // `Shallower` only re-finds a state of a preloaded set: it
-                // counts as matched.
-                k.stats.states_matched += u64::from(step == Step::Expand(Visit::Shallower));
-                continue;
-            }
-            k.stats.max_depth_seen = k.stats.max_depth_seen.max(depth + 1);
-            if depth + 1 >= k.cfg.max_depth {
-                continue;
-            }
-            let child = k.store(sys)?;
-            sys.pin(child);
-            arena.push((Some(node), Some(op)));
-            queue.push_back((child, depth + 1, arena.len() - 1));
-        }
-        sys.unpin(state);
-        k.release(sys, state);
-    }
-    Ok(())
 }
 
 /// Random walk: random enabled ops from the live state, restarting at the
@@ -822,9 +785,12 @@ impl DfsExplorer {
     }
 
     /// Runs the exploration to completion or budget. With
-    /// [`ExploreConfig::mem_budget`] set, the visited set is disk-spilling.
+    /// [`ExploreConfig::mem_budget`] set, the visited set and the system's
+    /// checkpoint store spill to one file.
     pub fn run<S: ModelSystem>(&self, sys: &mut S) -> ExploreReport<S::Op> {
-        with_fresh_visited(&self.cfg, |visited| self.run_with_visited(sys, visited))
+        with_fresh_visited(&self.cfg, sys, |sys, visited| {
+            self.run_with_visited(sys, visited)
+        })
     }
 
     /// Runs with a caller-owned visited set — the paper's §7 resumability:
@@ -837,43 +803,6 @@ impl DfsExplorer {
         visited: &mut V,
     ) -> ExploreReport<S::Op> {
         explore(&self.cfg, self.clock.as_ref(), sys, visited, dfs)
-    }
-}
-
-/// Breadth-first explorer. Finds *shortest* violation traces, at the cost of
-/// storing a frontier of concrete states (memory hungry, like real BFS model
-/// checking).
-#[derive(Debug)]
-pub struct BfsExplorer {
-    cfg: ExploreConfig,
-    clock: Option<Clock>,
-}
-
-impl BfsExplorer {
-    /// Creates an explorer with the given bounds.
-    pub fn new(cfg: ExploreConfig) -> Self {
-        BfsExplorer { cfg, clock: None }
-    }
-
-    /// Attaches a virtual clock.
-    pub fn with_clock(mut self, clock: Clock) -> Self {
-        self.clock = Some(clock);
-        self
-    }
-
-    /// Runs the exploration.
-    pub fn run<S: ModelSystem>(&self, sys: &mut S) -> ExploreReport<S::Op> {
-        with_fresh_visited(&self.cfg, |visited| self.run_with_visited(sys, visited))
-    }
-
-    /// Runs with a caller-owned visited set (§7 resumability — see
-    /// [`DfsExplorer::run_with_visited`]).
-    pub fn run_with_visited<S: ModelSystem, V: VisitedHandle + ?Sized>(
-        &self,
-        sys: &mut S,
-        visited: &mut V,
-    ) -> ExploreReport<S::Op> {
-        explore(&self.cfg, self.clock.as_ref(), sys, visited, bfs)
     }
 }
 
@@ -910,7 +839,7 @@ impl RandomWalk {
         sys: &mut S,
         observe: impl FnMut(&ExploreStats),
     ) -> ExploreReport<S::Op> {
-        with_fresh_visited(&self.cfg, |visited| {
+        with_fresh_visited(&self.cfg, sys, |sys, visited| {
             self.run_resumable(sys, visited, observe)
         })
     }

@@ -286,82 +286,6 @@ fn walk_with_spread_restarts_and_backtracking() {
     assert_eq!(traces(&r), expected);
 }
 
-#[test]
-fn bfs_on_a_line() {
-    let r = BfsExplorer::new(cfg(14))
-        .with_clock(Clock::new())
-        .run(&mut counter());
-    assert_eq!(r.stop, StopReason::Exhausted);
-    assert_eq!(
-        r.stats,
-        ExploreStats {
-            ops_executed: 24,
-            states_new: 12,
-            states_matched: 11,
-            pruned: 1,
-            checkpoints: 12,
-            // BFS restores a state only when the system is elsewhere: here
-            // for every second op, and to leave the just-stored child for
-            // the next state in the queue (2 per state, the root only 1).
-            // Restoring on every pop and again before every op made 36.
-            restores: 23,
-            max_depth_seen: 11,
-            resize_events: 2,
-            peak_memory_bytes: 2097536,
-            hit_rate: 1.0,
-            virtual_ns: 480000,
-            visited_peak_bytes: 576,
-            ..ExploreStats::default()
-        }
-    );
-    assert_eq!(traces(&r), [(23, vec![1; 12])]);
-}
-
-#[test]
-fn bfs_collects_every_violation() {
-    let r = BfsExplorer::new(multibad_cfg(5))
-        .with_clock(Clock::new())
-        .run(&mut multibad());
-    assert_eq!(r.stop, StopReason::Exhausted);
-    assert_eq!(
-        r.stats,
-        ExploreStats {
-            ops_executed: 33,
-            states_new: 11,
-            states_matched: 12,
-            pruned: 4,
-            checkpoints: 11,
-            // The "already positioned" rule (see `bfs_on_a_line`); 44 with
-            // a restore on every pop and before every op.
-            restores: 32,
-            max_depth_seen: 4,
-            resize_events: 2,
-            // A resize charges the transient peak of both tables, as DFS
-            // and the walk do: it raises the peak (416 without it) and
-            // evicts more (64 bytes of swap, 545536 ns without it), which
-            // outweighs the saved accesses.
-            peak_memory_bytes: 784,
-            swap_traffic_bytes: 96,
-            hit_rate: 0.8125,
-            virtual_ns: 578304,
-            visited_peak_bytes: 528,
-            ..ExploreStats::default()
-        }
-    );
-    assert_eq!(
-        traces(&r),
-        [
-            (9, vec![2, 3]),
-            (11, vec![3, 2]),
-            (13, vec![1, 3, 1]),
-            (21, vec![1, 3, 3, 3]),
-            (23, vec![3, 3, 2, 2]),
-            (25, vec![3, 3, 3, 1]),
-            (33, vec![3, 3, 3, 3, 3]),
-        ]
-    );
-}
-
 /// Runs a persistent frontier swarm of `workers` DFS workers with both
 /// reductions on, returning the report, the FNV-128 of the sorted visited
 /// fingerprints and the FNV-128 of the final pickle.

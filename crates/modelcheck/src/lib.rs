@@ -4,8 +4,8 @@
 //! same semantics:
 //!
 //! 1. **Nondeterministic exploration** of bounded operation sequences:
-//!    [`DfsExplorer`] (SPIN's depth-first search), [`BfsExplorer`] (shortest
-//!    traces), and [`RandomWalk`] (the long-run soak mode).
+//!    [`DfsExplorer`] (SPIN's depth-first search) and [`RandomWalk`] (the
+//!    long-run soak mode).
 //! 2. **Abstract-state matching**: visited states are 128-bit fingerprints
 //!    ([`ModelSystem::abstract_state`], MCFS's Algorithm-1 MD5), while
 //!    backtracking restores *concrete* states through
@@ -74,7 +74,7 @@ mod system;
 mod visited;
 
 pub use explore::{
-    BfsExplorer, DfsExplorer, ExploreConfig, ExploreReport, ExploreStats, RandomWalk, StopReason,
+    DfsExplorer, ExploreConfig, ExploreReport, ExploreStats, RandomWalk, StopReason,
 };
 pub use memmodel::{MemConfig, MemoryModel, OutOfMemory};
 pub use pickle::{
@@ -202,18 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_finds_shortest_trace() {
-        let mut sys = Counter::new(100, Some(3));
-        let cfg = ExploreConfig {
-            max_depth: 10,
-            ..ExploreConfig::default()
-        };
-        let report = BfsExplorer::new(cfg).run(&mut sys);
-        assert_eq!(report.stop, StopReason::Violation);
-        assert_eq!(report.violations[0].trace, vec![1, 1, 1], "shortest path");
-    }
-
-    #[test]
     fn op_budget_stops_exploration() {
         let mut sys = Counter::new(1_000_000, None);
         let cfg = ExploreConfig {
@@ -333,29 +321,6 @@ mod tests {
         };
         let report = DfsExplorer::new(cfg).with_clock(clock).run(&mut sys);
         assert_eq!(report.stop, StopReason::TimeBudget);
-    }
-
-    #[test]
-    fn bfs_honours_the_time_budget() {
-        let mut sys = Counter::new(1_000, None);
-        sys.bytes_per_state = 1 << 20;
-        let cfg = ExploreConfig {
-            max_depth: 500,
-            max_virtual_ns: Some(1_000_000),
-            mem: MemConfig {
-                ram_bytes: 4 << 20,
-                swap_bytes: 1 << 30,
-                swap_ns_per_mib: 100_000,
-            },
-            visited_capacity: 4,
-            ..ExploreConfig::default()
-        };
-        let report = BfsExplorer::new(cfg)
-            .with_clock(blockdev::Clock::new())
-            .run(&mut sys);
-        assert_eq!(report.stop, StopReason::TimeBudget);
-        assert!(report.stats.virtual_ns >= 1_000_000);
-        assert!(report.stats.states_new < 1_000, "stopped early");
     }
 
     /// Two independent registers: POR should cut the explored interleavings.
@@ -832,37 +797,28 @@ mod frontier_tests {
     }
 
     #[test]
-    fn bfs_strategy_and_mixed_fleets_cover_the_space() {
+    fn mixed_fleets_cover_the_space() {
         let dfs_states = dfs_baseline(4);
-        for strategies in [
-            vec![WorkerStrategy::Bfs],
-            vec![
-                WorkerStrategy::Dfs,
-                WorkerStrategy::Bfs,
-                WorkerStrategy::Walk,
-            ],
-        ] {
-            let cfg = SwarmConfig {
-                workers: 3,
-                base: ExploreConfig {
-                    max_depth: 4,
-                    // Finite: walk workers consume their whole op budget.
-                    max_ops: 20_000,
-                    ..ExploreConfig::default()
-                },
-                shared_visited: true,
-                strategies,
-            };
-            let report = run_swarm(&cfg, |_| Grid::new());
-            // Walk workers can only add states beyond the depth bound the
-            // frontier workers exhaust, and the grid at depth 4 is a strict
-            // subset of deeper walks — so coverage is at least the DFS set.
-            assert!(
-                report.total_states() >= dfs_states,
-                "mixed fleet lost states: {} < {dfs_states}",
-                report.total_states()
-            );
-        }
+        let cfg = SwarmConfig {
+            workers: 3,
+            base: ExploreConfig {
+                max_depth: 4,
+                // Finite: walk workers consume their whole op budget.
+                max_ops: 20_000,
+                ..ExploreConfig::default()
+            },
+            shared_visited: true,
+            strategies: vec![WorkerStrategy::Dfs, WorkerStrategy::Walk],
+        };
+        let report = run_swarm(&cfg, |_| Grid::new());
+        // Walk workers can only add states beyond the depth bound the
+        // frontier workers exhaust, and the grid at depth 4 is a strict
+        // subset of deeper walks — so coverage is at least the DFS set.
+        assert!(
+            report.total_states() >= dfs_states,
+            "mixed fleet lost states: {} < {dfs_states}",
+            report.total_states()
+        );
     }
 
     #[test]
@@ -1162,55 +1118,5 @@ mod more_explorer_tests {
             // Each trace sums to a multiple of five.
             assert_eq!(v.trace.iter().sum::<i64>() % 5, 0, "{:?}", v.trace);
         }
-    }
-
-    #[test]
-    fn bfs_respects_op_budget() {
-        let mut sys = MultiBad {
-            value: 0,
-            store: HashMap::new(),
-        };
-        let report = BfsExplorer::new(ExploreConfig {
-            max_depth: 10,
-            max_ops: 25,
-            stop_on_violation: false,
-            ..ExploreConfig::default()
-        })
-        .run(&mut sys);
-        assert_eq!(report.stop, StopReason::OpBudget);
-        assert_eq!(report.stats.ops_executed, 25);
-    }
-
-    #[test]
-    fn bfs_and_dfs_agree_on_state_coverage() {
-        let run_dfs = || {
-            let mut sys = MultiBad {
-                value: 0,
-                store: HashMap::new(),
-            };
-            DfsExplorer::new(ExploreConfig {
-                max_depth: 4,
-                stop_on_violation: false,
-                ..ExploreConfig::default()
-            })
-            .run(&mut sys)
-            .stats
-            .states_new
-        };
-        let run_bfs = || {
-            let mut sys = MultiBad {
-                value: 0,
-                store: HashMap::new(),
-            };
-            BfsExplorer::new(ExploreConfig {
-                max_depth: 4,
-                stop_on_violation: false,
-                ..ExploreConfig::default()
-            })
-            .run(&mut sys)
-            .stats
-            .states_new
-        };
-        assert_eq!(run_dfs(), run_bfs(), "both must cover the bounded space");
     }
 }

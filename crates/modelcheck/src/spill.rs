@@ -15,9 +15,15 @@
 //! magic    8 bytes  b"MCFSPKL\x01"   (same magic as snapshots)
 //! version  u32      PAGE_VERSION
 //! len      u32      body length
-//! body     ...      kind-tagged payload (visited entries or frontier ops)
+//! body     ...      kind-tagged payload (visited entries or frontier ops),
+//!                   or a checkpoint pool's raw snapshot chunk
 //! checksum u128     FNV-1a-128 over everything above
 //! ```
+//!
+//! A run has one page file: the explorer opens it under
+//! `ExploreConfig::mem_budget`, and the visited set, the swarm's frontier
+//! queues and the system's checkpoint pool (`ModelSystem::attach_spill`)
+//! all append to it.
 //!
 //! Visited bodies store `(fingerprint, depth)` entries sorted by
 //! fingerprint and delta-compressed with LEB128 varints — consecutive
@@ -93,8 +99,8 @@ const MIN_FRONTIER_BATCH: usize = 16;
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// RAM budget for out-of-core exploration, threaded through
-/// `ExploreConfig`/`SwarmConfig`/`McfsConfig`.
+/// RAM budget for out-of-core exploration. Its one home is
+/// `ExploreConfig::mem_budget` (a swarm's is on `SwarmConfig::base`).
 #[derive(Debug, Clone)]
 pub struct MemBudget {
     /// Hot-cache budget in bytes for the visited set. Entries beyond this
@@ -155,7 +161,8 @@ pub struct SpillFaults {
 /// Counters for out-of-core behavior, surfaced through `ExploreStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
-    /// Pages written to the spill file (visited + frontier).
+    /// Pages written to the spill file (visited, frontier and checkpoint
+    /// pages).
     pub pages_written: u64,
     /// Pages read back from the spill file.
     pub pages_read: u64,
@@ -234,7 +241,8 @@ pub struct PageLoc {
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Append-only page file shared by the visited set and frontier queues.
+/// Append-only page file shared by the visited set, the frontier queues
+/// and the system's checkpoint pool.
 /// All operations are `&self` (positioned I/O); the file is deleted on
 /// drop. The first failure poisons the store — see the module docs.
 #[derive(Debug)]
@@ -1043,16 +1051,13 @@ struct FrontierPage {
     count: u32,
 }
 
-/// A worker frontier deque whose cold middle spills to pages. Logical
-/// order is `head[..], pages[0] … pages[last], tail[..]`: pushes land on
-/// the tail (and its oldest half spills to a new page when over budget),
-/// front pops reload the oldest page into the head, back pops reload the
-/// newest page into the tail — so BFS pops and steals hit the oldest
-/// entries first while DFS only touches pages once the tail drains.
+/// A worker frontier deque whose cold front spills to pages. Logical
+/// order is `pages[0] … pages[last], tail[..]`: pushes land on the tail
+/// (and its oldest half spills to a new page when over budget), pops
+/// reload the newest page into the tail once it drains, and steals take
+/// whole pages oldest-first.
 #[derive(Debug)]
 pub struct FrontierQueue<Op> {
-    /// Entries older than every page (reloaded from the pages' front).
-    head: VecDeque<FrontierEntry<Op>>,
     /// Entries newer than every page (where pushes land).
     tail: VecDeque<FrontierEntry<Op>>,
     hot_bytes: u64,
@@ -1062,7 +1067,6 @@ pub struct FrontierQueue<Op> {
 impl<Op> Default for FrontierQueue<Op> {
     fn default() -> Self {
         FrontierQueue {
-            head: VecDeque::new(),
             tail: VecDeque::new(),
             hot_bytes: 0,
             pages: Vec::new(),
@@ -1078,14 +1082,12 @@ impl<Op> FrontierQueue<Op> {
 
     /// Entries across hot deques and spilled pages.
     pub fn len(&self) -> usize {
-        self.head.len()
-            + self.tail.len()
-            + self.pages.iter().map(|p| p.count as usize).sum::<usize>()
+        self.tail.len() + self.pages.iter().map(|p| p.count as usize).sum::<usize>()
     }
 
     /// Whether no entry is pending.
     pub fn is_empty(&self) -> bool {
-        self.head.is_empty() && self.tail.is_empty() && self.pages.is_empty()
+        self.tail.is_empty() && self.pages.is_empty()
     }
 }
 
@@ -1134,42 +1136,13 @@ impl<Op: Clone> FrontierQueue<Op> {
         Ok(())
     }
 
-    /// Pops the globally oldest entry (BFS order), reloading the oldest
-    /// page first when one exists.
-    ///
-    /// # Errors
-    ///
-    /// On spill-file read failure, or if pages exist but no spill context
-    /// was supplied.
-    pub fn pop_front(
-        &mut self,
-        ctx: SpillCtx<'_, Op>,
-    ) -> Result<Option<FrontierEntry<Op>>, String> {
-        if self.head.is_empty() && !self.pages.is_empty() {
-            let Some((spill, codec)) = ctx else {
-                return Err("frontier pages present without spill context".into());
-            };
-            let page = self.pages.remove(0);
-            for e in self.load_page(spill, codec, &page)? {
-                self.hot_bytes += entry_bytes(&e);
-                self.head.push_back(e);
-            }
-        }
-        Ok(self
-            .head
-            .pop_front()
-            .or_else(|| self.tail.pop_front())
-            .inspect(|e| {
-                self.hot_bytes -= entry_bytes(e);
-            }))
-    }
-
     /// Pops the globally newest entry (DFS order); pages are only touched
     /// once the hot deque is empty.
     ///
     /// # Errors
     ///
-    /// As [`FrontierQueue::pop_front`].
+    /// On spill-file read failure, or if pages exist but no spill context
+    /// was supplied.
     pub fn pop_back(&mut self, ctx: SpillCtx<'_, Op>) -> Result<Option<FrontierEntry<Op>>, String> {
         if self.tail.is_empty() {
             if let Some(page) = self.pages.pop() {
@@ -1184,13 +1157,9 @@ impl<Op: Clone> FrontierQueue<Op> {
                 }
             }
         }
-        Ok(self
-            .tail
-            .pop_back()
-            .or_else(|| self.head.pop_back())
-            .inspect(|e| {
-                self.hot_bytes -= entry_bytes(e);
-            }))
+        Ok(self.tail.pop_back().inspect(|e| {
+            self.hot_bytes -= entry_bytes(e);
+        }))
     }
 
     /// Removes and returns the oldest half of the queue (work-stealing
@@ -1198,7 +1167,7 @@ impl<Op: Clone> FrontierQueue<Op> {
     ///
     /// # Errors
     ///
-    /// As [`FrontierQueue::pop_front`].
+    /// As [`FrontierQueue::pop_back`].
     pub fn steal_half(&mut self, ctx: SpillCtx<'_, Op>) -> Result<Vec<FrontierEntry<Op>>, String> {
         let total = self.len();
         if total == 0 {
@@ -1206,14 +1175,7 @@ impl<Op: Clone> FrontierQueue<Op> {
         }
         let target = total.div_ceil(2);
         let mut out: Vec<FrontierEntry<Op>> = Vec::with_capacity(target);
-        while out.len() < target {
-            let Some(e) = self.head.pop_front() else {
-                break;
-            };
-            self.hot_bytes -= entry_bytes(&e);
-            out.push(e);
-        }
-        // Whole pages next (oldest first); a page may overshoot the target
+        // Whole pages first (oldest first); a page may overshoot the target
         // slightly, which work-stealing tolerates.
         while out.len() < target && !self.pages.is_empty() {
             let Some((spill, codec)) = ctx else {
@@ -1248,10 +1210,9 @@ impl<Op: Clone> FrontierQueue<Op> {
     ///
     /// # Errors
     ///
-    /// As [`FrontierQueue::pop_front`].
+    /// As [`FrontierQueue::pop_back`].
     pub fn collect_all(&self, ctx: SpillCtx<'_, Op>) -> Result<Vec<FrontierEntry<Op>>, String> {
         let mut out = Vec::with_capacity(self.len());
-        out.extend(self.head.iter().cloned());
         for page in &self.pages {
             let Some((spill, codec)) = ctx else {
                 return Err("frontier pages present without spill context".into());
@@ -1617,23 +1578,30 @@ mod tests {
         let mut q = FrontierQueue::new();
         let mut reference: VecDeque<FrontierEntry<u32>> = VecDeque::new();
         let mut state = 17u128;
+        let mut stolen_from_pages = false;
         for i in 0..400u32 {
-            let roll = lcg(&mut state) % 10;
-            if roll < 6 {
+            if i % 100 == 99 {
+                // A thief takes the oldest half (a page may overshoot it).
+                let paged = !q.pages.is_empty();
+                let stolen = q.steal_half(ctx).unwrap();
+                assert!(stolen.len() >= reference.len().div_ceil(2), "i={i}");
+                let want: Vec<_> = reference.drain(..stolen.len()).collect();
+                assert_eq!(stolen, want, "i={i}");
+                stolen_from_pages |= paged;
+            } else if lcg(&mut state) % 10 < 7 {
                 let e = fe(i, 3);
                 reference.push_back(e.clone());
                 q.push_back(e, ctx).unwrap();
-            } else if roll < 8 {
-                assert_eq!(q.pop_front(ctx).unwrap(), reference.pop_front(), "i={i}");
             } else {
                 assert_eq!(q.pop_back(ctx).unwrap(), reference.pop_back(), "i={i}");
             }
             assert_eq!(q.len(), reference.len());
         }
-        // Drain fully from the front.
-        while let Some(want) = reference.pop_front() {
-            assert_eq!(q.pop_front(ctx).unwrap(), Some(want));
+        // Drain fully from the back.
+        while let Some(want) = reference.pop_back() {
+            assert_eq!(q.pop_back(ctx).unwrap(), Some(want));
         }
+        assert!(stolen_from_pages, "a steal reloaded spilled pages");
         assert!(q.is_empty());
         assert!(spill.store().pages_written() > 0, "spilling happened");
         assert!(spill.store().error().is_none());
@@ -1656,8 +1624,8 @@ mod tests {
             assert_eq!(e.sleep, vec![k as u32]);
         }
         // Remainder continues from where the steal stopped.
-        let next = q.pop_front(ctx).unwrap().unwrap();
-        assert_eq!(next.sleep, vec![stolen.len() as u32]);
+        let rest = q.collect_all(ctx).unwrap();
+        assert_eq!(rest[0].sleep, vec![stolen.len() as u32]);
     }
 
     #[test]
@@ -1686,7 +1654,9 @@ mod tests {
             q.push_back(fe(i, 2), None).unwrap();
         }
         assert_eq!(q.len(), 1000);
-        assert_eq!(q.pop_front(None).unwrap().unwrap().sleep, vec![0]);
+        let stolen = q.steal_half(None).unwrap();
+        assert_eq!(stolen.len(), 500);
+        assert_eq!(stolen[0].sleep, vec![0]);
         assert_eq!(q.pop_back(None).unwrap().unwrap().sleep, vec![999]);
     }
 }

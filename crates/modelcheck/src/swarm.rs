@@ -16,13 +16,13 @@
 //!   a private visited set, so workers re-expand each other's states
 //!   (maximum diversity); otherwise they share one [`ShardedVisited`] and a
 //!   state expanded anywhere is pruned everywhere.
-//! * **Work-stealing frontier** ([`WorkerStrategy::Dfs`],
-//!   [`WorkerStrategy::Bfs`]): pending states live in per-worker deques as
-//!   *replayable op-prefixes* ([`FrontierEntry`]); a worker whose deque runs
-//!   dry steals half of a victim's. The shared visited set arbitrates, so
-//!   each state is expanded exactly once fleet-wide and DFS/BFS — not just
-//!   walks — parallelize. Dfs workers pop newest-first, Bfs oldest-first;
-//!   walk workers in the same fleet prune against (and feed) the same set.
+//! * **Work-stealing frontier** ([`WorkerStrategy::Dfs`]): pending states
+//!   live in per-worker deques as *replayable op-prefixes*
+//!   ([`FrontierEntry`]); a worker pops its newest entry, and one whose
+//!   deque runs dry steals the oldest half of a victim's. The shared
+//!   visited set arbitrates, so each state is expanded exactly once
+//!   fleet-wide and DFS — not just walks — parallelizes. Walk workers in
+//!   the same fleet prune against (and feed) the same set.
 //!   The system's independence relation (e.g. the harness's `EffectIndex`)
 //!   still applies per-worker through sleep sets carried in the entries.
 //!
@@ -64,9 +64,6 @@ pub enum WorkerStrategy {
     /// Pop the newest frontier entry (depth-first flavour: best replay
     /// locality — children of the state just expanded replay one op).
     Dfs,
-    /// Pop the oldest frontier entry (breadth-first flavour: finds shallow
-    /// violations first, replays longer prefixes).
-    Bfs,
     /// Seed-diversified random walk over the shared visited set; does not
     /// consume the frontier but prunes against (and feeds) the same set.
     Walk,
@@ -95,7 +92,8 @@ pub struct SwarmConfig {
     /// Empty makes every worker walk.
     ///
     /// Out-of-core operation rides in [`ExploreConfig::mem_budget`] on
-    /// `base`: a shared visited set becomes disk-spilling, and in
+    /// `base`: a shared visited set becomes disk-spilling, every worker's
+    /// system gets its store ([`ModelSystem::attach_spill`]), and in
     /// [`run_swarm_persistent`] (where an op codec exists) the per-worker
     /// frontier queues spill cold op-prefix pages to the same store.
     pub strategies: Vec<WorkerStrategy>,
@@ -295,10 +293,10 @@ const PREFIX_CACHE_CAP: usize = 64;
 
 /// Shared coordination state of one fleet.
 struct FrontierShared<Op> {
-    /// Per-worker frontier queues. Owners push children to the back; Dfs
-    /// pops the back, Bfs pops the front, thieves steal from the front
-    /// (oldest entries — the biggest unexplored subtrees). Under a memory
-    /// budget with a codec, cold middles spill to pages.
+    /// Per-worker frontier queues. Owners push children to and pop them
+    /// from the back; thieves steal from the front (oldest entries — the
+    /// biggest unexplored subtrees). Under a memory budget with a codec,
+    /// cold middles spill to pages.
     queues: Vec<Mutex<FrontierQueue<Op>>>,
     /// Spill context for the queues: present only in persistent runs with a
     /// [`crate::MemBudget`] (spilling op-prefixes needs the op codec).
@@ -331,6 +329,21 @@ impl<Op> FrontierShared<Op> {
         self.visited
             .as_ref()
             .expect("frontier workers and snapshots run over the fleet set")
+    }
+
+    /// Builds worker `idx`'s system from `factory`, attached to the fleet
+    /// set's spill store when the set spills (a private-set walk attaches
+    /// its own through [`with_fresh_visited`]).
+    fn system<S, F>(&self, factory: &F, idx: usize) -> S
+    where
+        S: ModelSystem<Op = Op>,
+        F: Fn(usize) -> S,
+    {
+        let mut sys = factory(idx);
+        if let Some(set) = self.visited.as_ref().and_then(ShardedVisited::spill_set) {
+            sys.attach_spill(set.store());
+        }
+        sys
     }
 
     fn queues_all_empty(&self) -> bool {
@@ -509,9 +522,8 @@ where
                             idx, factory, base, shared, round, generation, quota, stats_slot,
                             viol_slot,
                         ),
-                        _ => run_frontier_worker::<S, F>(
-                            idx, factory, base, shared, strategy, quota, codec, stats_slot,
-                            viol_slot,
+                        WorkerStrategy::Dfs => run_frontier_worker::<S, F>(
+                            idx, factory, base, shared, quota, codec, stats_slot, viol_slot,
                         ),
                     }));
                     let outcome = match result {
@@ -655,7 +667,7 @@ where
         return Some(StopReason::OpBudget);
     }
     let walk = RandomWalk::new(worker_cfg);
-    let mut sys = factory(idx);
+    let mut sys = shared.system(factory, idx);
     let tick = |_: &ExploreStats| shared.tick_round(quota);
     let halt = || shared.stop.load(Ordering::Relaxed) || shared.round_done.load(Ordering::Relaxed);
     let report = match &shared.visited {
@@ -669,8 +681,8 @@ where
             report.stats.visited_peak_bytes = 0;
             report
         }
-        None => with_fresh_visited(base, |visited| {
-            walk.run_until(&mut sys, visited, tick, halt)
+        None => with_fresh_visited(base, &mut sys, |sys, visited| {
+            walk.run_until(sys, visited, tick, halt)
         }),
     };
     let drained_by_round = shared.round_done.load(Ordering::SeqCst);
@@ -688,7 +700,7 @@ where
     }
 }
 
-/// A frontier (Dfs/Bfs) worker's round: pop-or-steal entries and expand
+/// A frontier (Dfs) worker's round: pop-or-steal entries and expand
 /// them against the shared visited set until the frontier is exhausted, a
 /// budget trips, or the round quota pauses the fleet.
 ///
@@ -700,7 +712,6 @@ fn run_frontier_worker<S, F>(
     factory: &F,
     cfg: &ExploreConfig,
     shared: &FrontierShared<S::Op>,
-    strategy: WorkerStrategy,
     quota: u64,
     codec: Option<&(dyn OpCodec<S::Op> + Sync)>,
     stats: &mut ExploreStats,
@@ -724,7 +735,7 @@ where
         shared.stop.store(true, Ordering::SeqCst);
         Some(StopReason::Fatal(format!("{what} spill failed: {e}")))
     };
-    let mut sys = factory(idx);
+    let mut sys = shared.system(factory, idx);
     let mut visited = shared.fleet_set().clone();
     // No clock: frontier workers charge no memory model, since their
     // checkpoints are a replay cache, not a modelled state store.
@@ -771,13 +782,7 @@ where
         // children are still coming.
         shared.busy.fetch_add(1, Ordering::SeqCst);
         let guard = BusyGuard(&shared.busy);
-        let popped = {
-            let mut own = shared.queues[idx].lock();
-            match strategy {
-                WorkerStrategy::Bfs => own.pop_front(ctx),
-                _ => own.pop_back(ctx),
-            }
-        };
+        let popped = shared.queues[idx].lock().pop_back(ctx);
         let entry = match popped {
             Ok(Some(e)) => Some(e),
             Ok(None) => match steal(shared, idx, ctx) {

@@ -1,6 +1,9 @@
 //! The model-system interface: what a system under test must provide.
 
 use std::fmt;
+use std::sync::Arc;
+
+use crate::spill::SpillStore;
 
 /// Identifier for a stored concrete state in the system's state store.
 ///
@@ -165,6 +168,17 @@ pub trait ModelSystem {
     /// Releases an eviction pin taken by [`pin`](ModelSystem::pin).
     fn unpin(&mut self, id: StateId) {
         let _ = id;
+    }
+
+    /// Hands the system the run's spill store, opened by the explorer under
+    /// [`ExploreConfig::mem_budget`]: a budgeted checkpoint store then
+    /// demotes snapshots to the file the visited set spills to, and the
+    /// system charges that page traffic to its clock after each checkpoint
+    /// and restore. The default keeps no store.
+    ///
+    /// [`ExploreConfig::mem_budget`]: crate::ExploreConfig::mem_budget
+    fn attach_spill(&mut self, store: &Arc<SpillStore>) {
+        let _ = store;
     }
 
     /// Statistics of the system's checkpoint store, if it keeps one.

@@ -11,8 +11,9 @@
 use blockdev::Clock;
 use mcfs::{FsOp, FsOpCodec, Mcfs, McfsConfig, PoolConfig, RemountMode};
 use modelcheck::{
-    load_snapshot, run_swarm_persistent, DfsExplorer, ExploreConfig, MemBudget, RunSnapshot,
-    SpillFaults, StopReason, SwarmConfig, SwarmPersist, SwarmReport, WorkerStrategy,
+    load_snapshot, run_swarm_persistent, DfsExplorer, ExploreConfig, ExploreReport, MemBudget,
+    RandomWalk, RunSnapshot, SpillFaults, StopReason, SwarmConfig, SwarmPersist, SwarmReport,
+    WorkerStrategy,
 };
 use proptest::prelude::*;
 
@@ -23,6 +24,12 @@ use proptest::prelude::*;
 /// Two registry backends on one clock, remounted around every op where
 /// they have a device.
 fn harness(names: [&str; 2]) -> Mcfs {
+    harness_with(names, None)
+}
+
+/// [`harness`] with each target's checkpoint pool bounded to
+/// `checkpoint_budget_bytes`.
+fn harness_with(names: [&str; 2], checkpoint_budget_bytes: Option<usize>) -> Mcfs {
     let clock = Clock::new();
     let targets = names
         .iter()
@@ -32,6 +39,7 @@ fn harness(names: [&str; 2]) -> Mcfs {
         targets,
         McfsConfig {
             pool: PoolConfig::small(),
+            checkpoint_budget_bytes,
             ..McfsConfig::default()
         },
         clock,
@@ -154,6 +162,74 @@ proptest! {
     fn budgeted_run_visits_identical_states_ext(seed in 0u64..1000) {
         check_budget_equality(ext_harness, "eq-ext", seed);
     }
+}
+
+// ---------------------------------------------------------------------------
+// One budget, one spill file
+// ---------------------------------------------------------------------------
+
+/// A spread-restart walk over ext2/ext4, the access pattern that keeps
+/// unpinned restart checkpoints resident. `observe` sees the running
+/// stats after every op.
+fn ext_walk(
+    checkpoint_budget_bytes: Option<usize>,
+    mem_budget: Option<MemBudget>,
+    observe: impl FnMut(&modelcheck::ExploreStats),
+) -> ExploreReport<FsOp> {
+    let mut sys = harness_with(["ext2", "ext4"], checkpoint_budget_bytes);
+    let walk = RandomWalk::new(ExploreConfig {
+        max_depth: 5,
+        max_ops: 400,
+        seed: 42,
+        restart_spread: 0.5,
+        mem_budget,
+        ..ExploreConfig::default()
+    });
+    walk.run_observed(&mut sys, observe)
+}
+
+/// The explorer's budget is the only one: under it the checkpoint pool
+/// demotes snapshots to the same file the visited set spills to, and the
+/// walk reaches what an unbudgeted walk does.
+#[test]
+fn explorer_budget_spills_checkpoints_and_visited_to_one_file() {
+    let dir = std::env::temp_dir().join(format!("mcfs-oocore-one-file-{}", std::process::id()));
+    let mut budget = tiny_budget();
+    budget.spill_dir = Some(dir.clone());
+    let spill_files = || std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    let mut most_files = 0;
+    let report = ext_walk(Some(600 << 10), Some(budget), |_| {
+        most_files = most_files.max(spill_files());
+    });
+    assert_eq!(report.stop, StopReason::OpBudget);
+
+    let ckpt = report.stats.checkpoint_store.expect("pool stats");
+    assert!(
+        ckpt.demotions > 0 && ckpt.promotions > 0,
+        "the squeezed pool must demote to and promote from the run's spill file: {ckpt:?}"
+    );
+    assert_eq!(most_files, 1, "the run must open exactly one spill file");
+    assert_eq!(spill_files(), 0, "the spill file goes with the run");
+    // Every visited page is one hot-map eviction; the rest are the
+    // checkpoint pool's chunks, written to the same store.
+    let spill = report.stats.spill.expect("spill counters");
+    assert!(
+        spill.evictions > 0 && spill.pages_written > spill.evictions,
+        "visited pages and checkpoint chunks must share one file: {spill:?}"
+    );
+
+    let plain = ext_walk(None, None, |_| {});
+    assert_eq!(plain.stop, StopReason::OpBudget);
+    let reached = |r: &ExploreReport<FsOp>| {
+        let s = &r.stats;
+        (s.states_new, s.states_matched, s.restores, s.max_depth_seen)
+    };
+    assert_eq!(
+        reached(&report),
+        reached(&plain),
+        "spilling changed what the walk reached"
+    );
+    let _ = std::fs::remove_dir(&dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,31 +9,12 @@
 
 use vfs::{AccessMode, Errno, FileMode, FileSystem, OpenFlags, XattrFlags};
 
-/// Builds every mounted file system under test, labelled.
-fn all_filesystems() -> Vec<(String, Box<dyn FileSystem>)> {
-    let mut out: Vec<(String, Box<dyn FileSystem>)> = Vec::new();
-    let mut v1 = verifs::VeriFs::v1();
-    v1.mount().unwrap();
-    out.push(("verifs1".into(), Box::new(v1)));
-    let mut v2 = verifs::VeriFs::v2();
-    v2.mount().unwrap();
-    out.push(("verifs2".into(), Box::new(v2)));
-    let mut fuse = fusesim::FuseMount::new(verifs::VeriFs::v2());
-    fuse.mount().unwrap();
-    out.push(("fuse-verifs2".into(), Box::new(fuse)));
-    let mut e2 = fs_ext::ext2_on_ram(256 * 1024).unwrap();
-    e2.mount().unwrap();
-    out.push(("ext2".into(), Box::new(e2)));
-    let mut e4 = fs_ext::ext4_on_ram(256 * 1024).unwrap();
-    e4.mount().unwrap();
-    out.push(("ext4".into(), Box::new(e4)));
-    let mut xfs = fs_xfs::xfs_on_ram(fs_xfs::MIN_DEVICE_BYTES).unwrap();
-    xfs.mount().unwrap();
-    out.push(("xfs".into(), Box::new(xfs)));
-    let mut j2 = fs_jffs2::jffs2_on_mtdram(16 * 1024, 16).unwrap();
-    j2.mount().unwrap();
-    out.push(("jffs2".into(), Box::new(j2)));
-    out
+/// Every registry backend, fresh, mounted and labelled.
+fn all_filesystems() -> Vec<(&'static str, Box<dyn FileSystem>)> {
+    mcfs::backends::all()
+        .iter()
+        .map(|b| (b.name, b.fresh().expect(b.name)))
+        .collect()
 }
 
 fn write_file(fs: &mut dyn FileSystem, p: &str, data: &[u8]) {

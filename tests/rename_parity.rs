@@ -6,31 +6,21 @@
 //! `EISDIR`/`ENOTDIR` — and MCFS's cross-checking only works if every
 //! backend agrees on both the errno *and* the order the conditions are
 //! checked in. These tests run the directed cases and randomized rename
-//! workloads over ext2, ext4, XFS, JFFS2, and VeriFS2 and require
-//! identical outcomes everywhere.
+//! workloads over every registry backend that renames — VeriFS2 (bare and
+//! behind FUSE), ext2, ext4, XFS and JFFS2 — and require identical
+//! outcomes everywhere.
 
 use proptest::prelude::*;
-use verifs::VeriFs;
 use vfs::{Errno, FileMode, FileSystem};
 
+/// Every registry backend that renames (VeriFS1's `rename` is `ENOSYS`),
+/// fresh, mounted and empty.
 fn backends() -> Vec<(&'static str, Box<dyn FileSystem>)> {
-    let mut ext2 = fs_ext::ext2_on_ram(256 * 1024).unwrap();
-    ext2.mount().unwrap();
-    let mut ext4 = fs_ext::ext4_on_ram(256 * 1024).unwrap();
-    ext4.mount().unwrap();
-    let mut xfs = fs_xfs::xfs_on_ram(fs_xfs::MIN_DEVICE_BYTES).unwrap();
-    xfs.mount().unwrap();
-    let mut jffs2 = fs_jffs2::jffs2_on_mtdram(16 * 1024, 16).unwrap();
-    jffs2.mount().unwrap();
-    let mut verifs2 = VeriFs::v2();
-    verifs2.mount().unwrap();
-    vec![
-        ("ext2", Box::new(ext2) as Box<dyn FileSystem>),
-        ("ext4", Box::new(ext4)),
-        ("xfs", Box::new(xfs)),
-        ("jffs2", Box::new(jffs2)),
-        ("verifs2", Box::new(verifs2)),
-    ]
+    mcfs::backends::all()
+        .iter()
+        .map(|b| (b.name, b.fresh().expect(b.name)))
+        .filter(|(_, fs)| fs.capabilities().rename)
+        .collect()
 }
 
 fn create(fs: &mut dyn FileSystem, p: &str) {
