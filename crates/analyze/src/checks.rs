@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use blockdev::DeviceSnapshot;
-use mcfs::effect::{heuristic_independent, independent, independent_concurrent, EffectProfile};
+use mcfs::effect::{heuristic_independent, EffectIndex, EffectProfile};
 use mcfs::{abstract_state, execute, AbstractionConfig, FsOp, OpOutcome, PoolConfig};
 use modelcheck::{
     encode_snapshot, load_snapshot, run_swarm_persistent, ExploreConfig, ExploreStats, ModelSystem,
@@ -110,6 +110,21 @@ impl Default for Mc001Config {
     }
 }
 
+/// The pool ops `backend` supports and their effect index under the
+/// backend's profile: the relations MC001 and MC006 validate.
+fn backend_effects(backend: &Backend, pool_ops: &[FsOp]) -> VfsResult<(Vec<FsOp>, EffectIndex)> {
+    let caps = backend.fresh()?.capabilities();
+    let ops: Vec<FsOp> = pool_ops
+        .iter()
+        .filter(|o| o.allowed_by(caps))
+        .cloned()
+        .collect();
+    let kernel_caches = backend.fresh()?.caches_metadata();
+    let profile = EffectProfile::from_pool(&ops).with_kernel_caches(kernel_caches);
+    let index = EffectIndex::new(&ops, profile);
+    Ok((ops, index))
+}
+
 /// MC001 — commutation sanitizer. For every pair `relation` claims
 /// independent, executes `prefix; a; b` and `prefix; b; a` from sampled
 /// reachable prefixes on a fresh backend instance and reports a diagnostic
@@ -124,19 +139,12 @@ pub fn mc001_commutation(
     relation: Relation,
     cfg: &Mc001Config,
 ) -> VfsResult<Vec<Diagnostic>> {
-    let caps = backend.fresh()?.capabilities();
-    let ops: Vec<FsOp> = pool_ops
-        .iter()
-        .filter(|o| o.allowed_by(caps))
-        .cloned()
-        .collect();
-    let kernel_caches = backend.fresh()?.caches_metadata();
-    let profile = EffectProfile::from_pool(&ops).with_kernel_caches(kernel_caches);
+    let (ops, index) = backend_effects(backend, pool_ops)?;
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for i in 0..ops.len() {
         for j in (i + 1)..ops.len() {
             let claimed = match relation {
-                Relation::Derived => independent(&ops[i], &ops[j], &profile),
+                Relation::Derived => index.independent(&ops[i], &ops[j]),
                 Relation::Heuristic => heuristic_independent(&ops[i], &ops[j]),
             };
             if claimed {
@@ -262,20 +270,13 @@ pub fn mc006_interleave_commutation(
     relation: ConcRelation,
     cfg: &Mc006Config,
 ) -> VfsResult<Vec<Diagnostic>> {
-    let caps = backend.fresh()?.capabilities();
-    let ops: Vec<FsOp> = pool_ops
-        .iter()
-        .filter(|o| o.allowed_by(caps))
-        .cloned()
-        .collect();
-    let kernel_caches = backend.fresh()?.caches_metadata();
-    let profile = EffectProfile::from_pool(&ops).with_kernel_caches(kernel_caches);
+    let (ops, index) = backend_effects(backend, pool_ops)?;
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for i in 0..ops.len() {
         for j in i..ops.len() {
             let claimed = match relation {
-                ConcRelation::Concurrent => independent_concurrent(&ops[i], &ops[j], &profile),
-                ConcRelation::Sequential => independent(&ops[i], &ops[j], &profile),
+                ConcRelation::Concurrent => index.independent_concurrent(&ops[i], &ops[j]),
+                ConcRelation::Sequential => index.independent(&ops[i], &ops[j]),
             };
             if claimed {
                 pairs.push((i, j));

@@ -13,7 +13,14 @@
 //!   sets expand **≥3×** fewer transitions than the full search — threads
 //!   touching disjoint files are where commutation-based pruning must pay.
 //!
-//! Output: a human-readable table, then JSON (also written to
+//! A `crash_cuts` section times the crash oracle's cut-lattice search:
+//! one crash step after two threads of 8 and of 31 ops, on targets whose
+//! recovery no cut reaches (the search's worst case: it walks every cut
+//! before rejecting it), and a crash-exploring DFS over two threads of 8
+//! disjoint ops. Each row reports the ops the oracle ran on its reference
+//! and the median wall time of five runs.
+//!
+//! Output: human-readable tables, then JSON (also written to
 //! `BENCH_interleave.json`).
 //!
 //! Usage: `cargo run --release -p mcfs-bench --bin interleave_scale [--quick]`
@@ -21,18 +28,18 @@
 //! `--quick` trims thread programs to CI-smoke size.
 
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use blockdev::RamDisk;
 use fs_ext::{ExtConfig, ExtFs};
 use mcfs::{
-    CheckedTarget, CheckpointTarget, FsOp, RemountMode, RemountTarget, ThreadedMcfs,
+    CheckedTarget, CheckpointTarget, FsOp, RemountMode, RemountTarget, SchedStep, ThreadedMcfs,
     ThreadedMcfsConfig,
 };
 use mcfs_bench::{BenchArgs, BenchReport, Row};
-use modelcheck::{DfsExplorer, ExploreConfig};
+use modelcheck::{ApplyOutcome, DfsExplorer, ExploreConfig, ModelSystem};
 use verifs::VeriFs;
-use vfs::FileSystem;
+use vfs::{FileSystem, FsCapabilities, VfsResult};
 
 /// One workload: a target factory plus per-thread programs.
 struct Case {
@@ -180,6 +187,161 @@ fn run_case(case: &Case) -> Row {
         .rate("states", base.len() as f64 / elapsed_s.max(1e-9))
 }
 
+/// Repetitions behind each `crash_cuts` wall time (the median is kept).
+const CRASH_REPS: usize = 5;
+
+/// VeriFS2 whose power cut keeps only `survivors`, re-executed on a fresh
+/// volume.
+struct Recovers {
+    inner: CheckpointTarget<VeriFs>,
+    survivors: Vec<FsOp>,
+}
+
+impl Recovers {
+    fn pair(survivors: &[FsOp]) -> Vec<Box<dyn CheckedTarget>> {
+        (0..2)
+            .map(|_| {
+                let mut fs = VeriFs::v2();
+                fs.mount().unwrap();
+                Box::new(Recovers {
+                    inner: CheckpointTarget::new(fs),
+                    survivors: survivors.to_vec(),
+                }) as Box<dyn CheckedTarget>
+            })
+            .collect()
+    }
+}
+
+impl CheckedTarget for Recovers {
+    fn name(&self) -> String {
+        "recovers".into()
+    }
+    fn fs_mut(&mut self) -> &mut dyn FileSystem {
+        self.inner.fs_mut()
+    }
+    fn capabilities(&self) -> FsCapabilities {
+        self.inner.capabilities()
+    }
+    fn strategy(&self) -> &'static str {
+        self.inner.strategy()
+    }
+    fn save_state(&mut self, key: u64) -> VfsResult<usize> {
+        self.inner.save_state(key)
+    }
+    fn load_state(&mut self, key: u64) -> VfsResult<()> {
+        self.inner.load_state(key)
+    }
+    fn drop_state(&mut self, key: u64) -> VfsResult<()> {
+        self.inner.drop_state(key)
+    }
+    fn supports_crash(&self) -> bool {
+        true
+    }
+    fn crash_remount(&mut self) -> VfsResult<()> {
+        let mut fs = VeriFs::v2();
+        fs.mount()?;
+        for op in &self.survivors {
+            mcfs::execute(&mut fs, op, &[]);
+        }
+        self.inner = CheckpointTarget::new(fs);
+        Ok(())
+    }
+}
+
+/// `n` ops on `path`: a create, then 8-byte writes end to end.
+fn file_program(path: &str, n: usize) -> Vec<FsOp> {
+    let mut prog = vec![op_create(path)];
+    prog.extend((1..n as u64).map(|i| FsOp::WriteFile {
+        path: path.into(),
+        offset: (i - 1) * 8,
+        size: 8,
+        seed: 1,
+    }));
+    prog
+}
+
+fn crash_cfg() -> ThreadedMcfsConfig {
+    ThreadedMcfsConfig {
+        crash_exploration: true,
+        ..ThreadedMcfsConfig::default()
+    }
+}
+
+fn median(mut times: Vec<Duration>) -> u64 {
+    times.sort();
+    times[times.len() / 2].as_nanos() as u64
+}
+
+/// One crash step after two `n`-op threads ran alternately, on targets
+/// that recover thread 0's second write without its first: no cut reaches
+/// that state, so the oracle walks all `(n + 1)²` cuts and rejects it.
+fn lattice_row(n: usize) -> Row {
+    let programs = vec![file_program("/a", n), file_program("/b", n)];
+    let torn = [programs[0][0].clone(), programs[0][2].clone()];
+    let mut times = Vec::new();
+    let mut reference_ops = 0;
+    for _ in 0..CRASH_REPS {
+        let mut sys = ThreadedMcfs::new(Recovers::pair(&torn), programs.clone(), crash_cfg())
+            .expect("threaded harness");
+        for (a, b) in programs[0].iter().zip(&programs[1]) {
+            for (tid, op) in [(0, a), (1, b)] {
+                let step = SchedStep {
+                    tid,
+                    op: op.clone(),
+                };
+                assert_eq!(sys.apply(&step), ApplyOutcome::Ok);
+            }
+        }
+        let start = Instant::now();
+        let outcome = sys.apply(&SchedStep::crash());
+        times.push(start.elapsed());
+        assert!(
+            matches!(&outcome, ApplyOutcome::Violation(m) if m.starts_with("crash-consistency")),
+            "a recovery no cut reaches must be a violation: {outcome:?}"
+        );
+        reference_ops = sys.cut_ops();
+    }
+    Row::new()
+        .str("case", format!("lattice-2x{n}"))
+        .count("threads", 2)
+        .count("ops_per_thread", n as u64)
+        .count("crashes", 1)
+        .opt_count("cuts", Some((n as u64 + 1).pow(2)))
+        .count("reference_ops", reference_ops)
+        .ms("wall", median(times))
+}
+
+/// A crash-exploring sleep-set DFS over two threads of `n` disjoint ops on
+/// a clean VeriFS2 pair; the wall time is the whole exploration's.
+fn crash_dfs_row(n: usize) -> Row {
+    let programs = vec![file_program("/a", n), file_program("/b", n)];
+    let mut times = Vec::new();
+    let (mut crashes, mut reference_ops) = (0, 0);
+    for _ in 0..CRASH_REPS {
+        let mut sys = ThreadedMcfs::new(verifs_pair(), programs.clone(), crash_cfg())
+            .expect("threaded harness");
+        let start = Instant::now();
+        let report = DfsExplorer::new(ExploreConfig {
+            max_depth: 2 * n + 2,
+            por: true,
+            ..ExploreConfig::default()
+        })
+        .run(&mut sys);
+        times.push(start.elapsed());
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        crashes = sys.crash_stats().expect("crash exploration").crashes;
+        reference_ops = sys.cut_ops();
+    }
+    Row::new()
+        .str("case", format!("dfs-2x{n}-disjoint"))
+        .count("threads", 2)
+        .count("ops_per_thread", n as u64)
+        .count("crashes", crashes)
+        .opt_count("cuts", None)
+        .count("reference_ops", reference_ops)
+        .ms("wall", median(times))
+}
+
 fn main() {
     let quick = BenchArgs::parse("interleave_scale [--quick]").quick;
     let ops_per_thread = if quick { 2 } else { 3 };
@@ -210,5 +372,10 @@ fn main() {
     let rows = cases.iter().map(run_case).collect();
     let mut out = BenchReport::new("interleave", quick);
     out.table("runs", "Interleaving exploration (full vs POR)", rows);
+    out.table(
+        "crash_cuts",
+        "Crash-cut lattice search (one crash step; whole DFS)",
+        vec![lattice_row(8), lattice_row(31), crash_dfs_row(8)],
+    );
     out.finish();
 }

@@ -267,13 +267,6 @@ impl Mcfs {
         })
     }
 
-    /// The POSIX-observable abstraction hash alone, without the
-    /// opaque-digest fold — what the targets are compared on and what the
-    /// crash oracle's prefix window stores.
-    pub fn pure_abstract_state(&mut self) -> u128 {
-        self.core.pure_abstract_state()
-    }
-
     /// Attaches the replay factory counterexample minimization validates
     /// against. The factory must rebuild a harness equivalent to this one —
     /// same targets, same seeded bugs, same fault plans — deterministically;
@@ -371,7 +364,9 @@ impl Mcfs {
         let mut allowed = self.core.prefix_hashes.clone();
         allowed.push(pre);
         let names = self.core.target_names().join(", ");
-        let recovered = self.core.recover(
+        let recovered = self.core.recover()?;
+        self.core.judge(
+            &recovered,
             |h| allowed.contains(&h),
             |name| {
                 format!(
@@ -608,7 +603,6 @@ impl ModelSystem for Mcfs {
             crashes: self.crashes,
             recoveries: self.crash_recoveries,
             divergent_recoveries: self.crash_divergences,
-            capped_cuts: 0,
         })
     }
 

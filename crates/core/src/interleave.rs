@@ -41,7 +41,7 @@ use modelcheck::{
     ApplyOutcome, CheckpointStoreStats, CrashStats, ModelSystem, ShrinkStats, StateId,
 };
 use verifs::VeriFs;
-use vfs::{Errno, FileSystem, VfsResult};
+use vfs::{Errno, VfsResult};
 
 use crate::abstraction::{abstract_state, AbstractionConfig};
 use crate::effect::EffectIndex;
@@ -54,13 +54,6 @@ use crate::target::{self, CheckedTarget, CheckpointTarget};
 /// tid power-cuts every target between two real steps. Never a valid
 /// program thread.
 pub const CRASH_TID: u16 = u16::MAX;
-
-/// Cap on thread-cut enumerations per crash (the cut lattice is
-/// `Π(pc_t − floor_t + 1)`). Past the cap the crash oracle checks recovery
-/// against the interleaved prefix window alone: a recovery inside it is
-/// verified, one outside it is pruned with the lattice size named and
-/// counted in [`CrashStats::capped_cuts`], never reported as a violation.
-const MAX_CRASH_CUTS: usize = 1024;
 
 /// One scheduling decision: thread `tid` issues its next program op.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,7 +116,7 @@ pub struct ThreadedMcfsConfig {
     /// every target to support crash recovery.
     pub crash_exploration: bool,
     /// Delta-debug violating schedules at record time (needs a factory,
-    /// [`ThreadedMcfs::set_factory`]).
+    /// [`ThreadedMcfs::with_factory`]).
     pub minimize_violations: bool,
 }
 
@@ -140,9 +133,6 @@ pub struct InterleaveStats {
     pub crash_recoveries: u64,
     /// Crashes where targets recovered validly but to different states.
     pub divergent_recoveries: u64,
-    /// Crashes pruned because a recovery left the prefix window while the
-    /// cut lattice exceeded [`MAX_CRASH_CUTS`].
-    pub capped_cuts: u64,
 }
 
 /// Scheduler state saved alongside target checkpoints.
@@ -178,6 +168,8 @@ pub struct ThreadedMcfs {
     /// validation compares these across settings).
     final_states: BTreeSet<u128>,
     stats: InterleaveStats,
+    /// Reference ops the crash oracle's cut searches have run.
+    cut_ops: u64,
     factory: Option<Arc<ThreadedHarnessFactory>>,
 }
 
@@ -270,6 +262,7 @@ impl ThreadedMcfs {
             ckpt_hashes: HashMap::new(),
             final_states: BTreeSet::new(),
             stats: InterleaveStats::default(),
+            cut_ops: 0,
             factory: None,
         };
         this.run_setup()?;
@@ -325,11 +318,6 @@ impl ThreadedMcfs {
     /// Attaches the replay factory counterexample minimization validates
     /// against; [`ThreadedMcfsConfig::minimize_violations`] does nothing
     /// without it.
-    pub fn set_factory(&mut self, factory: Arc<ThreadedHarnessFactory>) {
-        self.factory = Some(factory);
-    }
-
-    /// Builder-style [`set_factory`](ThreadedMcfs::set_factory).
     #[must_use]
     pub fn with_factory(mut self, factory: Arc<ThreadedHarnessFactory>) -> Self {
         self.factory = Some(factory);
@@ -341,14 +329,15 @@ impl ThreadedMcfs {
         self.stats
     }
 
+    /// Ops the crash oracle has run on its reference while searching the
+    /// cut lattice.
+    pub fn cut_ops(&self) -> u64 {
+        self.cut_ops
+    }
+
     /// Fingerprints of every terminal interleaving reached so far.
     pub fn final_states(&self) -> &BTreeSet<u128> {
         &self.final_states
-    }
-
-    /// The effect index backing POR decisions.
-    pub fn effect_index(&self) -> &EffectIndex {
-        &self.effects
     }
 
     fn thread_count(&self) -> usize {
@@ -377,12 +366,6 @@ impl ThreadedMcfs {
             }
         }
         Ok(())
-    }
-
-    /// The POSIX-observable fingerprint (first target; all agree whenever
-    /// apply succeeded).
-    pub fn pure_abstract_state(&mut self) -> u128 {
-        self.core.pure_abstract_state()
     }
 
     /// Serializes an outcome for the scheduler fingerprint. Stable across
@@ -465,11 +448,6 @@ impl ThreadedMcfs {
         acc
     }
 
-    /// The schedule executed so far (without outcomes).
-    pub fn schedule(&self) -> ThreadedTrace {
-        self.history.iter().map(|(s, _)| s.clone()).collect()
-    }
-
     /// Executes one thread step through the lockstep core, on the thread's
     /// clock lane, then — at terminal states — the linearizability oracle.
     fn apply_step(&mut self, step: &SchedStep) -> Result<(), ApplyOutcome> {
@@ -520,31 +498,19 @@ impl ThreadedMcfs {
         if total == 0 {
             return Ok(());
         }
-        let mut reference = CheckpointTarget::new(VeriFs::v2());
-        reference
-            .pre_op()
+        let reference = Reference::new(&self.setup, &self.core.abstraction)
             .map_err(|e| format!("linearizability reference mount failed: {e}"))?;
-        let exceptions = &self.core.abstraction.exceptions;
-        let sort = self.core.abstraction.sort_entries;
-        for op in &self.setup {
-            execute_with(reference.fs_mut(), op, exceptions, sort);
-        }
-        let mut lin_pcs = vec![0usize; tc];
-        let mut tried = 0u64;
-        let found = Self::lin_dfs(
-            &mut reference,
-            &self.programs,
-            &expected,
-            &pos,
-            &mut lin_pcs,
-            0,
-            total,
-            exceptions,
-            sort,
-            &mut tried,
-        )
-        .map_err(|e| format!("linearizability reference failed: {e}"))?;
-        self.stats.lin_candidates += tried;
+        let mut search = LinSearch {
+            reference,
+            programs: &self.programs,
+            expected,
+            pos,
+            placed: vec![0; tc],
+        };
+        let found = search
+            .dfs(total)
+            .map_err(|e| format!("linearizability reference failed: {e}"))?;
+        self.stats.lin_candidates += search.reference.ops;
         if found {
             Ok(())
         } else {
@@ -559,93 +525,39 @@ impl ThreadedMcfs {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn lin_dfs(
-        reference: &mut CheckpointTarget<VeriFs>,
-        programs: &[Vec<FsOp>],
-        expected: &[Vec<OpOutcome>],
-        pos: &[Vec<i64>],
-        lin_pcs: &mut [usize],
-        placed: usize,
-        total: usize,
-        exceptions: &[String],
-        sort: bool,
-        tried: &mut u64,
-    ) -> VfsResult<bool> {
-        if placed == total {
-            return Ok(true);
-        }
-        let key = placed as u64;
-        reference.save_state(key)?;
-        for t in 0..programs.len() {
-            let k = lin_pcs[t];
-            if k >= expected[t].len() {
-                continue;
-            }
-            // Real-time order: a pending op A of another thread precedes
-            // this op B iff A's response (its history position) came before
-            // B's invocation (B's thread predecessor's position). Placing B
-            // first would reorder them against the wall clock.
-            let inv = if k == 0 { -1 } else { pos[t][k - 1] };
-            let blocked = (0..programs.len())
-                .any(|u| u != t && lin_pcs[u] < expected[u].len() && pos[u][lin_pcs[u]] < inv);
-            if blocked {
-                continue;
-            }
-            *tried += 1;
-            let got = execute_with(reference.fs_mut(), &programs[t][k], exceptions, sort);
-            if got == expected[t][k] {
-                lin_pcs[t] = k + 1;
-                let hit = Self::lin_dfs(
-                    reference,
-                    programs,
-                    expected,
-                    pos,
-                    lin_pcs,
-                    placed + 1,
-                    total,
-                    exceptions,
-                    sort,
-                    tried,
-                )?;
-                lin_pcs[t] = k;
-                if hit {
-                    let _ = reference.drop_state(key);
-                    return Ok(true);
-                }
-            }
-            reference.load_state(key)?;
-        }
-        let _ = reference.drop_state(key);
-        Ok(false)
-    }
-
     /// The crash pseudo-step: power-cut every target between two scheduled
     /// ops and check recovery against the set of *linearizable prefix*
     /// states — every interleaved prefix state since the sync floor, plus
     /// every per-thread cut of the history re-executed sequentially (a
     /// thread's issued-but-unsynced tail may be lost independently of the
-    /// others').
+    /// others'). Only recoveries outside the window send the oracle into
+    /// the cut lattice, and the search stops once it has found them all, so
+    /// a recovery that matches no cut costs the whole lattice.
     fn apply_crash(&mut self) -> Result<(), ApplyOutcome> {
         self.stats.crashes += 1;
         let pre = self.core.crash_prelude()?;
-        let mut allowed: BTreeSet<u128> = self.core.prefix_hashes.iter().copied().collect();
-        allowed.insert(pre);
-        let lattice = self.cut_lattice_size();
-        let capped = lattice > MAX_CRASH_CUTS;
-        if !capped {
-            match self.crash_cut_states() {
-                Ok(cuts) => allowed.extend(cuts),
-                Err(e) => {
+        let mut window: BTreeSet<u128> = self.core.prefix_hashes.iter().copied().collect();
+        window.insert(pre);
+        let recovered = self.core.recover()?;
+        let mut missing: BTreeSet<u128> = recovered
+            .iter()
+            .map(|h| h.as_u128())
+            .filter(|h| !window.contains(h))
+            .collect();
+        if !missing.is_empty() {
+            self.cut_ops += self
+                .search_cuts(|h| {
+                    missing.remove(&h);
+                    missing.is_empty()
+                })
+                .map_err(|e| {
                     let msg = format!("crash-cut reference execution failed: {e}");
-                    return Err(self.core.violation(msg));
-                }
-            }
+                    self.core.violation(msg)
+                })?;
         }
-        // Past the cap the per-thread cuts are unknown: a recovery outside
-        // the window is pruned below instead of rejected here.
-        let recovered = self.core.recover(
-            |h| capped || allowed.contains(&h),
+        self.core.judge(
+            &recovered,
+            |h| !missing.contains(&h),
             |name| {
                 format!(
                     "crash-consistency violation: {name} recovered to a state matching no \
@@ -653,14 +565,6 @@ impl ThreadedMcfs {
                 )
             },
         )?;
-        if capped && recovered.iter().any(|h| !allowed.contains(&h.as_u128())) {
-            self.stats.capped_cuts += 1;
-            self.core.unmount_quietly();
-            return Err(ApplyOutcome::Prune(format!(
-                "crash recovery left the interleaved prefix window and the {lattice}-cut \
-                 lattice exceeds MAX_CRASH_CUTS ({MAX_CRASH_CUTS}): per-thread cuts not checked"
-            )));
-        }
         if recovered.windows(2).any(|w| w[0] != w[1]) {
             self.stats.divergent_recoveries += 1;
             self.core.unmount_quietly();
@@ -679,59 +583,164 @@ impl ThreadedMcfs {
         ))
     }
 
-    /// Size of the per-thread cut lattice `Π(pc_t − floor_t + 1)`
-    /// (saturating).
-    fn cut_lattice_size(&self) -> usize {
-        self.pcs
+    /// Walks the crash-cut lattice — every per-thread cut
+    /// `floor ≤ c ≤ pc`, each thread's issued ops truncated at its cut and
+    /// run in the recorded schedule order — depth-first on one checkpointed
+    /// reference, so cuts share the ops of their common prefix. At each
+    /// step of a thread past its floor the search saves the reference and
+    /// branches: the thread runs the op (first), or its cut falls here.
+    /// `leaf` gets each cut's abstract state and returns whether to stop.
+    /// Returns the reference ops run.
+    fn search_cuts(&self, leaf: impl FnMut(u128) -> bool) -> VfsResult<u64> {
+        let mut issued = vec![0; self.thread_count()];
+        let steps = self
+            .history
             .iter()
-            .zip(&self.floor)
-            .fold(1usize, |total, (pc, floor)| {
-                total.saturating_mul(pc - floor + 1)
+            .filter(|(step, _)| !step.is_crash())
+            .map(|(step, _)| {
+                let t = step.tid as usize;
+                issued[t] += 1;
+                (t, issued[t] > self.floor[t], &step.op)
             })
+            .collect();
+        let mut search = CutSearch {
+            reference: Reference::new(&self.setup, &self.core.abstraction)?,
+            steps,
+            stopped: vec![false; self.thread_count()],
+            leaf,
+        };
+        search.dfs(0)?;
+        Ok(search.reference.ops)
+    }
+}
+
+/// The sequential model both oracles judge the threads' history against:
+/// VeriFS2 behind the checkpoint API, with the setup prologue replayed.
+struct Reference<'a> {
+    target: CheckpointTarget<VeriFs>,
+    abstraction: &'a AbstractionConfig,
+    /// Ops run past the setup.
+    ops: u64,
+}
+
+impl<'a> Reference<'a> {
+    fn new(setup: &[FsOp], abstraction: &'a AbstractionConfig) -> VfsResult<Self> {
+        let mut reference = Reference {
+            target: CheckpointTarget::new(VeriFs::v2()),
+            abstraction,
+            ops: 0,
+        };
+        reference.target.pre_op()?;
+        for op in setup {
+            reference.run(op);
+        }
+        reference.ops = 0;
+        Ok(reference)
     }
 
-    /// Reference states of every per-thread cut `floor ≤ c ≤ pc`: each
-    /// thread's issued ops truncated at its cut, executed in the recorded
-    /// schedule order on a fresh reference.
-    fn crash_cut_states(&mut self) -> VfsResult<Vec<u128>> {
-        let tc = self.thread_count();
-        let abstraction = &self.core.abstraction;
-        let exceptions = &abstraction.exceptions;
-        let sort = abstraction.sort_entries;
-        let mut out = Vec::new();
-        let mut cut: Vec<usize> = self.floor.clone();
-        loop {
-            let mut reference = VeriFs::v2();
-            reference.mount()?;
-            for op in &self.setup {
-                execute_with(&mut reference, op, exceptions, sort);
-            }
-            let mut idx = vec![0usize; tc];
-            for (step, _) in &self.history {
-                if step.is_crash() {
-                    continue;
-                }
-                let t = step.tid as usize;
-                if idx[t] < cut[t] {
-                    execute_with(&mut reference, &step.op, exceptions, sort);
-                }
-                idx[t] += 1;
-            }
-            out.push(abstract_state(&mut reference, abstraction)?.as_u128());
-            // Mixed-radix increment over the cut lattice.
-            let mut t = 0;
-            loop {
-                if t == tc {
-                    return Ok(out);
-                }
-                if cut[t] < self.pcs[t] {
-                    cut[t] += 1;
-                    break;
-                }
-                cut[t] = self.floor[t];
-                t += 1;
-            }
+    fn run(&mut self, op: &FsOp) -> OpOutcome {
+        self.ops += 1;
+        let abstraction = self.abstraction;
+        execute_with(
+            self.target.fs_mut(),
+            op,
+            &abstraction.exceptions,
+            abstraction.sort_entries,
+        )
+    }
+}
+
+/// One Wing & Gong search ([`ThreadedMcfs::check_linearizable`]).
+struct LinSearch<'a> {
+    reference: Reference<'a>,
+    programs: &'a [Vec<FsOp>],
+    /// Each thread's observed outcomes, and the history position of each.
+    expected: Vec<Vec<OpOutcome>>,
+    pos: Vec<Vec<i64>>,
+    /// Ops of each thread the current candidate has placed.
+    placed: Vec<usize>,
+}
+
+impl LinSearch<'_> {
+    /// Whether the `left` ops not yet placed have a linearization.
+    fn dfs(&mut self, left: usize) -> VfsResult<bool> {
+        if left == 0 {
+            return Ok(true);
         }
+        let key = left as u64;
+        self.reference.target.save_state(key)?;
+        for t in 0..self.programs.len() {
+            let k = self.placed[t];
+            if k >= self.expected[t].len() {
+                continue;
+            }
+            // Real-time order: a pending op A of another thread precedes
+            // this op B iff A's response (its history position) came before
+            // B's invocation (B's thread predecessor's position). Placing B
+            // first would reorder them against the wall clock.
+            let inv = if k == 0 { -1 } else { self.pos[t][k - 1] };
+            let blocked = (0..self.programs.len()).any(|u| {
+                let ku = self.placed[u];
+                u != t && ku < self.expected[u].len() && self.pos[u][ku] < inv
+            });
+            if blocked {
+                continue;
+            }
+            if self.reference.run(&self.programs[t][k]) == self.expected[t][k] {
+                self.placed[t] = k + 1;
+                let hit = self.dfs(left - 1)?;
+                self.placed[t] = k;
+                if hit {
+                    let _ = self.reference.target.drop_state(key);
+                    return Ok(true);
+                }
+            }
+            self.reference.target.load_state(key)?;
+        }
+        let _ = self.reference.target.drop_state(key);
+        Ok(false)
+    }
+}
+
+/// One depth-first walk of the crash-cut lattice
+/// ([`ThreadedMcfs::search_cuts`]).
+struct CutSearch<'a, F> {
+    reference: Reference<'a>,
+    /// The history's thread steps: the issuing thread, whether the step
+    /// lies past the thread's floor (a cut may fall before it), the op.
+    steps: Vec<(usize, bool, &'a FsOp)>,
+    /// Threads whose cut the current branch has already placed.
+    stopped: Vec<bool>,
+    leaf: F,
+}
+
+impl<F: FnMut(u128) -> bool> CutSearch<'_, F> {
+    /// Walks the cuts below step `at`; true once `leaf` asks to stop.
+    fn dfs(&mut self, at: usize) -> VfsResult<bool> {
+        let Some(&(t, past_floor, op)) = self.steps.get(at) else {
+            let reference = &mut self.reference;
+            let state = abstract_state(reference.target.fs_mut(), reference.abstraction)?;
+            return Ok((self.leaf)(state.as_u128()));
+        };
+        if self.stopped[t] {
+            return self.dfs(at + 1);
+        }
+        if !past_floor {
+            self.reference.run(op);
+            return self.dfs(at + 1);
+        }
+        let key = at as u64;
+        self.reference.target.save_state(key)?;
+        self.reference.run(op);
+        if self.dfs(at + 1)? {
+            return Ok(true);
+        }
+        self.reference.target.load_state(key)?;
+        self.reference.target.drop_state(key)?;
+        self.stopped[t] = true;
+        let stop = self.dfs(at + 1);
+        self.stopped[t] = false;
+        stop
     }
 }
 
@@ -831,7 +840,6 @@ impl ModelSystem for ThreadedMcfs {
             crashes: self.stats.crashes,
             recoveries: self.stats.crash_recoveries,
             divergent_recoveries: self.stats.divergent_recoveries,
-            capped_cuts: self.stats.capped_cuts,
         })
     }
 
@@ -908,7 +916,53 @@ impl ModelSystem for ThreadedMcfs {
 mod tests {
     use super::*;
     use modelcheck::{DfsExplorer, ExploreConfig};
+    use proptest::prelude::*;
     use verifs::BugConfig;
+    use vfs::FileSystem;
+
+    /// Reference states of every per-thread cut `floor ≤ c ≤ pc`, each
+    /// replayed from scratch on a fresh reference in mixed-radix order: the
+    /// definition [`ThreadedMcfs::search_cuts`] is checked against.
+    fn crash_cut_states(sys: &ThreadedMcfs) -> VfsResult<Vec<u128>> {
+        let tc = sys.thread_count();
+        let abstraction = &sys.core.abstraction;
+        let exceptions = &abstraction.exceptions;
+        let sort = abstraction.sort_entries;
+        let mut out = Vec::new();
+        let mut cut: Vec<usize> = sys.floor.clone();
+        loop {
+            let mut reference = VeriFs::v2();
+            reference.mount()?;
+            for op in &sys.setup {
+                execute_with(&mut reference, op, exceptions, sort);
+            }
+            let mut idx = vec![0usize; tc];
+            for (step, _) in &sys.history {
+                if step.is_crash() {
+                    continue;
+                }
+                let t = step.tid as usize;
+                if idx[t] < cut[t] {
+                    execute_with(&mut reference, &step.op, exceptions, sort);
+                }
+                idx[t] += 1;
+            }
+            out.push(abstract_state(&mut reference, abstraction)?.as_u128());
+            // Mixed-radix increment over the cut lattice.
+            let mut t = 0;
+            loop {
+                if t == tc {
+                    return Ok(out);
+                }
+                if cut[t] < sys.pcs[t] {
+                    cut[t] += 1;
+                    break;
+                }
+                cut[t] = sys.floor[t];
+                t += 1;
+            }
+        }
+    }
 
     fn op_create(p: &str) -> FsOp {
         FsOp::CreateFile {
@@ -1249,19 +1303,24 @@ mod tests {
     }
 
     #[test]
-    fn capped_cut_lattice_prunes_a_recovery_outside_the_window() {
-        // 34 ops per thread: the cut lattice has 35 × 35 = 1,225 cuts,
-        // past the cap, so per-thread cuts are not enumerated.
+    fn every_cut_of_a_1225_cut_lattice_is_checked() {
+        // 34 ops per thread, run alternately: the cut lattice has
+        // 35 × 35 = 1,225 cuts.
         let program = |f: &str| {
             let mut ops = vec![op_create(f)];
             ops.extend((0..33).map(|i| op_write(f, i * 8, 8, 1)));
             ops
         };
         let programs = vec![program("/a"), program("/b")];
-        // Keeping all of thread 0 and none of thread 1 is a valid cut but
-        // no prefix of the alternating schedule; keeping nothing is the
-        // window's first state.
-        for (survivors, verified) in [(programs[0].clone(), false), (Vec::new(), true)] {
+        // All of thread 0 and none of thread 1 is a cut but no prefix of
+        // the alternating schedule; nothing is the window's first state;
+        // thread 0's second write without its first is no cut at all.
+        let torn = vec![programs[0][0].clone(), programs[0][2].clone()];
+        for (survivors, verified) in [
+            (programs[0].clone(), true),
+            (Vec::new(), true),
+            (torn, false),
+        ] {
             let targets: Vec<Box<dyn CheckedTarget>> = (0..2)
                 .map(|_| {
                     let mut fs = VeriFs::v2();
@@ -1290,16 +1349,89 @@ mod tests {
                 ApplyOutcome::Prune(msg) if verified => {
                     assert!(msg.starts_with("crash recovery verified"), "{msg}")
                 }
-                ApplyOutcome::Prune(msg) => assert!(
-                    msg.contains("the 1225-cut lattice exceeds MAX_CRASH_CUTS (1024)"),
+                ApplyOutcome::Violation(msg) if !verified => assert!(
+                    msg.starts_with("crash-consistency violation: cut-recovery recovered"),
                     "{msg}"
                 ),
-                other => panic!("a capped lattice must not reject a recovery: {other:?}"),
+                other => panic!("verified = {verified}: {other:?}"),
             }
             let crash = sys.crash_stats().unwrap();
             assert_eq!(crash.crashes, 1);
             assert_eq!(crash.recoveries, u64::from(verified));
-            assert_eq!(crash.capped_cuts, u64::from(!verified));
+            // A recovery no cut reaches costs the whole lattice: one
+            // reference op per branch point, 1,224 for 1,225 leaves.
+            if !verified {
+                assert_eq!(sys.cut_ops(), 1_224);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// The depth-first cut search reaches exactly the states of the
+        /// from-scratch mixed-radix replay, one leaf per cut, on random
+        /// 2–3-thread programs over shared paths whose every thread has a
+        /// sync floor above 0.
+        #[test]
+        fn cut_search_matches_the_mixed_radix_replay(
+            lens in prop::collection::vec(2usize..5, 3..4),
+            threads in 2usize..4,
+            picks in prop::collection::vec(0usize..9, 12..13),
+            synced in 1usize..3,
+            order in prop::collection::vec(0usize..3, 12..13),
+        ) {
+            let menu = [
+                op_create("/a"),
+                op_create("/b"),
+                op_write("/a", 0, 8, 1),
+                op_write("/b", 4, 8, 2),
+                op_trunc("/a", 2),
+                FsOp::Unlink { path: "/a".into() },
+                FsOp::Mkdir { path: "/d".into(), mode: 0o755 },
+                FsOp::Rename { src: "/a".into(), dst: "/d/a".into() },
+                FsOp::Rename { src: "/b".into(), dst: "/a".into() },
+            ];
+            let mut next = picks.iter().cycle();
+            let programs: Vec<Vec<FsOp>> = lens[..threads]
+                .iter()
+                .map(|&n| (0..n).map(|_| menu[*next.next().unwrap()].clone()).collect())
+                .collect();
+            let cfg = ThreadedMcfsConfig {
+                crash_exploration: true,
+                ..ThreadedMcfsConfig::default()
+            };
+            let mut sys = ThreadedMcfs::new(clean_pair(), programs.clone(), cfg).unwrap();
+            let mut order = order.iter().cycle();
+            let mut issue = |sys: &mut ThreadedMcfs, limit: usize| loop {
+                let live: Vec<usize> = (0..threads)
+                    .filter(|&t| sys.pcs[t] < limit.min(programs[t].len()))
+                    .collect();
+                let Some(&t) = live.get(order.next().unwrap() % live.len().max(1)) else {
+                    break;
+                };
+                let step = SchedStep { tid: t as u16, op: programs[t][sys.pcs[t]].clone() };
+                prop_assert_eq!(sys.apply(&step), ApplyOutcome::Ok);
+            };
+            // Checkpointing sets the sync floor at every thread's pc.
+            issue(&mut sys, synced);
+            sys.checkpoint(StateId(0)).unwrap();
+            issue(&mut sys, usize::MAX);
+            prop_assert!(sys.floor.iter().all(|&f| f > 0));
+            let replayed = crash_cut_states(&sys).unwrap();
+            let mut searched = BTreeSet::new();
+            let mut leaves = 0;
+            let ops = sys
+                .search_cuts(|h| {
+                    searched.insert(h);
+                    leaves += 1;
+                    false
+                })
+                .unwrap();
+            prop_assert_eq!(leaves, replayed.len());
+            prop_assert_eq!(searched, replayed.into_iter().collect::<BTreeSet<_>>());
+            // The floor prefix runs once; past it, one op per branch point.
+            let floor_ops: usize = sys.floor.iter().sum();
+            prop_assert_eq!(ops as usize, floor_ops + leaves - 1);
         }
     }
 

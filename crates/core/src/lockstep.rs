@@ -347,15 +347,9 @@ impl Lockstep {
         Ok(pre[0].as_u128())
     }
 
-    /// Power-cuts every target and runs its recovery mount, then checks
-    /// each recovered state against the caller's oracle: a state `allowed`
-    /// rejects is a violation, worded by `outside` from the target's name.
-    /// Returns the recovered states.
-    pub(crate) fn recover(
-        &mut self,
-        allowed: impl Fn(u128) -> bool,
-        outside: impl FnOnce(&str) -> String,
-    ) -> Result<Vec<Digest128>, ApplyOutcome> {
+    /// Power-cuts every target and runs its recovery mount. Returns the
+    /// recovered states, for the caller's oracle to [`judge`](Self::judge).
+    pub(crate) fn recover(&mut self) -> Result<Vec<Digest128>, ApplyOutcome> {
         for t in &mut self.targets {
             if let Err(e) = t.crash_remount() {
                 let msg = format!(
@@ -366,20 +360,31 @@ impl Lockstep {
             }
         }
         self.charge_syscalls();
-        let recovered = self.hashes(|e| {
+        self.hashes(|e| {
             format!(
                 "state traversal failed after crash recovery: {e} (recovery corrupted the file system?)"
             )
-        })?;
+        })
+    }
+
+    /// Checks each recovered state against the caller's oracle: the first
+    /// target whose state `allowed` rejects is a violation, worded by
+    /// `outside` from the target's name.
+    pub(crate) fn judge(
+        &mut self,
+        recovered: &[Digest128],
+        allowed: impl Fn(u128) -> bool,
+        outside: impl FnOnce(&str) -> String,
+    ) -> Result<(), ApplyOutcome> {
         let rejected = self
             .targets
             .iter()
-            .zip(&recovered)
+            .zip(recovered)
             .find(|(_, h)| !allowed(h.as_u128()))
             .map(|(t, _)| t.name());
         match rejected {
             Some(name) => Err(self.violation(outside(&name))),
-            None => Ok(recovered),
+            None => Ok(()),
         }
     }
 }

@@ -46,8 +46,9 @@ pub struct FuseConfig {
 
 impl Default for FuseConfig {
     fn default() -> Self {
-        // libfuse defaults: 1 second entry/attr timeouts; a FUSE round trip
-        // costs ~20 µs (two context switches plus request/reply copies).
+        // libfuse defaults: 1 second entry/attr timeouts. A FUSE round trip
+        // (two context switches plus request/reply copies) is charged
+        // 34 µs of virtual time.
         FuseConfig {
             entry_ttl_ns: 1_000_000_000,
             attr_ttl_ns: 1_000_000_000,

@@ -26,8 +26,6 @@ pub struct ExploreConfig {
     pub max_ops: u64,
     /// Distinct-state budget.
     pub max_states: u64,
-    /// Virtual-time budget in nanoseconds (requires a clock).
-    pub max_virtual_ns: Option<u64>,
     /// Stop at the first violation (otherwise collect and continue).
     pub stop_on_violation: bool,
     /// Enable sleep-set partial-order reduction (uses
@@ -77,7 +75,6 @@ impl Default for ExploreConfig {
             max_depth: 6,
             max_ops: 1_000_000,
             max_states: u64::MAX,
-            max_virtual_ns: None,
             stop_on_violation: true,
             por: false,
             por_persistent: false,
@@ -101,8 +98,6 @@ pub enum StopReason {
     OpBudget,
     /// State budget reached.
     StateBudget,
-    /// Virtual-time budget reached.
-    TimeBudget,
     /// Stopped at a violation.
     Violation,
     /// The memory model ran out of RAM + swap.
@@ -273,7 +268,7 @@ pub(crate) struct Search<'a, S: ModelSystem> {
 
 impl<'a, S: ModelSystem> Search<'a, S> {
     /// A search counting into `stats` and `violations`. Without a clock
-    /// nothing is charged and `max_virtual_ns` never trips.
+    /// nothing is charged.
     pub(crate) fn new(
         cfg: &'a ExploreConfig,
         clock: Option<&'a Clock>,
@@ -317,7 +312,7 @@ impl<'a, S: ModelSystem> Search<'a, S> {
         Ok(root)
     }
 
-    /// Stops the run once the op, state or virtual-time budget is spent.
+    /// Stops the run once the op or state budget is spent.
     fn budget(&self) -> Result<(), StopReason> {
         if self.stats.ops_executed >= self.cfg.max_ops {
             return Err(StopReason::OpBudget);
@@ -325,10 +320,7 @@ impl<'a, S: ModelSystem> Search<'a, S> {
         if self.stats.states_new >= self.cfg.max_states {
             return Err(StopReason::StateBudget);
         }
-        match (self.cfg.max_virtual_ns, self.clock) {
-            (Some(limit), Some(_)) if self.elapsed_ns() >= limit => Err(StopReason::TimeBudget),
-            _ => Ok(()),
-        }
+        Ok(())
     }
 
     /// Checkpoints the live state under a fresh id and charges it to the
@@ -777,8 +769,7 @@ impl DfsExplorer {
         DfsExplorer { cfg, clock: None }
     }
 
-    /// Attaches a virtual clock: memory-model costs are charged to it, and
-    /// `max_virtual_ns` becomes enforceable.
+    /// Attaches a virtual clock: memory-model costs are charged to it.
     pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = Some(clock);
         self

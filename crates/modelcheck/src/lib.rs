@@ -302,27 +302,6 @@ mod tests {
         assert!(report.stats.ops_per_sec().is_some());
     }
 
-    #[test]
-    fn time_budget_stops() {
-        use blockdev::Clock;
-        let clock = Clock::new();
-        let mut sys = Counter::new(1_000, None);
-        sys.bytes_per_state = 1 << 20;
-        let cfg = ExploreConfig {
-            max_depth: 500,
-            max_ops: u64::MAX,
-            max_virtual_ns: Some(1_000_000),
-            mem: MemConfig {
-                ram_bytes: 4 << 20,
-                swap_bytes: 1 << 30,
-                swap_ns_per_mib: 100_000,
-            },
-            ..ExploreConfig::default()
-        };
-        let report = DfsExplorer::new(cfg).with_clock(clock).run(&mut sys);
-        assert_eq!(report.stop, StopReason::TimeBudget);
-    }
-
     /// Two independent registers: POR should cut the explored interleavings.
     struct TwoRegs {
         regs: [u8; 2],

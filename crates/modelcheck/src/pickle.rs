@@ -58,8 +58,10 @@ pub const MAGIC: [u8; 8] = *b"MCFSPKL\x01";
 /// reject versions they do not know. Version 2 extended the stats section
 /// with the out-of-core counters (`visited_peak_bytes`, the optional
 /// [`SpillStats`] block, and the checkpoint-store demotion fields).
-/// Version 3 added [`CrashStats::capped_cuts`].
-pub const FORMAT_VERSION: u32 = 3;
+/// Version 3 added a fourth crash counter (crashes pruned unchecked past a
+/// cap on the threaded crash-cut lattice); version 4 dropped it with the
+/// cap.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Why a pickle stream failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -342,7 +344,6 @@ fn encode_stats(out: &mut Vec<u8>, s: &ExploreStats) {
             put_u64(out, c.crashes);
             put_u64(out, c.recoveries);
             put_u64(out, c.divergent_recoveries);
-            put_u64(out, c.capped_cuts);
         }
     }
 }
@@ -407,7 +408,6 @@ fn decode_stats(r: &mut ByteReader<'_>) -> Result<ExploreStats, PickleError> {
             crashes: r.u64()?,
             recoveries: r.u64()?,
             divergent_recoveries: r.u64()?,
-            capped_cuts: r.u64()?,
         }),
         t => return Err(PickleError::Corrupt(format!("bad crash-stats tag {t}"))),
     };
@@ -730,7 +730,6 @@ mod tests {
                     crashes: 2,
                     recoveries: 2,
                     divergent_recoveries: 0,
-                    capped_cuts: 1,
                 }),
                 ..ExploreStats::default()
             },
@@ -755,10 +754,10 @@ mod tests {
         // The snapshot format is on-disk state: any byte drift breaks
         // resuming from snapshots written by an earlier build.
         let bytes = encode_snapshot(&sample(), &U32Codec);
-        assert_eq!(bytes.len(), 499);
-        assert_eq!(fnv128(&bytes), 0x3c6f3e95fd49dbe181e06a6991b2a7d3);
+        assert_eq!(bytes.len(), 491);
+        assert_eq!(fnv128(&bytes), 0x2a862da6231ad36925707f5336aa339a);
         let empty = encode_snapshot(&RunSnapshot::<u32>::empty(9, 1), &U32Codec);
-        assert_eq!(fnv128(&empty), 0x686c3289a82745c4244c591142399520);
+        assert_eq!(fnv128(&empty), 0x21feb1fe34f505c7b217792cd2f1db16);
     }
 
     #[test]

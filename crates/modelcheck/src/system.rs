@@ -86,9 +86,6 @@ pub struct CrashStats {
     /// Crashes where the targets each recovered validly but to *different*
     /// states (pruned, not a violation: both outcomes are legal).
     pub divergent_recoveries: u64,
-    /// Crashes pruned unchecked: a recovery matched no interleaved prefix
-    /// and the per-thread cut lattice was too large to enumerate.
-    pub capped_cuts: u64,
 }
 
 impl CrashStats {
@@ -97,7 +94,6 @@ impl CrashStats {
         self.crashes += other.crashes;
         self.recoveries += other.recoveries;
         self.divergent_recoveries += other.divergent_recoveries;
-        self.capped_cuts += other.capped_cuts;
     }
 }
 
