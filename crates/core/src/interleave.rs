@@ -43,7 +43,7 @@ use modelcheck::{
 use verifs::VeriFs;
 use vfs::{Errno, VfsResult};
 
-use crate::abstraction::{abstract_state, AbstractionConfig};
+use crate::abstraction::AbstractionConfig;
 use crate::effect::EffectIndex;
 use crate::lockstep::Lockstep;
 use crate::pool::{execute_with, FsOp, OpOutcome};
@@ -638,8 +638,11 @@ impl<'a> Reference<'a> {
         Ok(reference)
     }
 
+    /// Runs `op`, first dropping the cached fingerprints of the paths it
+    /// touches, so a later hash re-reads only what changed.
     fn run(&mut self, op: &FsOp) -> OpOutcome {
         self.ops += 1;
+        self.target.invalidate_fingerprints(&op.touched_paths());
         let abstraction = self.abstraction;
         execute_with(
             self.target.fs_mut(),
@@ -719,7 +722,9 @@ impl<F: FnMut(u128) -> bool> CutSearch<'_, F> {
     fn dfs(&mut self, at: usize) -> VfsResult<bool> {
         let Some(&(t, past_floor, op)) = self.steps.get(at) else {
             let reference = &mut self.reference;
-            let state = abstract_state(reference.target.fs_mut(), reference.abstraction)?;
+            let state = reference
+                .target
+                .cached_abstract_state(reference.abstraction)?;
             return Ok((self.leaf)(state.as_u128()));
         };
         if self.stopped[t] {
@@ -915,6 +920,7 @@ impl ModelSystem for ThreadedMcfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abstraction::abstract_state;
     use modelcheck::{DfsExplorer, ExploreConfig};
     use proptest::prelude::*;
     use verifs::BugConfig;

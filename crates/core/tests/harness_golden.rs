@@ -227,7 +227,7 @@ fn mcfs_seeded_bug_violation() {
     pin(
         "seeded bug",
         &summary,
-        r#"ExploreStats { ops_executed: 7918, ops_replayed: 0, states_new: 714, states_matched: 7162, pruned: 2180, checkpoints: 54, restores: 7864, max_depth_seen: 4, resize_events: 0, peak_memory_bytes: 111888, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 31672000, visited_peak_bytes: 34272, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 8, pinned: 8, total_bytes: 91708, shared_bytes: 108, resident_bytes: 91600, evictions: 0, inserts: 108, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
+        r#"ExploreStats { ops_executed: 7918, ops_replayed: 0, states_new: 714, states_matched: 7162, pruned: 2180, checkpoints: 54, restores: 7864, max_depth_seen: 4, resize_events: 0, peak_memory_bytes: 111888, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 31672000, visited_peak_bytes: 34272, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 8, pinned: 8, total_bytes: 91708, shared_bytes: 78956, resident_bytes: 12752, evictions: 0, inserts: 108, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
 visited 714 0504cbd157206397235e124cc45f16d7
 clock 31672000
 after 7918 ops: abstract-state discrepancy on truncate(/f0, 1):
@@ -258,7 +258,7 @@ fn mcfs_majority_vote_violation() {
     pin(
         "majority vote",
         &summary,
-        r#"ExploreStats { ops_executed: 17, ops_replayed: 0, states_new: 6, states_matched: 11, pruned: 6, checkpoints: 3, restores: 14, max_depth_seen: 3, resize_events: 0, peak_memory_bytes: 102996, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 102000, visited_peak_bytes: 288, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 9, pinned: 9, total_bytes: 102996, shared_bytes: 108, resident_bytes: 102888, evictions: 0, inserts: 9, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
+        r#"ExploreStats { ops_executed: 17, ops_replayed: 0, states_new: 6, states_matched: 11, pruned: 6, checkpoints: 3, restores: 14, max_depth_seen: 3, resize_events: 0, peak_memory_bytes: 102996, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 102000, visited_peak_bytes: 288, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 9, pinned: 9, total_bytes: 102996, shared_bytes: 88812, resident_bytes: 14184, evictions: 0, inserts: 9, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
 visited 6 8841c6c70dfa93c8fbc1d1eef2c2bfa1
 clock 102000
 after 17 ops: abstract-state discrepancy on write_file(/f0, off=50, len=1, seed=1):
@@ -299,7 +299,7 @@ fn mcfs_walk_coverage() {
     pin(
         "walk coverage",
         &summary,
-        r#"ExploreStats { ops_executed: 400, ops_replayed: 0, states_new: 19, states_matched: 382, pruned: 0, checkpoints: 19, restores: 33, max_depth_seen: 12, resize_events: 0, peak_memory_bytes: 482966, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 1600000, visited_peak_bytes: 912, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 2, pinned: 2, total_bytes: 22704, shared_bytes: 0, resident_bytes: 22704, evictions: 0, inserts: 38, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
+        r#"ExploreStats { ops_executed: 400, ops_replayed: 0, states_new: 19, states_matched: 382, pruned: 0, checkpoints: 19, restores: 33, max_depth_seen: 12, resize_events: 0, peak_memory_bytes: 482966, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 1600000, visited_peak_bytes: 912, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 2, pinned: 2, total_bytes: 22704, shared_bytes: 19712, resident_bytes: 2992, evictions: 0, inserts: 38, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
 clock 1600000
 operation coverage (op / outcome class / count):
   access         ENOENT         7
@@ -561,7 +561,7 @@ fn threaded_linearizability_violation() {
     pin(
         "linearizability",
         &summary,
-        r#"ExploreStats { ops_executed: 7, ops_replayed: 0, states_new: 7, states_matched: 0, pruned: 0, checkpoints: 7, restores: 0, max_depth_seen: 6, resize_events: 0, peak_memory_bytes: 80525, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 10000, visited_peak_bytes: 336, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 7, pinned: 7, total_bytes: 80525, shared_bytes: 299, resident_bytes: 80226, evictions: 0, inserts: 7, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
+        r#"ExploreStats { ops_executed: 7, ops_replayed: 0, states_new: 7, states_matched: 0, pruned: 0, checkpoints: 7, restores: 0, max_depth_seen: 6, resize_events: 0, peak_memory_bytes: 80525, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 10000, visited_peak_bytes: 336, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 7, pinned: 7, total_bytes: 80525, shared_bytes: 69291, resident_bytes: 11234, evictions: 0, inserts: 7, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
 visited 7 9a79ee4ba24e60a748282de16559d946
 clock 10000
 InterleaveStats { terminals: 1, lin_candidates: 25, crashes: 0, crash_recoveries: 0, divergent_recoveries: 0 }
@@ -632,7 +632,7 @@ fn threaded_record_time_minimization() {
     pin(
         "threaded minimization",
         &summary,
-        r#"ExploreStats { ops_executed: 7, ops_replayed: 0, states_new: 7, states_matched: 0, pruned: 0, checkpoints: 7, restores: 0, max_depth_seen: 6, resize_events: 0, peak_memory_bytes: 80525, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 10000, visited_peak_bytes: 336, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 7, pinned: 7, total_bytes: 80525, shared_bytes: 299, resident_bytes: 80226, evictions: 0, inserts: 7, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
+        r#"ExploreStats { ops_executed: 7, ops_replayed: 0, states_new: 7, states_matched: 0, pruned: 0, checkpoints: 7, restores: 0, max_depth_seen: 6, resize_events: 0, peak_memory_bytes: 80525, swap_traffic_bytes: 0, swapped_bytes: 0, hit_rate: 1.0, virtual_ns: 10000, visited_peak_bytes: 336, spill: None, checkpoint_store: Some(CheckpointStoreStats { snapshots: 7, pinned: 7, total_bytes: 80525, shared_bytes: 69291, resident_bytes: 11234, evictions: 0, inserts: 7, demotions: 0, promotions: 0, spilled_bytes: 0 }), crash: None }
 visited 7 9a79ee4ba24e60a748282de16559d946
 clock 10000
 after 7 ops: linearizability violation: no sequential execution of the threads' ops (respecting program order and real-time order) matches every thread's observed results

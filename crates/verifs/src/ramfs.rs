@@ -12,7 +12,7 @@
 //! zeroing steps were missing.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use vfs::{
     path, AccessMode, DirEntry, Errno, Fd, FdTable, FileMode, FileStat, FileSystem, FileType,
@@ -145,16 +145,129 @@ impl Inode {
         let xattr_bytes: usize = self.xattrs.iter().map(|(k, v)| k.len() + v.len()).sum();
         kind_bytes + xattr_bytes + std::mem::size_of::<Inode>()
     }
+
+    /// The bytes between a regular file's logical size and its physical
+    /// capacity (see [`VeriFsConfig::opaque_residue_digest`]); empty for
+    /// other kinds.
+    fn residue(&self) -> &[u8] {
+        match &self.kind {
+            NodeKind::Regular { buf, size } => &buf[(*size as usize).min(buf.len())..],
+            _ => &[],
+        }
+    }
+
+    fn has_residue(&self) -> bool {
+        self.residue().iter().any(|&b| b != 0)
+    }
+}
+
+/// Inode slots per page of the [`InodeTable`].
+const PAGE_SLOTS: usize = 16;
+
+/// What [`FsState`]'s accounting and digest need to know about one page,
+/// cached until the page is next taken mutably.
+#[derive(Debug, Clone, Copy)]
+struct PageSummary {
+    /// The page's share of [`FsState::heap_bytes`].
+    heap_bytes: usize,
+    /// Whether any regular inode in the page holds nonzero bytes past its
+    /// size.
+    residue: bool,
+}
+
+#[derive(Debug, Clone)]
+struct Page {
+    slots: Vec<Option<Inode>>,
+    summary: OnceLock<PageSummary>,
+}
+
+impl Page {
+    fn summary(&self) -> PageSummary {
+        *self.summary.get_or_init(|| PageSummary {
+            heap_bytes: self
+                .slots
+                .iter()
+                .flatten()
+                .map(Inode::heap_bytes)
+                .sum::<usize>()
+                + self.slots.len() * std::mem::size_of::<Option<Inode>>(),
+            residue: self.slots.iter().flatten().any(Inode::has_residue),
+        })
+    }
+}
+
+/// The fixed-length inode array, in pages of [`PAGE_SLOTS`] slots. Both the
+/// page index and each page are `Arc`-backed, so a clone shares everything
+/// and the first write to a slot afterwards copies the index and that one
+/// page, not the whole array.
+#[derive(Debug, Clone)]
+struct InodeTable {
+    pages: Arc<Vec<Arc<Page>>>,
+}
+
+impl InodeTable {
+    fn new(len: usize) -> Self {
+        let pages = (0..len)
+            .step_by(PAGE_SLOTS)
+            .map(|start| {
+                Arc::new(Page {
+                    slots: vec![None; PAGE_SLOTS.min(len - start)],
+                    summary: OnceLock::new(),
+                })
+            })
+            .collect();
+        InodeTable {
+            pages: Arc::new(pages),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.pages.iter().map(|page| page.slots.len()).sum()
+    }
+
+    fn slots(&self) -> impl Iterator<Item = &Option<Inode>> {
+        self.pages.iter().flat_map(|page| page.slots.iter())
+    }
+
+    fn get(&self, ino: u64) -> Option<&Inode> {
+        let ino = usize::try_from(ino).ok()?;
+        self.pages
+            .get(ino / PAGE_SLOTS)?
+            .slots
+            .get(ino % PAGE_SLOTS)?
+            .as_ref()
+    }
+
+    /// The slot for `ino`, unshared from every snapshot. Every mutation of
+    /// the table goes through here, which is what keeps the page summaries
+    /// exact: taking a page mutably forgets its summary.
+    fn slot_mut(&mut self, ino: u64) -> Option<&mut Option<Inode>> {
+        let ino = usize::try_from(ino).ok()?;
+        let (page, slot) = (ino / PAGE_SLOTS, ino % PAGE_SLOTS);
+        if slot >= self.pages.get(page)?.slots.len() {
+            return None;
+        }
+        let page = Arc::make_mut(&mut Arc::make_mut(&mut self.pages)[page]);
+        page.summary.take();
+        Some(&mut page.slots[slot])
+    }
+
+    fn summaries(&self) -> impl Iterator<Item = PageSummary> + '_ {
+        self.pages.iter().map(|page| page.summary())
+    }
 }
 
 /// The complete in-memory state — what `ioctl_CHECKPOINT` captures into the
-/// snapshot pool. The inode array (and, transitively, every file buffer and
+/// snapshot pool. The inode table (and, transitively, every file buffer and
 /// directory map) is `Arc`-backed, so cloning the state for a checkpoint is
 /// O(1) reference bumps: snapshots and the live state share structure until
-/// one of them mutates (`Arc::make_mut`).
+/// one of them mutates (`Arc::make_mut`), and a mutation copies only the
+/// page of [`PAGE_SLOTS`] slots it touches. Each page caches its share of
+/// the heap accounting and whether it holds residue, so checkpoint, discard
+/// and the opaque digest read only the pages written since they last asked.
 #[derive(Debug, Clone)]
 struct FsState {
-    inodes: Arc<Vec<Option<Inode>>>,
+    inodes: InodeTable,
     /// Logical bytes charged against the data budget.
     data_used: u64,
     /// Monotonic logical timestamp, bumped on every state-changing call.
@@ -166,9 +279,9 @@ struct FsState {
 
 impl FsState {
     fn new(max_inodes: usize, max_fds: usize) -> Self {
-        let mut inodes = vec![None; max_inodes];
+        let mut inodes = InodeTable::new(max_inodes);
         // Inode 0 is reserved (never allocated); inode 1 is the root.
-        inodes[Ino::ROOT.0 as usize] = Some(Inode {
+        *inodes.slot_mut(Ino::ROOT.0).expect("root slot") = Some(Inode {
             kind: NodeKind::Directory {
                 entries: Arc::new(BTreeMap::new()),
             },
@@ -182,7 +295,7 @@ impl FsState {
             xattrs: BTreeMap::new(),
         });
         FsState {
-            inodes: Arc::new(inodes),
+            inodes,
             data_used: 0,
             time: 1,
             open_files: FdTable::new(max_fds),
@@ -190,12 +303,7 @@ impl FsState {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.inodes
-            .iter()
-            .flatten()
-            .map(Inode::heap_bytes)
-            .sum::<usize>()
-            + self.inodes.len() * std::mem::size_of::<Option<Inode>>()
+        self.inodes.summaries().map(|s| s.heap_bytes).sum()
     }
 }
 
@@ -303,34 +411,24 @@ impl VeriFs {
     }
 
     fn inode(&self, ino: u64) -> VfsResult<&Inode> {
-        self.state
-            .inodes
-            .get(ino as usize)
-            .and_then(Option::as_ref)
-            .ok_or(Errno::EIO)
+        self.state.inodes.get(ino).ok_or(Errno::EIO)
     }
 
     fn inode_mut(&mut self, ino: u64) -> VfsResult<&mut Inode> {
-        // Every mutation funnels through here: unshare the inode array from
+        // Every mutation funnels through here: unshare the inode's page from
         // any snapshots before handing out a mutable reference.
-        Arc::make_mut(&mut self.state.inodes)
-            .get_mut(ino as usize)
+        self.state
+            .inodes
+            .slot_mut(ino)
             .and_then(Option::as_mut)
             .ok_or(Errno::EIO)
     }
 
     fn alloc_inode(&mut self, inode: Inode) -> VfsResult<u64> {
-        for (i, slot) in Arc::make_mut(&mut self.state.inodes)
-            .iter_mut()
-            .enumerate()
-            .skip(2)
-        {
-            if slot.is_none() {
-                *slot = Some(inode);
-                return Ok(i as u64);
-            }
-        }
-        Err(Errno::ENOSPC)
+        let free = self.state.inodes.slots().skip(2).position(Option::is_none);
+        let ino = free.ok_or(Errno::ENOSPC)? as u64 + 2;
+        *self.state.inodes.slot_mut(ino).ok_or(Errno::EIO)? = Some(inode);
+        Ok(ino)
     }
 
     /// Resolves a validated path to an inode number. Intermediate components
@@ -413,7 +511,7 @@ impl VeriFs {
         if let NodeKind::Regular { size, .. } = node.kind {
             self.state.data_used = self.state.data_used.saturating_sub(size);
         }
-        Arc::make_mut(&mut self.state.inodes)[ino as usize] = None;
+        *self.state.inodes.slot_mut(ino).ok_or(Errno::EIO)? = None;
         Ok(())
     }
 
@@ -537,7 +635,7 @@ impl FileSystem for VeriFs {
         let files_free = self
             .state
             .inodes
-            .iter()
+            .slots()
             .skip(2)
             .filter(|s| s.is_none())
             .count() as u64;
@@ -1069,6 +1167,25 @@ impl FileSystem for VeriFs {
         if !self.config.opaque_residue_digest {
             return None;
         }
+        // The page summaries answer "no residue anywhere", the common case,
+        // without reading a slot.
+        if !self.state.inodes.summaries().any(|s| s.residue) {
+            return None;
+        }
+        self.residue_digest()
+    }
+
+    /// Without a sink, restores silently skip invalidation — which is fine
+    /// when no kernel cache sits in front.
+    fn set_invalidation_sink(&mut self, sink: Arc<dyn InvalidationSink>) {
+        self.sink = Some(sink);
+    }
+}
+
+impl VeriFs {
+    /// The digest of every nonzero residue in the table, walking each slot;
+    /// `None` when there is none.
+    fn residue_digest(&self) -> Option<u128> {
         // Buffers are never shrunk, so bytes between a file's logical size
         // and its physical capacity are stale residue the POSIX interface
         // (and hence the abstraction function) cannot read — until a buggy
@@ -1079,11 +1196,10 @@ impl FileSystem for VeriFs {
         let mut any = false;
         let mut canon: Option<Vec<Option<String>>> = None;
         // mcfs-lint: allow(MC007, keyed by canonical path; the slot fallback only covers orphans with no POSIX-reachable residue)
-        for (ino, slot) in self.state.inodes.iter().enumerate() {
+        for (ino, slot) in self.state.inodes.slots().enumerate() {
             let Some(inode) = slot else { continue };
-            if let NodeKind::Regular { buf, size } = &inode.kind {
-                let logical = (*size as usize).min(buf.len());
-                let residue = &buf[logical..];
+            if let NodeKind::Regular { size, .. } = &inode.kind {
+                let residue = inode.residue();
                 if residue.iter().all(|&b| b == 0) {
                     continue;
                 }
@@ -1112,14 +1228,6 @@ impl FileSystem for VeriFs {
         any.then_some(acc)
     }
 
-    /// Without a sink, restores silently skip invalidation — which is fine
-    /// when no kernel cache sits in front.
-    fn set_invalidation_sink(&mut self, sink: Arc<dyn InvalidationSink>) {
-        self.sink = Some(sink);
-    }
-}
-
-impl VeriFs {
     /// Lexicographically-smallest path reaching each inode, indexed by
     /// inode number. Directories have exactly one parent, so the walk is a
     /// tree traversal; hardlinked files keep the smallest of their names.
@@ -1132,7 +1240,7 @@ impl VeriFs {
         }
         let mut stack: Vec<(u64, String)> = vec![(Ino::ROOT.0, String::new())];
         while let Some((dir, prefix)) = stack.pop() {
-            let Some(Some(inode)) = self.state.inodes.get(dir as usize) else {
+            let Some(inode) = self.state.inodes.get(dir) else {
                 continue;
             };
             let NodeKind::Directory { entries } = &inode.kind else {
@@ -1140,13 +1248,7 @@ impl VeriFs {
             };
             for (name, &child) in entries.iter() {
                 let path = format!("{prefix}/{name}");
-                let is_dir = matches!(
-                    self.state.inodes.get(child as usize),
-                    Some(Some(Inode {
-                        kind: NodeKind::Directory { .. },
-                        ..
-                    }))
-                );
+                let is_dir = self.state.inodes.get(child).is_some_and(Inode::is_dir);
                 match &mut canon[child as usize] {
                     slot @ None => {
                         *slot = Some(path.clone());
@@ -1168,9 +1270,10 @@ impl FsCheckpoint for VeriFs {
         self.check_mounted()?;
         // ioctl_CHECKPOINT: lock, capture inode and file data into the
         // snapshot pool under `key`, unlock. The &mut receiver is the lock.
-        // Cloning the state is O(1) reference bumps (copy-on-write); the
-        // heap_bytes walk keeps the *logical* accounting the memory model
-        // charges, without copying or allocating anything.
+        // Cloning the state is O(1) reference bumps (copy-on-write);
+        // heap_bytes keeps the *logical* accounting the memory model charges
+        // by summing the page summaries, re-reading only pages written since
+        // the last checkpoint.
         let snap = self.state.clone();
         self.pool_bytes += snap.heap_bytes();
         if let Some(old) = self.pool.insert(key, snap) {
@@ -1217,50 +1320,64 @@ impl FsCheckpoint for VeriFs {
 /// Records the live state's shared allocations so snapshots don't get
 /// charged for structure they share with it.
 fn mark_state_allocations(state: &FsState, seen: &mut HashSet<*const ()>) {
-    if !seen.insert(Arc::as_ptr(&state.inodes).cast()) {
-        return; // same inode array ⇒ same interior allocations
+    if !seen.insert(Arc::as_ptr(&state.inodes.pages).cast()) {
+        return; // same page index ⇒ same pages and interior allocations
     }
-    for inode in state.inodes.iter().flatten() {
-        match &inode.kind {
-            NodeKind::Regular { buf, .. } => {
-                seen.insert(Arc::as_ptr(buf).cast());
+    for page in state.inodes.pages.iter() {
+        if !seen.insert(Arc::as_ptr(page).cast()) {
+            continue;
+        }
+        for inode in page.slots.iter().flatten() {
+            match &inode.kind {
+                NodeKind::Regular { buf, .. } => {
+                    seen.insert(Arc::as_ptr(buf).cast());
+                }
+                NodeKind::Directory { entries } => {
+                    seen.insert(Arc::as_ptr(entries).cast());
+                }
+                NodeKind::Symlink { .. } => {}
             }
-            NodeKind::Directory { entries } => {
-                seen.insert(Arc::as_ptr(entries).cast());
-            }
-            NodeKind::Symlink { .. } => {}
         }
     }
 }
 
 /// Heap bytes of `state` not yet counted in `seen` (same size formulas as
 /// [`FsState::heap_bytes`], so resident and logical figures are comparable).
+/// Sharing is counted per page: a page the live state or an earlier
+/// snapshot also holds costs nothing.
 fn unique_heap_bytes(state: &FsState, seen: &mut HashSet<*const ()>) -> usize {
-    if !seen.insert(Arc::as_ptr(&state.inodes).cast()) {
+    if !seen.insert(Arc::as_ptr(&state.inodes.pages).cast()) {
         return 0;
     }
-    let mut total = state.inodes.len() * std::mem::size_of::<Option<Inode>>();
-    for inode in state.inodes.iter().flatten() {
-        // The inode struct and its (non-Arc) xattrs live inside this copy of
-        // the array; the Arc-backed payloads are counted once per allocation.
-        total += std::mem::size_of::<Inode>();
-        total += inode
-            .xattrs
-            .iter()
-            .map(|(k, v)| k.len() + v.len())
-            .sum::<usize>();
-        match &inode.kind {
-            NodeKind::Regular { buf, .. } => {
-                if seen.insert(Arc::as_ptr(buf).cast()) {
-                    total += buf.len();
+    let mut total = 0;
+    for page in state.inodes.pages.iter() {
+        if !seen.insert(Arc::as_ptr(page).cast()) {
+            continue;
+        }
+        total += page.slots.len() * std::mem::size_of::<Option<Inode>>();
+        for inode in page.slots.iter().flatten() {
+            // The inode struct and its (non-Arc) xattrs live inside this copy
+            // of the page; the Arc-backed payloads are counted once per
+            // allocation.
+            total += std::mem::size_of::<Inode>();
+            total += inode
+                .xattrs
+                .iter()
+                .map(|(k, v)| k.len() + v.len())
+                .sum::<usize>();
+            match &inode.kind {
+                NodeKind::Regular { buf, .. } => {
+                    if seen.insert(Arc::as_ptr(buf).cast()) {
+                        total += buf.len();
+                    }
                 }
-            }
-            NodeKind::Directory { entries } => {
-                if seen.insert(Arc::as_ptr(entries).cast()) {
-                    total += entries.keys().map(|k| k.len() + 16).sum::<usize>();
+                NodeKind::Directory { entries } => {
+                    if seen.insert(Arc::as_ptr(entries).cast()) {
+                        total += entries.keys().map(|k| k.len() + 16).sum::<usize>();
+                    }
                 }
+                NodeKind::Symlink { target } => total += target.len(),
             }
-            NodeKind::Symlink { target } => total += target.len(),
         }
     }
     total
@@ -1301,16 +1418,19 @@ impl VeriFs {
     /// have paid. Benchmarks and equivalence tests call this right after
     /// [`FsCheckpoint::checkpoint`] to reconstruct the deep-clone baseline.
     pub fn materialize_cow(&mut self) {
-        let inodes = Arc::make_mut(&mut self.state.inodes);
-        for inode in inodes.iter_mut().flatten() {
-            match &mut inode.kind {
-                NodeKind::Regular { buf, .. } => {
-                    Arc::make_mut(buf);
+        // Unsharing copies without changing a byte, so the page summaries
+        // stay valid.
+        for page in Arc::make_mut(&mut self.state.inodes.pages) {
+            for inode in Arc::make_mut(page).slots.iter_mut().flatten() {
+                match &mut inode.kind {
+                    NodeKind::Regular { buf, .. } => {
+                        Arc::make_mut(buf);
+                    }
+                    NodeKind::Directory { entries } => {
+                        Arc::make_mut(entries);
+                    }
+                    NodeKind::Symlink { .. } => {}
                 }
-                NodeKind::Directory { entries } => {
-                    Arc::make_mut(entries);
-                }
-                NodeKind::Symlink { .. } => {}
             }
         }
     }
@@ -2058,6 +2178,30 @@ mod more_tests {
         let mut buf = [0u8; 4];
         fs.read(fd, &mut buf).unwrap();
         assert_eq!(buf, [7u8; 4]);
+        fs.close(fd).unwrap();
+        // After a checkpoint and a restore the live state shares everything
+        // with the snapshot again. One small write then unshares the page
+        // holding the file's inode and the file's buffer, not the table.
+        fs.checkpoint(2).unwrap();
+        fs.restore_keep(2).unwrap();
+        let before = fs.snapshot_resident_bytes();
+        let fd = fs
+            .open("/big", OpenFlags::write_only(), FileMode::REG_DEFAULT)
+            .unwrap();
+        fs.write(fd, b"x").unwrap();
+        fs.close(fd).unwrap();
+        let grown = fs.snapshot_resident_bytes() - before;
+        // A page of slots, each charged for the inode it may hold.
+        let page =
+            PAGE_SLOTS * (std::mem::size_of::<Option<Inode>>() + std::mem::size_of::<Inode>());
+        assert!(
+            grown <= page + round_up(10_000),
+            "one write grew the snapshot's resident bytes by {grown}"
+        );
+        assert!(
+            grown >= round_up(10_000),
+            "the old buffer is pool-owned: {grown}"
+        );
     }
 
     #[test]
@@ -2102,5 +2246,101 @@ mod more_tests {
             "two snapshots must share one copy (resident {resident}, logical {})",
             fs.snapshot_bytes()
         );
+    }
+
+    /// [`FsState::heap_bytes`] by walking every slot, without the page
+    /// summaries.
+    fn heap_bytes_walk(state: &FsState) -> usize {
+        state
+            .inodes
+            .slots()
+            .flatten()
+            .map(Inode::heap_bytes)
+            .sum::<usize>()
+            + state.inodes.len() * std::mem::size_of::<Option<Inode>>()
+    }
+
+    /// Checks the summary-backed accounting and digest against full walks.
+    fn assert_summaries_exact(fs: &VeriFs, step: usize) {
+        assert_eq!(fs.state_bytes(), heap_bytes_walk(&fs.state), "step {step}");
+        let pool: usize = fs.pool.values().map(heap_bytes_walk).sum();
+        assert_eq!(fs.snapshot_bytes(), pool, "step {step}");
+        assert_eq!(fs.opaque_state_digest(), fs.residue_digest(), "step {step}");
+    }
+
+    /// Forty names: four directories, then files at the root and inside
+    /// them, enough to spread the inodes over more than one page.
+    fn trace_path(i: u8) -> String {
+        match i {
+            0..=3 => format!("/d{i}"),
+            _ if i.is_multiple_of(2) => format!("/f{i}"),
+            _ => format!("/d{}/f{i}", i % 4),
+        }
+    }
+
+    const SIZES: [u64; 4] = [0, 1, 65, 200];
+
+    /// Runs one encoded step; errors are part of the trace, not failures.
+    fn run_step(fs: &mut VeriFs, held: &mut Vec<Fd>, (kind, a, b, c): (u8, u8, u8, u8)) {
+        let p = trace_path(a);
+        let q = trace_path((a + 7 * b + 1) % 40);
+        let key = u64::from(b);
+        match kind {
+            0..=7 => {
+                let flags = OpenFlags {
+                    create: true,
+                    ..OpenFlags::write_only()
+                };
+                if let Ok(fd) = fs.open(&p, flags, FileMode::REG_DEFAULT) {
+                    let _ = fs.lseek(fd, [0, 10, 100, 300][b as usize]);
+                    let _ = fs.write(fd, &vec![c + 1; SIZES[c as usize] as usize]);
+                    let _ = fs.close(fd);
+                }
+            }
+            8 => drop(fs.truncate(&p, SIZES[b as usize])),
+            9 => drop(fs.mkdir(&trace_path(a % 4), FileMode::DIR_DEFAULT)),
+            10 => drop(fs.rmdir(&trace_path(a % 4))),
+            11 => drop(fs.unlink(&p)),
+            12 => drop(fs.rename(&p, &q)),
+            13 => drop(fs.link(&p, &q)),
+            14 => drop(fs.setxattr(&p, "user.x", &vec![7; c as usize], XattrFlags::Any)),
+            15 => drop(fs.checkpoint(key)),
+            16 => drop(fs.restore_keep(key)),
+            17 => drop(fs.restore(key)),
+            18 => drop(fs.discard(key)),
+            19 => {
+                if let Ok(fd) = fs.open(&p, OpenFlags::read_only(), FileMode::REG_DEFAULT) {
+                    held.push(fd);
+                }
+            }
+            _ => {
+                if !held.is_empty() {
+                    let _ = fs.close(held.remove(0));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The page summaries stay exact through any mix of mutations,
+        /// checkpoints, restores and discards, with and without the bugs
+        /// that leave residue past EOF.
+        #[test]
+        fn page_summaries_match_full_walks(
+            steps in proptest::collection::vec((0u8..21, 0u8..40, 0u8..4, 0u8..4), 1..160)
+        ) {
+            for bugs in [BugConfig::none(), BugConfig::v1_truncate(), BugConfig::v2_hole()] {
+                let mut fs = VeriFs::v2_with_bugs(bugs);
+                fs.mount().unwrap();
+                let mut held = Vec::new();
+                assert_summaries_exact(&fs, 0);
+                for (i, &step) in steps.iter().enumerate() {
+                    run_step(&mut fs, &mut held, step);
+                    assert_summaries_exact(&fs, i + 1);
+                }
+            }
+        }
     }
 }
