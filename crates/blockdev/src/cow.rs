@@ -2,11 +2,18 @@
 //!
 //! A [`CowImage`] stores a device's bytes as fixed-size chunks behind
 //! [`Arc`]s, held in a two-level table that is itself shared: a root of
-//! leaves, each leaf holding up to [`FANOUT`] chunks. Cloning an image bumps
-//! one reference count, whatever the device size. The first write after a
-//! clone copies one path (`Arc::make_mut` on the root, then the leaf, then
-//! the chunk), so the image and its clone go on sharing every chunk and
-//! every leaf the write did not touch. Snapshots taken by the devices in
+//! leaves, each leaf holding a power-of-two run of chunks. Cloning an image
+//! bumps one reference count, whatever the device size. The first write
+//! after a clone copies one path (`Arc::make_mut` on the root, then the
+//! leaf, then the chunk), so the image and its clone go on sharing every
+//! chunk and every leaf the write did not touch.
+//!
+//! The leaf width follows from the geometry: the smallest power of two whose
+//! square covers the chunk count, at most [`MAX_FANOUT`]. Root and leaf are
+//! then about equally long, which minimizes the slots the first write
+//! copies. The 256 KiB ext disks and the 1 MiB JFFS2 flash (64 chunks each)
+//! get an 8 × 8 table, so that write copies 16 slots rather than 65; the
+//! 16 MiB XFS disk (4,096 chunks) gets 64 × 64. Snapshots taken by the devices in
 //! this crate are therefore O(1) to capture, restore and drop, and cheap to
 //! hold: the live device and every saved snapshot share what neither side
 //! has modified since the snapshot, which is what lets a deep DFS backtrack
@@ -15,12 +22,23 @@
 
 use std::sync::Arc;
 
-/// Chunks per leaf of the chunk table. A 16 MiB device at 4 KiB chunks has
-/// 64 leaves, so a write to a freshly snapshotted image copies a 64-entry
+/// Widest leaf of the chunk table. A 16 MiB device at 4 KiB chunks has 64
+/// leaves of 64, so a write to a freshly snapshotted image copies a 64-entry
 /// root and a 64-entry leaf besides the chunk itself.
-const FANOUT: usize = 64;
+const MAX_FANOUT: usize = 64;
 
-/// One leaf of the chunk table: up to [`FANOUT`] consecutive chunks.
+/// log2 of the leaf width for an image of `chunks` chunks: the smallest
+/// power of two whose square is at least `chunks`, capped at
+/// [`MAX_FANOUT`].
+fn leaf_shift(chunks: usize) -> u32 {
+    let mut shift = 0;
+    while (1usize << (2 * shift)) < chunks && (1usize << shift) < MAX_FANOUT {
+        shift += 1;
+    }
+    shift
+}
+
+/// One leaf of the chunk table: up to `1 << shift` consecutive chunks.
 type Leaf = Arc<Vec<Arc<Vec<u8>>>>;
 
 /// A chunked, structurally shared byte image.
@@ -46,6 +64,8 @@ type Leaf = Arc<Vec<Arc<Vec<u8>>>>;
 pub struct CowImage {
     chunk_size: usize,
     len: usize,
+    /// log2 of the leaf width ([`leaf_shift`] of the chunk count).
+    shift: u32,
     root: Arc<Vec<Leaf>>,
 }
 
@@ -71,14 +91,17 @@ impl CowImage {
 
     /// Builds the chunk table over `chunks`, which must already tile `len`.
     fn tile(chunk_size: usize, len: usize, chunks: Vec<Vec<u8>>) -> Self {
-        let mut root = Vec::with_capacity(chunks.len().div_ceil(FANOUT));
+        let shift = leaf_shift(chunks.len());
+        let width = 1 << shift;
+        let mut root = Vec::with_capacity(chunks.len().div_ceil(width));
         let mut chunks = chunks.into_iter().map(Arc::new).peekable();
         while chunks.peek().is_some() {
-            root.push(Arc::new(chunks.by_ref().take(FANOUT).collect()));
+            root.push(Arc::new(chunks.by_ref().take(width).collect()));
         }
         CowImage {
             chunk_size,
             len,
+            shift,
             root: Arc::new(root),
         }
     }
@@ -120,8 +143,9 @@ impl CowImage {
     /// Chunk `index` for writing: copies the root, the leaf and the chunk,
     /// each only if it is shared.
     fn chunk_mut(&mut self, index: usize) -> &mut Vec<u8> {
-        let leaf = Arc::make_mut(&mut Arc::make_mut(&mut self.root)[index / FANOUT]);
-        Arc::make_mut(&mut leaf[index % FANOUT])
+        let mask = (1 << self.shift) - 1;
+        let leaf = Arc::make_mut(&mut Arc::make_mut(&mut self.root)[index >> self.shift]);
+        Arc::make_mut(&mut leaf[index & mask])
     }
 
     /// Writes `data` at `offset`, copying only the touched chunks (and the
@@ -162,8 +186,8 @@ impl CowImage {
     }
 
     /// Adopts `other`'s content. Same chunk size: O(1), the image adopts
-    /// `other`'s chunk table (the restore path — the live image re-shares
-    /// the snapshot's chunks). Different chunk size: a byte copy preserving
+    /// `other`'s chunk table, whose leaf width is this image's too (the
+    /// restore path — the live image re-shares the snapshot's chunks). Different chunk size: a byte copy preserving
     /// this image's chunking.
     ///
     /// # Panics
@@ -186,7 +210,7 @@ impl CowImage {
     ///
     /// Panics if `index` is out of range.
     pub fn chunk(&self, index: usize) -> &Arc<Vec<u8>> {
-        &self.root[index / FANOUT][index % FANOUT]
+        &self.root[index >> self.shift][index & ((1 << self.shift) - 1)]
     }
 
     /// Iterates the image's chunks as byte slices, in order.
@@ -598,18 +622,19 @@ mod tests {
     /// chunk-sized, a few chunks long or longer than a leaf.
     fn span(rng: &mut TestRng, len: usize, cs: usize) -> (usize, usize) {
         let nchunks = len.div_ceil(cs);
+        let width = 1 << leaf_shift(nchunks);
         let k = below(rng, nchunks);
         let offset = match below(rng, 4) {
             0 => k * cs,
             1 => ((k + 1) * cs).min(len) - 1,
-            2 => ((k / FANOUT) * FANOUT * cs).saturating_sub(below(rng, 2 * cs)),
+            2 => ((k / width) * width * cs).saturating_sub(below(rng, 2 * cs)),
             _ => k * cs + below(rng, cs.min(len - k * cs)),
         };
         let n = match below(rng, 8) {
             0 => 0,
             1..=3 => 1 + below(rng, cs),
             4..=6 => 1 + below(rng, 3 * cs),
-            _ => 1 + below(rng, (FANOUT + 2) * cs),
+            _ => 1 + below(rng, (width + 2) * cs),
         };
         (offset, n.min(len - offset))
     }
@@ -676,9 +701,10 @@ mod tests {
 
     #[test]
     fn matches_flat_reference_on_small_multi_leaf_images() {
-        // 200 chunks of 8 bytes with a 3-byte tail: three full leaves and a
-        // partial fourth. The 5- and 64-byte chunkings of the same length
-        // exercise copy_from across chunk sizes.
+        // 200 chunks of 8 bytes with a 3-byte tail: twelve full leaves of
+        // 16 and a partial thirteenth. The 5- and 64-byte chunkings of the
+        // same length (leaves of 32 and 8) exercise copy_from across chunk
+        // sizes.
         let len = 199 * 8 + 3;
         for seed in 0..8 {
             run_random(seed, len, &[8, 8, 5, 64], 300, 6);
@@ -810,5 +836,136 @@ mod tests {
         world.apply(&Op::FromChunks { img: 0 });
         world.apply(&Op::Clone { img: 2 });
         assert!(world.cow(3).is_empty());
+    }
+
+    #[test]
+    fn leaf_width_is_the_square_root_of_the_chunk_count() {
+        let widths: Vec<usize> = [0, 1, 2, 4, 5, 7, 64, 65, 256, 4096, 5000]
+            .iter()
+            .map(|&n| 1 << leaf_shift(n))
+            .collect();
+        assert_eq!(widths, [1, 1, 2, 2, 4, 4, 8, 16, 16, 64, 64]);
+    }
+
+    /// The ext and JFFS2 devices' geometry: a clone of a 64-chunk image,
+    /// then one write, leaves the write's leaf private and every other leaf
+    /// shared, so the write copied an 8-slot root and an 8-slot leaf.
+    #[test]
+    fn one_write_after_a_clone_leaves_every_other_leaf_shared() {
+        let mut live = CowImage::new(64 * 4096, 4096, 0);
+        let snap = live.clone();
+        live.write(10 * 4096 + 5, b"x");
+        assert_eq!(live.root.len(), 8);
+        for (l, (a, b)) in live.root.iter().zip(snap.root.iter()).enumerate() {
+            assert_eq!(a.len(), 8);
+            assert_eq!(Arc::ptr_eq(a, b), l != 1, "leaf {l}");
+        }
+        assert_eq!(live.shared_bytes(), 63 * 4096);
+        let xfs = CowImage::new(16 << 20, 4096, 0);
+        assert_eq!((xfs.root.len(), xfs.root[0].len()), (64, 64));
+    }
+
+    /// One image of the flat model: its bytes, and for each chunk the write
+    /// that last produced it. Two images share a chunk exactly when they
+    /// hold the same write at the same index.
+    #[derive(Clone)]
+    struct Model {
+        bytes: Vec<u8>,
+        origin: Vec<u64>,
+    }
+
+    /// Applies `f` to `[offset, offset + n)` of both sides and gives every
+    /// touched chunk a fresh origin.
+    fn touch(
+        cow: &mut CowImage,
+        model: &mut Model,
+        next: &mut u64,
+        (offset, n): (usize, usize),
+        f: impl Fn(&mut CowImage, &mut [u8]),
+    ) {
+        f(cow, &mut model.bytes[offset..offset + n]);
+        if n > 0 {
+            let cs = cow.chunk_size();
+            for c in offset / cs..=(offset + n - 1) / cs {
+                *next += 1;
+                model.origin[c] = *next;
+            }
+        }
+    }
+
+    fn check_against(images: &[CowImage], models: &[Model], cs: usize) {
+        for (i, (img, m)) in images.iter().zip(models).enumerate() {
+            assert_eq!(img.to_vec(), m.bytes, "image {i}: bytes");
+            let shared: usize = (0..m.origin.len())
+                .filter(|&k| {
+                    models
+                        .iter()
+                        .enumerate()
+                        .any(|(j, o)| j != i && o.origin[k] == m.origin[k])
+                })
+                .map(|k| cs.min(m.bytes.len() - k * cs))
+                .sum();
+            assert_eq!(img.shared_bytes(), shared, "image {i}: shared_bytes");
+            for (j, (other, om)) in images.iter().zip(models).enumerate() {
+                assert_eq!(*img == *other, m.bytes == om.bytes, "images {i},{j}: ==");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
+
+        /// Random writes, fills, clones, drops and `copy_from`s against a
+        /// flat byte-vector model, at 1, 7, 64, 65 and 4,096 chunks (leaf
+        /// widths 1, 4, 8, 16 and 64), each with a short tail chunk.
+        #[test]
+        fn matches_a_flat_byte_model_at_every_leaf_width(
+            size in 0usize..5,
+            ops in proptest::collection::vec(
+                (0u8..6, proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>(),
+                 proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>()),
+                1..48,
+            ),
+        ) {
+            const CS: usize = 16;
+            let chunks = [1, 7, 64, 65, 4096][size];
+            let len = (chunks - 1) * CS + 9;
+            let mut images = vec![CowImage::new(len, CS, 0xFF)];
+            let mut models = vec![Model { bytes: vec![0xFF; len], origin: vec![0; chunks] }];
+            let mut next = 0u64;
+            for (kind, a, b, c, byte) in ops {
+                let n = images.len();
+                let (img, other) = (a % n, c % n);
+                // Spans up to two leaves of the widest table long.
+                let offset = b % len;
+                let span = (offset, (c % (130 * CS)).min(len - offset));
+                match kind {
+                    0 => touch(&mut images[img], &mut models[img], &mut next, span, |cow, m| {
+                        let data: Vec<u8> = (0..m.len()).map(|i| byte.wrapping_add(i as u8)).collect();
+                        cow.write(span.0, &data);
+                        m.copy_from_slice(&data);
+                    }),
+                    1 => touch(&mut images[img], &mut models[img], &mut next, span, |cow, m| {
+                        cow.fill_range(span.0, m.len(), byte);
+                        m.fill(byte);
+                    }),
+                    2 if n < 6 => {
+                        images.push(images[img].clone());
+                        models.push(models[img].clone());
+                    }
+                    3 => {
+                        let src = images[other].clone();
+                        images[img].copy_from(&src);
+                        models[img] = models[other].clone();
+                    }
+                    4 if n > 1 => {
+                        images.remove(img);
+                        models.remove(img);
+                    }
+                    _ => {}
+                }
+                check_against(&images, &models, CS);
+            }
+        }
     }
 }

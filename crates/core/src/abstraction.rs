@@ -31,7 +31,7 @@ use std::hash::{DefaultHasher, Hasher};
 use std::sync::Arc;
 
 use mdigest::{Digest128, Md5};
-use vfs::{FileSystem, FileType, OpenFlags, VfsResult};
+use vfs::{FileSystem, FileType, OpenFlags, VfsResult, WordMap};
 
 /// Configuration of the abstraction function.
 #[derive(Debug, Clone)]
@@ -309,7 +309,9 @@ fn content_key(bytes: &[u8]) -> u128 {
 /// inverse inode→paths index.
 #[derive(Debug, Clone, Default)]
 pub struct FingerprintCache {
-    map: HashMap<String, Digest128>,
+    /// Hashed with [`vfs::WordHasher`]: every fingerprint looks up every
+    /// path, and SipHash made those lookups a visible share of it.
+    map: WordMap<String, Digest128>,
 }
 
 impl FingerprintCache {

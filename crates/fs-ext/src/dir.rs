@@ -45,21 +45,7 @@ pub fn salvage(content: &[u8]) -> (Vec<DirRecord>, bool) {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos < content.len() {
-        if pos + 6 > content.len() {
-            return (out, true);
-        }
-        let ino = u32::from_le_bytes([
-            content[pos],
-            content[pos + 1],
-            content[pos + 2],
-            content[pos + 3],
-        ]);
-        let ftype = content[pos + 4];
-        let name_len = content[pos + 5] as usize;
-        if pos + 6 + name_len > content.len() {
-            return (out, true);
-        }
-        let Ok(name) = std::str::from_utf8(&content[pos + 6..pos + 6 + name_len]) else {
+        let Some((ino, ftype, name)) = record_at(content, pos) else {
             return (out, true);
         };
         out.push(DirRecord {
@@ -67,9 +53,38 @@ pub fn salvage(content: &[u8]) -> (Vec<DirRecord>, bool) {
             ftype,
             name: name.to_string(),
         });
-        pos += 6 + name_len;
+        pos += 6 + name.len();
     }
     (out, false)
+}
+
+/// The record starting at `pos` (`ino`, `ftype`, name), borrowed from
+/// `content`; `None` if it is truncated or its name is not UTF-8.
+fn record_at(content: &[u8], pos: usize) -> Option<(u32, u8, &str)> {
+    let head = content.get(pos..pos + 6)?;
+    let ino = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
+    let name = content.get(pos + 6..pos + 6 + head[5] as usize)?;
+    Some((ino, head[4], std::str::from_utf8(name).ok()?))
+}
+
+/// The inode of the first record named `name`, scanning `content` in
+/// place: [`parse`] followed by [`find`], without building the records.
+///
+/// # Errors
+///
+/// `EIO` exactly when [`parse`] fails: any structurally invalid record,
+/// before or after the match.
+pub fn lookup(content: &[u8], name: &str) -> VfsResult<Option<u32>> {
+    let mut found = None;
+    let mut pos = 0usize;
+    while pos < content.len() {
+        let (ino, _, rec) = record_at(content, pos).ok_or(Errno::EIO)?;
+        if found.is_none() && rec == name {
+            found = Some(ino);
+        }
+        pos += 6 + rec.len();
+    }
+    Ok(found)
 }
 
 /// Serializes records back to content bytes.
@@ -143,5 +158,44 @@ mod tests {
         let len = bytes.len();
         bytes[len - 1] = 0xFF;
         assert_eq!(parse(&bytes), Err(Errno::EIO));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// `lookup` is `parse` + `find` on valid contents and on contents
+        /// with a byte flipped or the tail cut (truncated records, overlong
+        /// name lengths, non-UTF-8 names), `EIO` included.
+        #[test]
+        fn lookup_is_parse_then_find(
+            names in proptest::collection::vec(0u8..6, 0..8),
+            damage in 0u8..3,
+            at in proptest::prelude::any::<usize>(),
+            byte in proptest::prelude::any::<u8>(),
+            probe in 0u8..7,
+        ) {
+            let pool = ["a", "bb", "a", "lost+found", "\u{e9}t\u{e9}", "zz"];
+            let records: Vec<DirRecord> = names
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| DirRecord {
+                    ino: i as u32 + 2,
+                    ftype: FT_REG,
+                    name: pool[n as usize].into(),
+                })
+                .collect();
+            let mut content = serialize(&records);
+            if !content.is_empty() {
+                let at = at % content.len();
+                match damage {
+                    0 => {}
+                    1 => content[at] = byte,
+                    _ => content.truncate(at),
+                }
+            }
+            let name = pool.get(probe as usize).copied().unwrap_or("missing");
+            let expected = parse(&content).map(|recs| find(&recs, name).map(|r| r.ino));
+            proptest::prop_assert_eq!(lookup(&content, name), expected);
+        }
     }
 }

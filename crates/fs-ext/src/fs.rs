@@ -7,12 +7,14 @@
 //! what goes stale when MCFS restores the device image underneath a mounted
 //! file system — the §3.2 cache-incoherency problem, reproduced mechanically.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashSet};
 
 use blockdev::{BlockDevice, FaultPhase};
 use vfs::{
     path, AccessMode, DeviceBacked, DirEntry, Errno, Fd, FdTable, FileMode, FileStat, FileSystem,
-    FileType, FsCapabilities, Ino, OpenFlags, RepairReport, StatFs, VfsResult, XattrFlags,
+    FileType, FsCapabilities, Ino, OpenFlags, RepairReport, StatFs, VfsResult, WordMap, WordSet,
+    XattrFlags,
 };
 
 use crate::dir::{self, DirRecord};
@@ -91,9 +93,9 @@ struct Mounted {
     ibitmap: Vec<u8>,
     bbitmap: Vec<u8>,
     meta_dirty: bool,
-    icache: HashMap<u32, DiskInode>,
-    idirty: HashSet<u32>,
-    bufs: HashMap<u32, BufBlock>,
+    icache: WordMap<u32, DiskInode>,
+    idirty: WordSet<u32>,
+    bufs: WordMap<u32, BufBlock>,
     fds: FdTable<OpenFile>,
     time: u64,
     txn: u32,
@@ -293,32 +295,34 @@ impl<D: BlockDevice> Core<'_, D> {
 
     // ---- buffer cache ----------------------------------------------------
 
-    fn load_buf(&mut self, blk: u32) -> VfsResult<()> {
-        if !self.m.bufs.contains_key(&blk) {
-            let mut data = vec![0u8; self.bs];
-            self.dev
-                .read_block(blk as u64, &mut data)
-                .map_err(|_| Errno::EIO)?;
-            self.m.bufs.insert(blk, BufBlock { data, dirty: false });
+    /// Block `blk`'s cache entry, read from the device on a miss.
+    fn load_buf(&mut self, blk: u32) -> VfsResult<&mut BufBlock> {
+        match self.m.bufs.entry(blk) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => {
+                let mut data = vec![0u8; self.bs];
+                self.dev
+                    .read_block(blk as u64, &mut data)
+                    .map_err(|_| Errno::EIO)?;
+                Ok(e.insert(BufBlock { data, dirty: false }))
+            }
         }
-        Ok(())
     }
 
-    fn read_buf(&mut self, blk: u32) -> VfsResult<Vec<u8>> {
-        self.load_buf(blk)?;
-        Ok(self.m.bufs[&blk].data.clone())
+    /// Block `blk`'s cached bytes, borrowed rather than copied.
+    fn buf(&mut self, blk: u32) -> VfsResult<&[u8]> {
+        Ok(&self.load_buf(blk)?.data)
     }
 
     fn with_buf<R>(&mut self, blk: u32, f: impl FnOnce(&mut Vec<u8>) -> R) -> VfsResult<R> {
-        self.load_buf(blk)?;
-        let buf = self.m.bufs.get_mut(&blk).expect("just loaded");
+        let buf = self.load_buf(blk)?;
         let r = f(&mut buf.data);
         buf.dirty = true;
         Ok(r)
     }
 
     fn u32_in_buf(&mut self, blk: u32, index: u32) -> VfsResult<u32> {
-        let data = self.read_buf(blk)?;
+        let data = self.buf(blk)?;
         let i = index as usize * 4;
         Ok(u32::from_le_bytes([
             data[i],
@@ -393,8 +397,7 @@ impl<D: BlockDevice> Core<'_, D> {
         let per_block = self.bs / INODE_SIZE;
         let blk = self.m.sb.inode_table_start() + ino / per_block as u32;
         let off = (ino as usize % per_block) * INODE_SIZE;
-        let data = self.read_buf(blk)?;
-        let inode = DiskInode::decode(&data[off..off + INODE_SIZE]);
+        let inode = DiskInode::decode(&self.buf(blk)?[off..off + INODE_SIZE]);
         self.m.icache.insert(ino, inode);
         Ok(inode)
     }
@@ -561,7 +564,7 @@ impl<D: BlockDevice> Core<'_, D> {
             let dst = (pos - offset) as usize;
             match self.bmap(&inode, fblk)? {
                 Some(blk) => {
-                    let data = self.read_buf(blk)?;
+                    let data = self.buf(blk)?;
                     out[dst..dst + chunk].copy_from_slice(&data[within..within + chunk]);
                 }
                 None => {
@@ -636,15 +639,13 @@ impl<D: BlockDevice> Core<'_, D> {
                 }
             }
             // Release indirect blocks that became empty.
-            if inode.indirect != 0 {
-                let data = self.read_buf(inode.indirect)?;
-                if data.iter().all(|&b| b == 0) {
-                    self.free_block(inode.indirect);
-                    inode.indirect = 0;
-                }
+            if inode.indirect != 0 && self.buf(inode.indirect)?.iter().all(|&b| b == 0) {
+                self.free_block(inode.indirect);
+                inode.indirect = 0;
             }
             if inode.dindirect != 0 {
-                let l2_list = self.read_buf(inode.dindirect)?;
+                // A copy: the loop clears entries of this block as it goes.
+                let l2_list = self.buf(inode.dindirect)?.to_vec();
                 let mut all_empty = true;
                 for i in 0..self.ptrs_per_block() {
                     let i4 = i as usize * 4;
@@ -655,8 +656,7 @@ impl<D: BlockDevice> Core<'_, D> {
                         l2_list[i4 + 3],
                     ]);
                     if l2 != 0 {
-                        let data = self.read_buf(l2)?;
-                        if data.iter().all(|&b| b == 0) {
+                        if self.buf(l2)?.iter().all(|&b| b == 0) {
                             self.free_block(l2);
                             self.set_u32_in_buf(inode.dindirect, i, 0)?;
                         } else {
@@ -700,11 +700,24 @@ impl<D: BlockDevice> Core<'_, D> {
 
     // ---- directories -----------------------------------------------------
 
-    fn read_dir(&mut self, ino: u32) -> VfsResult<Vec<DirRecord>> {
+    /// Runs `f` over directory `ino`'s content: borrowed from the buffer
+    /// cache when it lies in one mapped block, read into a buffer
+    /// otherwise. Both ways read the same device blocks.
+    fn with_dir<R>(&mut self, ino: u32, f: impl FnOnce(&[u8]) -> R) -> VfsResult<R> {
         let inode = self.inode(ino)?;
-        let mut content = vec![0u8; inode.size as usize];
+        let size = inode.size as usize;
+        if size > 0 && size <= self.bs {
+            if let Some(blk) = self.bmap(&inode, 0)? {
+                return Ok(f(&self.buf(blk)?[..size]));
+            }
+        }
+        let mut content = vec![0u8; size];
         self.read_file(ino, 0, &mut content)?;
-        dir::parse(&content)
+        Ok(f(&content))
+    }
+
+    fn read_dir(&mut self, ino: u32) -> VfsResult<Vec<DirRecord>> {
+        self.with_dir(ino, dir::parse)?
     }
 
     fn write_dir(&mut self, ino: u32, records: &[DirRecord]) -> VfsResult<()> {
@@ -732,8 +745,7 @@ impl<D: BlockDevice> Core<'_, D> {
         if inode.ftype != FT_DIR {
             return Err(Errno::ENOTDIR);
         }
-        let records = self.read_dir(dir_ino)?;
-        Ok(dir::find(&records, name).map(|r| r.ino))
+        self.with_dir(dir_ino, |content| dir::lookup(content, name))?
     }
 
     fn resolve(&mut self, p: &str) -> VfsResult<u32> {
@@ -824,7 +836,7 @@ impl<D: BlockDevice> Core<'_, D> {
         if inode.xattr_block == 0 {
             return Ok(BTreeMap::new());
         }
-        let data = self.read_buf(inode.xattr_block)?;
+        let data = self.buf(inode.xattr_block)?;
         let mut out = BTreeMap::new();
         let count = u16::from_le_bytes([data[0], data[1]]) as usize;
         let mut pos = 2;
@@ -938,9 +950,9 @@ impl<D: BlockDevice> FileSystem for ExtFs<D> {
             ibitmap,
             bbitmap,
             meta_dirty: false,
-            icache: HashMap::new(),
-            idirty: HashSet::new(),
-            bufs: HashMap::new(),
+            icache: WordMap::default(),
+            idirty: WordSet::default(),
+            bufs: WordMap::default(),
             fds: FdTable::default(),
             time,
             txn: 1,
@@ -991,37 +1003,41 @@ impl<D: BlockDevice> FileSystem for ExtFs<D> {
             c.with_buf(2, |b| b.copy_from_slice(&bbm))?;
             c.m.meta_dirty = false;
         }
-        // Partition dirty buffers into metadata and data. The dirty flags
-        // clear per block as its device write succeeds — never before:
-        // on EIO the cache keeps the only good copy, and the next sync
-        // must write it again or the device stays silently stale.
-        let data_start = c.m.sb.data_start();
-        let mut meta: Vec<(u32, Vec<u8>)> = Vec::new();
-        let mut data: Vec<(u32, Vec<u8>)> = Vec::new();
-        for (&blk, buf) in c.m.bufs.iter() {
-            if buf.dirty {
-                if blk < data_start {
-                    meta.push((blk, buf.data.clone()));
-                } else {
-                    data.push((blk, buf.data.clone()));
-                }
+        // Dirty blocks in block order: metadata (below the data area)
+        // first. Images go to the device straight from the cache. The dirty
+        // flags clear per block as its device write succeeds — never
+        // before: on EIO the cache keeps the only good copy, and the next
+        // sync must write it again or the device stays silently stale.
+        let mut dirty: Vec<u32> =
+            c.m.bufs
+                .iter()
+                .filter(|(_, buf)| buf.dirty)
+                .map(|(&blk, _)| blk)
+                .collect();
+        dirty.sort_unstable();
+        let (meta, data) = dirty.split_at(dirty.partition_point(|&b| b < c.m.sb.data_start()));
+        let write_back = |c: &mut Core<'_, D>, blocks: &[u32]| -> VfsResult<()> {
+            for blk in blocks {
+                let buf = c.m.bufs.get_mut(blk).expect("collected above");
+                c.dev
+                    .write_block(*blk as u64, &buf.data)
+                    .map_err(|_| Errno::EIO)?;
+                buf.dirty = false;
             }
-        }
-        meta.sort_by_key(|(b, _)| *b);
-        data.sort_by_key(|(b, _)| *b);
+            Ok(())
+        };
         if has_journal {
             // Ordered mode: data first, then journal the metadata.
-            for (blk, image) in &data {
-                c.dev
-                    .write_block(*blk as u64, image)
-                    .map_err(|_| Errno::EIO)?;
-                c.m.bufs.get_mut(blk).expect("collected above").dirty = false;
-            }
+            write_back(&mut c, data)?;
             if !meta.is_empty() {
                 let txn = c.m.txn;
                 c.m.txn = c.m.txn.wrapping_add(meta.len() as u32).wrapping_add(1);
-                journal::commit(c.dev, &c.m.sb, txn, &meta)?;
-                for (blk, _) in &meta {
+                let images: Vec<(u32, &[u8])> = meta
+                    .iter()
+                    .map(|blk| (*blk, c.m.bufs[blk].data.as_slice()))
+                    .collect();
+                journal::commit(c.dev, &c.m.sb, txn, &images)?;
+                for blk in meta {
                     c.m.bufs.get_mut(blk).expect("collected above").dirty = false;
                 }
             } else {
@@ -1030,12 +1046,8 @@ impl<D: BlockDevice> FileSystem for ExtFs<D> {
                 c.dev.flush().map_err(|_| Errno::EIO)?;
             }
         } else {
-            for (blk, image) in meta.iter().chain(data.iter()) {
-                c.dev
-                    .write_block(*blk as u64, image)
-                    .map_err(|_| Errno::EIO)?;
-                c.m.bufs.get_mut(blk).expect("collected above").dirty = false;
-            }
+            write_back(&mut c, meta)?;
+            write_back(&mut c, data)?;
             c.dev.flush().map_err(|_| Errno::EIO)?;
         }
         Ok(())
@@ -1738,7 +1750,7 @@ mod tests {
         journal::write_txn(dev, &sb, 42, &[(target, vec![0x5A; cfg.block_size])]).unwrap();
         fs.mount().unwrap();
         let mut c = fs.core().unwrap();
-        assert_eq!(c.read_buf(target).unwrap(), vec![0x5A; 1024]);
+        assert_eq!(c.buf(target).unwrap(), vec![0x5A; 1024]);
     }
 
     #[test]

@@ -8,32 +8,26 @@
 //! measurably slower than ext2 in the benchmarks.
 
 use blockdev::BlockDevice;
-use vfs::{Errno, VfsResult};
+use vfs::{Errno, VfsResult, WordSum};
 
 use crate::layout::SuperBlock;
 
 const JRN_MAGIC: u32 = 0x4A52_4E31; // "JRN1"
 const COMMIT_MAGIC: u32 = 0x434D_5431; // "CMT1"
 
-/// FNV-1a over the home list and journaled images, stored in the commit
-/// record. A commit is only valid if the images it covers landed intact:
-/// without this, a torn image write followed by the (separately written,
-/// intact) commit block replays garbage into the home location.
-fn txn_checksum(blocks: &[(u32, Vec<u8>)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for (home, image) in blocks {
-        for b in home.to_le_bytes() {
-            eat(b);
-        }
-        for &b in image {
-            eat(b);
-        }
-    }
-    h
+/// Word-wise checksum ([`WordSum`]) over each journaled block's home
+/// location and image, stored in the commit record. A commit is only valid
+/// if the images it covers landed intact: without this, a torn image write
+/// followed by the (separately written, intact) commit block replays
+/// garbage into the home location. A change confined to one 8-byte word of
+/// one image, or to one home, always changes the checksum.
+fn txn_checksum<B: AsRef<[u8]>>(blocks: &[(u32, B)]) -> u64 {
+    blocks
+        .iter()
+        .fold(WordSum::new(), |sum, (home, image)| {
+            sum.word(u64::from(*home)).bytes(image.as_ref())
+        })
+        .finish()
 }
 
 fn io<T>(r: Result<T, blockdev::DeviceError>) -> VfsResult<T> {
@@ -86,15 +80,18 @@ fn txn_extent(sb: &SuperBlock, n: usize) -> usize {
 /// covers the whole transaction, so a crash anywhere before it leaves the
 /// transaction unreplayable as a unit — never partially.
 ///
+/// Each image is a home location's full block, owned or borrowed: a
+/// mounted file system passes slices of its buffer cache.
+///
 /// # Errors
 ///
 /// `EINVAL` if the transaction exceeds [`txn_capacity`]; `EIO` on device
 /// failure.
-pub fn write_txn<D: BlockDevice>(
+pub fn write_txn<D: BlockDevice, B: AsRef<[u8]>>(
     dev: &mut D,
     sb: &SuperBlock,
     txn_id: u32,
-    blocks: &[(u32, Vec<u8>)],
+    blocks: &[(u32, B)],
 ) -> VfsResult<()> {
     let bs = sb.block_size as usize;
     let slots = header_slots(sb);
@@ -113,7 +110,7 @@ pub fn write_txn<D: BlockDevice>(
         }
         write_block(dev, pos, &header)?;
         for (i, (_, image)) in chunk.iter().enumerate() {
-            write_block(dev, pos + 1 + i as u32, image)?;
+            write_block(dev, pos + 1 + i as u32, image.as_ref())?;
         }
         pos += 1 + chunk.len() as u32;
     }
@@ -130,9 +127,12 @@ pub fn write_txn<D: BlockDevice>(
 /// # Errors
 ///
 /// `EIO` on device failure.
-pub fn apply_home<D: BlockDevice>(dev: &mut D, blocks: &[(u32, Vec<u8>)]) -> VfsResult<()> {
+pub fn apply_home<D: BlockDevice, B: AsRef<[u8]>>(
+    dev: &mut D,
+    blocks: &[(u32, B)],
+) -> VfsResult<()> {
     for (home, image) in blocks {
-        write_block(dev, *home, image)?;
+        write_block(dev, *home, image.as_ref())?;
     }
     io(dev.flush())
 }
@@ -162,11 +162,11 @@ pub fn clear_header<D: BlockDevice>(dev: &mut D, sb: &SuperBlock) -> VfsResult<(
 /// `EINVAL` if the transaction exceeds [`txn_capacity`] (the caller must
 /// split it along a consistency boundary itself — silently chunking here
 /// would forfeit atomicity); `EIO` on device failure.
-pub fn commit<D: BlockDevice>(
+pub fn commit<D: BlockDevice, B: AsRef<[u8]>>(
     dev: &mut D,
     sb: &SuperBlock,
     txn_id: u32,
-    blocks: &[(u32, Vec<u8>)],
+    blocks: &[(u32, B)],
 ) -> VfsResult<()> {
     write_txn(dev, sb, txn_id, blocks)?;
     apply_home(dev, blocks)?;
@@ -452,5 +452,40 @@ mod tests {
         let (mut dev, mut sb) = setup();
         sb.journal_blocks = 0;
         assert_eq!(replay(&mut dev, &sb).unwrap(), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Changing any one byte of any journaled image, or of any home
+        /// location, always changes the commit record's checksum.
+        #[test]
+        fn any_byte_change_changes_the_checksum(
+            homes in proptest::collection::vec(proptest::prelude::any::<u32>(), 1..5),
+            fill in proptest::prelude::any::<u64>(),
+            pick in proptest::prelude::any::<usize>(),
+            in_home in proptest::prelude::any::<bool>(),
+            at in proptest::prelude::any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            let blocks: Vec<(u32, Vec<u8>)> = homes
+                .iter()
+                .enumerate()
+                .map(|(i, &home)| {
+                    let image = (0..1024u64)
+                        .map(|j| (fill.wrapping_mul(j + i as u64 + 1) >> 29) as u8)
+                        .collect();
+                    (home, image)
+                })
+                .collect();
+            let mut changed = blocks.clone();
+            let (home, image) = &mut changed[pick % blocks.len()];
+            if in_home {
+                *home ^= u32::from(flip) << (8 * (at % 4));
+            } else {
+                image[at % 1024] ^= flip;
+            }
+            proptest::prop_assert_ne!(txn_checksum(&blocks), txn_checksum(&changed));
+        }
     }
 }

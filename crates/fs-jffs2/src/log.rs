@@ -12,7 +12,7 @@
 //!   deletion marker.
 //! * **xattr nodes** — `(ino, name) -> value`, with a delete flag.
 
-use vfs::{Errno, VfsResult};
+use vfs::{Errno, VfsResult, WordSum};
 
 /// JFFS2's historic magic (1985).
 pub const NODE_MAGIC: u16 = 0x1985;
@@ -21,17 +21,12 @@ pub const NODE_MAGIC: u16 = 0x1985;
 /// `magic u16 | type u8 | total_len u32 | crc u32`.
 pub const HEADER_LEN: usize = 11;
 
-/// FNV-1a (32-bit) over a node's post-header bytes. Real JFFS2 carries
-/// separate header/data CRC32s; one checksum over the whole body gives the
-/// same power here (detecting torn programs and bit rot) at a fraction of
-/// the format complexity.
+/// Word-wise checksum ([`WordSum`]) over a node's post-header bytes, folded
+/// to 32 bits. Real JFFS2 carries separate header/data CRC32s; one checksum
+/// over the whole body gives the same power here (detecting torn programs
+/// and bit rot) at a fraction of the format complexity.
 pub fn node_crc(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &byte in bytes {
-        hash ^= u32::from(byte);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
+    WordSum::new().bytes(bytes).finish32()
 }
 
 /// Node type tags.
@@ -618,5 +613,23 @@ mod tests {
         let (n2, l2) = Node::decode(&log[l1..]).unwrap().unwrap();
         assert_eq!(n2, b);
         assert_eq!(Node::decode(&log[l1 + l2..]).unwrap(), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Changing any one byte of a node's body always changes its
+        /// checksum (over 256 cases: the 32-bit fold could in principle
+        /// merge two sums, the 64-bit sum beneath it never does).
+        #[test]
+        fn any_byte_change_changes_node_crc(
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..600),
+            at in proptest::prelude::any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            let mut changed = body.clone();
+            changed[at % body.len()] ^= flip;
+            proptest::prop_assert_ne!(node_crc(&body), node_crc(&changed));
+        }
     }
 }

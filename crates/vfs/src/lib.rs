@@ -15,7 +15,9 @@
 //!   mechanically real — ext's inode cache and buffer map (`fs-ext`) and
 //!   fusesim's kernel-side entry and attr caches;
 //! * [`path`] — path validation and manipulation;
-//! * [`FdTable`] — a generic descriptor table.
+//! * [`FdTable`] — a generic descriptor table;
+//! * [`WordSum`] — the word-wise integrity checksum of on-media records, and
+//!   [`WordMap`]/[`WordSet`], maps hashed the same way.
 //!
 //! # Examples
 //!
@@ -41,6 +43,7 @@ mod fdtable;
 mod fs;
 pub mod path;
 mod types;
+mod wordhash;
 
 pub use errno::{Errno, VfsResult};
 pub use fdtable::{FdTable, DEFAULT_MAX_FDS};
@@ -50,3 +53,4 @@ pub use fs::{
 pub use types::{
     AccessMode, DirEntry, Fd, FileMode, FileStat, FileType, Ino, OpenFlags, StatFs, XattrFlags,
 };
+pub use wordhash::{WordHasher, WordMap, WordSet, WordSum};
