@@ -18,7 +18,7 @@ use mcfs::effect::{heuristic_independent, EffectIndex, EffectProfile};
 use mcfs::{abstract_state, execute, AbstractionConfig, FsOp, OpOutcome, PoolConfig};
 use modelcheck::{
     encode_snapshot, load_snapshot, run_swarm_persistent, ExploreConfig, ExploreStats, ModelSystem,
-    OpCodec, RunSnapshot, StopReason, SwarmConfig, SwarmPersist, WorkerStrategy,
+    OpCodec, RunSnapshot, StopReason, SwarmConfig, SwarmPersist, SwarmReport, WorkerStrategy,
 };
 use vfs::{DeviceBacked, Errno, FileSystem, FsCheckpoint, VfsResult};
 
@@ -1057,12 +1057,26 @@ where
     encode_snapshot(&canon, codec)
 }
 
+/// The fleet totals a frontier fleet's order fixes, whatever its size:
+/// `[ops_executed, states_new, states_matched, pruned]`.
+fn fleet_totals<Op>(report: &SwarmReport<Op>) -> [u64; 4] {
+    let mut t = [0; 4];
+    for s in report.workers.iter().map(|w| &w.stats) {
+        t[0] += s.ops_executed;
+        t[1] += s.states_new;
+        t[2] += s.states_matched;
+        t[3] += s.pruned;
+    }
+    t
+}
+
 /// MC007: the divergence sanitizer. Runs the same bounded exploration
 /// under permuted worker-fleet sizes, visited-set capacities, and seeds,
 /// pickling each run's final snapshot, and requires every run to visit the
-/// identical state set and produce byte-identical canonical snapshot
-/// bytes. The static taint pass says where nondeterminism *can* enter;
-/// this proves whether it *does*.
+/// identical state set, produce byte-identical canonical snapshot bytes,
+/// and reach the same fleet totals (the frontier fleet explores in one
+/// breadth-first order at every size). The static taint pass says where
+/// nondeterminism *can* enter; this proves whether it *does*.
 ///
 /// # Errors
 ///
@@ -1090,7 +1104,7 @@ where
     }
 
     let mut out = Vec::new();
-    let mut runs: Vec<(String, RunSnapshot<S::Op>, Vec<u8>)> = Vec::new();
+    let mut runs = Vec::new();
     for (i, (workers, capacity, seed)) in variants.iter().enumerate() {
         let label = format!("workers={workers} capacity={capacity} seed={seed:#x}");
         let path = mc007_snapshot_path(backend, i);
@@ -1154,11 +1168,23 @@ where
             });
         }
         let canon = canonical_pickle(&snap, codec);
-        runs.push((label, snap, canon));
+        runs.push((label, snap, canon, fleet_totals(&report)));
     }
 
-    let (base_label, base_snap, base_canon) = &runs[0];
-    for (label, snap, canon) in &runs[1..] {
+    let (base_label, base_snap, base_canon, base_totals) = &runs[0];
+    for (label, snap, canon, totals) in &runs[1..] {
+        if totals != base_totals {
+            out.push(Diagnostic {
+                code: LintCode::Mc007,
+                severity: Severity::Error,
+                backend: backend.to_string(),
+                message: format!(
+                    "fleet totals diverge: [ops_executed, states_new, states_matched, pruned] \
+                     {base_totals:?} under {base_label} vs {totals:?} under {label}"
+                ),
+                replay: Vec::new(),
+            });
+        }
         if snap.visited != base_snap.visited {
             let first_diff = base_snap
                 .visited

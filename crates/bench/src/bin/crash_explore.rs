@@ -18,10 +18,12 @@
 //!
 //! # Kill-and-resume mode
 //!
-//! `crash_explore --snapshot run.pickle [ops]` runs a bounded work-stealing
-//! swarm over the VeriFS pairing (crash exploration on) and persists the
-//! run — visited set, frontier of replayable op-prefixes, stats — to
-//! `run.pickle` (atomic tempfile + rename, safe to SIGKILL). A later
+//! `crash_explore --snapshot run.pickle [ops]` runs a frontier fleet over
+//! the VeriFS pairing (crash exploration on), stops it at the first round
+//! barrier past `min(ops, 100)` ops, about halfway through the space, and
+//! persists the run — visited set, frontier of replayable op-prefixes,
+//! stats — to `run.pickle` (atomic tempfile + rename, safe to SIGKILL; a
+//! snapshot is also cut every 8 frontier entries). A later
 //! `crash_explore --resume run.pickle` reloads the file and finishes the
 //! exploration, re-exploring **zero** previously-visited states; the
 //! process enforces that invariant and reports what the resume cost.
@@ -74,7 +76,7 @@ fn measure(
 }
 
 /// The fleet used by the `--snapshot` / `--resume` modes: a 2-worker
-/// work-stealing DFS over the VeriFS pairing with crash exploration on.
+/// frontier fleet over the VeriFS pairing with crash exploration on.
 fn resumable_cfg(max_ops: u64) -> SwarmConfig {
     SwarmConfig {
         workers: 2,
@@ -106,7 +108,7 @@ fn snapshot_mode(path: &str, budget: u64) {
         SwarmPersist {
             codec: &FsOpCodec,
             snapshot_path: Some(path.into()),
-            snapshot_every: 50,
+            snapshot_every: 8,
             resume: None,
         },
     );
@@ -143,7 +145,7 @@ fn resume_mode(path: &str) {
         SwarmPersist {
             codec: &FsOpCodec,
             snapshot_path: Some(path.into()),
-            snapshot_every: 50,
+            snapshot_every: 8,
             resume: Some(snap),
         },
     );
@@ -168,7 +170,7 @@ fn main() {
     let args = BenchArgs::parse("crash_explore [ops] [--quick] [--snapshot FILE] [--resume FILE]");
     let budget = args.count_or(if args.quick { 250 } else { 1_500 });
     if let Some(path) = args.value("--snapshot") {
-        return snapshot_mode(path, budget.min(400));
+        return snapshot_mode(path, budget.min(100));
     }
     if let Some(path) = args.value("--resume") {
         return resume_mode(path);

@@ -1,9 +1,9 @@
-//! Work-stealing swarm scaling and kill-and-resume overhead.
+//! Frontier-fleet scaling and kill-and-resume overhead.
 //!
 //! The classic swarm (seed-diversified random walks) parallelizes trivially
-//! but duplicates work; the work-stealing frontier parallelizes the *same*
-//! depth-bounded DFS across workers, each expansion done exactly once
-//! fleet-wide. This bench measures how aggregate throughput scales with the
+//! but duplicates work; the frontier fleet splits the *same* depth-bounded
+//! search across workers in breadth-first rounds, each expansion done
+//! exactly once fleet-wide and dealt to the same worker on every run. This bench measures how aggregate throughput scales with the
 //! fleet size, in **virtual time**: every worker owns a virtual clock that
 //! its harness charges per operation, and the fleet's elapsed time is the
 //! busiest worker's clock — on an N-worker fleet with perfect balance that
@@ -101,8 +101,8 @@ fn main() {
     let worker_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
 
     // Section 1: scaling. Every fleet size exhausts the same depth-bounded
-    // space (shared visited, work-stealing frontier), so states/s ratios
-    // reduce to virtual-elapsed ratios.
+    // space in the same breadth-first order, so states/s ratios reduce to
+    // virtual-elapsed ratios.
     let mut scale_rows = Vec::new();
     for (label, depth, build) in &builders {
         let mut single = None; // (states, states/s) of the 1-worker fleet
@@ -151,7 +151,8 @@ fn main() {
 
         let path = snap_dir.join(format!("{label}.pickle"));
         let _ = std::fs::remove_file(&path);
-        // Interrupt roughly mid-run.
+        // Interrupt roughly mid-run. The fleet checks its budget at round
+        // barriers, so rounds of 4 entries stop it close to the cut.
         let cut_ops = (control.total_ops() / 2).max(10);
         let (phase1, phase1_ns) = run_timed(
             &swarm_cfg(2, *depth, cut_ops),
@@ -160,7 +161,7 @@ fn main() {
             Some(SwarmPersist {
                 codec: &FsOpCodec,
                 snapshot_path: Some(path.clone()),
-                snapshot_every: 0,
+                snapshot_every: 4,
                 resume: None,
             }),
         );
@@ -214,11 +215,7 @@ fn main() {
     }
 
     let mut out = BenchReport::new("swarm", quick);
-    out.table(
-        "scale",
-        "Work-stealing swarm scaling (virtual time)",
-        scale_rows,
-    );
+    out.table("scale", "Frontier fleet scaling (virtual time)", scale_rows);
     out.table(
         "resume",
         "Kill-and-resume overhead (vs uninterrupted)",

@@ -120,10 +120,10 @@ pub struct ExploreStats {
     /// Operations executed against the system(s).
     pub ops_executed: u64,
     /// Operations re-executed only to reconstruct a frontier state from its
-    /// op-prefix (work-stealing swarm workers and resumed runs replay
-    /// prefixes deterministically instead of shipping concrete state).
+    /// op-prefix (frontier-fleet workers replay each entry's prefix from
+    /// the initial state instead of shipping concrete state).
     /// Replays never discover states; they are counted separately so
-    /// resume/steal overhead is visible. Not included in `ops_executed`.
+    /// the replay overhead is visible. Not included in `ops_executed`.
     pub ops_replayed: u64,
     /// Distinct abstract states discovered.
     pub states_new: u64,
@@ -453,9 +453,37 @@ impl<'a, S: ModelSystem> Search<'a, S> {
         }
     }
 
-    /// One transition: applies `op` to the live state and classifies the
-    /// result against `visited` at `depth`. `trace` yields the ops leading
-    /// to the live state; it is only called to record a violation.
+    /// Applies `op` to the live state and counts it. `Ok(true)` means it
+    /// reached a state to classify; `Ok(false)` that the op was disabled,
+    /// or violated the property and the violation was recorded without
+    /// stopping the run. `trace` yields the ops leading to the live state;
+    /// it is only called to record a violation.
+    pub(crate) fn apply_op(
+        &mut self,
+        sys: &mut S,
+        op: &S::Op,
+        trace: impl FnOnce() -> Vec<S::Op>,
+    ) -> Result<bool, StopReason> {
+        self.at = None;
+        let outcome = sys.apply(op);
+        self.stats.ops_executed += 1;
+        match outcome {
+            ApplyOutcome::Ok => return Ok(true),
+            ApplyOutcome::Prune(_) => self.stats.pruned += 1,
+            ApplyOutcome::Violation(message) => {
+                let mut trace = trace();
+                trace.push(op.clone());
+                self.record(sys, trace, message);
+                if self.cfg.stop_on_violation {
+                    return Err(StopReason::Violation);
+                }
+            }
+        }
+        Ok(false)
+    }
+
+    /// One transition: applies `op` to the live state ([`Search::apply_op`])
+    /// and classifies the result against `visited` at `depth`.
     pub(crate) fn step<V: VisitedHandle + ?Sized>(
         &mut self,
         sys: &mut S,
@@ -464,24 +492,8 @@ impl<'a, S: ModelSystem> Search<'a, S> {
         depth: u32,
         trace: impl FnOnce() -> Vec<S::Op>,
     ) -> Result<Step, StopReason> {
-        self.at = None;
-        let outcome = sys.apply(op);
-        self.stats.ops_executed += 1;
-        match outcome {
-            ApplyOutcome::Ok => {}
-            ApplyOutcome::Prune(_) => {
-                self.stats.pruned += 1;
-                return Ok(Step::Pruned);
-            }
-            ApplyOutcome::Violation(message) => {
-                let mut trace = trace();
-                trace.push(op.clone());
-                self.record(sys, trace, message);
-                if self.cfg.stop_on_violation {
-                    return Err(StopReason::Violation);
-                }
-                return Ok(Step::Pruned);
-            }
+        if !self.apply_op(sys, op, trace)? {
+            return Ok(Step::Pruned);
         }
         let (visit, resize) = visited.insert_at(sys.abstract_state(), depth);
         if let Some(r) = resize {

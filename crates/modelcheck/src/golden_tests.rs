@@ -325,39 +325,54 @@ fn frontier_swarm(workers: usize) -> (SwarmReport<i64>, u128, u128) {
 
 const VISITED_DIGEST: u128 = 0x6cefd381649cf5b6328a78b81eb1448d;
 
+/// The counter's frontier worker: both reductions leave one successor per
+/// state, so every round is a single entry, replayed from the root.
+fn frontier_worker_stats() -> ExploreStats {
+    ExploreStats {
+        ops_executed: 18,
+        ops_replayed: 66,
+        states_new: 12,
+        states_matched: 6,
+        pruned: 6,
+        checkpoints: 13,
+        restores: 18,
+        max_depth_seen: 11,
+        resize_events: 3,
+        ..ExploreStats::default()
+    }
+}
+
 #[test]
 fn one_worker_frontier_swarm() {
     let (r, visited, pickle) = frontier_swarm(1);
     assert_eq!(r.distinct_states, Some(12));
     assert_eq!(visited, VISITED_DIGEST);
-    assert_eq!(pickle, 0x99160a0f7cd3342d06a2b15bdf56457b);
+    assert_eq!(pickle, 0x50415f15c2a0fb67586d129bce452a1a);
     let w = &r.workers[0];
     assert_eq!(w.stop, StopReason::Exhausted);
-    assert_eq!(
-        w.stats,
-        ExploreStats {
-            ops_executed: 18,
-            ops_replayed: 11,
-            states_new: 12,
-            states_matched: 6,
-            pruned: 6,
-            checkpoints: 13,
-            restores: 18,
-            max_depth_seen: 11,
-            resize_events: 3,
-            ..ExploreStats::default()
-        }
-    );
+    assert_eq!(w.stats, frontier_worker_stats());
     assert_eq!(traces(w), [(17, vec![1; 12])]);
 }
 
 #[test]
 fn two_worker_frontier_swarm() {
-    // Work stealing splits the space nondeterministically, so only the
-    // fleet-wide results are pinned.
+    // Rounds are dealt by position, so the split is the same on every run:
+    // each round's one entry goes to worker 0, and worker 1, never dealt
+    // an entry, never builds its system.
     let (r, visited, _) = frontier_swarm(2);
     assert_eq!(r.distinct_states, Some(12));
     assert_eq!(visited, VISITED_DIGEST);
+    let [w0, w1] = &r.workers[..] else {
+        panic!("two worker reports")
+    };
+    assert_eq!(
+        (&w0.stop, &w1.stop),
+        (&StopReason::Exhausted, &StopReason::Exhausted)
+    );
+    assert_eq!(w0.stats, frontier_worker_stats());
+    assert_eq!(traces(w0), [(17, vec![1; 12])]);
+    assert_eq!(w1.stats, ExploreStats::default());
+    assert!(w1.violations.is_empty());
 }
 
 /// Collect-mode walk bounds for the one-worker walk fleets: 400 ops over

@@ -41,7 +41,6 @@
 //! draw count each worker had reached, letting diversified walks continue
 //! with fresh derived seeds instead of repeating old paths.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -647,21 +646,6 @@ pub fn load_snapshot<Op>(
     decode_snapshot(&bytes, codec)
 }
 
-/// Splits `frontier` round-robin into `n` per-worker queues — how a resumed
-/// swarm redistributes the saved frontier across its (possibly different
-/// number of) workers. Work-stealing rebalances any skew afterwards.
-pub fn deal_frontier<Op>(
-    frontier: Vec<FrontierEntry<Op>>,
-    n: usize,
-) -> Vec<VecDeque<FrontierEntry<Op>>> {
-    let n = n.max(1);
-    let mut queues: Vec<VecDeque<FrontierEntry<Op>>> = (0..n).map(|_| VecDeque::new()).collect();
-    for (i, entry) in frontier.into_iter().enumerate() {
-        queues[i % n].push_back(entry);
-    }
-    queues
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -842,21 +826,5 @@ mod tests {
         let back = load_snapshot(&path, &U32Codec).expect("load");
         assert_eq!(encode_snapshot(&back, &U32Codec), bytes);
         fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn deal_frontier_round_robins() {
-        let entries: Vec<FrontierEntry<u32>> = (0..7)
-            .map(|i| FrontierEntry {
-                prefix: vec![i],
-                sleep: vec![],
-            })
-            .collect();
-        let queues = deal_frontier(entries, 3);
-        assert_eq!(queues.len(), 3);
-        assert_eq!(queues[0].len(), 3);
-        assert_eq!(queues[1].len(), 2);
-        assert_eq!(queues[2].len(), 2);
-        assert_eq!(queues[1][0].prefix, vec![1]);
     }
 }

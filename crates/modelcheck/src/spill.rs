@@ -114,8 +114,8 @@ pub struct MemBudget {
     /// Virtual-ns cost per MiB of real page traffic, charged to the run's
     /// virtual clock (mirrors `MemConfig::swap_ns_per_mib`).
     pub ns_per_mib: u64,
-    /// Hot-cache budget in bytes for each swarm worker's frontier queue;
-    /// colder op-prefix entries spill to pages.
+    /// Hot-cache budget in bytes for the frontier fleet's queue; colder
+    /// op-prefix entries spill to pages.
     pub frontier_hot_bytes: u64,
     /// Fault injection for tests; default injects nothing.
     pub faults: SpillFaults,
@@ -1012,8 +1012,8 @@ impl SpillSet {
 // Spilling frontier queue
 // ---------------------------------------------------------------------------
 
-/// Shared spill context for frontier queues: the page store (shared with
-/// the visited set) and the per-queue hot budget.
+/// Spill context for the frontier queue: the page store (shared with the
+/// visited set) and the queue's hot budget.
 #[derive(Debug)]
 pub struct FrontierSpill {
     store: Arc<SpillStore>,
@@ -1021,7 +1021,7 @@ pub struct FrontierSpill {
 }
 
 impl FrontierSpill {
-    /// Wraps `store` with a per-queue hot budget.
+    /// Wraps `store` with the queue's hot budget.
     pub fn new(store: Arc<SpillStore>, hot_cap_bytes: u64) -> Self {
         FrontierSpill {
             store,
@@ -1051,25 +1051,28 @@ struct FrontierPage {
     count: u32,
 }
 
-/// A worker frontier deque whose cold front spills to pages. Logical
-/// order is `pages[0] … pages[last], tail[..]`: pushes land on the tail
-/// (and its oldest half spills to a new page when over budget), pops
-/// reload the newest page into the tail once it drains, and steals take
-/// whole pages oldest-first.
+/// The frontier fleet's FIFO queue, whose cold middle spills to pages.
+/// Logical order is `head[..], pages[0] … pages[last], tail[..]`: pushes
+/// land on the tail (and its oldest half spills to a new page when over
+/// budget), and pops take from the head, which reloads the oldest page
+/// once it drains and falls through to the tail when no page is left.
 #[derive(Debug)]
 pub struct FrontierQueue<Op> {
+    /// Entries older than every page (a reloaded page being consumed).
+    head: VecDeque<FrontierEntry<Op>>,
     /// Entries newer than every page (where pushes land).
     tail: VecDeque<FrontierEntry<Op>>,
     hot_bytes: u64,
-    pages: Vec<FrontierPage>,
+    pages: VecDeque<FrontierPage>,
 }
 
 impl<Op> Default for FrontierQueue<Op> {
     fn default() -> Self {
         FrontierQueue {
+            head: VecDeque::new(),
             tail: VecDeque::new(),
             hot_bytes: 0,
-            pages: Vec::new(),
+            pages: VecDeque::new(),
         }
     }
 }
@@ -1082,22 +1085,26 @@ impl<Op> FrontierQueue<Op> {
 
     /// Entries across hot deques and spilled pages.
     pub fn len(&self) -> usize {
-        self.tail.len() + self.pages.iter().map(|p| p.count as usize).sum::<usize>()
+        self.head.len()
+            + self.tail.len()
+            + self.pages.iter().map(|p| p.count as usize).sum::<usize>()
     }
 
     /// Whether no entry is pending.
     pub fn is_empty(&self) -> bool {
-        self.tail.is_empty() && self.pages.is_empty()
+        self.head.is_empty() && self.tail.is_empty() && self.pages.is_empty()
     }
 }
 
 impl<Op: Clone> FrontierQueue<Op> {
     fn load_page(
         &self,
-        spill: &FrontierSpill,
-        codec: &dyn OpCodec<Op>,
+        ctx: SpillCtx<'_, Op>,
         page: &FrontierPage,
     ) -> Result<Vec<FrontierEntry<Op>>, String> {
+        let Some((spill, codec)) = ctx else {
+            return Err("frontier pages present without spill context".into());
+        };
         let body = spill.store.read_page(page.loc)?;
         let entries = decode_frontier_page(&body, codec).map_err(|e| spill.store.poison(e))?;
         if entries.len() != page.count as usize {
@@ -1109,7 +1116,7 @@ impl<Op: Clone> FrontierQueue<Op> {
         Ok(entries)
     }
 
-    /// Appends an entry; spills the oldest half of the hot deque to one
+    /// Appends an entry; spills the oldest half of the hot tail to one
     /// page when the hot budget is exceeded.
     ///
     /// # Errors
@@ -1127,7 +1134,7 @@ impl<Op: Clone> FrontierQueue<Op> {
                 }
                 let body = encode_frontier_page(&batch, codec);
                 let loc = spill.store.write_page(&body)?;
-                self.pages.push(FrontierPage {
+                self.pages.push_back(FrontierPage {
                     loc,
                     count: batch.len() as u32,
                 });
@@ -1136,68 +1143,35 @@ impl<Op: Clone> FrontierQueue<Op> {
         Ok(())
     }
 
-    /// Pops the globally newest entry (DFS order); pages are only touched
-    /// once the hot deque is empty.
+    /// Pops the oldest entry (FIFO order), reloading the oldest spilled
+    /// page once the head drains.
     ///
     /// # Errors
     ///
     /// On spill-file read failure, or if pages exist but no spill context
     /// was supplied.
-    pub fn pop_back(&mut self, ctx: SpillCtx<'_, Op>) -> Result<Option<FrontierEntry<Op>>, String> {
-        if self.tail.is_empty() {
-            if let Some(page) = self.pages.pop() {
-                let Some((spill, codec)) = ctx else {
-                    self.pages.push(page);
-                    return Err("frontier pages present without spill context".into());
-                };
-                let entries = self.load_page(spill, codec, &page)?;
+    pub fn pop_front(
+        &mut self,
+        ctx: SpillCtx<'_, Op>,
+    ) -> Result<Option<FrontierEntry<Op>>, String> {
+        if self.head.is_empty() {
+            if let Some(page) = self.pages.front() {
+                let entries = self.load_page(ctx, page)?;
+                self.pages.pop_front();
                 for e in entries {
                     self.hot_bytes += entry_bytes(&e);
-                    self.tail.push_back(e);
+                    self.head.push_back(e);
                 }
             }
         }
-        Ok(self.tail.pop_back().inspect(|e| {
+        let popped = self.head.pop_front().or_else(|| self.tail.pop_front());
+        Ok(popped.inspect(|e| {
             self.hot_bytes -= entry_bytes(e);
         }))
     }
 
-    /// Removes and returns the oldest half of the queue (work-stealing
-    /// semantics of `drain(..len/2)`), reloading whole pages as needed.
-    ///
-    /// # Errors
-    ///
-    /// As [`FrontierQueue::pop_back`].
-    pub fn steal_half(&mut self, ctx: SpillCtx<'_, Op>) -> Result<Vec<FrontierEntry<Op>>, String> {
-        let total = self.len();
-        if total == 0 {
-            return Ok(Vec::new());
-        }
-        let target = total.div_ceil(2);
-        let mut out: Vec<FrontierEntry<Op>> = Vec::with_capacity(target);
-        // Whole pages first (oldest first); a page may overshoot the target
-        // slightly, which work-stealing tolerates.
-        while out.len() < target && !self.pages.is_empty() {
-            let Some((spill, codec)) = ctx else {
-                return Err("frontier pages present without spill context".into());
-            };
-            let page = self.pages.remove(0);
-            out.extend(self.load_page(spill, codec, &page)?);
-        }
-        while out.len() < target {
-            match self.tail.pop_front() {
-                Some(e) => {
-                    self.hot_bytes -= entry_bytes(&e);
-                    out.push(e);
-                }
-                None => break,
-            }
-        }
-        Ok(out)
-    }
-
-    /// Bulk-appends stolen entries to the hot end (no spill check — the
-    /// next `push_back` rebalances).
+    /// Bulk-appends entries to the hot end (no spill check — the next
+    /// `push_back` rebalances).
     pub fn extend_back(&mut self, entries: Vec<FrontierEntry<Op>>) {
         for e in entries {
             self.hot_bytes += entry_bytes(&e);
@@ -1206,18 +1180,16 @@ impl<Op: Clone> FrontierQueue<Op> {
     }
 
     /// Non-destructive snapshot of every pending entry in logical order
-    /// (for quiescent pickle snapshots).
+    /// (for pickle snapshots cut at a round barrier).
     ///
     /// # Errors
     ///
-    /// As [`FrontierQueue::pop_back`].
+    /// As [`FrontierQueue::pop_front`].
     pub fn collect_all(&self, ctx: SpillCtx<'_, Op>) -> Result<Vec<FrontierEntry<Op>>, String> {
         let mut out = Vec::with_capacity(self.len());
+        out.extend(self.head.iter().cloned());
         for page in &self.pages {
-            let Some((spill, codec)) = ctx else {
-                return Err("frontier pages present without spill context".into());
-            };
-            out.extend(self.load_page(spill, codec, page)?);
+            out.extend(self.load_page(ctx, page)?);
         }
         out.extend(self.tail.iter().cloned());
         Ok(out)
@@ -1578,54 +1550,27 @@ mod tests {
         let mut q = FrontierQueue::new();
         let mut reference: VecDeque<FrontierEntry<u32>> = VecDeque::new();
         let mut state = 17u128;
-        let mut stolen_from_pages = false;
+        let mut popped_from_pages = false;
         for i in 0..400u32 {
-            if i % 100 == 99 {
-                // A thief takes the oldest half (a page may overshoot it).
-                let paged = !q.pages.is_empty();
-                let stolen = q.steal_half(ctx).unwrap();
-                assert!(stolen.len() >= reference.len().div_ceil(2), "i={i}");
-                let want: Vec<_> = reference.drain(..stolen.len()).collect();
-                assert_eq!(stolen, want, "i={i}");
-                stolen_from_pages |= paged;
-            } else if lcg(&mut state) % 10 < 7 {
+            if lcg(&mut state) % 10 < 7 {
                 let e = fe(i, 3);
                 reference.push_back(e.clone());
                 q.push_back(e, ctx).unwrap();
             } else {
-                assert_eq!(q.pop_back(ctx).unwrap(), reference.pop_back(), "i={i}");
+                popped_from_pages |= q.head.is_empty() && !q.pages.is_empty();
+                assert_eq!(q.pop_front(ctx).unwrap(), reference.pop_front(), "i={i}");
             }
             assert_eq!(q.len(), reference.len());
         }
-        // Drain fully from the back.
-        while let Some(want) = reference.pop_back() {
-            assert_eq!(q.pop_back(ctx).unwrap(), Some(want));
+        // Drain fully from the front.
+        while let Some(want) = reference.pop_front() {
+            popped_from_pages |= q.head.is_empty() && !q.pages.is_empty();
+            assert_eq!(q.pop_front(ctx).unwrap(), Some(want));
         }
-        assert!(stolen_from_pages, "a steal reloaded spilled pages");
+        assert!(popped_from_pages, "a pop reloaded a spilled page");
         assert!(q.is_empty());
         assert!(spill.store().pages_written() > 0, "spilling happened");
         assert!(spill.store().error().is_none());
-    }
-
-    #[test]
-    fn frontier_steal_half_takes_oldest() {
-        let store = SpillStore::new(&MemBudget::new(1024)).expect("store");
-        let spill = FrontierSpill::new(store, 16 * 40);
-        let ctx: SpillCtx<'_, u32> = Some((&spill, &U32Codec));
-        let mut q = FrontierQueue::new();
-        for i in 0..100u32 {
-            q.push_back(fe(i, 2), ctx).unwrap();
-        }
-        assert!(spill.store().pages_written() > 0);
-        let stolen = q.steal_half(ctx).unwrap();
-        assert!(stolen.len() >= 50, "stole {} of 100", stolen.len());
-        // Stolen entries are the oldest (lowest tags), in order.
-        for (k, e) in stolen.iter().enumerate() {
-            assert_eq!(e.sleep, vec![k as u32]);
-        }
-        // Remainder continues from where the steal stopped.
-        let rest = q.collect_all(ctx).unwrap();
-        assert_eq!(rest[0].sleep, vec![stolen.len() as u32]);
     }
 
     #[test]
@@ -1637,12 +1582,17 @@ mod tests {
         for i in 0..60u32 {
             q.push_back(fe(i, 2), ctx).unwrap();
         }
-        let all = q.collect_all(ctx).unwrap();
-        assert_eq!(all.len(), 60);
-        for (k, e) in all.iter().enumerate() {
-            assert_eq!(e.sleep, vec![k as u32]);
+        // Popping reloads the oldest page into the head, which leads.
+        for k in 0..5u32 {
+            assert_eq!(q.pop_front(ctx).unwrap().unwrap().sleep, vec![k]);
         }
-        assert_eq!(q.len(), 60, "collect_all must not consume");
+        assert!(!q.head.is_empty());
+        let all = q.collect_all(ctx).unwrap();
+        assert_eq!(all.len(), 55);
+        for (k, e) in all.iter().enumerate() {
+            assert_eq!(e.sleep, vec![k as u32 + 5]);
+        }
+        assert_eq!(q.len(), 55, "collect_all must not consume");
         let again = q.collect_all(ctx).unwrap();
         assert_eq!(again, all);
     }
@@ -1654,9 +1604,7 @@ mod tests {
             q.push_back(fe(i, 2), None).unwrap();
         }
         assert_eq!(q.len(), 1000);
-        let stolen = q.steal_half(None).unwrap();
-        assert_eq!(stolen.len(), 500);
-        assert_eq!(stolen[0].sleep, vec![0]);
-        assert_eq!(q.pop_back(None).unwrap().unwrap().sleep, vec![999]);
+        assert_eq!(q.pop_front(None).unwrap().unwrap().sleep, vec![0]);
+        assert_eq!(q.collect_all(None).unwrap()[998].sleep, vec![999]);
     }
 }

@@ -1,59 +1,63 @@
-//! Swarm verification: many searches in parallel, optionally work-stealing
-//! and resumable.
+//! Swarm verification: many searches in parallel, resumable, and — in a
+//! frontier fleet — deterministic.
 //!
 //! SPIN's swarm technique (Holzmann et al.) runs N independent verifications
 //! with different seeds and strategies — the paper plans to use it to explore
-//! larger state spaces in parallel (§7). [`run_swarm`] runs one explorer per
-//! worker thread over systems produced by a factory, with a shared stop flag
-//! so the first violation cancels the fleet.
+//! larger state spaces in parallel (§7). [`run_swarm`] runs a fleet of worker
+//! threads, each over its own system from a factory. A fleet is one of two
+//! kinds, picked by [`SwarmConfig::strategies`]:
 //!
-//! Every fleet runs one spawn-and-round loop; its workers differ only in how
-//! they search ([`SwarmConfig::strategies`], cycled over the workers):
+//! * **Walk fleet** ([`WorkerStrategy::Walk`], and every fleet whose
+//!   `strategies` is empty): each worker runs a seed-diversified
+//!   [`RandomWalk`], and a shared stop flag lets the first violation cancel
+//!   the fleet. Without [`SwarmConfig::shared_visited`] every walk has a
+//!   private visited set, so workers re-expand each other's states
+//!   (maximum diversity); with it they share one [`ShardedVisited`] and a
+//!   state expanded anywhere is pruned everywhere. Shared-set walks race
+//!   for states, so their numbers follow host thread timing: this is the
+//!   one nondeterministic mode.
+//! * **Frontier fleet** ([`WorkerStrategy::Dfs`]): a level-synchronous
+//!   breadth-first search, as in parallel Murφ (Stern & Dill, 1997), over
+//!   *replayable op-prefixes* ([`FrontierEntry`]) in one FIFO queue the
+//!   coordinating thread owns. Each round deals the next entries to the
+//!   workers round-robin by position; a worker replays and expands its
+//!   share against the visited set as it stood when the round began, and
+//!   returns the unknown successors keyed by (entry position, op index).
+//!   At the barrier the coordinator inserts them in key order, so the first
+//!   key wins a state and its sleep set, and the fleet visits states in
+//!   exactly sequential breadth-first order: every run gives the same
+//!   per-worker stats, every worker count the same totals. Budgets,
+//!   stop-on-violation, panics and snapshots are decided at barriers. No
+//!   sequential BFS explorer or option exists; [`crate::DfsExplorer`] is
+//!   the sequential search.
 //!
-//! * **Walks** ([`WorkerStrategy::Walk`], and every worker when `strategies`
-//!   is empty): each worker runs a seed-diversified [`RandomWalk`]. In an
-//!   all-walk fleet without [`SwarmConfig::shared_visited`] every walk has
-//!   a private visited set, so workers re-expand each other's states
-//!   (maximum diversity); otherwise they share one [`ShardedVisited`] and a
-//!   state expanded anywhere is pruned everywhere.
-//! * **Work-stealing frontier** ([`WorkerStrategy::Dfs`]): pending states
-//!   live in per-worker deques as *replayable op-prefixes*
-//!   ([`FrontierEntry`]); a worker pops its newest entry, and one whose
-//!   deque runs dry steals the oldest half of a victim's. The shared
-//!   visited set arbitrates, so each state is expanded exactly once
-//!   fleet-wide and DFS — not just walks — parallelizes. Walk workers in
-//!   the same fleet prune against (and feed) the same set.
-//!   The system's independence relation (e.g. the harness's `EffectIndex`)
-//!   still applies per-worker through sleep sets carried in the entries.
+//! A `strategies` list that mixes the two kinds is refused: every worker
+//! slot reports [`StopReason::Fatal`].
 //!
-//! The op-prefix frontier is also what makes a swarm *resumable*:
-//! [`run_swarm_persistent`] periodically pickles the shared visited set, the
-//! frontier, RNG cursors, and cumulative stats to disk (atomically — see
-//! [`pickle::save_atomic`]) and can start from a loaded [`RunSnapshot`],
-//! re-exploring zero already-visited states. Snapshots are taken at *round*
-//! boundaries: the fleet runs `snapshot_every` expansions, the worker scope
-//! joins (queues quiescent — no entry is ever half-expanded), the snapshot
-//! is cut, and the next round's workers are re-spawned from the factory.
+//! The op-prefix frontier is also what makes a fleet *resumable*:
+//! [`run_swarm_persistent`] pickles the shared visited set, the frontier,
+//! RNG cursors, and cumulative stats to disk (atomically — see
+//! [`pickle::save_atomic`]) at round barriers, and can start from a loaded
+//! [`RunSnapshot`], re-exploring zero already-visited states. No entry is
+//! half-expanded at a barrier, so every snapshot is a consistent cut.
 //!
-//! A panicking worker does not abort the fleet: the panic is caught, the
-//! worker's slot reports [`StopReason::WorkerPanic`], its queue remains
-//! stealable by survivors, and the rest of the fleet runs to completion.
+//! A panicking worker does not abort the fleet: the panic is caught and
+//! the worker's slot reports [`StopReason::WorkerPanic`]. In a frontier
+//! fleet the entries it had not finished are re-dealt to the survivors
+//! before the barrier, so the fleet still covers the whole space, in the
+//! same order.
 
-use std::cmp::Reverse;
-use std::collections::VecDeque;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
-
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc;
 
 use crate::explore::{
     spill_init_failure, with_fresh_visited, ExploreConfig, ExploreReport, ExploreStats, RandomWalk,
-    Search, Step, StopReason,
+    Search, StopReason,
 };
-use crate::pickle::SnapshotWriter;
-use crate::pickle::{self, deal_frontier, FrontierEntry, OpCodec, RngCursor, RunSnapshot};
+use crate::pickle::{self, FrontierEntry, OpCodec, RngCursor, RunSnapshot, SnapshotWriter};
 use crate::spill::{FrontierQueue, FrontierSpill, SpillCtx, SpillStats};
 use crate::system::{ApplyOutcome, ModelSystem, StateId, Violation};
 use crate::visited::{ShardedVisited, Visit};
@@ -61,11 +65,11 @@ use crate::visited::{ShardedVisited, Visit};
 /// How one swarm worker searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerStrategy {
-    /// Pop the newest frontier entry (depth-first flavour: best replay
-    /// locality — children of the state just expanded replay one op).
+    /// Expand frontier entries in the frontier fleet's breadth-first
+    /// rounds: the exhaustive, depth-bounded search of
+    /// [`crate::DfsExplorer`], split over the fleet.
     Dfs,
-    /// Seed-diversified random walk over the shared visited set; does not
-    /// consume the frontier but prunes against (and feeds) the same set.
+    /// Seed-diversified random walk.
     Walk,
 }
 
@@ -75,27 +79,26 @@ pub struct SwarmConfig {
     /// Number of worker searches.
     pub workers: usize,
     /// Base exploration config; walk workers get `seed = base.seed + index`
-    /// (classic swarm diversification). In frontier mode `max_ops` and
-    /// `max_states` are *fleet-wide* budgets — the frontier is shared, so
-    /// per-worker budgets would be arbitrary; walk workers keep per-worker
-    /// op budgets as before.
+    /// (classic swarm diversification). In a frontier fleet `max_ops` and
+    /// `max_states` are *fleet-wide* budgets, checked at round barriers, so
+    /// a run may overshoot them by up to one round; walk workers keep
+    /// per-worker op budgets.
     pub base: ExploreConfig,
     /// Share one sharded visited set across the fleet so workers skip
     /// states another worker already expanded, instead of duplicating work
-    /// with private per-worker sets. Only an all-walk [`run_swarm`] fleet
-    /// can turn it off: frontier workers need the shared set (work-stealing
-    /// without one would be unsound), and [`run_swarm_persistent`] pickles
-    /// it.
+    /// with private per-worker sets. Only a walk fleet in [`run_swarm`] can
+    /// turn it off: a frontier fleet always shares the set, and
+    /// [`run_swarm_persistent`] pickles it.
     pub shared_visited: bool,
-    /// Per-worker strategy assignment, cycled over the worker index (e.g.
-    /// `[Dfs, Dfs, Walk]` over 5 workers gives Dfs,Dfs,Walk,Dfs,Dfs).
-    /// Empty makes every worker walk.
+    /// The fleet's kind: all [`WorkerStrategy::Dfs`] makes a frontier
+    /// fleet; all [`WorkerStrategy::Walk`], or an empty list, a walk fleet.
+    /// A list that mixes them is refused.
     ///
     /// Out-of-core operation rides in [`ExploreConfig::mem_budget`] on
     /// `base`: a shared visited set becomes disk-spilling, every worker's
     /// system gets its store ([`ModelSystem::attach_spill`]), and in
-    /// [`run_swarm_persistent`] (where an op codec exists) the per-worker
-    /// frontier queues spill cold op-prefix pages to the same store.
+    /// [`run_swarm_persistent`] (where an op codec exists) the frontier
+    /// queue spills cold op-prefix pages to the same store.
     pub strategies: Vec<WorkerStrategy>,
 }
 
@@ -106,18 +109,19 @@ pub struct SwarmPersist<'a, Op> {
     /// Where to write snapshots (atomic tempfile + rename); `None` disables
     /// snapshotting (a run can still *start* from `resume`).
     pub snapshot_path: Option<PathBuf>,
-    /// Snapshot cadence in frontier expansions (walk workers count ops
-    /// toward it). The fleet pauses at this boundary — workers park between
-    /// entry expansions — so every snapshot is a consistent visited+frontier
-    /// cut. 0 means "only at the end of the run".
+    /// Snapshot cadence: a snapshot is cut at every round barrier, and a
+    /// round is this many frontier entries (walk workers count ops toward
+    /// it). 0 means "only at the end of the run"; frontier rounds then take
+    /// a fixed number of entries.
     ///
-    /// When this is non-zero the factory is called once per worker per
-    /// *round*, so it must produce a fresh system (at the initial state) on
-    /// every call.
+    /// A frontier fleet calls the factory at most once per worker, when it
+    /// is first dealt an entry. A walk fleet with a cadence calls it once
+    /// per worker per *round*, so it must produce a fresh system (at the
+    /// initial state) on every call.
     pub snapshot_every: u64,
     /// Resume from a previously pickled snapshot: its visited set is
     /// preloaded (no contained state is ever re-counted), its frontier is
-    /// redistributed across the workers, and its stats become the report's
+    /// queued in order, and its stats become the report's
     /// [`SwarmReport::baseline`].
     pub resume: Option<RunSnapshot<Op>>,
 }
@@ -140,8 +144,8 @@ pub struct SwarmReport<Op> {
     /// Error from the last snapshot write, if any (the search itself still
     /// completed; only persistence failed).
     pub persist_error: Option<String>,
-    /// Fleet-wide spill counters of the *shared* visited set (and any
-    /// spilling frontier queues, which share its page store). Per-worker
+    /// Fleet-wide spill counters of the *shared* visited set (and the
+    /// spilling frontier queue, which shares its page store). Per-worker
     /// stats deliberately exclude these — the set is one global structure,
     /// so charging each worker the whole set's traffic would overcount on
     /// merge. `None` when no shared spill-backed set was used (private-set
@@ -178,8 +182,8 @@ impl<Op> SwarmReport<Op> {
     }
 
     /// Total operations replayed to reconstruct frontier states from their
-    /// op-prefixes — the overhead work-stealing and resume pay instead of
-    /// shipping concrete state between workers or processes.
+    /// op-prefixes — the overhead the frontier fleet and resume pay instead
+    /// of shipping concrete state between workers or processes.
     pub fn total_replayed(&self) -> u64 {
         self.total(|s| s.ops_replayed)
     }
@@ -225,19 +229,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A fleet that could not start because the shared spill store failed to
-/// initialize: every worker slot reports the failure.
-fn spill_init_report<Op>(workers: usize, e: &str) -> SwarmReport<Op> {
-    SwarmReport {
-        workers: (0..workers).map(|_| spill_init_failure(e)).collect(),
-        distinct_states: None,
-        baseline: ExploreStats::default(),
-        persist_error: None,
-        spill: None,
-        visited_peak_bytes: 0,
-    }
-}
-
 /// The fleet-shared visited set. One shard per worker (rounded up to a
 /// power of two, min 8) keeps same-shard collisions between workers rare;
 /// with a memory budget the set spills cold entries to disk instead.
@@ -248,14 +239,27 @@ fn fleet_visited(base: &ExploreConfig, workers: usize) -> Result<ShardedVisited,
     }
 }
 
+/// Builds worker `idx`'s system from `factory`, attached to the fleet
+/// set's spill store when the set spills (a private-set walk attaches its
+/// own through [`with_fresh_visited`]).
+fn system<S: ModelSystem, F: Fn(usize) -> S>(
+    factory: &F,
+    idx: usize,
+    visited: Option<&ShardedVisited>,
+) -> S {
+    let mut sys = factory(idx);
+    if let Some(set) = visited.and_then(ShardedVisited::spill_set) {
+        sys.attach_spill(set.store());
+    }
+    sys
+}
+
 /// Runs `cfg.workers` searches in parallel over systems produced by
 /// `factory` (one system per worker, seeded by worker index).
 ///
-/// With an empty [`SwarmConfig::strategies`] every worker walks; otherwise
-/// the assignment is cycled over the workers (see the module docs). The
-/// first worker to find a violation raises the shared stop flag. A worker
-/// panic is contained to its slot (see [`SwarmReport::panics`]); the rest
-/// of the fleet keeps searching.
+/// [`SwarmConfig::strategies`] picks a walk fleet or a frontier fleet (see
+/// the module docs). A worker panic is contained to its slot (see
+/// [`SwarmReport::panics`]); the rest of the fleet keeps searching.
 pub fn run_swarm<S, F>(cfg: &SwarmConfig, factory: F) -> SwarmReport<S::Op>
 where
     S: ModelSystem,
@@ -282,103 +286,99 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// The fleet loop
+// What both fleet kinds share
 // ---------------------------------------------------------------------------
 
-/// Per-worker checkpoint cache capacity: concrete states keyed by the
-/// op-prefix that reaches them, so a worker expanding its own just-pushed
-/// children replays one op instead of the whole prefix. Eviction is FIFO —
-/// with LIFO (Dfs) pops the newest cached states are the hot ones.
-const PREFIX_CACHE_CAP: usize = 64;
-
-/// Shared coordination state of one fleet.
-struct FrontierShared<Op> {
-    /// Per-worker frontier queues. Owners push children to and pop them
-    /// from the back; thieves steal from the front (oldest entries — the
-    /// biggest unexplored subtrees). Under a memory budget with a codec,
-    /// cold middles spill to pages.
-    queues: Vec<Mutex<FrontierQueue<Op>>>,
-    /// Spill context for the queues: present only in persistent runs with a
-    /// [`crate::MemBudget`] (spilling op-prefixes needs the op codec).
-    frontier_spill: Option<FrontierSpill>,
+/// A fleet's per-worker results, merged across rounds, and what its
+/// snapshots need.
+struct Fleet<'p, Op> {
+    cfg: &'p SwarmConfig,
     /// The fleet-shared visited set (also what gets pickled); `None` only
-    /// for an all-walk fleet of private sets.
+    /// for a walk fleet of private sets.
     visited: Option<ShardedVisited>,
-    /// Workers currently expanding an entry; termination needs empty queues
-    /// *and* zero busy workers (a busy worker may be about to push
-    /// children).
-    busy: AtomicUsize,
-    /// First violation (or fleet-wide budget) raised: everyone drains.
-    stop: AtomicBool,
-    /// The current round's expansion quota is spent: workers park between
-    /// entry expansions so a consistent snapshot can be cut.
-    round_done: AtomicBool,
-    /// Expansions (and walk ops) performed this round.
-    round_work: AtomicU64,
-    /// Fleet-wide executed-op / new-state counters backing the shared
-    /// budgets; initialized with the resumed baseline so budgets span
-    /// generations.
-    ops_total: AtomicU64,
-    states_total: AtomicU64,
+    codec: Option<&'p (dyn OpCodec<Op> + Sync)>,
+    snapshot_path: Option<PathBuf>,
+    /// Round length when snapshotting on a cadence; 0 without one.
+    cadence: u64,
+    baseline: ExploreStats,
+    generation: u32,
+    round: u64,
+    stats: Vec<ExploreStats>,
+    violations: Vec<Vec<Violation<Op>>>,
+    stops: Vec<Option<StopReason>>,
+    persist_error: Option<String>,
 }
 
-impl<Op> FrontierShared<Op> {
-    /// The fleet-shared visited set, which frontier workers and persistent
-    /// runs always have.
-    fn fleet_set(&self) -> &ShardedVisited {
-        self.visited
+impl<Op: Clone> Fleet<'_, Op> {
+    /// Pickles the fleet at a round barrier, when it has somewhere to.
+    /// Both big sections stream — visited entries page by page through the
+    /// writer, the frontier from `frontier` — so the snapshot path never
+    /// materializes the whole set as a second copy.
+    fn snapshot(&mut self, frontier: impl FnOnce() -> Result<Vec<FrontierEntry<Op>>, String>) {
+        let (Some(path), Some(codec)) = (&self.snapshot_path, self.codec) else {
+            return;
+        };
+        let frontier = match frontier() {
+            Ok(f) => f,
+            Err(e) => {
+                self.persist_error = Some(format!("frontier snapshot failed: {e}"));
+                return;
+            }
+        };
+        let visited = self
+            .visited
             .as_ref()
-            .expect("frontier workers and snapshots run over the fleet set")
-    }
-
-    /// Builds worker `idx`'s system from `factory`, attached to the fleet
-    /// set's spill store when the set spills (a private-set walk attaches
-    /// its own through [`with_fresh_visited`]).
-    fn system<S, F>(&self, factory: &F, idx: usize) -> S
-    where
-        S: ModelSystem<Op = Op>,
-        F: Fn(usize) -> S,
-    {
-        let mut sys = factory(idx);
-        if let Some(set) = self.visited.as_ref().and_then(ShardedVisited::spill_set) {
-            sys.attach_spill(set.store());
+            .expect("persistent runs share the visited set");
+        let mut stats = self.baseline.clone();
+        for s in &self.stats {
+            stats.merge(s);
         }
-        sys
-    }
-
-    fn queues_all_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.lock().is_empty())
-    }
-
-    /// Counts one unit of round work and raises the round flag at `quota`
-    /// (a fleet without rounds, `u64::MAX`, counts nothing).
-    fn tick_round(&self, quota: u64) {
-        if quota != u64::MAX && self.round_work.fetch_add(1, Ordering::SeqCst) + 1 >= quota {
-            self.round_done.store(true, Ordering::SeqCst);
+        // The shared set's fleet-wide spill counters ride in the snapshot
+        // stats (per-worker stats exclude them — see `SwarmReport::spill`).
+        stats.merge(&ExploreStats {
+            spill: visited.spill_stats(),
+            visited_peak_bytes: visited.peak_bytes(),
+            ..ExploreStats::default()
+        });
+        let seed = self.cfg.base.seed;
+        let rng: Vec<RngCursor> = (self.stats.iter().enumerate())
+            .map(|(i, s)| RngCursor {
+                seed: walk_seed(seed, i, self.round, self.generation),
+                draws: s.ops_executed,
+            })
+            .collect();
+        let workers = self.stats.len() as u32;
+        let mut w = SnapshotWriter::new(codec, seed, workers, self.generation);
+        w.begin_visited(visited.len() as u32);
+        if let Err(e) = visited.stream_entries(|h, d| w.visited_entry(h, d)) {
+            self.persist_error = Some(format!("visited snapshot failed: {e}"));
+            return;
+        }
+        w.frontier(&frontier);
+        w.rng(&rng);
+        let bytes = w.finish(&stats);
+        if let Err(e) = pickle::save_atomic(path, &bytes) {
+            self.persist_error = Some(e.to_string());
         }
     }
-}
 
-/// Decrements `busy` even if the expansion panics, so the survivors'
-/// termination detection cannot wedge on a dead worker's stale count.
-struct BusyGuard<'a>(&'a AtomicUsize);
-
-impl Drop for BusyGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+    fn report(self) -> SwarmReport<Op> {
+        let visited = self.visited.as_ref();
+        SwarmReport {
+            distinct_states: visited.map(|v| v.len() as u64),
+            spill: visited.and_then(ShardedVisited::spill_stats),
+            visited_peak_bytes: visited.map_or(0, ShardedVisited::peak_bytes),
+            workers: (self.stats.into_iter().zip(self.violations).zip(self.stops))
+                .map(|((stats, violations), stop)| ExploreReport {
+                    stats,
+                    violations,
+                    stop: stop.unwrap_or(StopReason::Exhausted),
+                })
+                .collect(),
+            baseline: self.baseline,
+            persist_error: self.persist_error,
+        }
     }
-}
-
-/// The worker-index → strategy assignment for a fleet: `strategies`
-/// cycled, or every worker walking when it is empty.
-fn resolve_strategies(cfg: &SwarmConfig) -> Vec<WorkerStrategy> {
-    let cycle = match cfg.strategies.as_slice() {
-        [] => &[WorkerStrategy::Walk],
-        some => some,
-    };
-    (0..cfg.workers.max(1))
-        .map(|i| cycle[i % cycle.len()])
-        .collect()
 }
 
 /// Derives a walk worker's seed for a given round/generation — diversified
@@ -390,9 +390,9 @@ fn walk_seed(base: u64, idx: usize, round: u64, generation: u32) -> u64 {
         .wrapping_add((generation as u64).wrapping_mul(0x85EB_CA6B_0000))
 }
 
-/// The one fleet loop behind [`run_swarm`] and [`run_swarm_persistent`]:
-/// spawn the pending workers, join them at the round boundary, snapshot,
-/// and repeat until every worker is done or the fleet stops.
+/// The one entry point behind [`run_swarm`] and [`run_swarm_persistent`]:
+/// sets up the visited set and any resumed state, then runs the fleet
+/// kind `cfg.strategies` names.
 fn run_fleet<S, F>(
     cfg: &SwarmConfig,
     factory: F,
@@ -404,239 +404,137 @@ where
     F: Fn(usize) -> S + Sync,
 {
     let workers = cfg.workers.max(1);
-    let strategies = resolve_strategies(cfg);
-    let frontier_idxs: Vec<usize> = strategies
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| **s != WorkerStrategy::Walk)
-        .map(|(i, _)| i)
-        .collect();
-    // Frontier workers arbitrate stolen work through the fleet set, and a
-    // persistent run pickles it: only a plain all-walk fleet may go without.
-    let shared_visited = cfg.shared_visited || persist.is_some() || !frontier_idxs.is_empty();
-    let visited = match shared_visited
-        .then(|| fleet_visited(&cfg.base, workers))
-        .transpose()
-    {
-        Ok(v) => v,
-        Err(e) => return spill_init_report(workers, &e),
-    };
-
-    let mut baseline = ExploreStats::default();
-    let mut generation = 0u32;
-    let mut initial_frontier: Option<Vec<FrontierEntry<S::Op>>> = None;
     let (codec, snapshot_path, snapshot_every, resume) = match persist {
         Some(p) => (Some(p.codec), p.snapshot_path, p.snapshot_every, p.resume),
         None => (None, None, 0, None),
     };
-    if let (Some(snap), Some(visited)) = (resume, &visited) {
+    let mut fleet = Fleet {
+        cfg,
+        visited: None,
+        codec,
+        cadence: snapshot_path.as_ref().map_or(0, |_| snapshot_every),
+        snapshot_path,
+        baseline: ExploreStats::default(),
+        generation: 0,
+        round: 0,
+        stats: vec![ExploreStats::default(); workers],
+        violations: (0..workers).map(|_| Vec::new()).collect(),
+        stops: vec![None; workers],
+        persist_error: None,
+    };
+    let frontier = cfg.strategies.contains(&WorkerStrategy::Dfs);
+    if frontier && cfg.strategies.contains(&WorkerStrategy::Walk) {
+        let refused =
+            "a fleet is all frontier (Dfs) workers or all walks; mixed strategies are refused";
+        fleet.stops = vec![Some(StopReason::Fatal(refused.into())); workers];
+        return fleet.report();
+    }
+    // A frontier fleet arbitrates through the fleet set, and a persistent
+    // run pickles it: only a plain walk fleet may go without.
+    let shared_visited = cfg.shared_visited || fleet.codec.is_some() || frontier;
+    match (shared_visited.then(|| fleet_visited(&cfg.base, workers))).transpose() {
+        Ok(visited) => fleet.visited = visited,
+        Err(e) => {
+            fleet.stops = vec![Some(spill_init_failure::<S::Op>(&e).stop); workers];
+            return fleet.report();
+        }
+    }
+    let mut resumed = None;
+    if let (Some(snap), Some(visited)) = (resume, &fleet.visited) {
         visited.load_entries(&snap.visited);
-        baseline = snap.stats;
-        generation = snap.generation + 1;
-        initial_frontier = Some(snap.frontier);
+        fleet.baseline = snap.stats;
+        fleet.generation = snap.generation + 1;
+        resumed = Some(snap.frontier);
     }
+    if frontier {
+        run_frontier(&mut fleet, &factory, resumed);
+    } else {
+        run_walks(&mut fleet, &factory, resumed.unwrap_or_default());
+    }
+    fleet.report()
+}
 
-    // Frontier spilling needs both a budget (the hot cap) and a codec (to
-    // encode op-prefixes into pages); the queues share the visited set's
-    // page store so one spill file serves the whole run.
-    let frontier_spill = match (&cfg.base.mem_budget, codec, &visited) {
-        (Some(budget), Some(_), Some(visited)) => visited
-            .spill_set()
-            .map(|s| FrontierSpill::new(s.store().clone(), budget.frontier_hot_bytes)),
-        _ => None,
-    };
+// ---------------------------------------------------------------------------
+// Walk fleets
+// ---------------------------------------------------------------------------
 
-    let shared = FrontierShared::<S::Op> {
-        queues: (0..workers)
-            .map(|_| Mutex::new(FrontierQueue::new()))
-            .collect(),
-        frontier_spill,
-        visited,
-        busy: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-        round_done: AtomicBool::new(false),
-        round_work: AtomicU64::new(0),
-        ops_total: AtomicU64::new(baseline.ops_executed),
-        states_total: AtomicU64::new(baseline.states_new),
-    };
+/// What a walk fleet's workers share within one round.
+struct WalkRound<'a> {
+    /// First violation raised: everyone drains.
+    stop: &'a AtomicBool,
+    /// Ops walked this round.
+    work: AtomicU64,
+    /// The round's quota is spent: walks drain so a snapshot can be cut.
+    done: AtomicBool,
+    /// Ops per round (`u64::MAX`: one round, counting nothing).
+    quota: u64,
+}
 
-    // Seed the frontier: the resumed entries round-robin across frontier
-    // (non-walk) workers, or the single root entry for a fresh run.
-    match initial_frontier {
-        Some(entries) => {
-            let dealt = deal_frontier(entries, frontier_idxs.len().max(1));
-            for (slot, queue) in dealt.into_iter().enumerate() {
-                // An all-walk fleet parks resumed entries on queue 0: never
-                // expanded, but carried forward into the next snapshot.
-                // Seeding never spills (no I/O to fail here); the first
-                // over-budget worker push drains the excess to pages.
-                let idx = frontier_idxs.get(slot).copied().unwrap_or(0);
-                shared.queues[idx].lock().extend_back(queue.into());
-            }
-        }
-        None => {
-            if let Some(&first) = frontier_idxs.first() {
-                shared.queues[first].lock().extend_back(vec![FrontierEntry {
-                    prefix: Vec::new(),
-                    sleep: Vec::new(),
-                }]);
-            }
+impl WalkRound<'_> {
+    /// Counts one op and raises `done` at the quota.
+    fn tick(&self) {
+        if self.quota != u64::MAX && self.work.fetch_add(1, Ordering::SeqCst) + 1 >= self.quota {
+            self.done.store(true, Ordering::SeqCst);
         }
     }
+}
 
-    // Per-worker accumulators, merged across snapshot rounds.
-    let mut agg_stats: Vec<ExploreStats> = (0..workers).map(|_| ExploreStats::default()).collect();
-    let mut agg_violations: Vec<Vec<Violation<S::Op>>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut last_stop: Vec<Option<StopReason>> = (0..workers).map(|_| None).collect();
-    let mut pending: Vec<bool> = (0..workers).map(|_| true).collect();
-    let mut persist_error = None;
-    let mut round = 0u64;
-
+/// A walk fleet: spawn the pending walks, join them at the round boundary,
+/// snapshot, and repeat until every walk is done or one found a violation.
+/// A resumed frontier is never expanded here; it is `parked` and carried
+/// into every snapshot.
+fn run_walks<S, F>(fleet: &mut Fleet<'_, S::Op>, factory: &F, parked: Vec<FrontierEntry<S::Op>>)
+where
+    S: ModelSystem,
+    S::Op: Send + 'static,
+    F: Fn(usize) -> S + Sync,
+{
+    let quota = match fleet.cadence {
+        0 => u64::MAX,
+        n => n,
+    };
+    let stop = AtomicBool::new(false);
+    let mut pending = vec![true; fleet.stats.len()];
     loop {
-        shared.round_done.store(false, Ordering::SeqCst);
-        shared.round_work.store(0, Ordering::SeqCst);
-        let quota = if snapshot_path.is_some() && snapshot_every > 0 {
-            snapshot_every
-        } else {
-            u64::MAX
+        let round = WalkRound {
+            stop: &stop,
+            work: AtomicU64::new(0),
+            done: AtomicBool::new(false),
+            quota,
         };
-
-        // mcfs-lint: allow(MC007, per-worker results land in indexed slots; the merge below is worker-order deterministic)
+        let base = &fleet.cfg.base;
+        let visited = fleet.visited.as_ref();
+        // mcfs-lint: allow(MC007, each walk reports into its own slot and the slots merge in worker order; shared-set walk fleets are the documented nondeterministic mode)
         std::thread::scope(|scope| {
-            for (idx, ((stats_slot, viol_slot), stop_slot)) in agg_stats
-                .iter_mut()
-                .zip(agg_violations.iter_mut())
-                .zip(last_stop.iter_mut())
-                .enumerate()
-            {
+            let slots = (fleet.stats.iter_mut())
+                .zip(fleet.violations.iter_mut())
+                .zip(fleet.stops.iter_mut());
+            for (idx, ((stats, violations), stop_slot)) in slots.enumerate() {
                 if !pending[idx] {
                     continue;
                 }
-                let shared = &shared;
-                let factory = &factory;
-                let base = &cfg.base;
-                let strategy = strategies[idx];
+                let seed = walk_seed(base.seed, idx, fleet.round, fleet.generation);
+                let round = &round;
                 scope.spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| match strategy {
-                        WorkerStrategy::Walk => run_walk_round::<S, F>(
-                            idx, factory, base, shared, round, generation, quota, stats_slot,
-                            viol_slot,
-                        ),
-                        WorkerStrategy::Dfs => run_frontier_worker::<S, F>(
-                            idx, factory, base, shared, quota, codec, stats_slot, viol_slot,
-                        ),
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        run_walk_round(idx, factory, base, seed, visited, round, stats, violations)
                     }));
-                    let outcome = match result {
-                        Ok(reason) => reason,
-                        Err(payload) => Some(StopReason::WorkerPanic(panic_message(payload))),
-                    };
-                    if let Some(reason) = outcome {
-                        *stop_slot = Some(reason);
-                    }
+                    *stop_slot =
+                        result.unwrap_or_else(|p| Some(StopReason::WorkerPanic(panic_message(p))));
                 });
             }
         });
-
-        // A worker whose round ended with a terminal reason is not
-        // re-spawned; `None` means the round quota interrupted it mid-search
-        // and it resumes next round.
-        for idx in 0..workers {
-            if pending[idx] && last_stop[idx].is_some() {
-                pending[idx] = false;
-            }
+        // A walk whose round ended with a terminal reason is not re-spawned;
+        // `None` means the round quota interrupted it and it resumes next
+        // round.
+        for (p, stop) in pending.iter_mut().zip(&fleet.stops) {
+            *p &= stop.is_none();
         }
-
-        // Snapshot at the (quiescent) round boundary: the scope joined, so
-        // the queues and visited set are a consistent cut of the search.
-        // Both big sections stream — visited entries page-by-page through
-        // the writer, spilled frontier pages one queue at a time — so the
-        // snapshot path never materializes the whole set as a second copy.
-        if let (Some(path), Some(codec)) = (&snapshot_path, codec) {
-            let ctx: SpillCtx<'_, S::Op> = shared
-                .frontier_spill
-                .as_ref()
-                .map(|fs| (fs, codec as &dyn OpCodec<S::Op>));
-            let mut frontier = Vec::new();
-            let mut frontier_err: Option<String> = None;
-            for q in &shared.queues {
-                match q.lock().collect_all(ctx) {
-                    Ok(entries) => frontier.extend(entries),
-                    Err(e) => {
-                        frontier_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            let visited = shared.fleet_set();
-            let mut stats = baseline.clone();
-            for s in &agg_stats {
-                stats.merge(s);
-            }
-            // The shared set's fleet-wide spill counters ride in the
-            // snapshot stats (per-worker stats exclude them — see
-            // `SwarmReport::spill`).
-            stats.merge(&ExploreStats {
-                spill: visited.spill_stats(),
-                visited_peak_bytes: visited.peak_bytes(),
-                ..ExploreStats::default()
-            });
-            let rng: Vec<RngCursor> = (0..workers)
-                .map(|i| RngCursor {
-                    seed: walk_seed(cfg.base.seed, i, round, generation),
-                    draws: agg_stats[i].ops_executed,
-                })
-                .collect();
-            match frontier_err {
-                Some(e) => persist_error = Some(format!("frontier snapshot failed: {e}")),
-                None => {
-                    let mut w =
-                        SnapshotWriter::new(codec, cfg.base.seed, workers as u32, generation);
-                    w.begin_visited(visited.len() as u32);
-                    match visited.stream_entries(|h, d| w.visited_entry(h, d)) {
-                        Ok(()) => {
-                            w.frontier(&frontier);
-                            w.rng(&rng);
-                            let bytes = w.finish(&stats);
-                            if let Err(e) = pickle::save_atomic(path, &bytes) {
-                                persist_error = Some(e.to_string());
-                            }
-                        }
-                        Err(e) => {
-                            persist_error = Some(format!("visited snapshot failed: {e}"));
-                        }
-                    }
-                }
-            }
-        }
-
-        round += 1;
-        if shared.stop.load(Ordering::SeqCst) || pending.iter().all(|p| !p) || quota == u64::MAX {
+        fleet.snapshot(|| Ok(parked.clone()));
+        fleet.round += 1;
+        if stop.load(Ordering::SeqCst) || !pending.contains(&true) || quota == u64::MAX {
             break;
         }
-    }
-
-    SwarmReport {
-        workers: agg_stats
-            .into_iter()
-            .zip(agg_violations)
-            .zip(last_stop)
-            .map(|((stats, violations), stop)| ExploreReport {
-                stats,
-                violations,
-                stop: stop.unwrap_or(StopReason::Exhausted),
-            })
-            .collect(),
-        distinct_states: shared.visited.as_ref().map(|v| v.len() as u64),
-        baseline,
-        persist_error,
-        spill: shared
-            .visited
-            .as_ref()
-            .and_then(ShardedVisited::spill_stats),
-        visited_peak_bytes: shared
-            .visited
-            .as_ref()
-            .map_or(0, ShardedVisited::peak_bytes),
     }
 }
 
@@ -648,10 +546,9 @@ fn run_walk_round<S, F>(
     idx: usize,
     factory: &F,
     base: &ExploreConfig,
-    shared: &FrontierShared<S::Op>,
-    round: u64,
-    generation: u32,
-    quota: u64,
+    seed: u64,
+    visited: Option<&ShardedVisited>,
+    round: &WalkRound<'_>,
     stats_slot: &mut ExploreStats,
     viol_slot: &mut Vec<Violation<S::Op>>,
 ) -> Option<StopReason>
@@ -660,17 +557,17 @@ where
     F: Fn(usize) -> S + Sync,
 {
     let mut worker_cfg = base.clone();
-    worker_cfg.seed = walk_seed(base.seed, idx, round, generation);
+    worker_cfg.seed = seed;
     // Per-worker op budget, minus what this worker's earlier rounds used.
     worker_cfg.max_ops = base.max_ops.saturating_sub(stats_slot.ops_executed);
     if worker_cfg.max_ops == 0 {
         return Some(StopReason::OpBudget);
     }
     let walk = RandomWalk::new(worker_cfg);
-    let mut sys = shared.system(factory, idx);
-    let tick = |_: &ExploreStats| shared.tick_round(quota);
-    let halt = || shared.stop.load(Ordering::Relaxed) || shared.round_done.load(Ordering::Relaxed);
-    let report = match &shared.visited {
+    let mut sys = system(factory, idx, visited);
+    let tick = |_: &ExploreStats| round.tick();
+    let halt = || round.stop.load(Ordering::Relaxed) || round.done.load(Ordering::Relaxed);
+    let report = match visited {
         // The fleet set's spill counters are fleet-wide, so they surface
         // once in `SwarmReport::spill` (and the snapshot stats), not per
         // worker, where summing copies of the same global counters would
@@ -685,12 +582,12 @@ where
             walk.run_until(sys, visited, tick, halt)
         }),
     };
-    let drained_by_round = shared.round_done.load(Ordering::SeqCst);
+    let drained_by_round = round.done.load(Ordering::SeqCst);
     stats_slot.merge(&report.stats);
     viol_slot.extend(report.violations);
     match report.stop {
         StopReason::Violation => {
-            shared.stop.store(true, Ordering::SeqCst);
+            round.stop.store(true, Ordering::SeqCst);
             Some(StopReason::Violation)
         }
         // Drained at the round boundary: the walk has budget left, resume
@@ -700,281 +597,398 @@ where
     }
 }
 
-/// A frontier (Dfs) worker's round: pop-or-steal entries and expand
-/// them against the shared visited set until the frontier is exhausted, a
-/// budget trips, or the round quota pauses the fleet.
-///
-/// Returns `Some(reason)` when the worker is done for good, `None` when the
-/// round quota (or a fleet stop raised elsewhere) interrupted it.
-#[allow(clippy::too_many_arguments)]
-fn run_frontier_worker<S, F>(
+// ---------------------------------------------------------------------------
+// Frontier fleets
+// ---------------------------------------------------------------------------
+
+/// Entries per frontier round when no snapshot cadence sets the length.
+/// It does not depend on the worker count, so neither do the fleet's
+/// totals.
+const ROUND_ENTRIES: usize = 256;
+
+/// Where a frontier worker keeps the initial state: pinned, since every
+/// replay starts there.
+const ROOT: StateId = StateId(0);
+
+/// Where a frontier worker keeps the entry it is expanding, restored once
+/// per sibling op.
+const ENTRY: StateId = StateId(1);
+
+/// Entries dealt to one worker, each with its position in the round.
+type Share<Op> = Vec<(usize, FrontierEntry<Op>)>;
+
+/// A state that was not in the visited set when its round began.
+struct Candidate<Op> {
+    /// The order in which a sequential breadth-first search reaches it:
+    /// the expanded entry's position in the round, then 1 + the op's index
+    /// among the entry's expandable ops (0 is the initial state itself,
+    /// which the root entry reports).
+    key: (usize, usize),
+    state: u128,
+    depth: u32,
+    /// The successor's frontier entry, unless it lies at the depth bound.
+    child: Option<FrontierEntry<Op>>,
+}
+
+/// What a frontier worker hands back for a share.
+struct Reply<Op> {
+    stats: ExploreStats,
+    violations: Vec<Violation<Op>>,
+    /// Successors of the entries the worker finished, in key order.
+    candidates: Vec<Candidate<Op>>,
+    /// The share's entries from the one the worker stopped on.
+    unfinished: Share<Op>,
+    /// Why the worker stopped for good, if it did.
+    stop: Option<StopReason>,
+}
+
+/// The frontier a snapshot records: the entries a stopping fleet took from
+/// the queue but did not finish, then the queue.
+fn frontier_cut<Op: Clone>(
+    carry: &Share<Op>,
+    queue: &FrontierQueue<Op>,
+    ctx: SpillCtx<'_, Op>,
+) -> Result<Vec<FrontierEntry<Op>>, String> {
+    let mut cut: Vec<FrontierEntry<Op>> = carry.iter().map(|(_, e)| e.clone()).collect();
+    cut.extend(queue.collect_all(ctx)?);
+    Ok(cut)
+}
+
+/// A frontier fleet: the coordinator deals rounds of the FIFO queue to
+/// long-lived worker threads and merges their candidates at each barrier
+/// (see the module docs).
+fn run_frontier<S, F>(
+    fleet: &mut Fleet<'_, S::Op>,
+    factory: &F,
+    resumed: Option<Vec<FrontierEntry<S::Op>>>,
+) where
+    S: ModelSystem,
+    S::Op: Send + 'static,
+    F: Fn(usize) -> S + Sync,
+{
+    let workers = fleet.stats.len();
+    let swarm = fleet.cfg;
+    let base = &swarm.base;
+    let set = fleet
+        .visited
+        .clone()
+        .expect("a frontier fleet shares the visited set");
+    // Frontier spilling needs both a budget (the hot cap) and a codec (to
+    // encode op-prefixes into pages); the queue shares the visited set's
+    // page store so one spill file serves the whole run.
+    let spill = (base.mem_budget.as_ref().zip(set.spill_set()))
+        .filter(|_| fleet.codec.is_some())
+        .map(|(budget, s)| FrontierSpill::new(s.store().clone(), budget.frontier_hot_bytes));
+    let ctx: SpillCtx<'_, S::Op> = spill
+        .as_ref()
+        .zip(fleet.codec)
+        .map(|(s, c)| (s, c as &dyn OpCodec<S::Op>));
+    let mut queue = FrontierQueue::new();
+    queue.extend_back(resumed.unwrap_or_else(|| {
+        vec![FrontierEntry {
+            prefix: Vec::new(),
+            sleep: Vec::new(),
+        }]
+    }));
+    let round_len = match fleet.cadence {
+        0 => ROUND_ENTRIES,
+        n => n as usize,
+    };
+    let mut live = vec![true; workers];
+    let mut carry: Share<S::Op> = Vec::new();
+    // Why the fleet stopped before its frontier ran dry, if it did.
+    let mut halt: Option<StopReason> = None;
+
+    // mcfs-lint: allow(MC007, workers expand disjoint shares against the set as it stood when the round began; the barrier merges their results in key order)
+    std::thread::scope(|scope| {
+        let (reply_tx, replies) = mpsc::channel();
+        let jobs: Vec<mpsc::Sender<Share<S::Op>>> = (0..workers)
+            .map(|idx| {
+                let (job_tx, shares) = mpsc::channel();
+                let (reply_tx, set) = (reply_tx.clone(), set.clone());
+                scope.spawn(move || frontier_worker(idx, factory, base, &set, shares, &reply_tx));
+                job_tx
+            })
+            .collect();
+        drop(reply_tx);
+
+        loop {
+            let spent = |f: fn(&ExploreStats) -> u64| {
+                f(&fleet.baseline) + fleet.stats.iter().map(f).sum::<u64>()
+            };
+            if spent(|s| s.ops_executed) >= base.max_ops {
+                halt.get_or_insert(StopReason::OpBudget);
+            } else if spent(|s| s.states_new) >= base.max_states {
+                halt.get_or_insert(StopReason::StateBudget);
+            }
+            if halt.is_some() || queue.is_empty() || !live.contains(&true) {
+                break;
+            }
+            let mut todo: Share<S::Op> = Vec::with_capacity(round_len);
+            while todo.len() < round_len {
+                match queue.pop_front(ctx) {
+                    Ok(Some(e)) => todo.push((todo.len(), e)),
+                    Ok(None) => break,
+                    Err(e) => {
+                        halt = Some(StopReason::Fatal(format!("frontier spill failed: {e}")));
+                        break;
+                    }
+                }
+            }
+
+            // Deal the round, then re-deal whatever a retired worker left
+            // unfinished, until every entry is expanded or the fleet stops.
+            let mut found: Vec<(usize, Candidate<S::Op>)> = Vec::new();
+            while !todo.is_empty() {
+                let crew: Vec<usize> = (0..workers).filter(|&w| live[w]).collect();
+                if halt.is_some() || crew.is_empty() {
+                    carry.append(&mut todo);
+                    break;
+                }
+                let mut shares: Vec<Share<S::Op>> = vec![Vec::new(); crew.len()];
+                for (n, item) in todo.drain(..).enumerate() {
+                    shares[n % crew.len()].push(item);
+                }
+                let mut dealt = 0;
+                for (&w, share) in crew.iter().zip(shares) {
+                    if !share.is_empty() {
+                        jobs[w].send(share).expect("a live worker takes its share");
+                        dealt += 1;
+                    }
+                }
+                // Merged in worker order, whichever worker finished first.
+                let mut got: Vec<_> = replies.iter().take(dealt).collect();
+                got.sort_by_key(|(w, _)| *w);
+                for (w, reply) in got {
+                    // A share counts from zero; a violation records the
+                    // worker's running op count.
+                    let before = fleet.stats[w].ops_executed;
+                    fleet.violations[w].extend(reply.violations.into_iter().map(|mut v| {
+                        v.ops_executed += before;
+                        v
+                    }));
+                    fleet.stats[w].merge(&reply.stats);
+                    found.extend(reply.candidates.into_iter().map(|c| (w, c)));
+                    let Some(stop) = reply.stop else { continue };
+                    live[w] = false;
+                    if stop == StopReason::Violation {
+                        halt = Some(StopReason::Violation);
+                        carry.extend(reply.unfinished);
+                    } else {
+                        todo.extend(reply.unfinished);
+                    }
+                    fleet.stops[w] = Some(stop);
+                }
+                todo.sort_by_key(|(pos, _)| *pos);
+            }
+            carry.sort_by_key(|(pos, _)| *pos);
+
+            // The barrier: insert in key order, so the first key wins a
+            // state and its sleep set whichever worker found it.
+            found.sort_by_key(|(_, c)| c.key);
+            for (w, c) in found {
+                let (visit, resize) = set.insert_at(c.state, c.depth);
+                let stats = &mut fleet.stats[w];
+                stats.resize_events += u32::from(resize.is_some());
+                if visit == Visit::Matched {
+                    stats.states_matched += 1;
+                    continue;
+                }
+                stats.states_new += u64::from(visit == Visit::New);
+                stats.max_depth_seen = stats.max_depth_seen.max(c.depth as usize);
+                if let Some(child) = c.child {
+                    if let Err(e) = queue.push_back(child, ctx) {
+                        halt = Some(StopReason::Fatal(format!("frontier spill failed: {e}")));
+                        break;
+                    }
+                }
+            }
+            if let Some(e) = set.error() {
+                halt = Some(StopReason::Fatal(format!("visited spill failed: {e}")));
+            }
+            if fleet.cadence > 0 {
+                fleet.snapshot(|| frontier_cut(&carry, &queue, ctx));
+            }
+            fleet.round += 1;
+        }
+        // Closing the share channels lets the workers exit.
+        drop(jobs);
+    });
+
+    // The fleet's stop lands on every worker still running when it fell; a
+    // frontier that ran dry leaves them `Exhausted`.
+    for (stop, live) in fleet.stops.iter_mut().zip(live) {
+        if live {
+            *stop = halt.clone();
+        }
+    }
+    fleet.snapshot(|| frontier_cut(&carry, &queue, ctx));
+}
+
+/// A frontier worker: expands each share it is dealt, building its system
+/// with the first, until the coordinator closes the channel or the worker
+/// stops for good. Panics are caught per share, so the coordinator always
+/// hears back.
+fn frontier_worker<S, F>(
     idx: usize,
     factory: &F,
     cfg: &ExploreConfig,
-    shared: &FrontierShared<S::Op>,
-    quota: u64,
-    codec: Option<&(dyn OpCodec<S::Op> + Sync)>,
-    stats: &mut ExploreStats,
-    viols: &mut Vec<Violation<S::Op>>,
-) -> Option<StopReason>
-where
+    set: &ShardedVisited,
+    shares: mpsc::Receiver<Share<S::Op>>,
+    replies: &mpsc::Sender<(usize, Reply<S::Op>)>,
+) where
     S: ModelSystem,
-    F: Fn(usize) -> S + Sync,
+    F: Fn(usize) -> S,
 {
-    // Queue spill context: page store + codec, present only in budgeted
-    // persistent runs (both live for the whole scope, so one binding
-    // serves every queue operation below).
-    let ctx: SpillCtx<'_, S::Op> = match (&shared.frontier_spill, codec) {
-        (Some(fs), Some(c)) => Some((fs, c as &dyn OpCodec<S::Op>)),
-        _ => None,
-    };
-    // A spill failure anywhere poisons the store: stop the fleet loudly so
-    // no worker keeps searching over a silently shrunken frontier/visited
-    // set (the error message carries the replayable cause).
-    let spill_fatal = |what: &str, e: String| {
-        shared.stop.store(true, Ordering::SeqCst);
-        Some(StopReason::Fatal(format!("{what} spill failed: {e}")))
-    };
-    let mut sys = shared.system(factory, idx);
-    let mut visited = shared.fleet_set().clone();
-    // No clock: frontier workers charge no memory model, since their
-    // checkpoints are a replay cache, not a modelled state store.
-    let mut k = Search::new(cfg, None, stats, viols);
-    let root = StateId(0);
-    let mut next_id = 1u64;
-    if let Err(e) = sys.checkpoint(root) {
-        return Some(StopReason::Fatal(e));
-    }
-    // The root is every replay's fallback: pinned so the budgeted store can
-    // never evict it.
-    sys.pin(root);
-    k.stats.checkpoints += 1;
-    // Every worker fingerprints the root, but only the fleet-wide first
-    // insert counts it as a discovered state (resumed runs re-match it).
-    if visited.insert_at(sys.abstract_state(), 0).0 == Visit::New {
-        k.stats.states_new += 1;
-        shared.states_total.fetch_add(1, Ordering::SeqCst);
-    }
-    if let Some(e) = shared.fleet_set().error() {
-        return spill_fatal("visited", e);
-    }
-
-    // Replay cache: op-prefix → concrete checkpoint, so expanding a child
-    // of a recently expanded state replays one op, not the whole prefix.
-    let mut cache: VecDeque<(Vec<S::Op>, StateId)> = VecDeque::new();
-    let mut idle_spins = 0u32;
-
-    'entries: loop {
-        if shared.stop.load(Ordering::SeqCst) || shared.round_done.load(Ordering::SeqCst) {
-            return None;
-        }
-        if shared.ops_total.load(Ordering::SeqCst) >= cfg.max_ops {
-            shared.stop.store(true, Ordering::SeqCst);
-            return Some(StopReason::OpBudget);
-        }
-        if shared.states_total.load(Ordering::SeqCst) >= cfg.max_states {
-            shared.stop.store(true, Ordering::SeqCst);
-            return Some(StopReason::StateBudget);
-        }
-
-        // Busy is raised *before* popping: an entry in hand always shows as
-        // in-flight work, so idle workers cannot conclude "exhausted" while
-        // children are still coming.
-        shared.busy.fetch_add(1, Ordering::SeqCst);
-        let guard = BusyGuard(&shared.busy);
-        let popped = shared.queues[idx].lock().pop_back(ctx);
-        let entry = match popped {
-            Ok(Some(e)) => Some(e),
-            Ok(None) => match steal(shared, idx, ctx) {
-                Ok(e) => e,
-                Err(e) => return spill_fatal("frontier", e),
-            },
-            Err(e) => return spill_fatal("frontier", e),
+    let mut sys: Option<S> = None;
+    for share in shares {
+        let mut reply = Reply {
+            stats: ExploreStats::default(),
+            violations: Vec::new(),
+            candidates: Vec::new(),
+            unfinished: Vec::new(),
+            stop: None,
         };
-        let Some(entry) = entry else {
-            drop(guard);
-            // The rare losing race here (another worker popped the last
-            // entry between our two checks) costs this worker's
-            // parallelism, never coverage: whoever holds an entry drains
-            // its own children.
-            if shared.busy.load(Ordering::SeqCst) == 0 && shared.queues_all_empty() {
-                return Some(StopReason::Exhausted);
+        let mut done = 0;
+        let expanded = catch_unwind(AssertUnwindSafe(|| {
+            if sys.is_none() {
+                sys = Some(start(idx, factory, set, &mut reply.stats)?);
             }
-            // Yield first (on a loaded single-CPU host this reschedules the
-            // worker actually holding work); back off to a sleep only after
-            // repeated misses so multi-CPU hosts don't burn a core.
-            idle_spins += 1;
-            if idle_spins < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            continue;
+            let sys = sys.as_mut().expect("started above");
+            expand_share(sys, cfg, set, &share, &mut reply, &mut done)
+        }));
+        reply.stop = match expanded {
+            Ok(result) => result.err(),
+            Err(payload) => Some(StopReason::WorkerPanic(panic_message(payload))),
         };
-        idle_spins = 0;
-
-        // --- Position the system at the entry's state: restore the longest
-        // cached prefix, then deterministically replay the rest.
-        let mut replay_from = 0usize;
-        loop {
-            // The first of the longest non-empty cached prefixes.
-            let best = cache
-                .iter()
-                .enumerate()
-                .filter(|(_, (p, _))| !p.is_empty() && entry.prefix.starts_with(p))
-                .min_by_key(|(_, (p, _))| Reverse(p.len()))
-                .map(|(ci, (p, _))| (ci, p.len()));
-            let Some((ci, plen)) = best else {
-                if let Err(stop) = k.enter(&mut sys, root) {
-                    return Some(stop);
-                }
-                break;
-            };
-            match k.enter(&mut sys, cache[ci].1) {
-                Ok(()) => {
-                    replay_from = plen;
-                    break;
-                }
-                // The cached checkpoint aged out of the budgeted store:
-                // forget it, fall back to a shorter one.
-                Err(StopReason::CheckpointEvicted(_)) => {
-                    cache.remove(ci);
-                }
-                Err(stop) => return Some(stop),
-            }
+        let stopped = reply.stop.is_some();
+        reply.unfinished = share.into_iter().skip(done).collect();
+        if replies.send((idx, reply)).is_err() || stopped {
+            return;
         }
-        for (i, op) in entry.prefix.iter().enumerate().skip(replay_from) {
-            match sys.apply(op) {
-                ApplyOutcome::Ok => k.stats.ops_replayed += 1,
-                ApplyOutcome::Prune(_) => {
-                    // A prefix that replayed cleanly when discovered cannot
-                    // prune under deterministic replay; treat it as a stale
-                    // entry and drop it rather than poison the run.
-                    k.stats.pruned += 1;
-                    shared.tick_round(quota);
-                    continue 'entries;
-                }
-                ApplyOutcome::Violation(message) => {
-                    k.record(&mut sys, entry.prefix[..=i].to_vec(), message);
-                    if cfg.stop_on_violation {
-                        shared.stop.store(true, Ordering::SeqCst);
-                        return Some(StopReason::Violation);
-                    }
-                    shared.tick_round(quota);
-                    continue 'entries;
-                }
-            }
-        }
-
-        // --- Checkpoint the entry state (restored once per sibling op
-        // below) and cache it for this worker's future replays.
-        let ent_id = StateId(next_id);
-        next_id += 1;
-        if let Err(e) = sys.checkpoint(ent_id) {
-            return Some(StopReason::Fatal(e));
-        }
-        sys.pin(ent_id);
-        k.stats.checkpoints += 1;
-        cache.push_back((entry.prefix.clone(), ent_id));
-        if cache.len() > PREFIX_CACHE_CAP {
-            if let Some((_, old)) = cache.pop_front() {
-                sys.release(old);
-            }
-        }
-
-        // --- Expand: apply every enabled op, fingerprint, push new states.
-        let depth = entry.prefix.len();
-        let ops = k.expandable(&mut sys);
-        let mut at_entry = true;
-        for (i, op) in ops.iter().enumerate() {
-            if k.asleep(&entry.sleep, op) {
-                continue;
-            }
-            if !at_entry {
-                // ent_id is pinned for the whole expansion; any failure is
-                // genuine.
-                if let Err(stop) = k.enter(&mut sys, ent_id) {
-                    sys.unpin(ent_id);
-                    return Some(stop);
-                }
-            }
-            at_entry = false;
-            let step = k.step(&mut sys, &mut visited, op, depth as u32 + 1, || {
-                entry.prefix.clone()
-            });
-            shared.ops_total.fetch_add(1, Ordering::SeqCst);
-            // Shallower: a known state reached closer to the root must be
-            // re-expanded or depth-bounded coverage would depend on which
-            // worker got there first.
-            let visit = match step {
-                Ok(Step::Expand(visit)) => visit,
-                Ok(Step::Pruned | Step::Matched) => continue,
-                // A violation or a spill failure stops the whole fleet.
-                Err(stop) => {
-                    shared.stop.store(true, Ordering::SeqCst);
-                    sys.unpin(ent_id);
-                    return Some(stop);
-                }
-            };
-            if visit == Visit::New {
-                shared.states_total.fetch_add(1, Ordering::SeqCst);
-            }
-            k.stats.max_depth_seen = k.stats.max_depth_seen.max(depth + 1);
-            if depth + 1 < cfg.max_depth {
-                let sleep = k.sleep_after(&sys, &entry.sleep, &ops[..i], op);
-                let mut prefix = entry.prefix.clone();
-                prefix.push(op.clone());
-                let pushed = shared.queues[idx]
-                    .lock()
-                    .push_back(FrontierEntry { prefix, sleep }, ctx);
-                if let Err(e) = pushed {
-                    sys.unpin(ent_id);
-                    return spill_fatal("frontier", e);
-                }
-            }
-        }
-        sys.unpin(ent_id);
-        drop(guard);
-        shared.tick_round(quota);
-        // One expansion per scheduling slice: on a single-CPU host this is
-        // what lets idle workers steal before the current worker drains the
-        // whole frontier itself (virtual-time speedup tracks the work
-        // *split*, so balance matters more than raw wall throughput).
-        std::thread::yield_now();
     }
 }
 
-/// Steals roughly half of the first non-empty victim queue (from its front
-/// — the oldest entries, i.e. the largest unexplored subtrees), moving the
-/// surplus into the thief's own queue and returning one entry to expand.
-/// Spilled victim pages reload transparently (steal-half pulls whole pages
-/// rather than splitting one).
-///
-/// # Errors
-///
-/// On spill-file failure while reloading a victim's pages.
-fn steal<Op: Clone>(
-    shared: &FrontierShared<Op>,
+/// Builds worker `idx`'s system and stores the initial state as the pinned
+/// root every replay starts from.
+fn start<S, F>(
     idx: usize,
-    ctx: SpillCtx<'_, Op>,
-) -> Result<Option<FrontierEntry<Op>>, String> {
-    let n = shared.queues.len();
-    for off in 1..n {
-        let victim_idx = (idx + off) % n;
-        let stolen: Vec<FrontierEntry<Op>> = {
-            let mut victim = shared.queues[victim_idx].lock();
-            if victim.is_empty() {
-                continue;
+    factory: &F,
+    set: &ShardedVisited,
+    stats: &mut ExploreStats,
+) -> Result<S, StopReason>
+where
+    S: ModelSystem,
+    F: Fn(usize) -> S,
+{
+    let mut sys = system(factory, idx, Some(set));
+    sys.checkpoint(ROOT).map_err(StopReason::Fatal)?;
+    sys.pin(ROOT);
+    stats.checkpoints += 1;
+    Ok(sys)
+}
+
+/// Expands a share's entries in order, counting `done` as each finishes;
+/// an entry that stops the worker leaves no candidates behind.
+fn expand_share<S: ModelSystem>(
+    sys: &mut S,
+    cfg: &ExploreConfig,
+    set: &ShardedVisited,
+    share: &[(usize, FrontierEntry<S::Op>)],
+    reply: &mut Reply<S::Op>,
+    done: &mut usize,
+) -> Result<(), StopReason> {
+    // No clock: frontier workers charge no memory model, since their
+    // checkpoints are replay anchors, not a modelled state store.
+    let mut k = Search::new(cfg, None, &mut reply.stats, &mut reply.violations);
+    // States an earlier key of the share reached: the barrier inserts that
+    // key first, so a later one is matched whatever the other shares hold.
+    let mut seen = HashSet::new();
+    for (pos, entry) in share {
+        let found = expand(&mut k, sys, cfg, set, *pos, &mut seen, entry)?;
+        reply.candidates.extend(found);
+        *done += 1;
+    }
+    Ok(())
+}
+
+/// Expands one frontier entry: replays its prefix from the root, stores
+/// the reached state, and applies every enabled op not asleep, keeping the
+/// successors that neither the visited set, as it stood when the round
+/// began, nor the share so far (`seen`) knew.
+fn expand<S: ModelSystem>(
+    k: &mut Search<'_, S>,
+    sys: &mut S,
+    cfg: &ExploreConfig,
+    set: &ShardedVisited,
+    pos: usize,
+    seen: &mut HashSet<u128>,
+    entry: &FrontierEntry<S::Op>,
+) -> Result<Vec<Candidate<S::Op>>, StopReason> {
+    k.enter(sys, ROOT)?;
+    for (i, op) in entry.prefix.iter().enumerate() {
+        match sys.apply(op) {
+            ApplyOutcome::Ok => k.stats.ops_replayed += 1,
+            // A prefix that replayed cleanly when discovered cannot prune
+            // under deterministic replay: the entry is stale, drop it.
+            ApplyOutcome::Prune(_) => {
+                k.stats.pruned += 1;
+                return Ok(Vec::new());
             }
-            victim.steal_half(ctx)?
-        };
-        if stolen.is_empty() {
+            ApplyOutcome::Violation(message) => {
+                k.record(sys, entry.prefix[..=i].to_vec(), message);
+                return match cfg.stop_on_violation {
+                    true => Err(StopReason::Violation),
+                    false => Ok(Vec::new()),
+                };
+            }
+        }
+    }
+    sys.checkpoint(ENTRY).map_err(StopReason::Fatal)?;
+    sys.pin(ENTRY);
+    k.stats.checkpoints += 1;
+    let mut found = Vec::new();
+    if entry.prefix.is_empty() {
+        let state = sys.abstract_state();
+        seen.insert(state);
+        found.push(Candidate {
+            key: (pos, 0),
+            state,
+            depth: 0,
+            child: None,
+        });
+    }
+    let depth = entry.prefix.len() as u32 + 1;
+    let ops = k.expandable(sys);
+    let mut at_entry = true;
+    for (i, op) in ops.iter().enumerate() {
+        if k.asleep(&entry.sleep, op) {
             continue;
         }
-        let mut it = stolen.into_iter();
-        let first = it.next();
-        shared.queues[idx].lock().extend_back(it.collect());
-        return Ok(first);
+        if !at_entry {
+            k.enter(sys, ENTRY)?;
+        }
+        at_entry = false;
+        if !k.apply_op(sys, op, || entry.prefix.clone())? {
+            continue;
+        }
+        let state = sys.abstract_state();
+        if set.depth_of(state).is_some_and(|d| d <= depth) || !seen.insert(state) {
+            k.stats.states_matched += 1;
+            continue;
+        }
+        let child = ((depth as usize) < cfg.max_depth).then(|| FrontierEntry {
+            prefix: [entry.prefix.as_slice(), std::slice::from_ref(op)].concat(),
+            sleep: k.sleep_after(sys, &entry.sleep, &ops[..i], op),
+        });
+        found.push(Candidate {
+            key: (pos, i + 1),
+            state,
+            depth,
+            child,
+        });
     }
-    Ok(None)
+    sys.unpin(ENTRY);
+    sys.release(ENTRY);
+    Ok(found)
 }

@@ -357,9 +357,14 @@ impl ShardedVisited {
 
     /// Whether `h` has been visited.
     pub fn contains(&self, h: u128) -> bool {
+        self.depth_of(h).is_some()
+    }
+
+    /// The shallowest depth `h` was reached at, if visited.
+    pub fn depth_of(&self, h: u128) -> Option<u32> {
         match &self.spill {
-            Some(s) => s.contains(h),
-            None => self.shard_for(h).lock().contains(h),
+            Some(s) => s.depth_of(h),
+            None => self.shard_for(h).lock().depth_of(h),
         }
     }
 
