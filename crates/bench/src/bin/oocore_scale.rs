@@ -4,7 +4,7 @@
 //! Section 1 exhausts the same depth-bounded VeriFS space under RAM budgets
 //! of ∞ (all in memory), 1×, 1/4× and 1/10× of the visited set's modelled
 //! size, reporting states/s in **virtual time** (spill page traffic charges
-//! the shared clock at the budget's `ns_per_mib`). Acceptance: the 1/10×
+//! the shared clock 100,000 ns per MiB). Acceptance: the 1/10×
 //! run must stay above 50% of the in-memory rate, classify the identical
 //! state count, and the memmodel predictor's swap traffic must land within
 //! 20% of the measured spill traffic — the model is validated against the

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::memmodel::{MemConfig, MemoryModel, OutOfMemory};
-use crate::spill::{MemBudget, SpillStats};
+use crate::spill::{MemBudget, SpillStats, SPILL_SHARDS};
 use crate::system::{
     is_evicted_error, ApplyOutcome, CheckpointStoreStats, CrashStats, ModelSystem, StateId,
     Violation,
@@ -576,17 +576,17 @@ pub(crate) fn with_fresh_visited<S: ModelSystem>(
     sys: &mut S,
     run: impl FnOnce(&mut S, &mut dyn VisitedHandle) -> ExploreReport<S::Op>,
 ) -> ExploreReport<S::Op> {
-    match &cfg.mem_budget {
-        Some(budget) => match ShardedVisited::with_spill(cfg.visited_capacity, budget) {
-            Ok(mut visited) => {
-                if let Some(set) = visited.spill_set() {
-                    sys.attach_spill(set.store());
-                }
-                run(sys, &mut visited)
+    let Some(budget) = &cfg.mem_budget else {
+        return run(sys, &mut VisitedSet::new(cfg.visited_capacity));
+    };
+    match ShardedVisited::with_spill(cfg.visited_capacity, SPILL_SHARDS, budget) {
+        Ok(mut visited) => {
+            if let Some(store) = visited.spill_store() {
+                sys.attach_spill(store);
             }
-            Err(e) => spill_init_failure(&e),
-        },
-        None => run(sys, &mut VisitedSet::new(cfg.visited_capacity)),
+            run(sys, &mut visited)
+        }
+        Err(e) => spill_init_failure(&e),
     }
 }
 

@@ -83,7 +83,7 @@ pub use pickle::{
 };
 pub use shrink::{apply_mask, ddmin_mask, ShrinkStats};
 pub use spill::{
-    FrontierQueue, FrontierSpill, MemBudget, PageLoc, SpillCtx, SpillFaults, SpillSet, SpillStats,
+    FrontierQueue, FrontierSpill, MemBudget, PageLoc, SpillCtx, SpillFaults, SpillStats,
     SpillStore, PAGE_VERSION,
 };
 pub use swarm::{
@@ -976,6 +976,54 @@ mod frontier_tests {
         assert!(snap.frontier.is_empty());
         assert_eq!(snap.stats.states_new, report.total_states());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A resume whose budgeted load already failed its spill file stops
+    /// every worker `Fatal` before a round is dealt: no op runs against a
+    /// visited set that can no longer be trusted.
+    #[test]
+    fn poisoned_resume_stops_before_dealing_a_round() {
+        let mut budget = MemBudget::new(4 * BYTES_PER_ENTRY);
+        budget.faults.fail_write_at = Some(0);
+        let cfg = SwarmConfig {
+            workers: 2,
+            base: ExploreConfig {
+                max_depth: 5,
+                max_ops: u64::MAX,
+                mem_budget: Some(budget),
+                ..ExploreConfig::default()
+            },
+            shared_visited: true,
+            strategies: vec![WorkerStrategy::Dfs],
+        };
+        // Far more entries than the 4-entry hot cache holds, so the load
+        // itself evicts, and its first page write fails.
+        let snap = RunSnapshot {
+            visited: (1..=64u128).map(|k| (k << 100, 1)).collect(),
+            frontier: vec![FrontierEntry {
+                prefix: Vec::new(),
+                sleep: Vec::new(),
+            }],
+            ..RunSnapshot::empty(0, 2)
+        };
+        let report = run_swarm_persistent(
+            &cfg,
+            |_| Grid::new(),
+            SwarmPersist {
+                codec: &GridCodec,
+                snapshot_path: None,
+                snapshot_every: 0,
+                resume: Some(snap),
+            },
+        );
+        for w in &report.workers {
+            assert!(
+                matches!(&w.stop, StopReason::Fatal(msg) if msg.contains("injected EIO")),
+                "{:?}",
+                w.stop
+            );
+            assert_eq!(w.stats.ops_executed, 0, "a round ran on a failed set");
+        }
     }
 
     /// Replay-determinism regression: two fresh single-worker runs of the

@@ -1,4 +1,4 @@
-//! Out-of-core spilling: disk-backed visited set and frontier pages.
+//! Out-of-core spilling: the visited set's disk tier and frontier pages.
 //!
 //! The paper's evaluation (§6, Fig. 3) is bounded by RAM: the VeriFS1 run
 //! slows as the visited set and checkpoints outgrow the 64 GB VM and start
@@ -37,15 +37,17 @@
 //!
 //! # Hot cache and probes
 //!
-//! [`SpillSet`] shards fingerprints by their top bits exactly like
-//! `ShardedVisited`. Each shard keeps a hot `HashMap`; when the aggregate
-//! hot bytes exceed the budget, the least-recently-touched shard's hot map
-//! is drained to one page (clock-style shard LRU — eviction is per shard,
-//! so one page write amortizes hundreds of entries). Every page keeps an
-//! in-RAM bloom filter (~10 bits/entry, 4 probes), so a cold probe reads at
-//! most the pages whose filters claim the fingerprint — usually one, often
-//! zero. Pages are probed newest-first: re-loaded entries are re-installed
-//! hot with their minimum depth, so a newer page can only hold an equal or
+//! The disk tier is a layer of `ShardedVisited`, not a second set: each
+//! shard stays a `VisitedSet`, which classifies, counts, resizes, loads and
+//! streams as it does in RAM, and keeps its spilled pages in a
+//! `ShardPages`. When the aggregate hot bytes exceed the budget, the
+//! `DiskTier` drains the least-recently-touched shard's hot map to one
+//! page (clock-style shard LRU — eviction is per shard, so one page write
+//! amortizes hundreds of entries). Every page keeps an in-RAM bloom filter
+//! (~10 bits/entry, 4 probes), so a shard's hot miss reads at most the
+//! pages whose filters claim the fingerprint — usually one, often zero.
+//! Pages are probed newest-first: re-loaded entries are re-installed hot
+//! with their minimum depth, so a newer page can only hold an equal or
 //! shallower depth than an older one, and the first hit is the true
 //! minimum.
 //!
@@ -61,11 +63,13 @@
 //! # Failure discipline
 //!
 //! A spill file that fails (EIO, torn write caught by the page checksum)
-//! poisons the store: the first error is recorded, subsequent inserts
-//! degrade to `Matched` (never `New` — no state is silently re-counted),
-//! and explorers check [`SpillSet::error`] after every insert so the run
-//! stops loudly with a replayable `Fatal` instead of silently dropping
-//! visited states. [`SpillFaults`] injects those failures for tests.
+//! poisons the store: the first error is recorded, and from then on every
+//! hot miss answers `Matched` (never `New` — no state is silently
+//! re-counted, and the entries a failed page write dropped stay counted).
+//! Explorers check `ShardedVisited::error` after every insert, and the
+//! frontier fleet after every barrier and resume load, so the run stops
+//! loudly with a replayable `Fatal` instead of silently dropping visited
+//! states. [`SpillFaults`] injects those failures for tests.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
@@ -79,7 +83,7 @@ use parking_lot::Mutex;
 use crate::memmodel::{MemConfig, MemoryModel};
 use crate::pickle::{fnv128, ByteReader, FrontierEntry, OpCodec, PickleError, MAGIC};
 use crate::system::StateId;
-use crate::visited::{ResizeEvent, Visit, BYTES_PER_ENTRY, REHASH_NS_PER_ENTRY};
+use crate::visited::{VisitedSet, BYTES_PER_ENTRY};
 
 /// Version of the spill-page framing (independent of the snapshot format).
 pub const PAGE_VERSION: u32 = 1;
@@ -90,6 +94,10 @@ const PAGE_KIND_FRONTIER: u8 = 2;
 /// Bloom sizing: ~10 bits per entry, 4 probes ≈ 1% false-positive rate.
 const BLOOM_BITS_PER_ENTRY: usize = 10;
 const BLOOM_HASHES: u64 = 4;
+
+/// Virtual-ns charged to the run's clock per MiB of real page traffic
+/// (the memmodel's default `MemConfig::swap_ns_per_mib`).
+const NS_PER_MIB: u64 = 100_000;
 
 /// Never spill fewer than this many frontier entries per page (tiny pages
 /// waste frame overhead and file syscalls).
@@ -108,12 +116,6 @@ pub struct MemBudget {
     pub ram_bytes: u64,
     /// Directory for spill files. `None` = the system temp dir.
     pub spill_dir: Option<PathBuf>,
-    /// Visited-set shard count (rounded up to a power of two). More shards
-    /// mean finer-grained eviction and less lock contention.
-    pub shards: usize,
-    /// Virtual-ns cost per MiB of real page traffic, charged to the run's
-    /// virtual clock (mirrors `MemConfig::swap_ns_per_mib`).
-    pub ns_per_mib: u64,
     /// Hot-cache budget in bytes for the frontier fleet's queue; colder
     /// op-prefix entries spill to pages.
     pub frontier_hot_bytes: u64,
@@ -122,14 +124,12 @@ pub struct MemBudget {
 }
 
 impl MemBudget {
-    /// A budget of `ram_bytes` with default sharding, swap cost, and a
-    /// frontier allowance of a quarter of the visited budget.
+    /// A budget of `ram_bytes`, with a frontier allowance of a quarter of
+    /// the visited budget.
     pub fn new(ram_bytes: u64) -> Self {
         MemBudget {
             ram_bytes,
             spill_dir: None,
-            shards: 64,
-            ns_per_mib: 100_000,
             frontier_hot_bytes: (ram_bytes / 4).max(4096),
             faults: SpillFaults::default(),
         }
@@ -250,7 +250,6 @@ pub struct SpillStore {
     file: fs::File,
     path: PathBuf,
     end: AtomicU64,
-    ns_per_mib: u64,
     pending_ns: AtomicU64,
     error: Mutex<Option<String>>,
     faults: SpillFaults,
@@ -284,7 +283,6 @@ impl SpillStore {
             file,
             path,
             end: AtomicU64::new(0),
-            ns_per_mib: budget.ns_per_mib,
             pending_ns: AtomicU64::new(0),
             error: Mutex::new(None),
             faults: budget.faults,
@@ -314,7 +312,7 @@ impl SpillStore {
 
     fn charge(&self, bytes: u64) {
         self.pending_ns
-            .fetch_add(bytes * self.ns_per_mib / (1 << 20), Ordering::Relaxed);
+            .fetch_add(bytes * NS_PER_MIB / (1 << 20), Ordering::Relaxed);
     }
 
     /// Virtual-ns accumulated by real page traffic since the last take;
@@ -543,51 +541,44 @@ fn bloom_maybe(words: &[u64], h: u128) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Spilling visited set
+// Disk tier of the visited set
 // ---------------------------------------------------------------------------
 
+/// Shard count of a budgeted visited set: finer shards make each eviction
+/// (one shard's hot map, one page) smaller and lock contention lower.
+pub(crate) const SPILL_SHARDS: usize = 64;
+
+/// One spilled page of a visited shard, with its in-RAM bloom filter.
 #[derive(Debug)]
 struct PageRef {
     loc: PageLoc,
     bloom: Box<[u64]>,
 }
 
-#[derive(Debug)]
-struct SpillShard {
-    /// Hot entries; invariant: an entry present here holds the minimum
-    /// depth known for its fingerprint (pages may hold stale deeper
-    /// copies, min-merged on export).
-    hot: HashMap<u128, u32>,
-    /// Spilled pages, oldest first. Probed newest-first.
-    pages: Vec<PageRef>,
-    /// Distinct fingerprints ever inserted into this shard (hot + cold).
-    distinct: u64,
-    /// Modelled resize threshold over `distinct` — matches the in-memory
-    /// `VisitedSet` dynamics exactly, because hot-cache churn never
-    /// changes `distinct`.
-    threshold: usize,
-    resizes: u32,
+/// How a hot miss resolved against a shard's spilled pages.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Miss {
+    /// On no page: a new state, already counted as stored hot.
+    New,
+    /// On a page at this depth; the caller re-installs it hot.
+    Reloaded(u32),
+    /// The store failed: the answer is unknown, and never `New`.
+    Poisoned,
 }
 
+/// The disk tier of a budgeted `ShardedVisited`: the page store, clock-LRU
+/// shard eviction, RAM accounting, the out-of-core counters and the
+/// memmodel predictor. Classification stays in each shard's `VisitedSet`,
+/// which keeps its spilled pages in a [`ShardPages`]. See the module docs.
 #[derive(Debug)]
-struct ShardSlot {
-    inner: Mutex<SpillShard>,
-    /// Last-touch tick for clock-LRU victim selection (racy reads are fine).
-    touch: AtomicU64,
-    /// Cached hot entry count so victim selection never takes locks.
-    hot_len: AtomicUsize,
-}
-
-/// A disk-spilling visited set with the same classification semantics as
-/// `ShardedVisited` (it *is* the backing store `ShardedVisited` delegates
-/// to when a [`MemBudget`] is configured). See the module docs.
-#[derive(Debug)]
-pub struct SpillSet {
-    slots: Vec<ShardSlot>,
-    shard_bits: u32,
-    ram_bytes: u64,
+pub(crate) struct DiskTier {
     store: Arc<SpillStore>,
+    ram_bytes: u64,
     tick: AtomicU64,
+    /// Per-shard last-touch tick for victim selection (racy reads are fine).
+    touch: Vec<AtomicU64>,
+    /// Per-shard hot entry count, cached so victim selection takes no locks.
+    hot_len: Vec<AtomicUsize>,
     hot_bytes: AtomicU64,
     /// Bloom filters + page bookkeeping kept in RAM (reported in `bytes`).
     meta_bytes: AtomicU64,
@@ -607,43 +598,27 @@ fn fold_id(h: u128) -> StateId {
     StateId((h ^ (h >> 64)) as u64)
 }
 
-impl SpillSet {
-    /// Creates a spilling set with the aggregate first-resize threshold of
-    /// `initial_capacity`, budgeted by `budget`.
+impl DiskTier {
+    /// A tier for `nshards` shards over a fresh spill file, budgeted by
+    /// `budget`.
     ///
     /// # Errors
     ///
     /// When the spill file cannot be created.
-    pub fn new(initial_capacity: usize, budget: &MemBudget) -> Result<SpillSet, String> {
-        let n = budget.shards.max(1).next_power_of_two();
-        let per_shard = (initial_capacity / n).max(2);
-        let store = SpillStore::new(budget)?;
+    pub(crate) fn new(budget: &MemBudget, nshards: usize) -> Result<DiskTier, String> {
         let predictor = MemoryModel::new(MemConfig {
             ram_bytes: budget.ram_bytes,
             // Effectively unbounded swap: the predictor models traffic,
             // the real OOM guard is the spill file itself.
             swap_bytes: u64::MAX / 2,
-            swap_ns_per_mib: budget.ns_per_mib,
+            swap_ns_per_mib: NS_PER_MIB,
         });
-        let slots = (0..n)
-            .map(|_| ShardSlot {
-                inner: Mutex::new(SpillShard {
-                    hot: HashMap::new(),
-                    pages: Vec::new(),
-                    distinct: 0,
-                    threshold: per_shard,
-                    resizes: 0,
-                }),
-                touch: AtomicU64::new(0),
-                hot_len: AtomicUsize::new(0),
-            })
-            .collect();
-        Ok(SpillSet {
-            slots,
-            shard_bits: n.trailing_zeros(),
+        Ok(DiskTier {
+            store: SpillStore::new(budget)?,
             ram_bytes: budget.ram_bytes,
-            store,
             tick: AtomicU64::new(0),
+            touch: (0..nshards).map(|_| AtomicU64::new(0)).collect(),
+            hot_len: (0..nshards).map(|_| AtomicUsize::new(0)).collect(),
             hot_bytes: AtomicU64::new(0),
             meta_bytes: AtomicU64::new(0),
             peak_bytes: AtomicU64::new(0),
@@ -657,120 +632,50 @@ impl SpillSet {
         })
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The shared page store (the swarm frontier reuses it).
-    pub fn store(&self) -> &Arc<SpillStore> {
+    /// The page store (frontier queues and checkpoint pools share it).
+    pub(crate) fn store(&self) -> &Arc<SpillStore> {
         &self.store
     }
 
-    fn shard_idx(&self, h: u128) -> usize {
-        if self.shard_bits == 0 {
-            0
-        } else {
-            (h >> (128 - self.shard_bits)) as usize
-        }
-    }
-
-    fn bump_peak(&self) {
-        let now = self.hot_bytes.load(Ordering::Relaxed) + self.meta_bytes.load(Ordering::Relaxed);
-        self.peak_bytes.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Inserts a fingerprint at depth 0 (see `VisitedSet::insert`).
-    pub fn insert(&self, h: u128) -> (bool, Option<ResizeEvent>) {
-        let (visit, resize) = self.insert_at(h, 0);
-        (visit == Visit::New, resize)
-    }
-
-    /// Inserts a fingerprint reached at `depth`, classifying the visit
-    /// exactly as the in-memory set would — hot hit, cold page probe, or
-    /// genuinely new. A poisoned store degrades to `Matched` (never a
-    /// spurious `New`); callers must then observe [`SpillSet::error`].
-    pub fn insert_at(&self, h: u128, depth: u32) -> (Visit, Option<ResizeEvent>) {
-        let idx = self.shard_idx(h);
-        let slot = &self.slots[idx];
-        slot.touch.store(
+    /// Marks shard `idx` the most recently used.
+    pub(crate) fn touch(&self, idx: usize) {
+        self.touch[idx].store(
             self.tick.fetch_add(1, Ordering::Relaxed) + 1,
             Ordering::Relaxed,
         );
-        let result = {
-            let mut g = slot.inner.lock();
-            let r = self.insert_locked(&mut g, h, depth);
-            slot.hot_len.store(g.hot.len(), Ordering::Relaxed);
-            r
-        };
-        self.maybe_evict();
-        result
     }
 
-    fn insert_locked(
-        &self,
-        g: &mut SpillShard,
-        h: u128,
-        depth: u32,
-    ) -> (Visit, Option<ResizeEvent>) {
-        let id = fold_id(h);
-        if let Some(&prev) = g.hot.get(&h) {
-            self.hot_hits.fetch_add(1, Ordering::Relaxed);
-            let _ = self.predictor.lock().access(id);
-            if depth < prev {
-                g.hot.insert(h, depth);
-                return (Visit::Shallower, None);
-            }
-            return (Visit::Matched, None);
-        }
-        match self.probe_pages(g, h) {
-            Err(_) => (Visit::Matched, None), // poisoned; run stops via error()
-            Ok(Some(prev)) => {
-                self.cold_hits.fetch_add(1, Ordering::Relaxed);
-                self.reloaded_bytes
-                    .fetch_add(BYTES_PER_ENTRY, Ordering::Relaxed);
-                g.hot.insert(h, prev.min(depth));
-                self.hot_bytes.fetch_add(BYTES_PER_ENTRY, Ordering::Relaxed);
-                self.bump_peak();
-                let _ = self.predictor.lock().access(id);
-                if depth < prev {
-                    (Visit::Shallower, None)
-                } else {
-                    (Visit::Matched, None)
-                }
-            }
-            Ok(None) => {
-                g.hot.insert(h, depth);
-                g.distinct += 1;
-                self.hot_bytes.fetch_add(BYTES_PER_ENTRY, Ordering::Relaxed);
-                self.bump_peak();
-                let _ = self.predictor.lock().store(id, BYTES_PER_ENTRY);
-                let mut resize = None;
-                if g.distinct as usize >= g.threshold {
-                    let entries = g.distinct;
-                    resize = Some(ResizeEvent {
-                        entries,
-                        cost_ns: entries * REHASH_NS_PER_ENTRY,
-                        transient_bytes: entries * BYTES_PER_ENTRY,
-                    });
-                    g.threshold *= 2;
-                    g.resizes += 1;
-                }
-                (Visit::New, resize)
-            }
-        }
+    /// Records shard `idx`'s hot entry count, read under its lock.
+    pub(crate) fn set_hot_len(&self, idx: usize, n: usize) {
+        self.hot_len[idx].store(n, Ordering::Relaxed);
     }
 
-    /// Probes spilled pages newest-first; the first hit is the minimum
-    /// depth (see the module docs for why).
-    fn probe_pages(&self, g: &SpillShard, h: u128) -> Result<Option<u32>, String> {
-        for page in g.pages.iter().rev() {
+    fn bump_peak(&self) {
+        self.peak_bytes.fetch_max(self.bytes(), Ordering::Relaxed);
+    }
+
+    /// One more entry held hot.
+    fn hot_grew(&self) {
+        self.hot_bytes.fetch_add(BYTES_PER_ENTRY, Ordering::Relaxed);
+        self.bump_peak();
+    }
+
+    /// A new entry stored hot.
+    fn stored(&self, h: u128) {
+        self.hot_grew();
+        let _ = self.predictor.lock().store(fold_id(h), BYTES_PER_ENTRY);
+    }
+
+    fn probe(&self, pages: &[PageRef], h: u128) -> Result<Option<u32>, String> {
+        if let Some(e) = self.store.error() {
+            return Err(e);
+        }
+        for page in pages.iter().rev() {
             if !bloom_maybe(&page.bloom, h) {
                 self.bloom_skips.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            let body = self.store.read_page(page.loc)?;
-            let (_, entries) = decode_visited_page(&body).map_err(|e| self.store.poison(e))?;
+            let entries = self.read(page)?;
             if let Ok(i) = entries.binary_search_by_key(&h, |&(f, _)| f) {
                 return Ok(Some(entries[i].1));
             }
@@ -778,13 +683,19 @@ impl SpillSet {
         Ok(None)
     }
 
+    fn read(&self, page: &PageRef) -> Result<Vec<(u128, u32)>, String> {
+        let body = self.store.read_page(page.loc)?;
+        let (_, entries) = decode_visited_page(&body).map_err(|e| self.store.poison(e))?;
+        Ok(entries)
+    }
+
     fn pick_victim(&self) -> Option<usize> {
         let mut best: Option<(u64, usize)> = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.hot_len.load(Ordering::Relaxed) == 0 {
+        for (i, len) in self.hot_len.iter().enumerate() {
+            if len.load(Ordering::Relaxed) == 0 {
                 continue;
             }
-            let t = slot.touch.load(Ordering::Relaxed);
+            let t = self.touch[i].load(Ordering::Relaxed);
             if best.is_none_or(|(bt, _)| t < bt) {
                 best = Some((t, i));
             }
@@ -792,206 +703,29 @@ impl SpillSet {
         best.map(|(_, i)| i)
     }
 
-    /// Demotes least-recently-touched shards' hot maps to pages until the
+    /// Spills the hot maps of the least-recently-touched `shards` until the
     /// hot cache fits the budget.
-    fn maybe_evict(&self) {
+    pub(crate) fn evict(&self, shards: &[Mutex<VisitedSet>]) {
         while self.hot_bytes.load(Ordering::Relaxed) > self.ram_bytes {
             let Some(victim) = self.pick_victim() else {
                 return;
             };
-            let slot = &self.slots[victim];
-            let mut g = slot.inner.lock();
-            if g.hot.is_empty() {
-                slot.hot_len.store(0, Ordering::Relaxed);
-                continue;
-            }
-            let mut entries: Vec<(u128, u32)> = g.hot.drain().collect();
-            entries.sort_unstable_by_key(|&(f, _)| f);
-            let n = entries.len() as u64;
-            self.hot_bytes
-                .fetch_sub(n * BYTES_PER_ENTRY, Ordering::Relaxed);
-            slot.hot_len.store(0, Ordering::Relaxed);
-            let body = encode_visited_page(victim as u32, &entries);
-            if let Ok(loc) = self.store.write_page(&body) {
-                let bloom = bloom_build(&entries);
-                self.meta_bytes
-                    .fetch_add((bloom.len() * 8 + 48) as u64, Ordering::Relaxed);
-                g.pages.push(PageRef { loc, bloom });
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.spilled_bytes
-                    .fetch_add(n * BYTES_PER_ENTRY, Ordering::Relaxed);
-            }
-            // On write failure the store is poisoned and the run stops; the
-            // drained entries are not re-installed (the state set is no
-            // longer trustworthy either way).
-            self.bump_peak();
+            shards[victim].lock().spill_hot();
         }
-    }
-
-    /// Whether `h` has been visited (hot or spilled).
-    pub fn contains(&self, h: u128) -> bool {
-        self.depth_of(h).is_some()
-    }
-
-    /// Depth recorded for `h`, if visited.
-    pub fn depth_of(&self, h: u128) -> Option<u32> {
-        let slot = &self.slots[self.shard_idx(h)];
-        let g = slot.inner.lock();
-        if let Some(&d) = g.hot.get(&h) {
-            return Some(d);
-        }
-        self.probe_pages(&g, h).ok().flatten()
-    }
-
-    /// Number of distinct states visited (exact: spilling never changes
-    /// the distinct count).
-    pub fn len(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.inner.lock().distinct as usize)
-            .sum()
-    }
-
-    /// Whether no state has been visited.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total modelled resizes across shards.
-    pub fn resizes(&self) -> u32 {
-        self.slots.iter().map(|s| s.inner.lock().resizes).sum()
     }
 
     /// RAM actually held: hot entries plus bloom/page metadata.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.hot_bytes.load(Ordering::Relaxed) + self.meta_bytes.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of [`SpillSet::bytes`].
-    pub fn peak_bytes(&self) -> u64 {
+    /// High-water mark of [`DiskTier::bytes`].
+    pub(crate) fn peak_bytes(&self) -> u64 {
         self.peak_bytes.load(Ordering::Relaxed)
     }
 
-    /// Consistent `(len, bytes, resizes)` snapshot: all shard locks are
-    /// held simultaneously, so no concurrent insert can skew the sums.
-    pub fn snapshot_counts(&self) -> (usize, u64, u32) {
-        let guards: Vec<_> = self.slots.iter().map(|s| s.inner.lock()).collect();
-        let len = guards.iter().map(|g| g.distinct as usize).sum();
-        let resizes = guards.iter().map(|g| g.resizes).sum();
-        drop(guards);
-        (len, self.bytes(), resizes)
-    }
-
-    /// Streams every `(fingerprint, depth)` entry in globally sorted order
-    /// (shards are routed by top bits, so shard order is fingerprint
-    /// order), min-merging spilled pages with the hot map shard by shard —
-    /// peak extra memory is one shard's worth, not the whole set.
-    ///
-    /// # Errors
-    ///
-    /// On spill-file read failure (the store is poisoned).
-    pub fn stream_entries(&self, mut f: impl FnMut(u128, u32)) -> Result<(), String> {
-        for slot in &self.slots {
-            let g = slot.inner.lock();
-            let mut merged: HashMap<u128, u32> = HashMap::with_capacity(g.hot.len());
-            for page in &g.pages {
-                let body = self.store.read_page(page.loc)?;
-                let (_, entries) = decode_visited_page(&body).map_err(|e| self.store.poison(e))?;
-                for (h, d) in entries {
-                    merged
-                        .entry(h)
-                        .and_modify(|v| *v = (*v).min(d))
-                        .or_insert(d);
-                }
-            }
-            for (&h, &d) in &g.hot {
-                merged
-                    .entry(h)
-                    .and_modify(|v| *v = (*v).min(d))
-                    .or_insert(d);
-            }
-            let mut sorted: Vec<(u128, u32)> = merged.into_iter().collect();
-            sorted.sort_unstable_by_key(|&(h, _)| h);
-            for (h, d) in sorted {
-                f(h, d);
-            }
-        }
-        Ok(())
-    }
-
-    /// Exports all entries sorted by fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// On spill-file read failure.
-    pub fn export_entries(&self) -> Result<Vec<(u128, u32)>, String> {
-        let mut out = Vec::new();
-        self.stream_entries(|h, d| out.push((h, d)))?;
-        Ok(out)
-    }
-
-    /// Bulk-loads previously exported entries, min-merging depths without
-    /// firing modelled resize events (mirrors `VisitedSet::load_entries`);
-    /// evicts periodically so a big resume load cannot balloon the hot
-    /// cache past the budget.
-    pub fn load_entries(&self, entries: &[(u128, u32)]) {
-        for (i, &(h, d)) in entries.iter().enumerate() {
-            let idx = self.shard_idx(h);
-            let slot = &self.slots[idx];
-            slot.touch.store(
-                self.tick.fetch_add(1, Ordering::Relaxed) + 1,
-                Ordering::Relaxed,
-            );
-            {
-                let mut g = slot.inner.lock();
-                self.load_one(&mut g, h, d);
-                slot.hot_len.store(g.hot.len(), Ordering::Relaxed);
-            }
-            if i % 1024 == 1023 {
-                self.maybe_evict();
-            }
-        }
-        self.maybe_evict();
-    }
-
-    fn load_one(&self, g: &mut SpillShard, h: u128, d: u32) {
-        if let Some(&prev) = g.hot.get(&h) {
-            if d < prev {
-                g.hot.insert(h, d);
-            }
-            return;
-        }
-        match self.probe_pages(g, h) {
-            Err(_) => {}
-            Ok(Some(prev)) => {
-                g.hot.insert(h, prev.min(d));
-                self.hot_bytes.fetch_add(BYTES_PER_ENTRY, Ordering::Relaxed);
-            }
-            Ok(None) => {
-                g.hot.insert(h, d);
-                g.distinct += 1;
-                self.hot_bytes.fetch_add(BYTES_PER_ENTRY, Ordering::Relaxed);
-                while g.distinct as usize >= g.threshold {
-                    g.threshold *= 2;
-                }
-                let _ = self.predictor.lock().store(fold_id(h), BYTES_PER_ENTRY);
-            }
-        }
-        self.bump_peak();
-    }
-
-    /// Virtual-ns accumulated by real page traffic since the last take.
-    pub fn take_pending_ns(&self) -> u64 {
-        self.store.take_pending_ns()
-    }
-
-    /// The first spill failure, if any — the run must stop when set.
-    pub fn error(&self) -> Option<String> {
-        self.store.error()
-    }
-
     /// Current out-of-core counters, including the predictor's traffic.
-    pub fn spill_stats(&self) -> SpillStats {
+    pub(crate) fn stats(&self) -> SpillStats {
         SpillStats {
             pages_written: self.store.pages_written(),
             pages_read: self.store.pages_read(),
@@ -1005,6 +739,129 @@ impl SpillSet {
             evictions: self.evictions.load(Ordering::Relaxed),
             predicted_swap_bytes: self.predictor.lock().swap_traffic_bytes(),
         }
+    }
+}
+
+/// A visited shard's side of the disk tier: the pages its hot entries were
+/// spilled to, and how many entries live only there.
+#[derive(Debug)]
+pub(crate) struct ShardPages {
+    tier: Arc<DiskTier>,
+    shard: usize,
+    /// Spilled pages, oldest first; probed newest first.
+    pages: Vec<PageRef>,
+    /// Distinct entries spilled and not re-installed hot since.
+    cold: usize,
+}
+
+impl ShardPages {
+    /// Shard `shard`'s link to `tier`, with nothing spilled yet.
+    pub(crate) fn new(tier: Arc<DiskTier>, shard: usize) -> Self {
+        ShardPages {
+            tier,
+            shard,
+            pages: Vec::new(),
+            cold: 0,
+        }
+    }
+
+    /// Counts an insert's probe answered by the shard's hot map.
+    pub(crate) fn hot_hit(&self, h: u128) {
+        self.tier.hot_hits.fetch_add(1, Ordering::Relaxed);
+        let _ = self.tier.predictor.lock().access(fold_id(h));
+    }
+
+    /// Distinct entries held only on pages.
+    pub(crate) fn cold(&self) -> usize {
+        self.cold
+    }
+
+    /// The shallowest spilled depth of `h`, if a page holds it.
+    ///
+    /// # Errors
+    ///
+    /// Once the store is poisoned, or when a page cannot be read back.
+    pub(crate) fn depth_of(&self, h: u128) -> Result<Option<u32>, String> {
+        self.tier.probe(&self.pages, h)
+    }
+
+    /// Resolves a bulk-load's hot miss on `h`, counting an entry stored or
+    /// re-installed hot.
+    pub(crate) fn load_miss(&mut self, h: u128) -> Miss {
+        match self.depth_of(h) {
+            Err(_) => Miss::Poisoned,
+            Ok(Some(d)) => {
+                self.cold -= 1;
+                self.tier.hot_grew();
+                Miss::Reloaded(d)
+            }
+            Ok(None) => {
+                self.tier.stored(h);
+                Miss::New
+            }
+        }
+    }
+
+    /// Resolves an insert's hot miss on `h`: as [`ShardPages::load_miss`],
+    /// and a page hit also counts as a cold hit and a reload.
+    pub(crate) fn insert_miss(&mut self, h: u128) -> Miss {
+        let miss = self.load_miss(h);
+        if let Miss::Reloaded(_) = miss {
+            let tier = &self.tier;
+            tier.cold_hits.fetch_add(1, Ordering::Relaxed);
+            tier.reloaded_bytes
+                .fetch_add(BYTES_PER_ENTRY, Ordering::Relaxed);
+            let _ = tier.predictor.lock().access(fold_id(h));
+        }
+        miss
+    }
+
+    /// Writes `entries` — the shard's whole hot map, drained and sorted by
+    /// fingerprint — as one page. On a failed write the store is poisoned
+    /// and the entries are dropped; they stay counted, and the run stops at
+    /// its next error check.
+    pub(crate) fn spill(&mut self, entries: &[(u128, u32)]) {
+        let tier = &self.tier;
+        tier.set_hot_len(self.shard, 0);
+        if entries.is_empty() {
+            return;
+        }
+        let n = entries.len() as u64;
+        tier.hot_bytes
+            .fetch_sub(n * BYTES_PER_ENTRY, Ordering::Relaxed);
+        self.cold += entries.len();
+        let body = encode_visited_page(self.shard as u32, entries);
+        if let Ok(loc) = tier.store.write_page(&body) {
+            let bloom = bloom_build(entries);
+            tier.meta_bytes
+                .fetch_add((bloom.len() * 8 + 48) as u64, Ordering::Relaxed);
+            self.pages.push(PageRef { loc, bloom });
+            tier.evictions.fetch_add(1, Ordering::Relaxed);
+            tier.spilled_bytes
+                .fetch_add(n * BYTES_PER_ENTRY, Ordering::Relaxed);
+        }
+        tier.bump_peak();
+    }
+
+    /// Every spilled entry not in `hot`, at its shallowest depth across
+    /// pages (a hot entry is never deeper than its spilled copies).
+    ///
+    /// # Errors
+    ///
+    /// When a page cannot be read back (the store is poisoned).
+    pub(crate) fn cold_entries(
+        &self,
+        hot: &HashMap<u128, u32>,
+    ) -> Result<HashMap<u128, u32>, String> {
+        let mut cold: HashMap<u128, u32> = HashMap::with_capacity(self.cold);
+        for page in &self.pages {
+            for (h, d) in self.tier.read(page)? {
+                if !hot.contains_key(&h) {
+                    cold.entry(h).and_modify(|v| *v = (*v).min(d)).or_insert(d);
+                }
+            }
+        }
+        Ok(cold)
     }
 }
 
@@ -1258,7 +1115,7 @@ fn decode_frontier_page<Op>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use crate::visited::{ShardedVisited, Visit};
 
     struct U32Codec;
 
@@ -1272,9 +1129,12 @@ mod tests {
     }
 
     fn tiny_budget(ram_entries: u64) -> MemBudget {
-        let mut b = MemBudget::new(ram_entries * BYTES_PER_ENTRY);
-        b.shards = 4;
-        b
+        MemBudget::new(ram_entries * BYTES_PER_ENTRY)
+    }
+
+    /// A 4-shard visited set with a disk tier under `budget`.
+    fn spill_set(initial_capacity: usize, budget: &MemBudget) -> ShardedVisited {
+        ShardedVisited::with_spill(initial_capacity, 4, budget).expect("spill file")
     }
 
     fn lcg(state: &mut u128) -> u128 {
@@ -1351,94 +1211,26 @@ mod tests {
         assert!(store.error().is_some(), "store poisoned");
     }
 
-    /// The core equivalence property: with a budget forcing heavy spilling,
-    /// every insert classifies exactly as a plain min-depth map would, and
-    /// the exported set is identical.
     #[test]
-    fn spillset_matches_plain_map_under_tiny_budget() {
-        let set = SpillSet::new(64, &tiny_budget(10)).expect("spillset");
-        let mut reference: BTreeMap<u128, u32> = BTreeMap::new();
-        let mut state = 0xfeed_beef_u128;
-        let mut keys: Vec<u128> = Vec::new();
-        for i in 0..600u32 {
-            // Mix of fresh keys and revisits at varying depths.
-            let h = if i % 3 == 0 && !keys.is_empty() {
-                keys[(lcg(&mut state) as usize) % keys.len()]
-            } else {
-                let k = lcg(&mut state);
-                keys.push(k);
-                k
-            };
-            let depth = (lcg(&mut state) as u32) % 12;
-            let expect = match reference.get(&h) {
-                None => {
-                    reference.insert(h, depth);
-                    Visit::New
-                }
-                Some(&prev) if depth < prev => {
-                    reference.insert(h, depth);
-                    Visit::Shallower
-                }
-                Some(_) => Visit::Matched,
-            };
-            let (got, _) = set.insert_at(h, depth);
-            assert_eq!(got, expect, "insert {i} of {h:x} at depth {depth}");
-        }
-        assert_eq!(set.len(), reference.len());
-        let exported = set.export_entries().expect("export");
-        let want: Vec<(u128, u32)> = reference.into_iter().collect();
-        assert_eq!(exported, want, "exported set identical and sorted");
-        let stats = set.spill_stats();
-        assert!(stats.evictions > 0, "budget of 10 entries must evict");
-        assert!(stats.pages_written > 0 && stats.cold_hits > 0);
-        assert!(set.error().is_none());
-        assert!(set.peak_bytes() > 0);
-        // The predictor saw the same workload; with RAM 10 entries and ~400
-        // distinct keys both must report substantial traffic.
-        assert!(stats.predicted_swap_bytes > 0);
-        assert!(stats.measured_swap_bytes() > 0);
-    }
-
-    #[test]
-    fn spillset_stays_within_hot_budget() {
+    fn spilled_set_stays_within_hot_budget() {
         let budget = tiny_budget(32);
-        let set = SpillSet::new(64, &budget).expect("spillset");
+        let set = spill_set(64, &budget);
         let mut state = 7u128;
         for _ in 0..2000 {
             set.insert(lcg(&mut state));
         }
         assert!(
-            set.hot_bytes.load(Ordering::Relaxed) <= budget.ram_bytes,
+            set.hot_bytes() <= budget.ram_bytes,
             "hot cache within budget after eviction settles"
         );
         assert_eq!(set.len(), 2000);
     }
 
     #[test]
-    fn spillset_resize_dynamics_match_unbudgeted() {
-        // Same shard count, same capacity, same keys: the budgeted set must
-        // fire resize events at exactly the same inserts as the RAM set,
-        // because thresholds track distinct counts, not hot occupancy.
-        let mut b = tiny_budget(8);
-        b.shards = 4;
-        let spill = SpillSet::new(64, &b).expect("spillset");
-        let ram = crate::visited::ShardedVisited::new(64, 4);
-        let mut state = 99u128;
-        for _ in 0..400 {
-            let h = lcg(&mut state);
-            let (sv, sr) = spill.insert_at(h, 0);
-            let (rv, rr) = ram.insert_at(h, 0);
-            assert_eq!(sv, rv);
-            assert_eq!(sr, rr);
-        }
-        assert_eq!(spill.resizes(), ram.resizes());
-    }
-
-    #[test]
     fn injected_write_failure_poisons_loudly() {
         let mut b = tiny_budget(4);
         b.faults.fail_write_at = Some(0);
-        let set = SpillSet::new(16, &b).expect("spillset");
+        let set = spill_set(16, &b);
         let mut state = 3u128;
         for _ in 0..64 {
             set.insert(lcg(&mut state));
@@ -1447,11 +1239,32 @@ mod tests {
         assert!(err.contains("injected EIO"), "{err}");
     }
 
+    /// The entries a failed page write dropped are still visited: once the
+    /// store is poisoned, re-inserting any state answers `Matched`, never
+    /// `New`, and the distinct count stays put.
+    #[test]
+    fn poisoned_set_never_answers_new() {
+        let mut b = tiny_budget(4);
+        b.faults.fail_write_at = Some(0);
+        let set = spill_set(16, &b);
+        let mut state = 3u128;
+        let keys: Vec<u128> = (0..64).map(|_| lcg(&mut state)).collect();
+        for &h in &keys {
+            set.insert(h);
+        }
+        assert!(set.error().is_some(), "write failure must poison");
+        let len = set.len();
+        for &h in &keys {
+            assert_ne!(set.insert_at(h, 0).0, Visit::New, "re-insert of {h:x}");
+        }
+        assert_eq!(set.len(), len, "no state re-counted");
+    }
+
     #[test]
     fn torn_write_fails_checksum_on_read() {
         let mut b = tiny_budget(4);
         b.faults.torn_write_at = Some(0);
-        let set = SpillSet::new(16, &b).expect("spillset");
+        let set = spill_set(16, &b);
         let mut state = 5u128;
         let mut keys = Vec::new();
         for _ in 0..64 {
@@ -1475,7 +1288,7 @@ mod tests {
     fn injected_read_failure_poisons_loudly() {
         let mut b = tiny_budget(4);
         b.faults.fail_read_at = Some(0);
-        let set = SpillSet::new(16, &b).expect("spillset");
+        let set = spill_set(16, &b);
         let mut state = 11u128;
         let mut keys = Vec::new();
         for _ in 0..64 {
@@ -1491,7 +1304,7 @@ mod tests {
 
     #[test]
     fn load_entries_min_merges_into_spilled_state() {
-        let set = SpillSet::new(16, &tiny_budget(4)).expect("spillset");
+        let set = spill_set(16, &tiny_budget(4));
         let mut state = 42u128;
         let keys: Vec<u128> = (0..100).map(|_| lcg(&mut state)).collect();
         for &h in &keys {
@@ -1504,24 +1317,13 @@ mod tests {
         assert_eq!(set.len(), 101);
         assert_eq!(set.depth_of(keys[0]), Some(2), "min depth wins");
         assert_eq!(set.depth_of(0xabcdef), Some(7));
-        // Loading never fires resize events, but thresholds advanced:
-        // fresh inserts continue from the loaded size.
-        let exported = set.export_entries().unwrap();
+        let mut exported = Vec::new();
+        set.stream_entries(|h, d| exported.push((h, d))).unwrap();
         assert_eq!(exported.len(), 101);
         assert!(exported.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
-    }
-
-    #[test]
-    fn snapshot_counts_are_consistent() {
-        let set = SpillSet::new(16, &tiny_budget(8)).expect("spillset");
-        let mut state = 13u128;
-        for _ in 0..300 {
-            set.insert(lcg(&mut state));
-        }
-        let (len, bytes, resizes) = set.snapshot_counts();
-        assert_eq!(len, 300);
-        assert_eq!(bytes, set.bytes());
-        assert_eq!(resizes, set.resizes());
+        assert!(exported
+            .iter()
+            .all(|&(h, d)| d == if h == 0xabcdef { 7 } else { 2 }));
     }
 
     // -- frontier ----------------------------------------------------------

@@ -58,7 +58,7 @@ use crate::explore::{
     Search, StopReason,
 };
 use crate::pickle::{self, FrontierEntry, OpCodec, RngCursor, RunSnapshot, SnapshotWriter};
-use crate::spill::{FrontierQueue, FrontierSpill, SpillCtx, SpillStats};
+use crate::spill::{FrontierQueue, FrontierSpill, SpillCtx, SpillStats, SPILL_SHARDS};
 use crate::system::{ApplyOutcome, ModelSystem, StateId, Violation};
 use crate::visited::{ShardedVisited, Visit};
 
@@ -231,10 +231,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// The fleet-shared visited set. One shard per worker (rounded up to a
 /// power of two, min 8) keeps same-shard collisions between workers rare;
-/// with a memory budget the set spills cold entries to disk instead.
+/// with a memory budget the set has 64 shards and a disk tier instead.
 fn fleet_visited(base: &ExploreConfig, workers: usize) -> Result<ShardedVisited, String> {
     match &base.mem_budget {
-        Some(budget) => ShardedVisited::with_spill(base.visited_capacity, budget),
+        Some(budget) => ShardedVisited::with_spill(base.visited_capacity, SPILL_SHARDS, budget),
         None => Ok(ShardedVisited::new(base.visited_capacity, workers.max(8))),
     }
 }
@@ -248,8 +248,8 @@ fn system<S: ModelSystem, F: Fn(usize) -> S>(
     visited: Option<&ShardedVisited>,
 ) -> S {
     let mut sys = factory(idx);
-    if let Some(set) = visited.and_then(ShardedVisited::spill_set) {
-        sys.attach_spill(set.store());
+    if let Some(store) = visited.and_then(ShardedVisited::spill_store) {
+        sys.attach_spill(store);
     }
     sys
 }
@@ -442,6 +442,12 @@ where
     let mut resumed = None;
     if let (Some(snap), Some(visited)) = (resume, &fleet.visited) {
         visited.load_entries(&snap.visited);
+        // A load that already failed its spill file must not deal a round.
+        if let Some(e) = visited.error() {
+            let stop = StopReason::Fatal(format!("visited spill failed: {e}"));
+            fleet.stops = vec![Some(stop); workers];
+            return fleet.report();
+        }
         fleet.baseline = snap.stats;
         fleet.generation = snap.generation + 1;
         resumed = Some(snap.frontier);
@@ -676,9 +682,9 @@ fn run_frontier<S, F>(
     // Frontier spilling needs both a budget (the hot cap) and a codec (to
     // encode op-prefixes into pages); the queue shares the visited set's
     // page store so one spill file serves the whole run.
-    let spill = (base.mem_budget.as_ref().zip(set.spill_set()))
+    let spill = (base.mem_budget.as_ref().zip(set.spill_store()))
         .filter(|_| fleet.codec.is_some())
-        .map(|(budget, s)| FrontierSpill::new(s.store().clone(), budget.frontier_hot_bytes));
+        .map(|(budget, store)| FrontierSpill::new(store.clone(), budget.frontier_hot_bytes));
     let ctx: SpillCtx<'_, S::Op> = spill
         .as_ref()
         .zip(fleet.codec)

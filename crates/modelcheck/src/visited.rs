@@ -5,18 +5,19 @@
 //! reports resize events (with a modelled cost proportional to the rehashed
 //! entry count) so the reproduction exhibits the same dynamics.
 //!
-//! Two concrete sets exist: the explorer-private [`VisitedSet`], and the
-//! sharded concurrent [`ShardedVisited`] used by shared-visited swarm mode,
-//! where workers skip states another worker already expanded. Both are
-//! driven through the [`VisitedHandle`] trait so the explorers are generic
-//! over them.
+//! One set implementation exists, [`VisitedSet`]: the explorer-private set,
+//! and each shard of the concurrent [`ShardedVisited`] that frontier fleets
+//! and shared-set walks use. Under a [`MemBudget`] the sharded set adds a
+//! disk tier (see [`crate::spill`]): each shard then counts, classifies and
+//! streams its spilled entries too, and the tier evicts whole shards to
+//! pages. Explorers are generic over the [`VisitedHandle`] trait.
 
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-use crate::spill::{MemBudget, SpillSet, SpillStats};
+use crate::spill::{DiskTier, MemBudget, Miss, ShardPages, SpillStats, SpillStore};
 
 /// A hash-table resize event, reported when an insert crosses the capacity
 /// threshold.
@@ -103,11 +104,19 @@ pub trait VisitedHandle {
 
 /// The explorer's visited-state set over 128-bit abstract fingerprints,
 /// remembering the shallowest depth each state was reached at.
+///
+/// As a shard of a budgeted [`ShardedVisited`] it also has a link to the
+/// disk tier: its count and resize threshold then cover the entries
+/// spilled to pages too, and a hot miss probes those pages.
 #[derive(Debug)]
 pub struct VisitedSet {
+    /// Hot entries. With a disk tier each holds the shallowest depth known
+    /// for its fingerprint; pages may keep stale deeper copies.
     set: HashMap<u128, u32>,
     threshold: usize,
     resizes: u32,
+    /// This set's side of the disk tier, when it is a budgeted shard.
+    spill: Option<ShardPages>,
 }
 
 impl VisitedSet {
@@ -118,6 +127,7 @@ impl VisitedSet {
             set: HashMap::new(),
             threshold: initial_capacity.max(2),
             resizes: 0,
+            spill: None,
         }
     }
 
@@ -137,21 +147,42 @@ impl VisitedSet {
     /// only `New` can cross the doubling threshold. A `Shallower` visit
     /// rewrites an existing entry's depth in place — the table is written,
     /// but its size is unchanged, so no resize is modelled.
+    ///
+    /// With a disk tier, a hot miss found on a page is re-installed hot, and
+    /// once the tier's store has failed a hot miss answers `Matched`: a
+    /// failed set never reports a state as new.
     pub fn insert_at(&mut self, h: u128, depth: u32) -> (Visit, Option<ResizeEvent>) {
-        let visit = match self.set.get(&h) {
-            None => {
-                self.set.insert(h, depth);
-                Visit::New
+        let visit = match self.set.get_mut(&h) {
+            Some(prev) => {
+                if let Some(spill) = &self.spill {
+                    spill.hot_hit(h);
+                }
+                if depth < *prev {
+                    *prev = depth;
+                    Visit::Shallower
+                } else {
+                    Visit::Matched
+                }
             }
-            Some(&prev) if depth < prev => {
-                self.set.insert(h, depth);
-                Visit::Shallower
-            }
-            Some(_) => Visit::Matched,
+            None => match self.spill.as_mut().map_or(Miss::New, |s| s.insert_miss(h)) {
+                Miss::New => {
+                    self.set.insert(h, depth);
+                    Visit::New
+                }
+                Miss::Reloaded(prev) => {
+                    self.set.insert(h, prev.min(depth));
+                    if depth < prev {
+                        Visit::Shallower
+                    } else {
+                        Visit::Matched
+                    }
+                }
+                Miss::Poisoned => Visit::Matched,
+            },
         };
         let mut resize = None;
-        if visit == Visit::New && self.set.len() >= self.threshold {
-            let entries = self.set.len() as u64;
+        if visit == Visit::New && self.len() >= self.threshold {
+            let entries = self.len() as u64;
             resize = Some(ResizeEvent {
                 entries,
                 cost_ns: entries * REHASH_NS_PER_ENTRY,
@@ -165,22 +196,27 @@ impl VisitedSet {
 
     /// Whether `h` has been visited.
     pub fn contains(&self, h: u128) -> bool {
-        self.set.contains_key(&h)
+        self.depth_of(h).is_some()
     }
 
-    /// Depth recorded for `h`, if visited.
+    /// Depth recorded for `h`, if visited (`None` too when a spilled page
+    /// cannot be read).
     pub fn depth_of(&self, h: u128) -> Option<u32> {
-        self.set.get(&h).copied()
+        match (self.set.get(&h), &self.spill) {
+            (Some(&d), _) => Some(d),
+            (None, Some(spill)) => spill.depth_of(h).ok().flatten(),
+            (None, None) => None,
+        }
     }
 
-    /// Number of distinct states visited.
+    /// Number of distinct states visited, hot and spilled.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.set.len() + self.spill.as_ref().map_or(0, ShardPages::cold)
     }
 
     /// Whether no state has been visited.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.len() == 0
     }
 
     /// Number of modelled resizes so far.
@@ -188,7 +224,7 @@ impl VisitedSet {
         self.resizes
     }
 
-    /// Bytes held by the table (per the model).
+    /// Bytes held by the (hot) table, per the model.
     pub fn bytes(&self) -> u64 {
         self.set.len() as u64 * BYTES_PER_ENTRY
     }
@@ -197,11 +233,32 @@ impl VisitedSet {
     /// canonical export order) without materializing owned pairs — only a
     /// sorted key index. Serializers stream from this straight into their
     /// output (see `SnapshotWriter`).
-    pub fn stream_entries(&self, mut f: impl FnMut(u128, u32)) {
-        let mut keys: Vec<u128> = self.set.keys().copied().collect();
+    pub fn stream_entries(&self, f: impl FnMut(u128, u32)) {
+        self.stream_with(&HashMap::new(), f);
+    }
+
+    /// [`VisitedSet::stream_entries`] over the hot entries and the spilled
+    /// ones, read back page by page (a budgeted shard streams through this;
+    /// `stream_entries` sees its hot entries only).
+    ///
+    /// # Errors
+    ///
+    /// When a spilled page cannot be read back.
+    fn try_stream_entries(&self, f: impl FnMut(u128, u32)) -> Result<(), String> {
+        let cold = match &self.spill {
+            Some(spill) => spill.cold_entries(&self.set)?,
+            None => HashMap::new(),
+        };
+        self.stream_with(&cold, f);
+        Ok(())
+    }
+
+    /// Streams the hot entries merged with `cold`, which holds none of them.
+    fn stream_with(&self, cold: &HashMap<u128, u32>, mut f: impl FnMut(u128, u32)) {
+        let mut keys: Vec<u128> = self.set.keys().chain(cold.keys()).copied().collect();
         keys.sort_unstable();
         for h in keys {
-            f(h, self.set[&h]);
+            f(h, *self.set.get(&h).unwrap_or_else(|| &cold[&h]));
         }
     }
 
@@ -222,16 +279,38 @@ impl VisitedSet {
     /// doubling threshold is advanced past the loaded size instead.
     pub fn load_entries(&mut self, entries: &[(u128, u32)]) {
         for &(h, d) in entries {
-            match self.set.get(&h) {
-                Some(&prev) if prev <= d => {}
-                _ => {
-                    self.set.insert(h, d);
+            self.load(h, d);
+        }
+    }
+
+    /// Loads one entry (see [`VisitedSet::load_entries`]).
+    fn load(&mut self, h: u128, d: u32) {
+        if let Some(prev) = self.set.get_mut(&h) {
+            *prev = (*prev).min(d);
+            return;
+        }
+        match self.spill.as_mut().map_or(Miss::New, |s| s.load_miss(h)) {
+            Miss::New => {
+                self.set.insert(h, d);
+                while self.len() >= self.threshold {
+                    self.threshold *= 2;
                 }
             }
+            Miss::Reloaded(prev) => {
+                self.set.insert(h, prev.min(d));
+            }
+            Miss::Poisoned => {}
         }
-        while self.set.len() >= self.threshold {
-            self.threshold *= 2;
-        }
+    }
+
+    /// Hands every hot entry to the disk tier as one sorted page.
+    pub(crate) fn spill_hot(&mut self) {
+        let Some(spill) = &mut self.spill else {
+            return;
+        };
+        let mut entries: Vec<(u128, u32)> = self.set.drain().collect();
+        entries.sort_unstable_by_key(|&(h, _)| h);
+        spill.spill(&entries);
     }
 }
 
@@ -260,9 +339,7 @@ impl VisitedHandle for VisitedSet {
 /// Fingerprints are routed to one of N shards by their high bits (the
 /// fingerprint is already uniform, so shards fill evenly); each shard is an
 /// independent [`VisitedSet`] behind its own mutex, so workers touching
-/// different shards never contend — unlike the old single-mutex
-/// `SharedVisited` this replaces, which serialized the whole fleet on every
-/// insert.
+/// different shards never contend.
 ///
 /// Resize modelling is preserved per shard: each shard starts at
 /// `initial_capacity / nshards`, so with uniform fill all shards cross
@@ -272,176 +349,144 @@ impl VisitedHandle for VisitedSet {
 ///
 /// Cloning shares the underlying shards.
 ///
-/// With a [`MemBudget`] (see [`ShardedVisited::with_spill`]) the set is
-/// backed by a disk-spilling [`SpillSet`] instead of in-RAM shards — same
-/// classification semantics, bounded hot memory.
+/// With a [`MemBudget`] (see [`ShardedVisited::with_spill`]) the set gets a
+/// disk tier: the same shards and classification, bounded hot memory.
 #[derive(Debug, Clone)]
 pub struct ShardedVisited {
     shards: Arc<Vec<Mutex<VisitedSet>>>,
     shard_bits: u32,
-    spill: Option<Arc<SpillSet>>,
+    tier: Option<Arc<DiskTier>>,
 }
 
 impl ShardedVisited {
     /// Creates an empty set with `nshards` shards (rounded up to a power of
     /// two) and an aggregate first-resize threshold of `initial_capacity`.
     pub fn new(initial_capacity: usize, nshards: usize) -> Self {
-        let n = nshards.max(1).next_power_of_two();
-        let per_shard = (initial_capacity / n).max(2);
-        let shards = (0..n)
-            .map(|_| Mutex::new(VisitedSet::new(per_shard)))
-            .collect();
-        ShardedVisited {
-            shards: Arc::new(shards),
-            shard_bits: n.trailing_zeros(),
-            spill: None,
-        }
+        Self::build(initial_capacity, nshards, None)
     }
 
-    /// Creates a disk-spilling set budgeted by `budget`, with the same
-    /// aggregate first-resize threshold semantics as [`ShardedVisited::new`].
+    /// As [`ShardedVisited::new`], with a disk tier budgeted by `budget`:
+    /// hot entries beyond the budget spill to the run's spill file.
     ///
     /// # Errors
     ///
     /// When the spill file cannot be created.
-    pub fn with_spill(initial_capacity: usize, budget: &MemBudget) -> Result<Self, String> {
-        let set = SpillSet::new(initial_capacity, budget)?;
-        Ok(ShardedVisited {
-            shards: Arc::new(Vec::new()),
-            shard_bits: 0,
-            spill: Some(Arc::new(set)),
-        })
+    pub fn with_spill(
+        initial_capacity: usize,
+        nshards: usize,
+        budget: &MemBudget,
+    ) -> Result<Self, String> {
+        let n = nshards.max(1).next_power_of_two();
+        let tier = Arc::new(DiskTier::new(budget, n)?);
+        Ok(Self::build(initial_capacity, n, Some(tier)))
     }
 
-    /// The backing spill set, when one is configured (the swarm shares its
-    /// page store with frontier queues).
-    pub fn spill_set(&self) -> Option<&Arc<SpillSet>> {
-        self.spill.as_ref()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        match &self.spill {
-            Some(s) => s.shard_count(),
-            None => self.shards.len(),
+    fn build(initial_capacity: usize, nshards: usize, tier: Option<Arc<DiskTier>>) -> Self {
+        let n = nshards.max(1).next_power_of_two();
+        let per_shard = (initial_capacity / n).max(2);
+        let shards = (0..n)
+            .map(|i| {
+                Mutex::new(VisitedSet {
+                    spill: tier.as_ref().map(|t| ShardPages::new(t.clone(), i)),
+                    ..VisitedSet::new(per_shard)
+                })
+            })
+            .collect();
+        ShardedVisited {
+            shards: Arc::new(shards),
+            shard_bits: n.trailing_zeros(),
+            tier,
         }
     }
 
-    fn shard_for(&self, h: u128) -> &Mutex<VisitedSet> {
+    /// The disk tier's page store, when one is attached (the swarm's
+    /// frontier queues and the systems' checkpoint pools share it).
+    pub fn spill_store(&self) -> Option<&Arc<SpillStore>> {
+        self.tier.as_deref().map(DiskTier::store)
+    }
+
+    fn shard_idx(&self, h: u128) -> usize {
         // High bits: the fingerprint is a uniform hash, and taking the top
         // bits keeps the routing independent of how HashMap uses the low
         // bits internally.
-        let idx = if self.shard_bits == 0 {
+        if self.shard_bits == 0 {
             0
         } else {
             (h >> (128 - self.shard_bits)) as usize
+        }
+    }
+
+    /// Runs `f` on `h`'s shard under its lock. With a disk tier, the shard
+    /// is marked most recently used and its hot size recorded for eviction.
+    fn on_shard<R>(&self, h: u128, f: impl FnOnce(&mut VisitedSet) -> R) -> R {
+        let idx = self.shard_idx(h);
+        let mut shard = self.shards[idx].lock();
+        let Some(tier) = &self.tier else {
+            return f(&mut shard);
         };
-        &self.shards[idx]
+        tier.touch(idx);
+        let out = f(&mut shard);
+        tier.set_hot_len(idx, shard.set.len());
+        out
+    }
+
+    /// Spills least-recently-used shards until the hot cache fits the
+    /// budget (nothing without a disk tier).
+    fn evict(&self) {
+        if let Some(tier) = &self.tier {
+            tier.evict(&self.shards);
+        }
     }
 
     /// Inserts a fingerprint at depth 0 (see [`VisitedSet::insert`]).
     pub fn insert(&self, h: u128) -> (bool, Option<ResizeEvent>) {
-        match &self.spill {
-            Some(s) => s.insert(h),
-            None => self.shard_for(h).lock().insert(h),
-        }
+        let (visit, resize) = self.insert_at(h, 0);
+        (visit == Visit::New, resize)
     }
 
     /// Inserts a fingerprint at `depth` (see [`VisitedSet::insert_at`]).
     pub fn insert_at(&self, h: u128, depth: u32) -> (Visit, Option<ResizeEvent>) {
-        match &self.spill {
-            Some(s) => s.insert_at(h, depth),
-            None => self.shard_for(h).lock().insert_at(h, depth),
-        }
-    }
-
-    /// Whether `h` has been visited.
-    pub fn contains(&self, h: u128) -> bool {
-        self.depth_of(h).is_some()
+        let out = self.on_shard(h, |s| s.insert_at(h, depth));
+        self.evict();
+        out
     }
 
     /// The shallowest depth `h` was reached at, if visited.
     pub fn depth_of(&self, h: u128) -> Option<u32> {
-        match &self.spill {
-            Some(s) => s.depth_of(h),
-            None => self.shard_for(h).lock().depth_of(h),
-        }
+        self.shards[self.shard_idx(h)].lock().depth_of(h)
     }
 
     /// Number of distinct states across all shards.
     pub fn len(&self) -> usize {
-        match &self.spill {
-            Some(s) => s.len(),
-            None => self.shards.iter().map(|s| s.lock().len()).sum(),
-        }
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Whether every shard is empty.
     pub fn is_empty(&self) -> bool {
-        match &self.spill {
-            Some(s) => s.is_empty(),
-            None => self.shards.iter().all(|s| s.lock().is_empty()),
-        }
+        self.shards.iter().all(|s| s.lock().is_empty())
     }
 
-    /// Total modelled resizes across shards.
-    pub fn resizes(&self) -> u32 {
-        match &self.spill {
-            Some(s) => s.resizes(),
-            None => self.shards.iter().map(|s| s.lock().resizes()).sum(),
-        }
+    /// Modelled bytes of the shards' hot entries.
+    pub(crate) fn hot_bytes(&self) -> u64 {
+        self.shards.iter().map(|s| s.lock().bytes()).sum()
     }
 
-    /// Total modelled bytes across shards (hot bytes + page metadata when
-    /// spilling).
+    /// Total modelled bytes: hot entries, plus the disk tier's bloom
+    /// filters and page bookkeeping.
     pub fn bytes(&self) -> u64 {
-        match &self.spill {
-            Some(s) => s.bytes(),
-            None => self.shards.iter().map(|s| s.lock().bytes()).sum(),
+        match &self.tier {
+            Some(tier) => tier.bytes(),
+            None => self.hot_bytes(),
         }
     }
 
     /// High-water mark of [`ShardedVisited::bytes`]. In-RAM shards only
-    /// grow, so their current bytes are the peak; the spill set tracks its
+    /// grow, so their current bytes are the peak; the disk tier tracks its
     /// real peak across evictions.
     pub fn peak_bytes(&self) -> u64 {
-        match &self.spill {
-            Some(s) => s.peak_bytes(),
-            None => self.bytes(),
-        }
-    }
-
-    /// Consistent `(len, bytes, resizes)` snapshot: every shard lock is
-    /// held simultaneously, so concurrent inserts cannot skew the sums the
-    /// way three separate [`ShardedVisited::len`]/[`ShardedVisited::bytes`]/
-    /// [`ShardedVisited::resizes`] calls mid-run can.
-    pub fn stats_snapshot(&self) -> (usize, u64, u32) {
-        match &self.spill {
-            Some(s) => s.snapshot_counts(),
-            None => {
-                let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-                let len = guards.iter().map(|g| g.len()).sum();
-                let bytes = guards.iter().map(|g| g.bytes()).sum();
-                let resizes = guards.iter().map(|g| g.resizes()).sum();
-                (len, bytes, resizes)
-            }
-        }
-    }
-
-    /// Exports every `(fingerprint, depth)` entry across shards, sorted by
-    /// fingerprint (canonical order — see [`VisitedSet::export_entries`]).
-    ///
-    /// # Panics
-    ///
-    /// When a spilled page cannot be read back — the visited set is no
-    /// longer trustworthy and exporting a partial one would silently drop
-    /// states. Prefer [`ShardedVisited::stream_entries`] to handle the
-    /// error gracefully.
-    pub fn export_entries(&self) -> Vec<(u128, u32)> {
-        let mut out = Vec::new();
-        self.stream_entries(|h, d| out.push((h, d)))
-            .unwrap_or_else(|e| panic!("visited export failed: {e}"));
-        out
+        self.tier
+            .as_ref()
+            .map_or_else(|| self.bytes(), |t| t.peak_bytes())
     }
 
     /// Streams every `(fingerprint, depth)` entry in globally sorted order
@@ -453,43 +498,39 @@ impl ShardedVisited {
     ///
     /// On spill-file read failure (in-RAM sets cannot fail).
     pub fn stream_entries(&self, mut f: impl FnMut(u128, u32)) -> Result<(), String> {
-        match &self.spill {
-            Some(s) => s.stream_entries(f),
-            None => {
-                for shard in self.shards.iter() {
-                    shard.lock().stream_entries(&mut f);
-                }
-                Ok(())
-            }
+        for shard in self.shards.iter() {
+            shard.lock().try_stream_entries(&mut f)?;
         }
+        Ok(())
     }
 
     /// Bulk-loads previously exported entries into the owning shards without
     /// firing modelled resize events (see [`VisitedSet::load_entries`]).
+    /// With a disk tier it evicts every 1,024 entries, so a big resume load
+    /// cannot balloon the hot cache past the budget.
     pub fn load_entries(&self, entries: &[(u128, u32)]) {
-        match &self.spill {
-            Some(s) => s.load_entries(entries),
-            None => {
-                for &(h, d) in entries {
-                    self.shard_for(h).lock().load_entries(&[(h, d)]);
-                }
+        for (i, &(h, d)) in entries.iter().enumerate() {
+            self.on_shard(h, |s| s.load(h, d));
+            if i % 1024 == 1023 {
+                self.evict();
             }
         }
+        self.evict();
     }
 
     /// First spill failure, if any — see [`VisitedHandle::error`].
     pub fn error(&self) -> Option<String> {
-        self.spill.as_ref().and_then(|s| s.error())
+        self.spill_store().and_then(|s| s.error())
     }
 
     /// Virtual-ns of real page traffic since the last call (zero in RAM).
     pub fn take_pending_ns(&self) -> u64 {
-        self.spill.as_ref().map_or(0, |s| s.take_pending_ns())
+        self.spill_store().map_or(0, |s| s.take_pending_ns())
     }
 
-    /// Out-of-core counters, when spilling is active.
+    /// Out-of-core counters, when a disk tier is attached.
     pub fn spill_stats(&self) -> Option<SpillStats> {
-        self.spill.as_ref().map(|s| s.spill_stats())
+        self.tier.as_ref().map(|t| t.stats())
     }
 }
 
@@ -526,6 +567,7 @@ impl VisitedHandle for ShardedVisited {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dedup_and_counts() {
@@ -609,13 +651,13 @@ mod tests {
         assert!(!b.insert(9).0);
         assert_eq!(b.len(), 1);
         assert!(!a.is_empty());
-        assert!(a.contains(9));
+        assert_eq!(a.depth_of(9), Some(0));
     }
 
     #[test]
     fn sharded_routes_by_high_bits_and_counts_globally() {
         let v = ShardedVisited::new(1 << 8, 8);
-        assert_eq!(v.shard_count(), 8);
+        assert_eq!(v.shards.len(), 8);
         // Spread fingerprints across all shards via the top 3 bits.
         for top in 0..8u128 {
             for low in 0..10u128 {
@@ -649,7 +691,10 @@ mod tests {
                 aggregate_at_resize.push(v.len());
             }
         }
-        assert!(v.resizes() >= 8, "expected at least one resize per shard");
+        assert!(
+            aggregate_at_resize.len() >= 8,
+            "expected at least one resize per shard"
+        );
         // First 8 resizes (one per shard) all happen well before the table
         // doubles past the aggregate threshold's neighborhood.
         for &agg in aggregate_at_resize.iter().take(8) {
@@ -658,35 +703,6 @@ mod tests {
                 "first-round shard resize at aggregate {agg}, want near 64"
             );
         }
-    }
-
-    #[test]
-    fn spill_backed_sharded_set_matches_ram_one() {
-        let mut budget = MemBudget::new(16 * BYTES_PER_ENTRY);
-        budget.shards = 4;
-        let spilled = ShardedVisited::with_spill(64, &budget).expect("spill set");
-        let ram = ShardedVisited::new(64, 4);
-        let mut state = 0xdead_beef_u128;
-        for i in 0..300u32 {
-            state = state
-                .wrapping_mul(0x2d99787926d46932a4c1f32680f70c55)
-                .wrapping_add(1);
-            let h = if i % 4 == 0 { state >> 1 << 1 } else { state };
-            let d = i % 7;
-            assert_eq!(spilled.insert_at(h, d), ram.insert_at(h, d), "insert {i}");
-        }
-        assert_eq!(spilled.len(), ram.len());
-        assert_eq!(spilled.resizes(), ram.resizes());
-        assert_eq!(spilled.export_entries(), ram.export_entries());
-        let (len, bytes, resizes) = spilled.stats_snapshot();
-        assert_eq!((len, resizes), (ram.len(), ram.resizes()));
-        assert!(bytes <= budget.ram_bytes + spilled.spill_stats().unwrap().pages_written * 1024);
-        assert!(spilled.error().is_none());
-        assert!(
-            spilled.spill_stats().unwrap().evictions > 0,
-            "16-entry budget must spill"
-        );
-        assert!(spilled.peak_bytes() > 0);
     }
 
     #[test]
@@ -702,5 +718,82 @@ mod tests {
         assert_eq!(drive(&mut a), 2);
         assert_eq!(drive(&mut b), 2);
         assert!(a.bytes() > 0 && VisitedHandle::bytes(&b) > 0);
+    }
+
+    /// A fingerprint with bits spread over all 128 (so every shard fills).
+    fn spread(k: u64) -> u128 {
+        (u128::from(k) + 1).wrapping_mul(0x2d99787926d46932a4c1f32680f70c55)
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Insert(u64, u32),
+        Load(Vec<(u64, u32)>),
+    }
+
+    /// Three inserts to one load batch. Keys below 48 recur (revisits);
+    /// `any` keys are almost surely fresh.
+    fn step() -> impl Strategy<Value = Step> {
+        let insert =
+            (prop_oneof![0u64..48, any::<u64>()], 0u32..12).prop_map(|(k, d)| Step::Insert(k, d));
+        let load = prop::collection::vec((0u64..64, 0u32..12), 1..24).prop_map(Step::Load);
+        prop_oneof![insert.clone(), insert.clone(), insert, load]
+    }
+
+    fn entries(set: &ShardedVisited) -> Vec<(u128, u32)> {
+        let mut out = Vec::new();
+        set.stream_entries(|h, d| out.push((h, d))).expect("stream");
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The disk tier changes nothing a caller can see: under a budget of
+        /// a few entries, every insert classifies and resizes exactly as the
+        /// unbudgeted set with the same shard count does, loads min-merge
+        /// alike, and the streamed sets are equal, while the hot cache stays
+        /// within its budget.
+        #[test]
+        fn disk_tier_matches_the_in_ram_set(
+            shard_bits in 0u32..4,
+            budget_entries in 1u64..=64,
+            steps in prop::collection::vec(step(), 1..160),
+        ) {
+            let nshards = 1 << shard_bits;
+            let budget = MemBudget::new(budget_entries * BYTES_PER_ENTRY);
+            let spilled = ShardedVisited::with_spill(64, nshards, &budget).expect("spill file");
+            let ram = ShardedVisited::new(64, nshards);
+            for (i, step) in steps.iter().enumerate() {
+                match step {
+                    Step::Insert(k, d) => prop_assert_eq!(
+                        spilled.insert_at(spread(*k), *d),
+                        ram.insert_at(spread(*k), *d),
+                        "step {} of {:?}",
+                        i,
+                        steps
+                    ),
+                    Step::Load(batch) => {
+                        let batch: Vec<(u128, u32)> =
+                            batch.iter().map(|&(k, d)| (spread(k), d)).collect();
+                        spilled.load_entries(&batch);
+                        ram.load_entries(&batch);
+                    }
+                }
+                prop_assert!(spilled.hot_bytes() <= budget.ram_bytes, "step {}", i);
+                prop_assert_eq!(spilled.len(), ram.len(), "step {}", i);
+            }
+            prop_assert_eq!(entries(&spilled), entries(&ram));
+            prop_assert!(spilled.error().is_none());
+            let stats = spilled.spill_stats().expect("a disk tier reports stats");
+            if spilled.len() as u64 > budget_entries {
+                prop_assert!(
+                    stats.evictions > 0,
+                    "{} entries over a {}-entry budget",
+                    spilled.len(),
+                    budget_entries
+                );
+            }
+        }
     }
 }

@@ -60,7 +60,6 @@ fn ext_harness(_worker: usize) -> Mcfs {
 /// tier a handful of prefixes.
 fn tiny_budget() -> MemBudget {
     let mut b = MemBudget::new(1024);
-    b.shards = 4;
     b.frontier_hot_bytes = 256;
     b
 }
@@ -246,7 +245,6 @@ fn kill_and_resume_with_spilled_pages_converges() {
     // pages, not just the in-RAM remainder.
     let budget = || {
         let mut b = MemBudget::new(256);
-        b.shards = 2;
         b.frontier_hot_bytes = 256;
         Some(b)
     };
@@ -287,8 +285,11 @@ fn kill_and_resume_with_spilled_pages_converges() {
 // Fault injection: disk failures stop the checker loudly
 // ---------------------------------------------------------------------------
 
+/// Five hot visited entries (the budget of the resume test above): spread
+/// over the 64 shards of a budgeted set, the 27-state DFS below then reads
+/// its first spilled page back, so each fault fires.
 fn faulty_budget(faults: SpillFaults) -> MemBudget {
-    let mut b = tiny_budget();
+    let mut b = MemBudget::new(256);
     b.faults = faults;
     b
 }
