@@ -1037,21 +1037,17 @@ impl Default for Mc007Config {
     }
 }
 
-/// Re-encodes a snapshot in canonical form: run-shape metadata (worker
-/// count, seeds, RNG cursors, cumulative stats) normalized away, leaving
-/// exactly the explored state space and pending frontier. Two equivalent
-/// explorations must produce byte-identical canonical pickles.
+/// Re-encodes a snapshot in canonical form: the cumulative stats, which
+/// depend on the fleet size and table capacity, zeroed, leaving exactly
+/// the explored state space and pending frontier. Two equivalent explorations
+/// must produce byte-identical canonical pickles.
 fn canonical_pickle<Op>(snap: &RunSnapshot<Op>, codec: &dyn OpCodec<Op>) -> Vec<u8>
 where
     Op: Clone,
 {
     let canon = RunSnapshot {
-        base_seed: 0,
-        workers: 1,
-        generation: 0,
         visited: snap.visited.clone(),
         frontier: snap.frontier.clone(),
-        rng: Vec::new(),
         stats: ExploreStats::default(),
     };
     encode_snapshot(&canon, codec)

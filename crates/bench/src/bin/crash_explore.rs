@@ -134,10 +134,9 @@ fn resume_mode(path: &str) {
         }
     };
     println!(
-        "resuming: {} visited states, {} frontier entries, generation {}",
+        "resuming: {} visited states, {} frontier entries",
         snap.visited.len(),
-        snap.frontier.len(),
-        snap.generation
+        snap.frontier.len()
     );
     let report = run_swarm_persistent(
         &resumable_cfg(u64::MAX),

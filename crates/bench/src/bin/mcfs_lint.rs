@@ -16,14 +16,20 @@
 //! `// mcfs-lint: allow(MC007, reason)` suppressions.
 //!
 //! Usage:
-//!   mcfs-lint [--quick] [--json] [--code MC00N]... [--seed N] [--list]
-//!             [--source [ROOT]] [--deny MC00N]... [--allow MC00N]...
-//!             [--bench-out PATH]
+//!
+//! ```text
+//! mcfs-lint [--quick] [--json] [--code MC00N]... [--seed N] [--list]
+//!           [--source [ROOT]] [--deny MC00N]... [--allow MC00N]...
+//!           [--bench-out PATH]
+//! ```
 //!
 //! Exit status contract (stable — CI depends on it):
-//!   0  clean (or every finding suppressed / `--allow`ed)
-//!   1  unsuppressed findings
-//!   2  usage or internal error
+//!
+//! ```text
+//! 0  clean (or every finding suppressed / `--allow`ed)
+//! 1  unsuppressed findings
+//! 2  usage or internal error
+//! ```
 
 use analyze::{run_registry, LintCode, LintOptions, LintReport, Severity, SourceOptions};
 use mcfs_bench::{BenchReport, Row};

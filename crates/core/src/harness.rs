@@ -76,12 +76,6 @@ pub struct McfsConfig {
     /// to support fsck
     /// ([`CheckedTarget::supports_fsck`](crate::target::CheckedTarget::supports_fsck)).
     pub fsck_exploration: bool,
-    /// Delta-debug every violation's trace down to a 1-minimal
-    /// counterexample before reporting it ([`crate::shrink`]). Requires a
-    /// harness factory ([`Mcfs::set_factory`]) so each candidate replays on
-    /// a *fresh* pair; without one the flag is inert. Off by default:
-    /// minimization costs replays at violation time.
-    pub minimize_violations: bool,
 }
 
 impl Default for McfsConfig {
@@ -94,7 +88,6 @@ impl Default for McfsConfig {
             checkpoint_budget_bytes: None,
             crash_exploration: false,
             fsck_exploration: false,
-            minimize_violations: false,
         }
     }
 }
@@ -115,8 +108,8 @@ pub struct FsckStats {
 }
 
 /// Builds a fresh, deterministic harness equivalent to the one being
-/// checked — the replay-validation factory behind
-/// [`McfsConfig::minimize_violations`] (see [`crate::shrink`]).
+/// checked — the replay-validation factory counterexample minimization
+/// runs against ([`Mcfs::with_factory`], [`crate::shrink`]).
 pub type HarnessFactory = dyn Fn() -> VfsResult<Mcfs> + Send + Sync;
 
 /// The MCFS harness: implements [`ModelSystem`] over N checked targets so
@@ -133,10 +126,9 @@ pub struct Mcfs {
     fsck_exploration: bool,
     fscks: u64,
     fsck_repairs: u64,
-    minimize_violations: bool,
     /// Builds a fresh equivalent harness; candidate traces from the
     /// minimizer replay against factory products, never against this
-    /// (already violated) instance.
+    /// (already violated) instance. Attached, it turns minimization on.
     factory: Option<Arc<HarnessFactory>>,
     /// Precomputed signature-derived independence over the filtered pool.
     effects: EffectIndex,
@@ -235,7 +227,6 @@ impl Mcfs {
             fsck_exploration: cfg.fsck_exploration,
             fscks: 0,
             fsck_repairs: 0,
-            minimize_violations: cfg.minimize_violations,
             factory: None,
             effects,
             ckpt_spill: None,
@@ -252,12 +243,6 @@ impl Mcfs {
         &self.ops
     }
 
-    /// The signature-derived independence matrix driving POR (see
-    /// [`crate::effect`]).
-    pub fn effect_index(&self) -> &EffectIndex {
-        &self.effects
-    }
-
     /// Repair-oracle statistics, when [`McfsConfig::fsck_exploration`] is
     /// on (`None` otherwise).
     pub fn fsck_stats(&self) -> Option<FsckStats> {
@@ -268,14 +253,13 @@ impl Mcfs {
     }
 
     /// Attaches the replay factory counterexample minimization validates
-    /// against. The factory must rebuild a harness equivalent to this one —
-    /// same targets, same seeded bugs, same fault plans — deterministically;
-    /// [`McfsConfig::minimize_violations`] does nothing without it.
-    pub fn set_factory(&mut self, factory: Arc<HarnessFactory>) {
-        self.factory = Some(factory);
-    }
-
-    /// Builder-style [`set_factory`](Mcfs::set_factory).
+    /// against, which turns minimization on: every violation's trace is
+    /// delta-debugged down to a 1-minimal counterexample before it is
+    /// reported ([`crate::shrink`]), each candidate replaying on a *fresh*
+    /// harness. The factory must rebuild a harness equivalent to this one —
+    /// same targets, same seeded bugs, same fault plans — deterministically.
+    /// Without a factory nothing is minimized; minimization costs replays
+    /// at violation time.
     #[must_use]
     pub fn with_factory(mut self, factory: Arc<HarnessFactory>) -> Self {
         self.factory = Some(factory);
@@ -611,9 +595,6 @@ impl ModelSystem for Mcfs {
         trace: &[FsOp],
         message: &str,
     ) -> Option<(Vec<FsOp>, modelcheck::ShrinkStats)> {
-        if !self.minimize_violations {
-            return None;
-        }
         let factory = self.factory.clone()?;
         shrink_trace(trace, message, &ShrinkConfig::default(), |candidate| {
             replay(&mut factory().ok()?, candidate)

@@ -9,8 +9,8 @@
 //! ops. Steps execute atomically (one op runs to completion before the
 //! next is scheduled), which models a kernel serializing the VFS layer;
 //! what varies is the *order* in which threads win. Each step runs through
-//! the same lockstep core as [`Mcfs`](crate::Mcfs) ([`crate::lockstep`]),
-//! so the targets' outcomes and abstract states are checked, and
+//! the same lockstep core as [`Mcfs`](crate::Mcfs) (the private `lockstep`
+//! module), so the targets' outcomes and abstract states are checked, and
 //! violations worded, exactly as there.
 //!
 //! Two oracles judge each schedule:
@@ -115,9 +115,6 @@ pub struct ThreadedMcfsConfig {
     /// Enable the crash pseudo-step between any two scheduled ops. Requires
     /// every target to support crash recovery.
     pub crash_exploration: bool,
-    /// Delta-debug violating schedules at record time (needs a factory,
-    /// [`ThreadedMcfs::with_factory`]).
-    pub minimize_violations: bool,
 }
 
 /// Exploration counters specific to interleaved checking.
@@ -152,7 +149,6 @@ pub struct ThreadedMcfs {
     core: Lockstep,
     programs: Vec<Vec<FsOp>>,
     setup: Vec<FsOp>,
-    minimize_violations: bool,
     effects: EffectIndex,
     /// Per-thread program counter: ops already issued.
     pcs: Vec<usize>,
@@ -253,7 +249,6 @@ impl ThreadedMcfs {
             core,
             programs,
             setup,
-            minimize_violations: cfg.minimize_violations,
             effects,
             pcs: vec![0; thread_count],
             history: Vec::new(),
@@ -316,8 +311,9 @@ impl ThreadedMcfs {
     }
 
     /// Attaches the replay factory counterexample minimization validates
-    /// against; [`ThreadedMcfsConfig::minimize_violations`] does nothing
-    /// without it.
+    /// against, which turns minimization on: violating schedules are
+    /// delta-debugged at record time. Without a factory nothing is
+    /// minimized.
     #[must_use]
     pub fn with_factory(mut self, factory: Arc<ThreadedHarnessFactory>) -> Self {
         self.factory = Some(factory);
@@ -906,9 +902,6 @@ impl ModelSystem for ThreadedMcfs {
         trace: &[SchedStep],
         message: &str,
     ) -> Option<(Vec<SchedStep>, ShrinkStats)> {
-        if !self.minimize_violations {
-            return None;
-        }
         let factory = self.factory.clone()?;
         shrink_trace(trace, message, &ShrinkConfig::default(), |candidate| {
             factory(candidate).ok()?.replay_schedule(candidate)

@@ -250,7 +250,7 @@ pub fn buggy_verifs_factory(bugs: BugConfig, cfg: McfsConfig) -> Arc<HarnessFact
 
 /// Builds the harness to *explore* from `factory`, with the factory
 /// attached so violations found during exploration minimize themselves
-/// ([`McfsConfig::minimize_violations`]).
+/// ([`Mcfs::with_factory`]).
 pub fn harness_with_factory(factory: Arc<HarnessFactory>) -> VfsResult<Mcfs> {
     Ok((factory)()?.with_factory(factory))
 }

@@ -195,7 +195,6 @@ fn mcfs_seeded_bug_violation() {
     ];
     let cfg = McfsConfig {
         pool: PoolConfig::medium(),
-        minimize_violations: true,
         ..McfsConfig::default()
     };
     let factory: Arc<HarnessFactory> = Arc::new(|| {
@@ -611,10 +610,7 @@ fn threaded_record_time_minimization() {
     let factory = Arc::new(|s: &[SchedStep]| {
         ThreadedMcfs::from_schedule(hole_single(), s, ThreadedMcfsConfig::default())
     });
-    let cfg = ThreadedMcfsConfig {
-        minimize_violations: true,
-        ..ThreadedMcfsConfig::default()
-    };
+    let cfg = ThreadedMcfsConfig::default();
     let clock = Clock::new();
     let mut sys = ThreadedMcfs::with_clock(
         hole_single(),

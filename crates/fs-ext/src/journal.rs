@@ -52,7 +52,7 @@ fn header_slots(sb: &SuperBlock) -> usize {
 /// Maximum blocks one transaction can carry.
 ///
 /// A transaction is a chain of segments (one header block listing up to
-/// [`header_slots`] home locations, followed by that many images) ending in
+/// `header_slots` home locations, followed by that many images) ending in
 /// a single commit block, all of which must fit in the journal area.
 pub fn txn_capacity(sb: &SuperBlock) -> usize {
     let slots = header_slots(sb);

@@ -79,7 +79,7 @@ pub use explore::{
 pub use memmodel::{MemConfig, MemoryModel, OutOfMemory};
 pub use pickle::{
     decode_snapshot, encode_snapshot, fnv128, load_snapshot, save_atomic, ByteReader,
-    FrontierEntry, OpCodec, PickleError, RngCursor, RunSnapshot, SnapshotWriter, FORMAT_VERSION,
+    FrontierEntry, OpCodec, PickleError, RunSnapshot, SnapshotWriter, FORMAT_VERSION,
 };
 pub use shrink::{apply_mask, ddmin_mask, ShrinkStats};
 pub use spill::{
@@ -798,6 +798,42 @@ mod frontier_tests {
         }
     }
 
+    /// A snapshot is a frontier fleet's cut: a persistent walk fleet, named
+    /// or by an empty strategy list, is refused before any walk runs.
+    #[test]
+    fn persistent_walk_fleets_are_refused() {
+        for strategies in [vec![WorkerStrategy::Walk], vec![]] {
+            let cfg = SwarmConfig {
+                workers: 2,
+                base: ExploreConfig {
+                    max_depth: 4,
+                    ..ExploreConfig::default()
+                },
+                shared_visited: true,
+                strategies,
+            };
+            let report = run_swarm_persistent(
+                &cfg,
+                |_| Grid::new(),
+                SwarmPersist {
+                    codec: &GridCodec,
+                    snapshot_path: None,
+                    snapshot_every: 0,
+                    resume: None,
+                },
+            );
+            assert_eq!(report.workers.len(), 2);
+            for w in &report.workers {
+                assert!(
+                    matches!(&w.stop, StopReason::Fatal(msg) if msg.contains("walk fleets are refused")),
+                    "{:?}",
+                    w.stop
+                );
+                assert_eq!(w.stats.ops_executed, 0);
+            }
+        }
+    }
+
     #[test]
     fn frontier_swarm_work_is_split_not_duplicated() {
         let cfg = SwarmConfig {
@@ -1004,7 +1040,7 @@ mod frontier_tests {
                 prefix: Vec::new(),
                 sleep: Vec::new(),
             }],
-            ..RunSnapshot::empty(0, 2)
+            ..RunSnapshot::empty()
         };
         let report = run_swarm_persistent(
             &cfg,

@@ -2,26 +2,32 @@
 //!
 //! The paper's §7 wants exploration to outlive a single checking process
 //! (kernel crashes mid-check, multi-day swarms, partitioning a search across
-//! machines). This module serializes everything a run needs to continue —
+//! machines). This module serializes the search state a run resumes from —
 //! the visited set's `(fingerprint, depth)` pairs, the pending frontier as
-//! replayable op-prefixes, per-worker RNG cursors, and the cumulative
-//! [`ExploreStats`] — into a self-describing, checksummed byte stream that a
-//! later process loads to resume with zero re-exploration of known states.
+//! replayable op-prefixes, and the cumulative [`ExploreStats`] — into a
+//! self-describing, checksummed byte stream that a later process loads to
+//! resume with zero re-exploration of known states.
 //!
-//! # Format
+//! # Frame
+//!
+//! Snapshots and the spill file's pages (`crate::spill`) share one frame:
 //!
 //! ```text
 //! magic    8 bytes  b"MCFSPKL\x01"
-//! version  u32      FORMAT_VERSION (readers reject anything newer)
-//! body     ...      little-endian, length-prefixed sections (see encode)
-//! checksum u128     FNV-1a-128 over magic + version + body
+//! version  u32      FORMAT_VERSION for snapshots, PAGE_VERSION for pages
+//! len      u32      body length
+//! body     ...      little-endian, length-prefixed sections
+//! checksum u128     FNV-1a-128 over everything above
 //! ```
 //!
-//! Everything multi-byte is little-endian. Collections are `u32` count
-//! followed by elements. Operations are *not* serialized by this module:
-//! the caller supplies an [`OpCodec`] (the harness's op type lives above
-//! this crate), which keeps the format generic over systems while the
-//! framing, versioning, and integrity checking stay in one place.
+//! A snapshot body is the visited section, the frontier section, then the
+//! stats. Everything multi-byte is little-endian. Collections are `u32`
+//! count followed by elements. Operations are *not* serialized by this
+//! module: the caller supplies an [`OpCodec`] (the harness's op type lives
+//! above this crate), which keeps the format generic over systems while the
+//! framing, versioning, and integrity checking stay in one place. Frontier
+//! entries have one encoding, which snapshot frontiers and frontier spill
+//! pages share.
 //!
 //! # Canonical bytes
 //!
@@ -35,11 +41,11 @@
 //!
 //! Concrete checkpoint images are *not* serialized: frontiers are stored as
 //! op-prefixes from the initial state, which deterministic replay turns back
-//! into concrete states on load. This keeps snapshots small (48 bytes per
+//! into concrete states on load. This keeps snapshots small (20 bytes per
 //! visited state plus the encoded frontier) and makes them portable across
-//! processes whose memory layouts differ. RNG cursors record the seed and
-//! draw count each worker had reached, letting diversified walks continue
-//! with fresh derived seeds instead of repeating old paths.
+//! processes whose memory layouts differ. Nothing about the run's shape
+//! (worker count, seeds) is stored: a frontier fleet's order does not
+//! depend on it, so a snapshot resumes under any fleet size.
 
 use std::fmt;
 use std::fs;
@@ -59,8 +65,10 @@ pub const MAGIC: [u8; 8] = *b"MCFSPKL\x01";
 /// [`SpillStats`] block, and the checkpoint-store demotion fields).
 /// Version 3 added a fourth crash counter (crashes pruned unchecked past a
 /// cap on the threaded crash-cut lattice); version 4 dropped it with the
-/// cap.
-pub const FORMAT_VERSION: u32 = 4;
+/// cap. Version 5 dropped the run-shape header (base seed, worker count,
+/// generation) and the per-worker RNG cursors, which no resume read, and
+/// took the spill pages' frame, with its body length.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Why a pickle stream failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,49 +148,25 @@ pub struct FrontierEntry<Op> {
     pub sleep: Vec<Op>,
 }
 
-/// Where a worker's random stream had advanced when the snapshot was taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RngCursor {
-    /// The seed the worker was running with.
-    pub seed: u64,
-    /// Operations the worker had drawn with it (a progress marker; resumed
-    /// walks derive a fresh seed rather than replaying draws, since their
-    /// concrete walk position is intentionally not persisted).
-    pub draws: u64,
-}
-
-/// Everything a run needs to continue in a fresh process.
+/// The search state a run continues from in a fresh process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSnapshot<Op> {
-    /// Base seed of the run (workers derive theirs from it).
-    pub base_seed: u64,
-    /// Worker count the snapshot was taken with.
-    pub workers: u32,
-    /// How many times this run has been resumed (0 = original process).
-    /// Resumed walks fold this into their derived seeds so they diversify
-    /// instead of repeating the dead process's paths.
-    pub generation: u32,
     /// The visited set: `(fingerprint, shallowest depth)` per state, sorted
     /// by fingerprint.
     pub visited: Vec<(u128, u32)>,
     /// Pending states as replayable op-prefixes.
     pub frontier: Vec<FrontierEntry<Op>>,
-    /// Per-worker RNG positions.
-    pub rng: Vec<RngCursor>,
-    /// Cumulative stats across the run's whole life (all generations).
+    /// Cumulative stats across the run's whole life (every process it ran
+    /// in).
     pub stats: ExploreStats,
 }
 
 impl<Op> RunSnapshot<Op> {
     /// An empty snapshot for a run that has not started.
-    pub fn empty(base_seed: u64, workers: u32) -> Self {
+    pub fn empty() -> Self {
         RunSnapshot {
-            base_seed,
-            workers,
-            generation: 0,
             visited: Vec::new(),
             frontier: Vec::new(),
-            rng: Vec::new(),
             stats: ExploreStats::default(),
         }
     }
@@ -271,7 +255,7 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a collection length, sanity-bounded against the remaining
     /// bytes so a corrupt length cannot trigger a huge allocation.
-    fn len(&mut self, min_elem_bytes: usize) -> Result<usize, PickleError> {
+    pub(crate) fn len(&mut self, min_elem_bytes: usize) -> Result<usize, PickleError> {
         let n = self.u32()? as usize;
         if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
             return Err(PickleError::Corrupt(format!(
@@ -281,6 +265,130 @@ impl<'a> ByteReader<'a> {
         }
         Ok(n)
     }
+}
+
+// ---------------------------------------------------------------------------
+// The frame
+// ---------------------------------------------------------------------------
+
+/// Bytes before a frame's body: magic, version and body length.
+const FRAME_HEADER: usize = MAGIC.len() + 4 + 4;
+
+/// Starts a frame in `out`: magic, version and a body-length placeholder
+/// that [`seal_frame`] fills in.
+fn begin_frame(out: &mut Vec<u8>, version: u32) {
+    out.extend_from_slice(&MAGIC);
+    put_u32(out, version);
+    put_u32(out, 0);
+}
+
+/// Finishes the frame [`begin_frame`] started in `out`: fills in the body
+/// length and appends the checksum.
+///
+/// # Panics
+///
+/// If the body exceeds `u32::MAX` bytes (4 GiB, about 200 million visited
+/// states in a snapshot).
+fn seal_frame(out: &mut Vec<u8>) {
+    let body_len = u32::try_from(out.len() - FRAME_HEADER).expect("frame body exceeds 4 GiB");
+    out[FRAME_HEADER - 4..FRAME_HEADER].copy_from_slice(&body_len.to_le_bytes());
+    let sum = fnv128(out);
+    put_u128(out, sum);
+}
+
+/// Frames `body` under `version` (see the module docs).
+pub(crate) fn frame(version: u32, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER + body.len() + 16);
+    begin_frame(&mut out, version);
+    out.extend_from_slice(body);
+    seal_frame(&mut out);
+    out
+}
+
+/// Verifies a frame written under `version` and returns its body. The
+/// version is checked before the body length, so a stream of another
+/// version is reported as [`PickleError::BadVersion`] whatever its layout.
+///
+/// # Errors
+///
+/// [`PickleError::Truncated`], [`PickleError::BadMagic`],
+/// [`PickleError::ChecksumMismatch`], [`PickleError::BadVersion`], or
+/// [`PickleError::Corrupt`] when the body length disagrees with the frame.
+pub(crate) fn open_frame(bytes: &[u8], version: u32) -> Result<&[u8], PickleError> {
+    if bytes.len() < FRAME_HEADER + 16 {
+        return Err(PickleError::Truncated);
+    }
+    if bytes[..MAGIC.len()] != MAGIC {
+        return Err(PickleError::BadMagic);
+    }
+    let (framed, tail) = bytes.split_at(bytes.len() - 16);
+    let stored = u128::from_le_bytes(tail.try_into().expect("split 16 bytes off the end"));
+    if fnv128(framed) != stored {
+        return Err(PickleError::ChecksumMismatch);
+    }
+    let mut r = ByteReader::new(&framed[MAGIC.len()..]);
+    let found = r.u32()?;
+    if found != version {
+        return Err(PickleError::BadVersion(found));
+    }
+    let body_len = r.u32()? as usize;
+    if body_len != r.remaining() {
+        return Err(PickleError::Corrupt(format!(
+            "body length {body_len}, frame holds {}",
+            r.remaining()
+        )));
+    }
+    Ok(&framed[FRAME_HEADER..])
+}
+
+// ---------------------------------------------------------------------------
+// Frontier entries
+// ---------------------------------------------------------------------------
+
+/// Appends a frontier section: a `u32` entry count, then each entry's
+/// prefix and sleep set as `u32`-counted op lists. Snapshot frontiers and
+/// frontier spill pages both use it.
+pub(crate) fn encode_frontier<Op>(
+    out: &mut Vec<u8>,
+    entries: &[FrontierEntry<Op>],
+    codec: &dyn OpCodec<Op>,
+) {
+    put_u32(out, entries.len() as u32);
+    for entry in entries {
+        for ops in [&entry.prefix, &entry.sleep] {
+            put_u32(out, ops.len() as u32);
+            for op in ops {
+                codec.encode_op(op, out);
+            }
+        }
+    }
+}
+
+/// Reads a frontier section written by [`encode_frontier`]. Every count is
+/// bounded by the bytes that remain, so a corrupt count fails instead of
+/// allocating.
+///
+/// # Errors
+///
+/// [`PickleError::Truncated`] / [`PickleError::Corrupt`] on malformed
+/// input, or whatever the op codec reports.
+pub(crate) fn decode_frontier<Op>(
+    r: &mut ByteReader<'_>,
+    codec: &dyn OpCodec<Op>,
+) -> Result<Vec<FrontierEntry<Op>>, PickleError> {
+    // An entry holds at least its two op counts; an op at least one byte.
+    let n = r.len(8)?;
+    let mut entries = Vec::with_capacity(n);
+    let ops = |r: &mut ByteReader<'_>| -> Result<Vec<Op>, PickleError> {
+        let n = r.len(1)?;
+        (0..n).map(|_| codec.decode_op(r)).collect()
+    };
+    for _ in 0..n {
+        let prefix = ops(r)?;
+        let sleep = ops(r)?;
+        entries.push(FrontierEntry { prefix, sleep });
+    }
+    Ok(entries)
 }
 
 // ---------------------------------------------------------------------------
@@ -422,13 +530,12 @@ fn decode_stats(r: &mut ByteReader<'_>) -> Result<ExploreStats, PickleError> {
 pub fn encode_snapshot<Op>(snap: &RunSnapshot<Op>, codec: &dyn OpCodec<Op>) -> Vec<u8> {
     let mut visited = snap.visited.clone();
     visited.sort_unstable_by_key(|&(h, _)| h);
-    let mut w = SnapshotWriter::new(codec, snap.base_seed, snap.workers, snap.generation);
+    let mut w = SnapshotWriter::new(codec);
     w.begin_visited(visited.len() as u32);
     for &(h, d) in &visited {
         w.visited_entry(h, d);
     }
     w.frontier(&snap.frontier);
-    w.rng(&snap.rng);
     w.finish(&snap.stats)
 }
 
@@ -438,10 +545,9 @@ pub fn encode_snapshot<Op>(snap: &RunSnapshot<Op>, codec: &dyn OpCodec<Op>) -> V
 /// into it, page by page, and [`encode_snapshot`] feeds it a sorted copy.
 ///
 /// Sections must be written in wire order: `begin_visited` →
-/// `visited_entry`× → `frontier_entry`s via [`SnapshotWriter::frontier`] →
-/// [`SnapshotWriter::rng`] → [`SnapshotWriter::finish`]. Visited entries
-/// must arrive sorted by fingerprint (the canonical order); debug builds
-/// assert it.
+/// `visited_entry`× → [`SnapshotWriter::frontier`] →
+/// [`SnapshotWriter::finish`]. Visited entries must arrive sorted by
+/// fingerprint (the canonical order); debug builds assert it.
 pub struct SnapshotWriter<'c, Op> {
     out: Vec<u8>,
     codec: &'c dyn OpCodec<Op>,
@@ -451,14 +557,10 @@ pub struct SnapshotWriter<'c, Op> {
 }
 
 impl<'c, Op> SnapshotWriter<'c, Op> {
-    /// Starts a stream with the snapshot header.
-    pub fn new(codec: &'c dyn OpCodec<Op>, base_seed: u64, workers: u32, generation: u32) -> Self {
+    /// Starts a stream with the frame header.
+    pub fn new(codec: &'c dyn OpCodec<Op>) -> Self {
         let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, FORMAT_VERSION);
-        put_u64(&mut out, base_seed);
-        put_u32(&mut out, workers);
-        put_u32(&mut out, generation);
+        begin_frame(&mut out, FORMAT_VERSION);
         SnapshotWriter {
             out,
             codec,
@@ -494,34 +596,18 @@ impl<'c, Op> SnapshotWriter<'c, Op> {
             self.visited_written, self.visited_declared,
             "visited section incomplete"
         );
-        put_u32(&mut self.out, entries.len() as u32);
-        for entry in entries {
-            put_u32(&mut self.out, entry.prefix.len() as u32);
-            for op in &entry.prefix {
-                self.codec.encode_op(op, &mut self.out);
-            }
-            put_u32(&mut self.out, entry.sleep.len() as u32);
-            for op in &entry.sleep {
-                self.codec.encode_op(op, &mut self.out);
-            }
-        }
+        encode_frontier(&mut self.out, entries, self.codec);
     }
 
-    /// Writes the RNG-cursor section.
-    pub fn rng(&mut self, cursors: &[RngCursor]) {
-        put_u32(&mut self.out, cursors.len() as u32);
-        for c in cursors {
-            put_u64(&mut self.out, c.seed);
-            put_u64(&mut self.out, c.draws);
-        }
-    }
-
-    /// Writes the stats section, stamps the checksum, and returns the
-    /// finished stream.
+    /// Writes the stats section, seals the frame, and returns the finished
+    /// stream.
+    ///
+    /// # Panics
+    ///
+    /// If the body exceeds 4 GiB (see the module docs' frame).
     pub fn finish(mut self, stats: &ExploreStats) -> Vec<u8> {
         encode_stats(&mut self.out, stats);
-        let sum = fnv128(&self.out);
-        put_u128(&mut self.out, sum);
+        seal_frame(&mut self.out);
         self.out
     }
 }
@@ -536,28 +622,7 @@ pub fn decode_snapshot<Op>(
     bytes: &[u8],
     codec: &dyn OpCodec<Op>,
 ) -> Result<RunSnapshot<Op>, PickleError> {
-    if bytes.len() < MAGIC.len() + 4 + 16 {
-        return Err(PickleError::Truncated);
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(PickleError::BadMagic);
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 16);
-    let stored = u128::from_le_bytes(tail.try_into().unwrap());
-    if fnv128(body) != stored {
-        return Err(PickleError::ChecksumMismatch);
-    }
-
-    let mut r = ByteReader::new(&body[MAGIC.len()..]);
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(PickleError::BadVersion(version));
-    }
-
-    let base_seed = r.u64()?;
-    let workers = r.u32()?;
-    let generation = r.u32()?;
-
+    let mut r = ByteReader::new(open_frame(bytes, FORMAT_VERSION)?);
     let nvisited = r.len(20)?;
     let mut visited = Vec::with_capacity(nvisited);
     for _ in 0..nvisited {
@@ -566,31 +631,7 @@ pub fn decode_snapshot<Op>(
         visited.push((h, d));
     }
 
-    let nfrontier = r.len(8)?;
-    let mut frontier = Vec::with_capacity(nfrontier);
-    for _ in 0..nfrontier {
-        let nprefix = r.len(1)?;
-        let mut prefix = Vec::with_capacity(nprefix);
-        for _ in 0..nprefix {
-            prefix.push(codec.decode_op(&mut r)?);
-        }
-        let nsleep = r.len(1)?;
-        let mut sleep = Vec::with_capacity(nsleep);
-        for _ in 0..nsleep {
-            sleep.push(codec.decode_op(&mut r)?);
-        }
-        frontier.push(FrontierEntry { prefix, sleep });
-    }
-
-    let nrng = r.len(16)?;
-    let mut rng = Vec::with_capacity(nrng);
-    for _ in 0..nrng {
-        rng.push(RngCursor {
-            seed: r.u64()?,
-            draws: r.u64()?,
-        });
-    }
-
+    let frontier = decode_frontier(&mut r, codec)?;
     let stats = decode_stats(&mut r)?;
     if r.remaining() != 0 {
         return Err(PickleError::Corrupt(format!(
@@ -599,12 +640,8 @@ pub fn decode_snapshot<Op>(
         )));
     }
     Ok(RunSnapshot {
-        base_seed,
-        workers,
-        generation,
         visited,
         frontier,
-        rng,
         stats,
     })
 }
@@ -664,9 +701,6 @@ mod tests {
 
     fn sample() -> RunSnapshot<u32> {
         RunSnapshot {
-            base_seed: 42,
-            workers: 4,
-            generation: 2,
             visited: vec![(7, 1), (3, 0), (0xffff_ffff_ffff_ffff_ffff, 9)],
             frontier: vec![
                 FrontierEntry {
@@ -676,13 +710,6 @@ mod tests {
                 FrontierEntry {
                     prefix: vec![],
                     sleep: vec![],
-                },
-            ],
-            rng: vec![
-                RngCursor { seed: 1, draws: 10 },
-                RngCursor {
-                    seed: 2,
-                    draws: 999,
                 },
             ],
             stats: ExploreStats {
@@ -738,15 +765,15 @@ mod tests {
         // The snapshot format is on-disk state: any byte drift breaks
         // resuming from snapshots written by an earlier build.
         let bytes = encode_snapshot(&sample(), &U32Codec);
-        assert_eq!(bytes.len(), 491);
-        assert_eq!(fnv128(&bytes), 0x2a862da6231ad36925707f5336aa339a);
-        let empty = encode_snapshot(&RunSnapshot::<u32>::empty(9, 1), &U32Codec);
-        assert_eq!(fnv128(&empty), 0x21feb1fe34f505c7b217792cd2f1db16);
+        assert_eq!(bytes.len(), 443);
+        assert_eq!(fnv128(&bytes), 0x73adb0206998e6a1655b67902a0a930e);
+        let empty = encode_snapshot(&RunSnapshot::<u32>::empty(), &U32Codec);
+        assert_eq!(fnv128(&empty), 0xd4341e8e4ab51248c04e5a26a89b490e);
     }
 
     #[test]
     fn empty_snapshot_round_trips() {
-        let snap = RunSnapshot::<u32>::empty(9, 1);
+        let snap = RunSnapshot::<u32>::empty();
         let bytes = encode_snapshot(&snap, &U32Codec);
         assert_eq!(decode_snapshot(&bytes, &U32Codec).unwrap(), snap);
     }
@@ -797,19 +824,51 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_length_cannot_overallocate() {
-        // A visited count far beyond the stream's size must fail cleanly.
+    fn version_4_stream_is_rejected() {
+        // Version 4 had no body length: the version word came straight
+        // after the magic, then the run-shape header. A reader of version
+        // 5 must name the version, not misread the layout.
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, FORMAT_VERSION);
-        put_u64(&mut out, 0); // seed
-        put_u32(&mut out, 1); // workers
+        put_u32(&mut out, 4);
+        put_u64(&mut out, 42); // base seed
+        put_u32(&mut out, 2); // workers
         put_u32(&mut out, 0); // generation
-        put_u32(&mut out, u32::MAX); // visited count: absurd
+        put_u32(&mut out, 0); // visited count
+        put_u32(&mut out, 0); // frontier count
+        put_u32(&mut out, 0); // RNG cursor count
+        encode_stats(&mut out, &ExploreStats::default());
         let sum = fnv128(&out);
         put_u128(&mut out, sum);
-        assert!(matches!(
+        assert_eq!(
             decode_snapshot::<u32>(&out, &U32Codec).unwrap_err(),
+            PickleError::BadVersion(4)
+        );
+    }
+
+    #[test]
+    fn corrupt_length_cannot_overallocate() {
+        // A visited count far beyond the stream's size must fail cleanly.
+        let mut body = Vec::new();
+        put_u32(&mut body, u32::MAX); // visited count: absurd
+        assert!(matches!(
+            decode_snapshot::<u32>(&frame(FORMAT_VERSION, &body), &U32Codec).unwrap_err(),
+            PickleError::Corrupt(_)
+        ));
+    }
+
+    #[test]
+    fn body_length_must_match_the_frame() {
+        let mut bytes = encode_snapshot(&sample(), &U32Codec);
+        // Claim one byte less and re-stamp the checksum, so only the
+        // length check can fire.
+        let claimed = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) - 1;
+        bytes[12..16].copy_from_slice(&claimed.to_le_bytes());
+        let tail = bytes.len() - 16;
+        let sum = fnv128(&bytes[..tail]);
+        bytes[tail..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            decode_snapshot::<u32>(&bytes, &U32Codec).unwrap_err(),
             PickleError::Corrupt(_)
         ));
     }

@@ -9,16 +9,11 @@
 //!
 //! # Page file
 //!
-//! Pages reuse the pickle container discipline: each page is framed as
-//!
-//! ```text
-//! magic    8 bytes  b"MCFSPKL\x01"   (same magic as snapshots)
-//! version  u32      PAGE_VERSION
-//! len      u32      body length
-//! body     ...      kind-tagged payload (visited entries or frontier ops),
-//!                   or a checkpoint pool's raw snapshot chunk
-//! checksum u128     FNV-1a-128 over everything above
-//! ```
+//! Each page is framed exactly like a snapshot, by the one frame of
+//! [`crate::pickle`] (magic, version, body length, body, FNV-1a-128),
+//! under [`PAGE_VERSION`] instead of the snapshot format's version. A body
+//! is a kind-tagged payload (visited entries or frontier ops), or a
+//! checkpoint pool's raw snapshot chunk.
 //!
 //! A run has one page file: the explorer opens it under
 //! `ExploreConfig::mem_budget`, and the visited set, the swarm's frontier
@@ -28,8 +23,8 @@
 //! Visited bodies store `(fingerprint, depth)` entries sorted by
 //! fingerprint and delta-compressed with LEB128 varints — consecutive
 //! uniform 128-bit fingerprints within one shard share their high bits, so
-//! deltas are short. Frontier bodies store op-prefixes via the caller's
-//! [`OpCodec`], exactly like snapshot frontiers.
+//! deltas are short. Frontier bodies store entries with the snapshot's
+//! frontier codec, ops through the caller's [`OpCodec`].
 //!
 //! The page file is an unnamed-in-spirit per-run temp file (removed on
 //! drop); it is *not* a persistence format — resume still goes through the
@@ -81,11 +76,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::memmodel::{MemConfig, MemoryModel};
-use crate::pickle::{fnv128, ByteReader, FrontierEntry, OpCodec, PickleError, MAGIC};
+use crate::pickle::{self, ByteReader, FrontierEntry, OpCodec, PickleError};
 use crate::system::StateId;
 use crate::visited::{VisitedSet, BYTES_PER_ENTRY};
 
-/// Version of the spill-page framing (independent of the snapshot format).
+/// Frame version of a spill page (independent of the snapshot format).
 pub const PAGE_VERSION: u32 = 1;
 
 const PAGE_KIND_VISITED: u8 = 1;
@@ -327,14 +322,7 @@ impl SpillStore {
     ///
     /// On real or injected I/O failure; the store is poisoned.
     pub fn write_page(&self, body: &[u8]) -> Result<PageLoc, String> {
-        let mut frame = Vec::with_capacity(body.len() + 32);
-        frame.extend_from_slice(&MAGIC);
-        frame.extend_from_slice(&PAGE_VERSION.to_le_bytes());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(body);
-        let sum = fnv128(&frame);
-        frame.extend_from_slice(&sum.to_le_bytes());
-
+        let frame = pickle::frame(PAGE_VERSION, body);
         let n = self.writes.fetch_add(1, Ordering::Relaxed);
         if self.faults.fail_write_at == Some(n) {
             return Err(self.poison(format!("spill page write {n}: injected EIO")));
@@ -378,27 +366,10 @@ impl SpillStore {
         self.bytes_read
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
         self.charge(frame.len() as u64);
-
-        if frame.len() < MAGIC.len() + 8 + 16 || frame[..MAGIC.len()] != MAGIC {
-            return Err(self.poison(format!("spill page at {}: bad magic", loc.offset)));
+        match pickle::open_frame(&frame, PAGE_VERSION) {
+            Ok(body) => Ok(body.to_vec()),
+            Err(e) => Err(self.poison(format!("spill page at {}: {e}", loc.offset))),
         }
-        let (payload, tail) = frame.split_at(frame.len() - 16);
-        let stored = u128::from_le_bytes(tail.try_into().unwrap());
-        if fnv128(payload) != stored {
-            return Err(self.poison(format!(
-                "spill page at {}: checksum mismatch (torn or corrupt write)",
-                loc.offset
-            )));
-        }
-        let version = u32::from_le_bytes(payload[8..12].try_into().unwrap());
-        if version != PAGE_VERSION {
-            return Err(self.poison(format!("spill page at {}: version {version}", loc.offset)));
-        }
-        let body_len = u32::from_le_bytes(payload[12..16].try_into().unwrap()) as usize;
-        if body_len != payload.len() - 16 {
-            return Err(self.poison(format!("spill page at {}: bad body length", loc.offset)));
-        }
-        Ok(payload[16..].to_vec())
     }
 
     /// Real pages written so far (visited + frontier).
@@ -490,10 +461,8 @@ fn decode_visited_page(body: &[u8]) -> Result<(u32, Vec<(u128, u32)>), String> {
         return Err(format!("bad visited page kind {kind}"));
     }
     let shard_idx = r.u32().map_err(es)?;
-    let count = r.u32().map_err(es)? as usize;
-    if count > body.len() {
-        return Err(format!("visited page count {count} exceeds body"));
-    }
+    // An entry is at least two one-byte varints.
+    let count = r.len(2).map_err(es)?;
     let mut prev = 0u128;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
@@ -1053,24 +1022,17 @@ impl<Op: Clone> FrontierQueue<Op> {
     }
 }
 
+/// Encodes frontier entries as a frontier page body: the kind tag, a
+/// reserved word, then the snapshot's frontier section.
 fn encode_frontier_page<Op>(entries: &[FrontierEntry<Op>], codec: &dyn OpCodec<Op>) -> Vec<u8> {
     let mut out = Vec::with_capacity(entries.len() * 16 + 16);
     out.push(PAGE_KIND_FRONTIER);
     out.extend_from_slice(&0u32.to_le_bytes()); // reserved
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for e in entries {
-        out.extend_from_slice(&(e.prefix.len() as u32).to_le_bytes());
-        for op in &e.prefix {
-            codec.encode_op(op, &mut out);
-        }
-        out.extend_from_slice(&(e.sleep.len() as u32).to_le_bytes());
-        for op in &e.sleep {
-            codec.encode_op(op, &mut out);
-        }
-    }
+    pickle::encode_frontier(&mut out, entries, codec);
     out
 }
 
+/// Decodes a frontier page body back to its entries.
 fn decode_frontier_page<Op>(
     body: &[u8],
     codec: &dyn OpCodec<Op>,
@@ -1082,30 +1044,7 @@ fn decode_frontier_page<Op>(
         return Err(format!("bad frontier page kind {kind}"));
     }
     let _reserved = r.u32().map_err(es)?;
-    let count = r.u32().map_err(es)? as usize;
-    if count > body.len() {
-        return Err(format!("frontier page count {count} exceeds body"));
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let np = r.u32().map_err(es)? as usize;
-        if np > r.remaining() {
-            return Err("frontier prefix length exceeds body".into());
-        }
-        let mut prefix = Vec::with_capacity(np);
-        for _ in 0..np {
-            prefix.push(codec.decode_op(&mut r).map_err(es)?);
-        }
-        let ns = r.u32().map_err(es)? as usize;
-        if ns > r.remaining() {
-            return Err("frontier sleep length exceeds body".into());
-        }
-        let mut sleep = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            sleep.push(codec.decode_op(&mut r).map_err(es)?);
-        }
-        out.push(FrontierEntry { prefix, sleep });
-    }
+    let out = pickle::decode_frontier(&mut r, codec).map_err(es)?;
     if r.remaining() != 0 {
         return Err(format!("frontier page: {} trailing bytes", r.remaining()));
     }
@@ -1116,6 +1055,7 @@ fn decode_frontier_page<Op>(
 mod tests {
     use super::*;
     use crate::visited::{ShardedVisited, Visit};
+    use proptest::prelude::*;
 
     struct U32Codec;
 
@@ -1408,5 +1348,163 @@ mod tests {
         assert_eq!(q.len(), 1000);
         assert_eq!(q.pop_front(None).unwrap().unwrap().sleep, vec![0]);
         assert_eq!(q.collect_all(None).unwrap()[998].sleep, vec![999]);
+    }
+
+    // -- hostile bodies ----------------------------------------------------
+
+    /// Records the largest single allocation each thread makes, so a test
+    /// can bound what a decoder allocates for its input. It is this test
+    /// binary's global allocator; every other test only pays a thread-local
+    /// `max` per allocation.
+    mod alloc_probe {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static LARGEST: Cell<usize> = const { Cell::new(0) };
+        }
+
+        pub(super) struct Probe;
+
+        fn note(size: usize) {
+            let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+        }
+
+        // SAFETY: every call forwards to `System` unchanged; `note` only
+        // touches a const-initialized thread-local, which never allocates.
+        unsafe impl GlobalAlloc for Probe {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                System.alloc(layout)
+            }
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                System.alloc_zeroed(layout)
+            }
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                System.realloc(ptr, layout, new_size)
+            }
+        }
+
+        /// Runs `f`, returning its value and the largest single allocation
+        /// it made on this thread.
+        pub(super) fn largest_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+            LARGEST.with(|l| l.set(0));
+            let out = f();
+            (out, LARGEST.with(Cell::get))
+        }
+    }
+
+    #[global_allocator]
+    static PROBE: alloc_probe::Probe = alloc_probe::Probe;
+
+    /// How a hostile body is made: random bytes, or a valid body cut short
+    /// or with one byte flipped.
+    #[derive(Debug, Clone)]
+    enum Hostile {
+        Random(Vec<u8>),
+        Truncate(usize),
+        Flip(usize, u8),
+    }
+
+    fn hostile() -> impl Strategy<Value = Hostile> {
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..256).prop_map(Hostile::Random),
+            (0usize..4096).prop_map(Hostile::Truncate),
+            (0usize..4096, 1u8..=255).prop_map(|(at, mask)| Hostile::Flip(at, mask)),
+        ]
+    }
+
+    fn spoil(how: &Hostile, valid: &[u8]) -> Vec<u8> {
+        match how {
+            Hostile::Random(bytes) => bytes.clone(),
+            Hostile::Truncate(n) => valid[..n % (valid.len() + 1)].to_vec(),
+            Hostile::Flip(at, mask) => {
+                let mut bytes = valid.to_vec();
+                bytes[at % valid.len()] ^= mask;
+                bytes
+            }
+        }
+    }
+
+    /// Every decoder sizes a collection only from the bytes that remain,
+    /// at least one byte per element, so no allocation exceeds the widest
+    /// element it decodes (a `FrontierEntry<u32>`) per body byte. The
+    /// slack covers error messages.
+    fn alloc_bound(body_len: usize) -> usize {
+        std::mem::size_of::<FrontierEntry<u32>>() * body_len + 256
+    }
+
+    /// The body of a page frame that must verify.
+    fn page_body(frame: &[u8]) -> &[u8] {
+        pickle::open_frame(frame, PAGE_VERSION).expect("a valid frame")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one snapshot decoder and both page decoders, fed bodies that
+        /// pass the frame's checksum but not its meaning, return `Err` or
+        /// a value: they never panic, and never allocate beyond what the
+        /// body could hold.
+        #[test]
+        fn hostile_bodies_behind_a_valid_frame_never_panic(
+            keys in prop::collection::vec((any::<u64>(), 0u32..12), 1..24),
+            entries in prop::collection::vec(
+                (
+                    prop::collection::vec(any::<u32>(), 0..6),
+                    prop::collection::vec(any::<u32>(), 0..3),
+                ),
+                1..8,
+            ),
+            how in hostile(),
+        ) {
+            let mut visited: Vec<(u128, u32)> =
+                keys.iter().map(|&(k, d)| (((k as u128) << 64) | k as u128, d)).collect();
+            visited.sort_unstable();
+            visited.dedup_by_key(|(h, _)| *h);
+            let frontier: Vec<FrontierEntry<u32>> = entries
+                .into_iter()
+                .map(|(prefix, sleep)| FrontierEntry { prefix, sleep })
+                .collect();
+            let snapshot = pickle::encode_snapshot(
+                &pickle::RunSnapshot {
+                    visited: visited.clone(),
+                    frontier: frontier.clone(),
+                    stats: crate::ExploreStats::default(),
+                },
+                &U32Codec,
+            );
+            // Each decoder's valid body, spoiled, then framed with a
+            // correct checksum. A snapshot's body is its frame minus the
+            // 16-byte header and the checksum.
+            let snapshot_body = &snapshot[16..snapshot.len() - 16];
+            let frontier_body = encode_frontier_page(&frontier, &U32Codec);
+            let visited_body = encode_visited_page(7, &visited);
+            let frames = [
+                pickle::frame(pickle::FORMAT_VERSION, &spoil(&how, snapshot_body)),
+                pickle::frame(PAGE_VERSION, &spoil(&how, &frontier_body)),
+                pickle::frame(PAGE_VERSION, &spoil(&how, &visited_body)),
+            ];
+            for (decoder, frame) in frames.iter().enumerate() {
+                let ((), largest) = alloc_probe::largest_alloc(|| match decoder {
+                    0 => drop(pickle::decode_snapshot(frame, &U32Codec)),
+                    1 => drop(decode_frontier_page(page_body(frame), &U32Codec)),
+                    _ => drop(decode_visited_page(page_body(frame))),
+                });
+                let body = frame.len() - 32;
+                prop_assert!(
+                    largest <= alloc_bound(body),
+                    "decoder {} allocated {} B for a {} B body",
+                    decoder,
+                    largest,
+                    body
+                );
+            }
+        }
     }
 }

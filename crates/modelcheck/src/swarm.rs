@@ -8,9 +8,9 @@
 //! kinds, picked by [`SwarmConfig::strategies`]:
 //!
 //! * **Walk fleet** ([`WorkerStrategy::Walk`], and every fleet whose
-//!   `strategies` is empty): each worker runs a seed-diversified
-//!   [`RandomWalk`], and a shared stop flag lets the first violation cancel
-//!   the fleet. Without [`SwarmConfig::shared_visited`] every walk has a
+//!   `strategies` is empty): each worker runs one [`RandomWalk`] seeded
+//!   `base.seed + idx`, all in one pass, and a shared stop flag lets the
+//!   first violation cancel the fleet. Without [`SwarmConfig::shared_visited`] every walk has a
 //!   private visited set, so workers re-expand each other's states
 //!   (maximum diversity); with it they share one [`ShardedVisited`] and a
 //!   state expanded anywhere is pruned everywhere. Shared-set walks race
@@ -34,12 +34,13 @@
 //! A `strategies` list that mixes the two kinds is refused: every worker
 //! slot reports [`StopReason::Fatal`].
 //!
-//! The op-prefix frontier is also what makes a fleet *resumable*:
-//! [`run_swarm_persistent`] pickles the shared visited set, the frontier,
-//! RNG cursors, and cumulative stats to disk (atomically — see
-//! [`pickle::save_atomic`]) at round barriers, and can start from a loaded
-//! [`RunSnapshot`], re-exploring zero already-visited states. No entry is
-//! half-expanded at a barrier, so every snapshot is a consistent cut.
+//! The op-prefix frontier is also what makes a frontier fleet *resumable*:
+//! [`run_swarm_persistent`] pickles the shared visited set, the frontier
+//! and cumulative stats to disk (atomically — see [`pickle::save_atomic`])
+//! at round barriers, and can start from a loaded [`RunSnapshot`],
+//! re-exploring zero already-visited states. No entry is half-expanded at a
+//! barrier, so every snapshot is a consistent cut. A walk has no such cut,
+//! so a persistent walk fleet is refused like a mixed one.
 //!
 //! A panicking worker does not abort the fleet: the panic is caught and
 //! the worker's slot reports [`StopReason::WorkerPanic`]. In a frontier
@@ -50,14 +51,14 @@
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 
 use crate::explore::{
     spill_init_failure, with_fresh_visited, ExploreConfig, ExploreReport, ExploreStats, RandomWalk,
     Search, StopReason,
 };
-use crate::pickle::{self, FrontierEntry, OpCodec, RngCursor, RunSnapshot, SnapshotWriter};
+use crate::pickle::{self, FrontierEntry, OpCodec, RunSnapshot, SnapshotWriter};
 use crate::spill::{FrontierQueue, FrontierSpill, SpillCtx, SpillStats, SPILL_SHARDS};
 use crate::system::{ApplyOutcome, ModelSystem, StateId, Violation};
 use crate::visited::{ShardedVisited, Visit};
@@ -86,9 +87,9 @@ pub struct SwarmConfig {
     pub base: ExploreConfig,
     /// Share one sharded visited set across the fleet so workers skip
     /// states another worker already expanded, instead of duplicating work
-    /// with private per-worker sets. Only a walk fleet in [`run_swarm`] can
-    /// turn it off: a frontier fleet always shares the set, and
-    /// [`run_swarm_persistent`] pickles it.
+    /// with private per-worker sets. Only a walk fleet can turn it off: a
+    /// frontier fleet always shares the set, and [`run_swarm_persistent`]
+    /// pickles it.
     pub shared_visited: bool,
     /// The fleet's kind: all [`WorkerStrategy::Dfs`] makes a frontier
     /// fleet; all [`WorkerStrategy::Walk`], or an empty list, a walk fleet.
@@ -110,14 +111,8 @@ pub struct SwarmPersist<'a, Op> {
     /// snapshotting (a run can still *start* from `resume`).
     pub snapshot_path: Option<PathBuf>,
     /// Snapshot cadence: a snapshot is cut at every round barrier, and a
-    /// round is this many frontier entries (walk workers count ops toward
-    /// it). 0 means "only at the end of the run"; frontier rounds then take
-    /// a fixed number of entries.
-    ///
-    /// A frontier fleet calls the factory at most once per worker, when it
-    /// is first dealt an entry. A walk fleet with a cadence calls it once
-    /// per worker per *round*, so it must produce a fresh system (at the
-    /// initial state) on every call.
+    /// round is this many frontier entries. 0 means "only at the end of the
+    /// run"; rounds then take a fixed number of entries.
     pub snapshot_every: u64,
     /// Resume from a previously pickled snapshot: its visited set is
     /// preloaded (no contained state is ever re-counted), its frontier is
@@ -157,7 +152,7 @@ pub struct SwarmReport<Op> {
 
 impl<Op> SwarmReport<Op> {
     /// Total operations executed across the swarm's whole life (including
-    /// generations before a resume; prefix replays are counted separately —
+    /// the processes before a resume; prefix replays are counted separately —
     /// see [`SwarmReport::total_replayed`]).
     pub fn total_ops(&self) -> u64 {
         self.total(|s| s.ops_executed)
@@ -269,9 +264,11 @@ where
     run_fleet::<S, F>(cfg, factory, None)
 }
 
-/// Runs a resumable swarm: like [`run_swarm`], always over a shared
-/// visited set, plus periodic atomic snapshots and/or an initial state
-/// loaded from a [`RunSnapshot`] (see [`SwarmPersist`]).
+/// Runs a resumable frontier fleet: like [`run_swarm`], plus periodic
+/// atomic snapshots and/or an initial state loaded from a [`RunSnapshot`]
+/// (see [`SwarmPersist`]). A walk fleet (`Walk` workers, or an empty
+/// `strategies`) is refused: every worker slot reports
+/// [`StopReason::Fatal`].
 pub fn run_swarm_persistent<S, F>(
     cfg: &SwarmConfig,
     factory: F,
@@ -301,8 +298,6 @@ struct Fleet<'p, Op> {
     /// Round length when snapshotting on a cadence; 0 without one.
     cadence: u64,
     baseline: ExploreStats,
-    generation: u32,
-    round: u64,
     stats: Vec<ExploreStats>,
     violations: Vec<Vec<Violation<Op>>>,
     stops: Vec<Option<StopReason>>,
@@ -340,22 +335,13 @@ impl<Op: Clone> Fleet<'_, Op> {
             visited_peak_bytes: visited.peak_bytes(),
             ..ExploreStats::default()
         });
-        let seed = self.cfg.base.seed;
-        let rng: Vec<RngCursor> = (self.stats.iter().enumerate())
-            .map(|(i, s)| RngCursor {
-                seed: walk_seed(seed, i, self.round, self.generation),
-                draws: s.ops_executed,
-            })
-            .collect();
-        let workers = self.stats.len() as u32;
-        let mut w = SnapshotWriter::new(codec, seed, workers, self.generation);
+        let mut w = SnapshotWriter::new(codec);
         w.begin_visited(visited.len() as u32);
         if let Err(e) = visited.stream_entries(|h, d| w.visited_entry(h, d)) {
             self.persist_error = Some(format!("visited snapshot failed: {e}"));
             return;
         }
         w.frontier(&frontier);
-        w.rng(&rng);
         let bytes = w.finish(&stats);
         if let Err(e) = pickle::save_atomic(path, &bytes) {
             self.persist_error = Some(e.to_string());
@@ -379,15 +365,6 @@ impl<Op: Clone> Fleet<'_, Op> {
             persist_error: self.persist_error,
         }
     }
-}
-
-/// Derives a walk worker's seed for a given round/generation — diversified
-/// so resumed or later-round walks explore new paths instead of repeating
-/// ones the shared visited set has already pruned.
-fn walk_seed(base: u64, idx: usize, round: u64, generation: u32) -> u64 {
-    base.wrapping_add(idx as u64)
-        .wrapping_add(round.wrapping_mul(0x9E37_79B9))
-        .wrapping_add((generation as u64).wrapping_mul(0x85EB_CA6B_0000))
 }
 
 /// The one entry point behind [`run_swarm`] and [`run_swarm_persistent`]:
@@ -415,23 +392,26 @@ where
         cadence: snapshot_path.as_ref().map_or(0, |_| snapshot_every),
         snapshot_path,
         baseline: ExploreStats::default(),
-        generation: 0,
-        round: 0,
         stats: vec![ExploreStats::default(); workers],
         violations: (0..workers).map(|_| Vec::new()).collect(),
         stops: vec![None; workers],
         persist_error: None,
     };
     let frontier = cfg.strategies.contains(&WorkerStrategy::Dfs);
-    if frontier && cfg.strategies.contains(&WorkerStrategy::Walk) {
-        let refused =
-            "a fleet is all frontier (Dfs) workers or all walks; mixed strategies are refused";
+    let refused = if frontier && cfg.strategies.contains(&WorkerStrategy::Walk) {
+        Some("a fleet is all frontier (Dfs) workers or all walks; mixed strategies are refused")
+    } else if !frontier && fleet.codec.is_some() {
+        Some("a persistent fleet is a frontier (Dfs) fleet; walk fleets are refused")
+    } else {
+        None
+    };
+    if let Some(refused) = refused {
         fleet.stops = vec![Some(StopReason::Fatal(refused.into())); workers];
         return fleet.report();
     }
-    // A frontier fleet arbitrates through the fleet set, and a persistent
-    // run pickles it: only a plain walk fleet may go without.
-    let shared_visited = cfg.shared_visited || fleet.codec.is_some() || frontier;
+    // A frontier fleet arbitrates through the fleet set: only a walk fleet
+    // may go without.
+    let shared_visited = cfg.shared_visited || frontier;
     match (shared_visited.then(|| fleet_visited(&cfg.base, workers))).transpose() {
         Ok(visited) => fleet.visited = visited,
         Err(e) => {
@@ -449,13 +429,12 @@ where
             return fleet.report();
         }
         fleet.baseline = snap.stats;
-        fleet.generation = snap.generation + 1;
         resumed = Some(snap.frontier);
     }
     if frontier {
         run_frontier(&mut fleet, &factory, resumed);
     } else {
-        run_walks(&mut fleet, &factory, resumed.unwrap_or_default());
+        run_walks(&mut fleet, &factory);
     }
     fleet.report()
 }
@@ -464,143 +443,79 @@ where
 // Walk fleets
 // ---------------------------------------------------------------------------
 
-/// What a walk fleet's workers share within one round.
-struct WalkRound<'a> {
-    /// First violation raised: everyone drains.
-    stop: &'a AtomicBool,
-    /// Ops walked this round.
-    work: AtomicU64,
-    /// The round's quota is spent: walks drain so a snapshot can be cut.
-    done: AtomicBool,
-    /// Ops per round (`u64::MAX`: one round, counting nothing).
-    quota: u64,
-}
-
-impl WalkRound<'_> {
-    /// Counts one op and raises `done` at the quota.
-    fn tick(&self) {
-        if self.quota != u64::MAX && self.work.fetch_add(1, Ordering::SeqCst) + 1 >= self.quota {
-            self.done.store(true, Ordering::SeqCst);
-        }
-    }
-}
-
-/// A walk fleet: spawn the pending walks, join them at the round boundary,
-/// snapshot, and repeat until every walk is done or one found a violation.
-/// A resumed frontier is never expanded here; it is `parked` and carried
-/// into every snapshot.
-fn run_walks<S, F>(fleet: &mut Fleet<'_, S::Op>, factory: &F, parked: Vec<FrontierEntry<S::Op>>)
+/// A walk fleet: one seed-diversified walk per worker, all in one pass.
+/// The first violation raises the shared stop flag, and the other walks
+/// drain.
+fn run_walks<S, F>(fleet: &mut Fleet<'_, S::Op>, factory: &F)
 where
     S: ModelSystem,
     S::Op: Send + 'static,
     F: Fn(usize) -> S + Sync,
 {
-    let quota = match fleet.cadence {
-        0 => u64::MAX,
-        n => n,
-    };
     let stop = AtomicBool::new(false);
-    let mut pending = vec![true; fleet.stats.len()];
-    loop {
-        let round = WalkRound {
-            stop: &stop,
-            work: AtomicU64::new(0),
-            done: AtomicBool::new(false),
-            quota,
-        };
-        let base = &fleet.cfg.base;
-        let visited = fleet.visited.as_ref();
-        // mcfs-lint: allow(MC007, each walk reports into its own slot and the slots merge in worker order; shared-set walk fleets are the documented nondeterministic mode)
-        std::thread::scope(|scope| {
-            let slots = (fleet.stats.iter_mut())
-                .zip(fleet.violations.iter_mut())
-                .zip(fleet.stops.iter_mut());
-            for (idx, ((stats, violations), stop_slot)) in slots.enumerate() {
-                if !pending[idx] {
-                    continue;
-                }
-                let seed = walk_seed(base.seed, idx, fleet.round, fleet.generation);
-                let round = &round;
-                scope.spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        run_walk_round(idx, factory, base, seed, visited, round, stats, violations)
-                    }));
-                    *stop_slot =
-                        result.unwrap_or_else(|p| Some(StopReason::WorkerPanic(panic_message(p))));
+    let base = &fleet.cfg.base;
+    let visited = fleet.visited.as_ref();
+    // mcfs-lint: allow(MC007, each walk reports into its own slot and the slots merge in worker order; shared-set walk fleets are the documented nondeterministic mode)
+    std::thread::scope(|scope| {
+        let slots = (fleet.stats.iter_mut())
+            .zip(fleet.violations.iter_mut())
+            .zip(fleet.stops.iter_mut());
+        for (idx, ((stats, violations), stop_slot)) in slots.enumerate() {
+            let stop = &stop;
+            scope.spawn(move || {
+                let walked = catch_unwind(AssertUnwindSafe(|| {
+                    run_walk(idx, factory, base, visited, stop)
+                }));
+                *stop_slot = Some(match walked {
+                    Ok(report) => {
+                        *stats = report.stats;
+                        *violations = report.violations;
+                        report.stop
+                    }
+                    Err(p) => StopReason::WorkerPanic(panic_message(p)),
                 });
-            }
-        });
-        // A walk whose round ended with a terminal reason is not re-spawned;
-        // `None` means the round quota interrupted it and it resumes next
-        // round.
-        for (p, stop) in pending.iter_mut().zip(&fleet.stops) {
-            *p &= stop.is_none();
+            });
         }
-        fleet.snapshot(|| Ok(parked.clone()));
-        fleet.round += 1;
-        if stop.load(Ordering::SeqCst) || !pending.contains(&true) || quota == u64::MAX {
-            break;
-        }
-    }
+    });
 }
 
-/// One round of a walk worker: a seed-diversified random walk over the
-/// fleet set, or over a fresh private set when the fleet has none, drained
-/// early if the round quota or stop flag rises.
-#[allow(clippy::too_many_arguments)]
-fn run_walk_round<S, F>(
+/// One walk worker: a random walk seeded `base.seed + idx` over the fleet
+/// set, or over a fresh private set when the fleet has none, drained early
+/// if another walk raises `stop`.
+fn run_walk<S, F>(
     idx: usize,
     factory: &F,
     base: &ExploreConfig,
-    seed: u64,
     visited: Option<&ShardedVisited>,
-    round: &WalkRound<'_>,
-    stats_slot: &mut ExploreStats,
-    viol_slot: &mut Vec<Violation<S::Op>>,
-) -> Option<StopReason>
+    stop: &AtomicBool,
+) -> ExploreReport<S::Op>
 where
     S: ModelSystem,
     F: Fn(usize) -> S + Sync,
 {
     let mut worker_cfg = base.clone();
-    worker_cfg.seed = seed;
-    // Per-worker op budget, minus what this worker's earlier rounds used.
-    worker_cfg.max_ops = base.max_ops.saturating_sub(stats_slot.ops_executed);
-    if worker_cfg.max_ops == 0 {
-        return Some(StopReason::OpBudget);
-    }
+    worker_cfg.seed = base.seed.wrapping_add(idx as u64);
     let walk = RandomWalk::new(worker_cfg);
     let mut sys = system(factory, idx, visited);
-    let tick = |_: &ExploreStats| round.tick();
-    let halt = || round.stop.load(Ordering::Relaxed) || round.done.load(Ordering::Relaxed);
+    let halt = || stop.load(Ordering::Relaxed);
     let report = match visited {
         // The fleet set's spill counters are fleet-wide, so they surface
-        // once in `SwarmReport::spill` (and the snapshot stats), not per
-        // worker, where summing copies of the same global counters would
-        // overcount.
+        // once in `SwarmReport::spill`, not per worker, where summing
+        // copies of the same global counters would overcount.
         Some(visited) => {
-            let mut report = walk.run_until(&mut sys, &mut visited.clone(), tick, halt);
+            let mut report = walk.run_until(&mut sys, &mut visited.clone(), |_| {}, halt);
             report.stats.spill = None;
             report.stats.visited_peak_bytes = 0;
             report
         }
         None => with_fresh_visited(base, &mut sys, |sys, visited| {
-            walk.run_until(sys, visited, tick, halt)
+            walk.run_until(sys, visited, |_| {}, halt)
         }),
     };
-    let drained_by_round = round.done.load(Ordering::SeqCst);
-    stats_slot.merge(&report.stats);
-    viol_slot.extend(report.violations);
-    match report.stop {
-        StopReason::Violation => {
-            round.stop.store(true, Ordering::SeqCst);
-            Some(StopReason::Violation)
-        }
-        // Drained at the round boundary: the walk has budget left, resume
-        // it next round (with a fresh derived seed).
-        StopReason::Exhausted if drained_by_round => None,
-        other => Some(other),
+    if report.stop == StopReason::Violation {
+        stop.store(true, Ordering::SeqCst);
     }
+    report
 }
 
 // ---------------------------------------------------------------------------
@@ -815,7 +730,6 @@ fn run_frontier<S, F>(
             if fleet.cadence > 0 {
                 fleet.snapshot(|| frontier_cut(&carry, &queue, ctx));
             }
-            fleet.round += 1;
         }
         // Closing the share channels lets the workers exit.
         drop(jobs);

@@ -262,17 +262,6 @@ impl VisitedSet {
         }
     }
 
-    /// Exports every `(fingerprint, depth)` entry, sorted by fingerprint so
-    /// the serialized form is canonical (byte-identical across exports of
-    /// the same set, whatever the insertion order was). Prefer
-    /// [`stream_entries`](VisitedSet::stream_entries) for one-shot
-    /// consumers.
-    pub fn export_entries(&self) -> Vec<(u128, u32)> {
-        let mut out = Vec::with_capacity(self.set.len());
-        self.stream_entries(|h, d| out.push((h, d)));
-        out
-    }
-
     /// Bulk-loads previously exported entries, keeping the shallowest depth
     /// on collision. Loading does *not* fire modelled resize events — the
     /// run that discovered these states already paid those costs; the

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The build environment cannot reach crates.io, so this crate reimplements
-//! the subset of proptest's API the workspace uses: the [`Strategy`] trait
+//! the subset of proptest's API the workspace uses: the [`Strategy`](strategy::Strategy) trait
 //! with `Just` / integer ranges / tuples / `prop_map` / `prop_oneof!` /
 //! `collection::vec` / `any::<T>()` / string-pattern strategies, plus the
 //! `proptest!`, `prop_assert!`, `prop_assert_eq!` and `prop_assert_ne!`

@@ -54,7 +54,7 @@ pub struct VeriFsConfig {
     pub max_fds: usize,
     /// Expose stale bytes beyond EOF through
     /// [`FileSystem::opaque_state_digest`]. Buffers are only ever grown in
-    /// [`CHUNK`]-sized steps and never shrunk, so a truncate-down leaves the
+    /// `CHUNK`-sized steps and never shrunk, so a truncate-down leaves the
     /// old bytes in place; the abstraction function cannot see them, but a
     /// buggy hole write can surface them later. With this on (the default)
     /// the digest folds that residue into the exploration fingerprint so

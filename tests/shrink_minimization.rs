@@ -227,16 +227,14 @@ fn focused_pool() -> PoolConfig {
     }
 }
 
-/// Explorer wiring: a random walk over a harness with
-/// `minimize_violations` + an attached factory reports the violation with
-/// `minimized_trace` and `shrink` stats filled in, and the minimized trace
-/// replays to the same message.
+/// Explorer wiring: a random walk over a harness with an attached factory
+/// reports the violation with `minimized_trace` and `shrink` stats filled
+/// in, and the minimized trace replays to the same message.
 #[test]
 fn random_walk_reports_minimized_violations() {
     let factory = buggy_verifs_factory(
         BugConfig::v2_hole(),
         McfsConfig {
-            minimize_violations: true,
             pool: PoolConfig::medium(),
             ..McfsConfig::default()
         },
@@ -281,7 +279,6 @@ fn swarm_reports_the_shortest_minimized_violation() {
     let factory = buggy_verifs_factory(
         BugConfig::v2_hole(),
         McfsConfig {
-            minimize_violations: true,
             pool: focused_pool(),
             ..McfsConfig::default()
         },
@@ -321,7 +318,6 @@ fn dfs_reports_minimized_violations() {
     let factory = buggy_verifs_factory(
         BugConfig::v2_size(),
         McfsConfig {
-            minimize_violations: true,
             pool: PoolConfig {
                 files: vec!["/f0".into()],
                 dirs: Vec::new(),
@@ -363,7 +359,6 @@ fn dfs_finds_the_hole_bug_through_the_residue_digest() {
     let factory = buggy_verifs_factory(
         BugConfig::v2_hole(),
         McfsConfig {
-            minimize_violations: true,
             pool: focused_pool(),
             ..McfsConfig::default()
         },

@@ -167,7 +167,6 @@ proptest! {
     /// output (the format has exactly one encoding per value).
     #[test]
     fn snapshot_bytes_round_trip(
-        seed in any::<u64>(),
         mut visited in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u32..64), 0..32),
         prefixes in proptest::collection::vec(proptest::collection::vec(arb_op(), 0..6), 0..8),
     ) {
@@ -179,15 +178,11 @@ proptest! {
         visited.sort_unstable();
         visited.dedup_by_key(|(h, _)| *h);
         let snap = RunSnapshot {
-            base_seed: seed,
-            workers: 3,
-            generation: 1,
             visited,
             frontier: prefixes
                 .into_iter()
                 .map(|prefix| FrontierEntry { prefix, sleep: Vec::new() })
                 .collect(),
-            rng: vec![modelcheck::RngCursor { seed, draws: 17 }],
             stats: Default::default(),
         };
         let bytes = encode_snapshot(&snap, &FsOpCodec);
@@ -281,7 +276,6 @@ fn check_kill_and_resume(factory: fn(usize) -> Mcfs, name: &str) {
         final_snap.visited, control_snap.visited,
         "{name}: resumed visited set diverges from the uninterrupted run"
     );
-    assert!(final_snap.generation > control_snap.generation);
     let _ = std::fs::remove_file(&control_path);
     let _ = std::fs::remove_file(&path);
 }
